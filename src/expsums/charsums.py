@@ -223,7 +223,8 @@ def _fiber_value(
     if g1.is_zero:
         return phase, 2.0 * _EPS
     v = _min_p_valuation(g1, p)
-    assert v is not None and v >= 2, "critical fiber must carry p^2"
+    if v is None or v < 2:
+        raise ValueError(f"fiber over {point} is not critical mod {p} (p-valuation {v} < 2)")
     if v >= m:
         return phase, 2.0 * _EPS
     if depth <= 0:

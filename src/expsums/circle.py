@@ -13,8 +13,10 @@ degree d in n variables the prediction reads
 
 with S(R) the truncated sum over moduli q <= R of the averaged complete
 sums and J(R) the truncated integral of I(gamma) = int omega(x)
-e^(2 pi i gamma f(x)) dx.  Truncations default to R = ceil(B^delta) for
-the series and B^delta for the integral.
+e^(2 pi i gamma f(x)) dx.  Integrating over gamma first gives the closed
+form J(R) = int omega(x) 2R sinc(2R f(x)) dx, one n-D quadrature.
+Truncations default to R = ceil(B^delta) for the series and B^delta for
+the integral.
 
 Floating-point reductions are carried out in a fixed chunk order
 (chunk results combined by math.fsum in index order), so results are
@@ -24,7 +26,6 @@ bitwise independent of the worker count.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Sequence
@@ -117,13 +118,6 @@ def _box_coordinates(box: list[tuple[int, int]], lo0: int, hi0: int) -> list[np.
     return cols
 
 
-def _ordered_chunk_sums(work: Callable, chunks: list, workers: int) -> list:
-    if workers <= 1 or len(chunks) <= 1:
-        return [work(c) for c in chunks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(work, chunks))
-
-
 # -- lattice sums --------------------------------------------------------------
 
 
@@ -155,7 +149,7 @@ def weighted_exponential_sum(
         phases = np.exp((2j * np.pi * alpha) * vals.astype(np.float64))
         return complex(np.sum(wv * phases))
 
-    parts = _ordered_chunk_sums(work, _box_chunks(box), workers)
+    parts = enumeration._run_blocks(work, _box_chunks(box), workers)
     return complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
 
 
@@ -249,21 +243,17 @@ def singular_series_local(
 
 @dataclass
 class QuadConfig:
-    """Tensor Gauss-Legendre settings for I(gamma) and the 1-D integral.
+    """Convergence tolerance for I(gamma) and J(R).
 
-    Convergence is judged on successive refinement levels, measured
-    relative to max(current magnitude, the plain weight integral) so that
-    tiny oscillatory values do not stall the ladder.  ``orders`` of None
-    selects a ladder by dimension: the bump weight is smooth but not
-    analytic, so low dimensions climb to high orders cheaply while n = 5
-    stops where the tensor grid is still affordable.
+    The tensor Gauss-Legendre order climbs a ladder fixed by the
+    dimension (the bump weight is smooth but not analytic, so low
+    dimensions climb to high orders cheaply while n = 5 stops where the
+    tensor grid is still affordable).  Successive orders agree when their
+    difference is at most tol * max(current magnitude, the plain weight
+    integral), so tiny oscillatory values do not stall the ladder.
     """
 
     tol: float = 1e-6
-    orders: tuple[int, ...] | None = None
-    panel_nodes: int = 16
-    max_panel_doublings: int = 5
-    max_dim: int = 5
 
 
 _ORDER_LADDERS = {
@@ -276,24 +266,24 @@ _ORDER_LADDERS = {
 
 
 class OscillatoryIntegrator:
-    """Evaluates I(gamma) = int omega(x) e^(2 pi i gamma f(x)) dx.
+    """Tensor quadrature of omega(x) g(f(x)) over the support ball.
 
     Node grids are cached per order as flattened (f values, omega times
     quadrature weight) pairs restricted to the ball, so refinement and
-    repeated gamma evaluations reuse them.
+    repeated evaluations reuse them.  Every evaluation climbs the ladder
+    from its first order, so a value never depends on earlier calls.
     """
 
     def __init__(self, f: Polynomial, w: WeightFunction, quad: QuadConfig | None = None):
         if w.n != f.n:
             raise ValueError("weight dimension does not match the polynomial")
+        if f.n not in _ORDER_LADDERS:
+            raise ValueError(f"tensor quadrature supports n <= {max(_ORDER_LADDERS)}")
         self.f = f
         self.w = w
         self.quad = quad or QuadConfig()
-        if f.n > self.quad.max_dim:
-            raise ValueError(f"tensor quadrature supports n <= {self.quad.max_dim}")
-        self.orders = self.quad.orders or _ORDER_LADDERS[f.n]
+        self.orders = _ORDER_LADDERS[f.n]
         self._grids: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-        self._ladder_pos = 1
         self._weight_integral: float | None = None
 
     def _grid(self, order: int) -> tuple[np.ndarray, np.ndarray]:
@@ -304,41 +294,39 @@ class OscillatoryIntegrator:
         nodes, gl_w = np.polynomial.legendre.leggauss(order)
         axes = [w.center[j] + w.rho * nodes for j in range(n)]
         wts = [w.rho * gl_w for _ in range(n)]
+        sq = [(axes[j] - w.center[j]) ** 2 for j in range(n)]
+        rho2 = w.rho**2
         chunk_f: list[np.ndarray] = []
         chunk_wq: list[np.ndarray] = []
-        shape_rest = (order,) * (n - 1)
         for i0 in range(order):
-            t2 = np.zeros(shape_rest)
-            t2 += (axes[0][i0] - w.center[0]) ** 2
+            # in-ball nodes of the slice x_0 = axes[0][i0], in row-major
+            # order: extend axis by axis, keeping partial sums below rho^2
+            t2 = sq[0][i0 : i0 + 1]
+            idx: list[np.ndarray] = []
             for j in range(1, n):
-                ax_shape = [1] * (n - 1)
-                ax_shape[j - 1] = -1
-                t2 = t2 + ((axes[j] - w.center[j]) ** 2).reshape(ax_shape)
-            t2 = t2 / w.rho**2
+                rows, cols = np.nonzero((t2[:, None] + sq[j]) / rho2 < 1.0)
+                t2 = t2[rows] + sq[j][cols]
+                idx = [ix[rows] for ix in idx] + [cols]
+            t2 = t2 / rho2
             inside = t2 < 1.0
-            if not inside.any():
+            t2 = t2[inside]
+            idx = [ix[inside] for ix in idx]
+            if not t2.size:
                 continue
-            bump = np.zeros(shape_rest)
-            bump[inside] = np.exp(-1.0 / (1.0 - t2[inside]))
-            wq = np.full(shape_rest, wts[0][i0])
+            wq = np.full(t2.size, wts[0][i0])
             for j in range(1, n):
-                ax_shape = [1] * (n - 1)
-                ax_shape[j - 1] = -1
-                wq = wq * wts[j].reshape(ax_shape)
-            fv = np.zeros(shape_rest)
+                wq = wq * wts[j][idx[j - 1]]
+            fv = np.zeros(t2.size)
             for e, c in f.terms.items():
                 t: np.ndarray | float = float(c)
                 if e[0]:
                     t = t * axes[0][i0] ** e[0]
                 for j in range(1, n):
                     if e[j]:
-                        ax_shape = [1] * (n - 1)
-                        ax_shape[j - 1] = -1
-                        t = t * (axes[j] ** e[j]).reshape(ax_shape)
+                        t = t * (axes[j] ** e[j])[idx[j - 1]]
                 fv = fv + t
-            sel = inside.reshape(-1)
-            chunk_f.append(fv.reshape(-1)[sel])
-            chunk_wq.append((wq * bump).reshape(-1)[sel])
+            chunk_f.append(fv)
+            chunk_wq.append(wq * np.exp(-1.0 / (1.0 - t2)))
         fs = np.concatenate(chunk_f) if chunk_f else np.empty(0)
         wqs = np.concatenate(chunk_wq) if chunk_wq else np.empty(0)
         self._grids[order] = (fs, wqs)
@@ -352,27 +340,26 @@ class OscillatoryIntegrator:
             self._weight_integral = float(np.sum(wq))
         return self._weight_integral
 
-    def _eval(self, order: int, gamma: float) -> complex:
-        fs, wqs = self._grid(order)
-        if fs.size == 0:
-            return 0j
-        return complex(np.sum(wqs * np.exp((2j * np.pi * gamma) * fs)))
+    def _converge(
+        self, integrand: Callable[[np.ndarray, np.ndarray], complex], what: str
+    ) -> tuple[complex, int]:
+        """(value, order): integrand(f values, weights) refined along the
+        order ladder until two successive orders agree."""
+        scale = self.weight_integral()
+        prev: complex | None = None
+        for order in self.orders:
+            cur = integrand(*self._grid(order))
+            if prev is not None and abs(cur - prev) <= self.quad.tol * max(abs(cur), scale):
+                return cur, order
+            prev = cur
+        raise QuadratureConvergenceError(f"{what} did not stabilize within orders {self.orders}")
 
     def value(self, gamma: float) -> complex:
-        """I(gamma), refined along the order ladder until stable."""
-        ladder = self.orders
-        scale = self.weight_integral()
-        start = max(0, self._ladder_pos - 1)
-        prev: complex | None = None
-        for idx in range(start, len(ladder)):
-            cur = self._eval(ladder[idx], gamma)
-            if prev is not None and abs(cur - prev) <= self.quad.tol * max(abs(cur), scale):
-                self._ladder_pos = idx
-                return cur
-            prev = cur
-        raise QuadratureConvergenceError(
-            f"I(gamma) did not stabilize at gamma={gamma} within orders {ladder}"
-        )
+        """I(gamma) = int omega(x) e^(2 pi i gamma f(x)) dx."""
+        phase = 2j * np.pi * gamma
+        return self._converge(
+            lambda fs, wqs: complex(np.sum(wqs * np.exp(phase * fs))), f"I(gamma) at gamma={gamma}"
+        )[0]
 
 
 def oscillatory_integral(
@@ -388,20 +375,7 @@ def oscillatory_integral(
 @dataclass
 class SingularIntegralResult:
     J_of_R: float
-    samples: list[tuple[float, complex]]
-    panels: int
-
-
-def _gauss_panels(fn: Callable[[float], float], a: float, b: float, panels: int, nodes: int) -> float:
-    base, gl_w = np.polynomial.legendre.leggauss(nodes)
-    total = []
-    width = (b - a) / panels
-    for k in range(panels):
-        lo = a + k * width
-        mid = lo + width / 2
-        half = width / 2
-        total.extend(gl_w[i] * half * fn(mid + half * base[i]) for i in range(nodes))
-    return math.fsum(total)
+    order: int  # the ladder order at which J(R) stabilized
 
 
 def singular_integral(
@@ -410,32 +384,21 @@ def singular_integral(
     R: float,
     quad: QuadConfig | None = None,
 ) -> SingularIntegralResult:
-    """J(R) = int_{-R}^{R} I(gamma) dgamma = 2 int_0^R Re I(gamma) dgamma.
+    """J(R) = int_{-R}^{R} I(gamma) dgamma as one n-D quadrature.
 
-    The reduction to [0, R] uses I(-gamma) = conj(I(gamma)).  The 1-D
-    integral refines by doubling Gauss-Legendre panels until stable.
+    Since int_{-R}^{R} e^(2 pi i gamma t) dgamma = sin(2 pi R t) / (pi t),
+
+        J(R) = int omega(x) 2R sinc(2R f(x)) dx,   sinc(u) = sin(pi u) / (pi u),
+
+    which refines along the same order ladder as I(gamma).
     """
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
     integrator = OscillatoryIntegrator(f, w, quad)
-    cfg = integrator.quad
-    scale = integrator.weight_integral()
-
-    def g(gamma: float) -> float:
-        return integrator.value(gamma).real
-
-    prev: float | None = None
-    panels = 1
-    for _ in range(cfg.max_panel_doublings + 1):
-        cur = 2.0 * _gauss_panels(g, 0.0, R, panels, cfg.panel_nodes)
-        if prev is not None and abs(cur - prev) <= cfg.tol * max(abs(cur), scale):
-            samples = [(gam, integrator.value(gam)) for gam in np.linspace(0.0, R, 9)]
-            return SingularIntegralResult(J_of_R=cur, samples=samples, panels=panels)
-        prev = cur
-        panels *= 2
-    raise QuadratureConvergenceError(
-        f"J(R) did not stabilize after {cfg.max_panel_doublings} doublings"
+    J, order = integrator._converge(
+        lambda fs, wqs: 2.0 * R * float(np.sum(wqs * np.sinc(2.0 * R * fs))), f"J(R) at R={R}"
     )
+    return SingularIntegralResult(J_of_R=J, order=order)
 
 
 # -- weighted solution count ---------------------------------------------------
@@ -467,7 +430,9 @@ def weighted_solution_count(
     Solution testing is exact integer arithmetic.  Polynomials of degree
     <= 2 in the last variable take the accelerated path: enumerate the
     first n-1 coordinates and solve the (at most quadratic) fiber
-    equation, checking discriminants for perfect squares.
+    equation, checking discriminants for perfect squares.  When the
+    discriminants could reach 2^53 on the box, the whole box is
+    enumerated instead.
     """
     if w.n != f.n:
         raise ValueError("weight dimension does not match the polynomial")
@@ -478,7 +443,7 @@ def weighted_solution_count(
     budget_val = enumeration.enumeration_budget(budget)
     workers = enumeration.default_workers(workers)
     split = _last_var_split(f)
-    if split is not None:
+    if split is not None and _float_sqrt_safe(split, box[:-1]):
         outer = math.prod(sizes[:-1])
         enumeration._charge(outer, budget_val, "fiber-solver enumeration")
         return _count_quadratic_fiber(f, split, B, w, box, workers)
@@ -495,8 +460,19 @@ def weighted_solution_count(
         pts = np.stack([c[hit] for c in cols], axis=-1).astype(np.float64)
         return float(np.sum(w.values(pts, scale=B)))
 
-    parts = _ordered_chunk_sums(work, _box_chunks(box), workers)
+    parts = enumeration._run_blocks(work, _box_chunks(box), workers)
     return math.fsum(parts)
+
+
+def _float_sqrt_safe(split, outer_box) -> bool:
+    """True when b^2 and 4|a c| stay below 2^52 on the box, so the
+    discriminant b^2 - 4ac neither wraps in int64 nor loses bits as a float."""
+    reach = [max(abs(lo), abs(hi)) for lo, hi in outer_box]
+    a, b, c = (
+        sum(abs(k) * math.prod(r**j for r, j in zip(reach, e)) for e, k in p.terms.items())
+        for p in split
+    )
+    return b * b < 2**52 and 4 * a * c < 2**52
 
 
 def _count_quadratic_fiber(f, split, B, w, box, workers) -> float:
@@ -530,8 +506,6 @@ def _count_quadratic_fiber(f, split, B, w, box, workers) -> float:
         if quad.any():
             aq, bq, cq = a[quad], b[quad], c[quad]
             disc = bq * bq - 4 * aq * cq
-            if disc.max(initial=0) >= 2**52:
-                raise ValueError("discriminants too large for the float-sqrt root check")
             nonneg = disc >= 0
             if nonneg.any():
                 root = np.zeros_like(disc)
@@ -573,7 +547,7 @@ def _count_quadratic_fiber(f, split, B, w, box, workers) -> float:
                 acc += float(np.sum(weight_of(pts)))
         return acc
 
-    parts = _ordered_chunk_sums(work, _box_chunks(outer_box), workers)
+    parts = enumeration._run_blocks(work, _box_chunks(outer_box), workers)
     return math.fsum(parts)
 
 

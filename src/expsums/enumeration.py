@@ -35,14 +35,11 @@ _consumed = 0
 
 
 def enumeration_budget(override: int | None = None) -> int:
-    if override is not None:
-        if override < 1:
-            raise ValueError(f"budget must be positive, got {override}")
-        return override
     env = os.environ.get("IGUSA_BUDGET")
-    if env:
-        return int(env)
-    return DEFAULT_BUDGET
+    budget = override if override is not None else int(env) if env else DEFAULT_BUDGET
+    if budget < 1:
+        raise ValueError(f"budget must be positive, got {budget}")
+    return budget
 
 
 def default_workers(override: int | None = None) -> int:
@@ -204,6 +201,36 @@ def residue_histogram(
     return hist
 
 
+def _zero_masks(polys, grid, modulus, budget, workers, what, reduce) -> list:
+    """reduce(mask, offset) for each axis-0 block of [0, grid)^n, in block
+    order.  mask flags the block's points (flattened, row-major) where every
+    polynomial is 0 mod modulus; offset is the flat index of its first point."""
+    if not polys:
+        raise ValueError("need at least one polynomial")
+    n = polys[0].n
+    if any(p.n != n for p in polys):
+        raise ValueError("polynomials have mixed variable counts")
+    if modulus >= _MAX_MODULUS:
+        raise ValueError(f"modulus {modulus} too large for the int64 kernel")
+    _charge(grid**n * len(polys), enumeration_budget(budget), what)
+    workers = default_workers(workers)
+    terms_list = [_prepare_terms(p, modulus) for p in polys]
+    pow_full: dict[tuple[int, int], np.ndarray] = {}
+    inner = grid ** (n - 1)
+
+    def work(block):
+        lo, hi = block
+        mask: np.ndarray | None = None
+        for terms in terms_list:
+            m = _block_values(terms, n, grid, modulus, lo, hi, pow_full) == 0
+            mask = m if mask is None else (mask & m)
+            if not mask.any():
+                break
+        return reduce(mask, lo * inner)
+
+    return _run_blocks(work, _axis0_blocks(grid, n, workers), workers)
+
+
 def common_zero_points(
     polys: Sequence[Polynomial],
     grid: int,
@@ -215,33 +242,10 @@ def common_zero_points(
 
     Returns an (N, n) int64 array in row-major (lexicographic) order.
     """
-    if not polys:
-        raise ValueError("need at least one polynomial")
-    n = polys[0].n
-    if any(p.n != n for p in polys):
-        raise ValueError("polynomials have mixed variable counts")
-    if modulus >= _MAX_MODULUS:
-        raise ValueError(f"modulus {modulus} too large for the int64 kernel")
-    total = grid**n
-    _charge(total * len(polys), enumeration_budget(budget), "zero-locus enumeration")
-    workers = default_workers(workers)
-    terms_list = [_prepare_terms(p, modulus) for p in polys]
-    pow_full: dict[tuple[int, int], np.ndarray] = {}
-    inner = grid ** (n - 1)
-
-    def work(block):
-        lo, hi = block
-        mask: np.ndarray | None = None
-        for terms in terms_list:
-            vals = _block_values(terms, n, grid, modulus, lo, hi, pow_full)
-            m = vals == 0
-            mask = m if mask is None else (mask & m)
-            if not mask.any():
-                return np.empty(0, dtype=np.int64)
-        return np.flatnonzero(mask) + lo * inner
-
-    flats = _run_blocks(work, _axis0_blocks(grid, n, workers), workers)
+    flats = _zero_masks(polys, grid, modulus, budget, workers, "zero-locus enumeration",
+                        lambda mask, offset: np.flatnonzero(mask) + offset)
     flat = np.concatenate(flats) if flats else np.empty(0, dtype=np.int64)
+    n = polys[0].n
     coords = np.empty((flat.size, n), dtype=np.int64)
     rem = flat
     for j in range(n - 1, -1, -1):
@@ -258,31 +262,8 @@ def count_common_zeros(
     workers: int | None = None,
 ) -> int:
     """|{x in [0,grid)^n : every polynomial is 0 mod modulus}|."""
-    if not polys:
-        raise ValueError("need at least one polynomial")
-    n = polys[0].n
-    if any(p.n != n for p in polys):
-        raise ValueError("polynomials have mixed variable counts")
-    if modulus >= _MAX_MODULUS:
-        raise ValueError(f"modulus {modulus} too large for the int64 kernel")
-    total = grid**n
-    _charge(total * len(polys), enumeration_budget(budget), "zero-count enumeration")
-    workers = default_workers(workers)
-    terms_list = [_prepare_terms(p, modulus) for p in polys]
-    pow_full: dict[tuple[int, int], np.ndarray] = {}
-
-    def work(block):
-        lo, hi = block
-        mask: np.ndarray | None = None
-        for terms in terms_list:
-            vals = _block_values(terms, n, grid, modulus, lo, hi, pow_full)
-            m = vals == 0
-            mask = m if mask is None else (mask & m)
-            if not mask.any():
-                return 0
-        return int(mask.sum())
-
-    return sum(_run_blocks(work, _axis0_blocks(grid, n, workers), workers))
+    return sum(_zero_masks(polys, grid, modulus, budget, workers, "zero-count enumeration",
+                           lambda mask, offset: int(mask.sum())))
 
 
 def eval_points_mod(f: Polynomial, points: np.ndarray, modulus: int) -> np.ndarray:

@@ -15,7 +15,7 @@ from expsums import (
     finite_field_sum,
     parse_polynomial,
 )
-from expsums.charsums import crt_units
+from expsums.charsums import _fiber_value, crt_units
 from expsums.corpus import standard_corpus
 from conftest import brute_exp_sum, small_polynomials
 
@@ -108,6 +108,11 @@ class TestPruned:
         v = exp_sum_pruned(parse_polynomial("x1"), AdditiveCharacter(7, 2))
         assert v.value == 0 and v.err_bound == 0
         assert v.fiber_count == 0
+
+    def test_noncritical_fiber_rejected(self):
+        # x1 has no critical point mod 3, so the fiber over 0 carries only p^1
+        with pytest.raises(ValueError, match="not critical"):
+            _fiber_value(parse_polynomial("x1"), 3, 2, 1, (0,), 1, None, None)
 
     def test_conductor_one_falls_through(self):
         f = parse_polynomial("x1^2")

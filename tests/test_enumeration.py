@@ -62,6 +62,12 @@ class TestResidueHistogram:
         with pytest.raises(BudgetExceededError):
             residue_histogram(f, 100, 100, budget=10**5)
 
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_env_budget_must_be_positive(self, monkeypatch, value):
+        monkeypatch.setenv("IGUSA_BUDGET", value)
+        with pytest.raises(ValueError, match="budget must be positive"):
+            residue_histogram(Polynomial(1, {(1,): 1}), 3, 3)
+
 
 class TestZeroEnumeration:
     @given(small_polynomials(max_n=2), st.sampled_from([2, 3, 5, 7]))
