@@ -21,7 +21,14 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from expsums import QuadConfig, WeightFunction, major_arc_report, parse_polynomial
+from expsums import (
+    QuadConfig,
+    WeightFunction,
+    parse_polynomial,
+    singular_integral,
+    singular_series,
+    weighted_solution_count,
+)
 
 
 def main() -> int:
@@ -31,7 +38,6 @@ def main() -> int:
     ap.add_argument("--delta", type=float, default=0.25)
     ap.add_argument("--rho", type=float, default=0.9)
     ap.add_argument("--center", default=None, help="comma-separated; default: scaled (3,0,...,3)")
-    ap.add_argument("--s", type=int, default=0)
     ap.add_argument("--R-max", type=int, default=6, help="sweep series truncations 1..R_max")
     ap.add_argument("--quad-tol", type=float, default=1e-5)
     args = ap.parse_args()
@@ -45,17 +51,21 @@ def main() -> int:
     w = WeightFunction(center, args.rho)
     quad = QuadConfig(tol=args.quad_tol)
 
+    d = f.degree()
     for B in args.B:
         default_R = math.ceil(B**args.delta)
+        J = singular_integral(f, w, B**args.delta, quad=quad).J_of_R
+        direct = weighted_solution_count(f, B, w)
         print(f"\nB = {B}  (default series truncation R = ceil(B^delta) = {default_R})")
         print(f"{'R':>3} {'S(R)':>12} {'J':>12} {'direct':>14} {'prediction':>14} {'ratio':>8}")
         for R in range(1, args.R_max + 1):
-            rep = major_arc_report(f, B, args.delta, w, args.s, R_series=R, quad=quad)
+            S = float(singular_series(f, R).S_of_R)
+            prediction = S * J * B ** (f.n - d)
             marker = " <- default" if R == default_R else ""
             print(
-                f"{R:>3} {rep.S_truncated:>12.6f} {rep.J_truncated:>12.6f} "
-                f"{rep.direct_count:>14.4f} {rep.prediction:>14.4f} "
-                f"{rep.ratio:>8.4f}{marker}"
+                f"{R:>3} {S:>12.6f} {J:>12.6f} "
+                f"{direct:>14.4f} {prediction:>14.4f} "
+                f"{direct / prediction:>8.4f}{marker}"
             )
     return 0
 

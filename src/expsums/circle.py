@@ -11,10 +11,12 @@ degree d in n variables the prediction reads
 
     N_omega(f, B)  ~  S(R) * J(R) * B^(n-d),
 
-with S(R) the truncated sum over moduli q <= R of the averaged complete
-sums and J(R) the truncated integral of I(gamma) = int omega(x)
-e^(2 pi i gamma f(x)) dx.  Integrating over gamma first gives the closed
-form J(R) = int omega(x) 2R sinc(2R f(x)) dx, one n-D quadrature.
+with S(R) = sum_{q <= R} A(q), where A(q) = sum_{a in (Z/q)^x} E_f(q, a)
+is multiplicative in q and sum_{j <= k} A(p^j) = p^k N(p^k) p^(-kn) for
+the zero counts N(p^k) of f mod p^k, and J(R) the truncated integral of
+I(gamma) = int omega(x) e^(2 pi i gamma f(x)) dx.  Integrating over gamma
+first gives the closed form J(R) = int omega(x) 2R sinc(2R f(x)) dx, one
+n-D quadrature.
 Truncations default to R = ceil(B^delta) for the series and B^delta for
 the integral.
 
@@ -33,9 +35,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import enumeration
+from .arith import primes_up_to
 from .charsums import exp_sum_composite
 from .errors import QuadratureConvergenceError
 from .polynomials import Polynomial
+from .zeta import poincare_coeffs
 
 _SOLVER_CHUNK = 1 << 20
 
@@ -172,50 +176,40 @@ def complete_sum_mod_q(
 
 @dataclass
 class SingularSeriesResult:
-    S_of_R: float
-    per_q: list[tuple[int, float, float]]  # (q, Re of the q-term, running sum)
-    tail_exponent: Fraction | None
-    max_imag: float
+    S_of_R: Fraction
+
+
+def _local_sums(f: Polynomial, p: int, k_max: int, budget, workers) -> list[Fraction]:
+    """[sigma_0, ..., sigma_k_max], sigma_k = sum_{j <= k} A(p^j) = p^k N(p^k) p^(-kn)."""
+    if k_max < 1:
+        return [Fraction(1)]
+    _, dens = poincare_coeffs(f, p, k_max, budget=budget, workers=workers)
+    return [p**k * dk for k, dk in dens]
 
 
 def singular_series(
     f: Polynomial,
     R: int,
-    s_val: int | None = None,
     budget: int | None = None,
     workers: int | None = None,
 ) -> SingularSeriesResult:
-    """Truncated series S(R) = sum_{q <= R} sum_{a in (Z/q)^x} E_f(q, a).
+    """Truncated series S(R) = sum_{q <= R} A(q) as an exact rational.
 
-    The a and q-a terms are conjugate, so every partial sum is real up to
-    rounding; the largest imaginary part seen is reported.  When s is
-    known, tail_exponent = 2 - (n-s)/(2(d-1)) tells whether the q-term
-    bound q^(1-(n-s)/(2(d-1))) makes the full series provably summable
-    (negative exponent, equivalently n-s > 4(d-1)).
+    Summing E_f over every a mod p^k gives, by orthogonality,
+    sum_{j <= k} A(p^j) = p^k N(p^k) p^(-kn), so A(p^k) is a difference of
+    two lifting-tree zero counts and A(q) = prod_{p^k || q} A(p^k).  The
+    budget applies to each count.
     """
     if R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
-    running = 0.0
-    max_imag = 0.0
-    rows = []
-    for q in range(1, R + 1):
-        term = 0j
-        for a in range(1, q + 1) if q == 1 else range(1, q):
-            if q > 1 and math.gcd(a, q) != 1:
-                continue
-            term += exp_sum_composite(f, q, a, budget=budget, workers=workers).value
-        if q == 1:
-            term = 1 + 0j
-        max_imag = max(max_imag, abs(term.imag))
-        running += term.real
-        rows.append((q, term.real, running))
-    tail = None
-    if s_val is not None:
-        d = f.degree()
-        if d is None or d < 2:
-            raise ValueError("tail exponent needs degree >= 2")
-        tail = Fraction(2, 1) - Fraction(f.n - s_val, 2 * (d - 1))
-    return SingularSeriesResult(S_of_R=running, per_q=rows, tail_exponent=tail, max_imag=max_imag)
+    terms = [Fraction(1)] * (R + 1)  # terms[q] = A(q)
+    for p in primes_up_to(R):
+        k_max = max(k for k in range(1, R.bit_length() + 1) if p**k <= R)
+        sigma = _local_sums(f, p, k_max, budget, workers)
+        for q in range(p, R + 1, p):
+            k = max(k for k in range(1, k_max + 1) if q % p**k == 0)  # v_p(q)
+            terms[q] *= sigma[k] - sigma[k - 1]
+    return SingularSeriesResult(S_of_R=sum(terms[1:], Fraction(0)))
 
 
 def singular_series_local(
@@ -224,18 +218,10 @@ def singular_series_local(
     r_max: int,
     budget: int | None = None,
     workers: int | None = None,
-) -> float:
-    """Partial local density at p: the q = p^r terms for r = 0..r_max."""
-    total = 1.0  # r = 0
-    for r in range(1, r_max + 1):
-        q = p**r
-        term = 0j
-        for a in range(1, q):
-            if a % p == 0:
-                continue
-            term += exp_sum_composite(f, q, a, budget=budget, workers=workers).value
-        total += term.real
-    return total
+) -> Fraction:
+    """Partial local density at p: the q = p^r terms for r = 0..r_max,
+    which sum to p^r_max * N(p^r_max) * p^(-r_max n)."""
+    return _local_sums(f, p, r_max, budget, workers)[-1]
 
 
 # -- oscillatory integral ------------------------------------------------------
@@ -600,11 +586,11 @@ def major_arc_report(
     if not trusted:
         warnings.append("decay hypothesis n - s > 4(d-1) not met; prediction untrusted")
 
-    series = singular_series(f, r_series, s_val=s_val if d >= 2 else None, budget=budget, workers=workers)
+    S = float(singular_series(f, r_series, budget=budget, workers=workers).S_of_R)
     integral = singular_integral(f, w, r_int, quad=quad)
     direct = weighted_solution_count(f, B, w, budget=budget, workers=workers)
-    prediction = series.S_of_R * integral.J_of_R * B ** (f.n - d)
-    if series.S_of_R <= 0:
+    prediction = S * integral.J_of_R * B ** (f.n - d)
+    if S <= 0:
         warnings.append("truncated singular series is not positive")
     if integral.J_of_R <= 0:
         warnings.append("truncated singular integral is not positive")
@@ -614,7 +600,7 @@ def major_arc_report(
         delta=delta,
         R=R,
         R_series=r_series,
-        S_truncated=series.S_of_R,
+        S_truncated=S,
         J_truncated=integral.J_of_R,
         direct_count=direct,
         prediction=prediction,

@@ -9,7 +9,7 @@ addition / ordered concatenation.
 
 Budgets: the default enumeration budget is 10^8 points, overridable via
 the IGUSA_BUDGET environment variable or per call.  IGUSA_WORKERS sets the
-default worker-thread count (default 1).
+default worker-thread count (default 1, at most os.cpu_count()).
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ def default_workers(override: int | None = None) -> int:
         return override
     env = os.environ.get("IGUSA_WORKERS")
     if env:
-        return max(1, int(env))
+        return max(1, min(int(env), os.cpu_count() or 1))
     return 1
 
 

@@ -87,23 +87,32 @@ def count_zeros_mod(
         return enumeration.count_common_zeros([f], p**m, p**m, budget=budget, workers=workers)
     if method != "tree":
         raise ValueError(f"unknown method {method!r}")
+    return _tree_counts(f, p, m, budget, workers)[-1]
 
+
+def _tree_counts(f: Polynomial, p: int, m: int, budget, workers) -> list[int]:
+    """[N_1, ..., N_m] from one climb of the lifting tree, lifting the
+    survivors in row blocks of about enumeration._BLOCK_ELEMS candidates
+    (one block alive at a time).  Each level is charged to the budget
+    before it is lifted; the last level is only counted."""
     sols = enumeration.common_zero_points([f], p, p, budget=budget, workers=workers)
-    n = f.n
-    lift_grid = np.array(
-        np.meshgrid(*[np.arange(p, dtype=np.int64)] * n, indexing="ij")
-    ).reshape(n, -1).T if n > 0 else None
+    counts = [sols.shape[0]]
+    offsets = np.indices((p,) * f.n, dtype=np.int64).reshape(f.n, -1).T
+    rows = max(1, enumeration._BLOCK_ELEMS // offsets.shape[0])
     budget_val = enumeration.enumeration_budget(budget)
     for k in range(1, m):
-        if sols.shape[0] == 0:
-            return 0
-        n_cand = sols.shape[0] * p**n
-        enumeration._charge(n_cand, budget_val, "lifting tree")
-        step = p**k
-        cand = (sols[:, None, :] + step * lift_grid[None, :, :]).reshape(-1, n)
-        vals = enumeration.eval_points_mod(f, cand, step * p)
-        sols = cand[vals == 0]
-    return int(sols.shape[0])
+        enumeration._charge(sols.shape[0] * offsets.shape[0], budget_val, "lifting tree")
+        kept, count = [], 0
+        for i in range(0, sols.shape[0], rows):
+            cand = (sols[i : i + rows, None, :] + p**k * offsets).reshape(-1, f.n)
+            zero = enumeration.eval_points_mod(f, cand, p ** (k + 1)) == 0
+            count += int(zero.sum())
+            if k < m - 1:
+                kept.append(cand[zero])
+        counts.append(count)
+        if kept:
+            sols = np.concatenate(kept)
+    return counts
 
 
 def count_order_ge(
@@ -145,15 +154,16 @@ def poincare_coeffs(
     """
     if max_m < 1:
         raise ValueError(f"max level must be >= 1, got {max_m}")
-    entries: list[tuple[int, int]] = [(0, 1)]
-    for m in range(1, max_m + 1):
-        if kind is CountKind.zeros_of_f:
-            c = count_zeros_mod(f, p, m, budget=budget, workers=workers)
-        else:
-            if not generators:
-                raise ValueError("order_ge_ideal needs a generator list")
-            c = count_order_ge(generators, p, m, budget=budget, workers=workers)
-        entries.append((m, c))
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    if kind is CountKind.zeros_of_f:
+        counts = _tree_counts(f, p, max_m, budget, workers)
+    elif not generators:
+        raise ValueError("order_ge_ideal needs a generator list")
+    else:
+        counts = [count_order_ge(generators, p, m, budget=budget, workers=workers)
+                  for m in range(1, max_m + 1)]
+    entries = [(0, 1)] + list(enumerate(counts, start=1))
     densities = [(m, Fraction(c, p ** (m * f.n))) for m, c in entries]
     return CountTable(p=p, entries=entries, kind=kind), densities
 

@@ -1,11 +1,13 @@
 import cmath
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from expsums import (
+    BudgetExceededError,
     OscillatoryIntegrator,
     QuadConfig,
     WeightFunction,
@@ -129,17 +131,30 @@ class TestSingularSeries:
         s2 = complete_sum_mod_q(f, 2, 1)
         assert abs(res.S_of_R - (1 + s2.real / 2**5)) < 1e-12
 
-    def test_partial_sums_real(self):
-        f = parse_polynomial("x1^2 + x2^3")
-        res = singular_series(f, 12)
-        assert res.max_imag < 1e-12
+    @pytest.mark.parametrize(
+        "text, R",
+        [("x1^2 + x2^3", 12), ("x1^2+x1*x2-3", 20), ("x1^2+x2^2+x3^2-x4^2-x5^2", 16)],
+        ids=["cusp", "composite_q", "quadric"],
+    )
+    def test_exact_series_matches_unit_sums(self, text, R):
+        f = parse_polynomial(text)
+        oracle = 0.0
+        for q in range(1, R + 1):
+            units = [a for a in range(1, q + 1) if math.gcd(a, q) == 1]
+            oracle += sum(complete_sum_mod_q(f, q, a) for a in units).real / q**f.n
+        got = singular_series(f, R).S_of_R
+        assert isinstance(got, Fraction)
+        assert abs(got - oracle) < 1e-12
 
-    def test_tail_exponent(self):
-        f = parse_polynomial("x1^2+x2^2+x3^2+x4^2+x5^2")
-        res = singular_series(f, 2, s_val=0)
-        from fractions import Fraction
+    def test_quadric_partial_sums(self):
+        f = parse_polynomial("x1^2+x2^2+x3^2-x4^2-x5^2")
+        got = [singular_series(f, R).S_of_R for R in (3, 4, 10, 16)]
+        assert got == [1, Fraction(5, 4), Fraction(413, 324), Fraction(3385, 2592)]
 
-        assert res.tail_exponent == Fraction(2) - Fraction(5, 2)
+    def test_budget_applies_to_each_count(self):
+        f = parse_polynomial("x1^2+x2^2+x3^2-x4^2-x5^2")
+        with pytest.raises(BudgetExceededError):
+            singular_series(f, 16, budget=10**4)
 
     def test_local_factor_matches_grouping(self):
         f = parse_polynomial("x1^2+x2^2")
@@ -151,6 +166,7 @@ class TestSingularSeries:
                 complete_sum_mod_q(f, q, a) / q**f.n for a in range(1, q) if a % 3
             )
             manual += term.real
+        assert isinstance(local, Fraction)
         assert abs(local - manual) < 1e-12
 
 

@@ -4,6 +4,7 @@ shared bug could cancel out there; these tests pin it independently.
 """
 
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from expsums import BudgetExceededError, Polynomial
 from expsums.enumeration import (
     common_zero_points,
     count_common_zeros,
+    default_workers,
     eval_box_exact,
     eval_points_mod,
     residue_histogram,
@@ -67,6 +69,14 @@ class TestResidueHistogram:
         monkeypatch.setenv("IGUSA_BUDGET", value)
         with pytest.raises(ValueError, match="budget must be positive"):
             residue_histogram(Polynomial(1, {(1,): 1}), 3, 3)
+
+
+    def test_env_workers_capped_at_cpu_count(self, monkeypatch):
+        monkeypatch.setenv("IGUSA_WORKERS", str(10**6))
+        assert default_workers() == (os.cpu_count() or 1)
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert default_workers() == 1
+        assert default_workers(4) == 4  # explicit arguments are not capped
 
 
 class TestZeroEnumeration:

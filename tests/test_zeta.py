@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from expsums import (
     parse_polynomial,
     poincare_coeffs,
 )
+from expsums import enumeration
 from expsums.corpus import standard_corpus
 from conftest import brute_zero_count
 
@@ -43,6 +45,19 @@ class TestCountZeros:
     def test_direct_matches_brute(self):
         f = parse_polynomial("x1^2 + x2^3 + 1")
         assert count_zeros_mod(f, 3, 2) == brute_zero_count(f, 9)
+
+    def test_lifting_tree_memory_follows_block_size(self, monkeypatch):
+        # with whole levels built at once this peaks at ~350 MiB
+        monkeypatch.setattr(enumeration, "_BLOCK_ELEMS", 1 << 12)
+        f = parse_polynomial("x1^3+x2^3+x3^3")
+        tracemalloc.start()
+        try:
+            count = count_zeros_mod(f, 5, 4)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert count == 765625
+        assert peak < 16 * 2**20
 
 
 class TestCountOrderGe:
@@ -102,6 +117,18 @@ class TestPoincare:
             _, dens = poincare_coeffs(f, 3, 3)
             values = [d for _, d in dens]
             assert all(a >= b for a, b in zip(values, values[1:]))
+
+    def test_zero_counts_from_one_climb(self, monkeypatch):
+        f = parse_polynomial("x1^2 + x1*x2 - 3")
+        want = [(m, count_zeros_mod(f, 3, m)) for m in range(1, 5)]
+        roots = []
+        real = enumeration.common_zero_points
+        monkeypatch.setattr(
+            enumeration, "common_zero_points", lambda *a, **k: roots.append(1) or real(*a, **k)
+        )
+        table, _ = poincare_coeffs(f, 3, 4)
+        assert table.entries[1:] == want
+        assert len(roots) == 1
 
     def test_order_kind_table(self):
         f = parse_polynomial("x1^2")
