@@ -46,9 +46,6 @@ _EPS = sys.float_info.epsilon
 # Phase tables beyond this size are processed in chunks.
 _PHASE_CHUNK = 1 << 20
 
-# Histograms at most this long are attached to the returned value.
-_HISTOGRAM_KEEP = 1 << 16
-
 
 @dataclass(frozen=True)
 class AdditiveCharacter:
@@ -83,18 +80,13 @@ class AdditiveCharacter:
 class ExpSumValue:
     """A computed normalized sum with provenance.
 
-    ``exact_histogram`` (residue -> count, together with ``modulus``) is
-    attached when the value came from a single full enumeration and the
-    modulus is small enough to keep; the value is reconstructible from it
-    to within a few ulp per distinct angle.  ``fiber_count`` reports how
-    many critical fibers the pruned route touched (None on other routes).
+    ``fiber_count`` reports how many critical fibers the pruned route
+    touched (None on other routes).
     """
 
     value: complex
     abs: float
     err_bound: float
-    exact_histogram: dict[int, int] | None = None
-    modulus: int | None = None
     fiber_count: int | None = None
 
 
@@ -126,16 +118,10 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-def _from_histogram(
-    f: Polynomial, grid: int, modulus: int, a: int, budget, workers
-) -> ExpSumValue:
-    hist = enumeration.residue_histogram(f, grid, modulus, budget=budget, workers=workers)
-    total = grid**f.n
-    value, err = _histogram_value(hist, modulus, a, total)
-    keep = None
-    if modulus <= _HISTOGRAM_KEEP:
-        keep = {int(r): int(c) for r, c in enumerate(hist) if c}
-    return ExpSumValue(value, abs(value), err, exact_histogram=keep, modulus=modulus)
+def _from_histogram(f: Polynomial, modulus: int, a: int, budget, workers) -> ExpSumValue:
+    hist = enumeration.residue_histogram(f, modulus, modulus, budget=budget, workers=workers)
+    value, err = _histogram_value(hist, modulus, a, modulus**f.n)
+    return ExpSumValue(value, abs(value), err)
 
 
 def exp_sum_naive(
@@ -146,7 +132,7 @@ def exp_sum_naive(
 ) -> ExpSumValue:
     """Full enumeration of E over (Z/p^m)^n via the exact residue histogram."""
     _require_prime(chi.p)
-    return _from_histogram(f, chi.modulus, chi.modulus, chi.unit, budget, workers)
+    return _from_histogram(f, chi.modulus, chi.unit, budget, workers)
 
 
 def finite_field_sum(
@@ -174,22 +160,15 @@ def exp_sum_direct(
         raise ValueError(f"unit {a} shares a factor with {N}")
     if N == 1:
         return ExpSumValue(1 + 0j, 1.0, 0.0)
-    return _from_histogram(f, N, N, a % N, budget, workers)
+    return _from_histogram(f, N, a % N, budget, workers)
 
 
-def _min_p_valuation(f: Polynomial, p: int) -> int | None:
-    """min_p-valuation over coefficients; None for the zero polynomial."""
-    best: int | None = None
-    for c in f.terms.values():
-        v = 0
-        c = abs(c)
-        while c % p == 0:
-            c //= p
-            v += 1
-        best = v if best is None else min(best, v)
-        if best == 0:
-            return 0
-    return best
+def _min_p_valuation(f: Polynomial, p: int) -> int:
+    """Smallest p-valuation of a coefficient of the nonzero polynomial f."""
+    content, v = math.gcd(*f.terms.values()), 0
+    while content % p == 0:
+        content, v = content // p, v + 1
+    return v
 
 
 def _critical_residues(f: Polynomial, p: int, budget, workers) -> np.ndarray:
@@ -198,74 +177,69 @@ def _critical_residues(f: Polynomial, p: int, budget, workers) -> np.ndarray:
     return enumeration.common_zero_points(grads, p, p, budget=budget, workers=workers)
 
 
+def _fiber_split(
+    f: Polynomial, p: int, m: int, point: tuple[int, ...]
+) -> tuple[int, int, Polynomial | None]:
+    """f(point + p y) = c0 + p^v h(y) on the fiber over a critical residue.
+
+    Returns (c0, v, h) with 2 <= v < m and h of unit content and no
+    constant term, or (c0, m, None) when f is constant mod p^m on the
+    fiber.  Since point is critical mod p, v >= 2; a smaller valuation
+    raises ValueError.
+    """
+    g = f.shift_scale(point, p)
+    c0 = g.constant_term()
+    g1 = Polynomial(g.n, {e: c for e, c in g.terms.items() if any(e)})
+    if g1.is_zero:
+        return c0, m, None
+    v = _min_p_valuation(g1, p)
+    if v < 2:
+        raise ValueError(f"fiber over {point} is not critical mod {p} (p-valuation {v} < 2)")
+    if v >= m:
+        return c0, m, None
+    return c0, v, g1.divide_coefficients(p**v)
+
+
 def _fiber_value(
-    f: Polynomial,
-    p: int,
-    m: int,
-    a: int,
-    point: tuple[int, ...],
-    depth: int,
-    budget,
-    workers,
+    f: Polynomial, p: int, m: int, a: int, point: tuple[int, ...], budget, workers
 ) -> tuple[complex, float]:
     """Normalized sum over the fiber {x = point mod p} of (Z/p^m)^n.
 
-    Writes f(point + p y) = f(point) + p^v h(y) with h of unit content.
-    Since point is critical mod p, v >= 2, so the fiber reduces to the
-    sum for h at conductor m - v; conductor <= 0 means a bare phase.
-    With depth exhausted the fiber is enumerated directly instead.
+    With f(point + p y) = c0 + p^v h(y) the fiber reduces to the sum for
+    h at conductor m - v; when f is constant mod p^m there it is a bare
+    phase.
     """
-    modulus = p**m
-    g = f.shift_scale(point, p)
-    c0 = g.constant_term()
-    phase = _phase(a * c0, modulus)
-    g1 = g - c0
-    if g1.is_zero:
+    c0, v, h = _fiber_split(f, p, m, point)
+    phase = _phase(a * c0, p**m)
+    if h is None:
         return phase, 2.0 * _EPS
-    v = _min_p_valuation(g1, p)
-    if v is None or v < 2:
-        raise ValueError(f"fiber over {point} is not critical mod {p} (p-valuation {v} < 2)")
-    if v >= m:
-        return phase, 2.0 * _EPS
-    if depth <= 0:
-        # no recursion left: enumerate the p^((m-1)n) lift points directly
-        direct = _from_histogram(g, p ** (m - 1), modulus, a, budget, workers)
-        return direct.value, direct.err_bound
     m_eff = m - v
-    h = g1.divide_coefficients(p**v)
     sub_chi = AdditiveCharacter(p, m_eff, a % (p**m_eff))
     if m_eff == 1:
         sub = exp_sum_naive(h, sub_chi, budget=budget, workers=workers)
     else:
-        sub = exp_sum_pruned(h, sub_chi, max_depth=depth - 1, budget=budget, workers=workers)
+        sub = exp_sum_pruned(h, sub_chi, budget=budget, workers=workers)
     return phase * sub.value, sub.err_bound + 2.0 * _EPS
 
 
 def exp_sum_pruned(
     f: Polynomial,
     chi: AdditiveCharacter,
-    max_depth: int | None = None,
     budget: int | None = None,
     workers: int | None = None,
 ) -> ExpSumValue:
-    """E via stationary-phase pruning; exact 0 when no critical residue exists.
-
-    max_depth counts the remaining recursion levels (default: full, i.e.
-    the conductor); at depth 0 surviving fibers are enumerated directly.
-    """
+    """E via stationary-phase pruning; exact 0 when no critical residue exists."""
     _require_prime(chi.p)
     p, m, a = chi.p, chi.m, chi.unit
     if m == 1:
         return exp_sum_naive(f, chi, budget=budget, workers=workers)
-    if max_depth is None:
-        max_depth = m
     criticals = _critical_residues(f, p, budget, workers)
     if criticals.shape[0] == 0:
         return ExpSumValue(0j, 0.0, 0.0, fiber_count=0)
     total = 0j
     err = 0.0
     for row in criticals:
-        val, e = _fiber_value(f, p, m, a, tuple(int(x) for x in row), max_depth, budget, workers)
+        val, e = _fiber_value(f, p, m, a, tuple(int(x) for x in row), budget, workers)
         total += val
         err += e + _EPS
     scale = p**f.n
@@ -294,7 +268,6 @@ def exp_sum_composite(
     f: Polynomial,
     N: int,
     a: int = 1,
-    method: str = "pruned",
     budget: int | None = None,
     workers: int | None = None,
 ) -> ExpSumValue:
@@ -303,18 +276,12 @@ def exp_sum_composite(
         raise ValueError(f"modulus must be >= 1, got {N}")
     if math.gcd(a, N) != 1:
         raise ValueError(f"unit {a} shares a factor with {N}")
-    if method not in ("naive", "pruned"):
-        raise ValueError(f"unknown method {method!r}")
     if N == 1:
         return ExpSumValue(1 + 0j, 1.0, 0.0)
     value = 1 + 0j
     err = 0.0
     for p, m, unit in crt_units(N, a):
-        chi = AdditiveCharacter(p, m, unit)
-        if method == "naive":
-            part = exp_sum_naive(f, chi, budget=budget, workers=workers)
-        else:
-            part = exp_sum_pruned(f, chi, budget=budget, workers=workers)
+        part = exp_sum_pruned(f, AdditiveCharacter(p, m, unit), budget=budget, workers=workers)
         err = err * part.abs + abs(value) * part.err_bound + err * part.err_bound + _EPS
         value *= part.value
     return ExpSumValue(value, abs(value), err)

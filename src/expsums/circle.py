@@ -197,8 +197,8 @@ def singular_series(
 
     Summing E_f over every a mod p^k gives, by orthogonality,
     sum_{j <= k} A(p^j) = p^k N(p^k) p^(-kn), so A(p^k) is a difference of
-    two lifting-tree zero counts and A(q) = prod_{p^k || q} A(p^k).  The
-    budget applies to each count.
+    two zero counts (zeta.poincare_coeffs) and A(q) = prod_{p^k || q} A(p^k).
+    The budget applies to each enumeration.
     """
     if R < 1:
         raise ValueError(f"R must be >= 1, got {R}")

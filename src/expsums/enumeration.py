@@ -15,6 +15,7 @@ default worker-thread count (default 1, at most os.cpu_count()).
 from __future__ import annotations
 
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
@@ -73,12 +74,14 @@ def _pow_vector(values: np.ndarray, e: int, modulus: int) -> np.ndarray:
     out = np.ones_like(values)
     base = values % modulus
     k = e
-    while k:
+    while k:  # in place: one table's worth of temporaries, not three
         if k & 1:
-            out = out * base % modulus
+            np.multiply(out, base, out=out)
+            np.remainder(out, modulus, out=out)
         k >>= 1
         if k:
-            base = base * base % modulus
+            np.multiply(base, base, out=base)
+            np.remainder(base, modulus, out=base)
     return out
 
 
@@ -178,8 +181,8 @@ def residue_histogram(
     """Exact histogram of f(x) mod modulus over x in [0, grid)^n.
 
     Returns an int64 array of length ``modulus`` whose entries sum to
-    grid^n.  The modulus need not equal the grid size (fiber sums evaluate
-    a polynomial mod p^m over a grid of size p^(m-1)).
+    grid^n.  Each block's bincount is added to it as the block finishes,
+    so at most one bincount per worker is alive besides the total.
     """
     if modulus >= _MAX_MODULUS:
         raise ValueError(f"modulus {modulus} too large for the int64 kernel")
@@ -190,14 +193,17 @@ def residue_histogram(
     terms = _prepare_terms(f, modulus)
     pow_full: dict[tuple[int, int], np.ndarray] = {}
 
+    hist = np.zeros(modulus, dtype=np.int64)
+    lock = threading.Lock()
+
     def work(block):
         lo, hi = block
         vals = _block_values(terms, n, grid, modulus, lo, hi, pow_full)
-        return np.bincount(vals, minlength=modulus)
+        part = np.bincount(vals, minlength=modulus)
+        with lock:  # integer addition: the block order does not matter
+            np.add(hist, part, out=hist)
 
-    hist = np.zeros(modulus, dtype=np.int64)
-    for part in _run_blocks(work, _axis0_blocks(grid, n, workers), workers):
-        hist += part
+    _run_blocks(work, _axis0_blocks(grid, n, workers), workers)
     return hist
 
 

@@ -22,6 +22,8 @@ then parsing is the identity.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -264,14 +266,18 @@ class Polynomial:
         return acc
 
     def shift_scale(self, base: Sequence[int], scale: int) -> "Polynomial":
-        """f(base + scale * y) as a polynomial in y (same variable count)."""
+        """f(base + scale * y) as a polynomial in y (same variable count), by
+        expanding (b + s y)^k = sum_i C(k, i) b^(k-i) s^i y^i into one dict."""
         if len(base) != self.n:
             raise ValueError(f"base point has length {len(base)}, expected {self.n}")
-        subs = [
-            Polynomial.constant(self.n, b) + Polynomial.variable(self.n, j).scale_coefficients(scale)
-            for j, b in enumerate(base)
-        ]
-        return self.compose(subs)
+        out: dict[Exponent, int] = {}
+        for e, c in self.terms.items():
+            factors = [[(i, math.comb(k, i) * b ** (k - i) * scale**i) for i in range(k + 1)]
+                       for k, b in zip(e, base)]
+            for combo in itertools.product(*factors):
+                key = tuple(i for i, _ in combo)
+                out[key] = out.get(key, 0) + c * math.prod(x for _, x in combo)
+        return Polynomial(self.n, out)
 
     def embed(self, new_n: int) -> "Polynomial":
         """Pad exponent tuples with zeros up to new_n variables."""

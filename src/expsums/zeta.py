@@ -4,7 +4,8 @@ N_m counts x mod p^m with f(x) = 0 mod p^m; the companion order counts ask
 that every generator of an ideal (for the squared Jacobian: all pairwise
 products of gradient components) vanish to order >= m.  Densities
 N_m * p^(-mn) are kept as exact rationals so monotonicity checks stay
-exact.
+exact.  N_m comes from Igusa's stationary phase formula, on the fiber step
+of charsums.exp_sum_pruned.
 
 The cross-check ties counts to character sums through plain orthogonality:
 
@@ -24,7 +25,7 @@ import numpy as np
 
 from . import enumeration
 from .arith import is_prime
-from .charsums import _histogram_value
+from .charsums import _fiber_split, _histogram_value
 from .polynomials import Polynomial
 
 
@@ -74,10 +75,9 @@ def count_zeros_mod(
 ) -> int:
     """|{x mod p^m : f(x) = 0 mod p^m}|.
 
-    The default lifting tree enumerates the solutions mod p and lifts one
-    level at a time (each solution mod p^(k+1) reduces to one mod p^k), so
-    dead branches are pruned early.  method="direct" enumerates the full
-    grid and is the oracle.
+    The default ("tree") recurses on the fibers over the singular zeros
+    mod p (see _zero_counts); method="direct" enumerates the full grid and
+    is the oracle.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
@@ -87,31 +87,45 @@ def count_zeros_mod(
         return enumeration.count_common_zeros([f], p**m, p**m, budget=budget, workers=workers)
     if method != "tree":
         raise ValueError(f"unknown method {method!r}")
-    return _tree_counts(f, p, m, budget, workers)[-1]
+    return _zero_counts(f, p, m, budget, workers)[-1]
 
 
-def _tree_counts(f: Polynomial, p: int, m: int, budget, workers) -> list[int]:
-    """[N_1, ..., N_m] from one climb of the lifting tree, lifting the
-    survivors in row blocks of about enumeration._BLOCK_ELEMS candidates
-    (one block alive at a time).  Each level is charged to the budget
-    before it is lifted; the last level is only counted."""
-    sols = enumeration.common_zero_points([f], p, p, budget=budget, workers=workers)
-    counts = [sols.shape[0]]
-    offsets = np.indices((p,) * f.n, dtype=np.int64).reshape(f.n, -1).T
-    rows = max(1, enumeration._BLOCK_ELEMS // offsets.shape[0])
-    budget_val = enumeration.enumeration_budget(budget)
-    for k in range(1, m):
-        enumeration._charge(sols.shape[0] * offsets.shape[0], budget_val, "lifting tree")
-        kept, count = [], 0
-        for i in range(0, sols.shape[0], rows):
-            cand = (sols[i : i + rows, None, :] + p**k * offsets).reshape(-1, f.n)
-            zero = enumeration.eval_points_mod(f, cand, p ** (k + 1)) == 0
-            count += int(zero.sum())
-            if k < m - 1:
-                kept.append(cand[zero])
-        counts.append(count)
-        if kept:
-            sols = np.concatenate(kept)
+def _zero_counts(f: Polynomial, p: int, m: int, budget, workers) -> list[int]:
+    """[N(p), ..., N(p^m)] by Igusa's stationary phase formula.
+
+    Smooth zeros mod p lift to p^((k-1)(n-1)) zeros mod p^k (Hensel).  Over
+    a singular zero u, f(u + p y) = c0 + p^v h(y) with v >= 2, and the fiber
+    holds p^((k-1)n) zeros mod p^k when k <= v and p^k | c0, and
+    p^((v-1)n) N_{h + c0/p^v}(p^(k-v)) when k > v and p^v | c0; else none.
+    Levels 1 and 2 need only c0 mod p^2, so fibers are split only for m > 2.
+    """
+    n = f.n
+    if m == 1:
+        return [enumeration.count_common_zeros([f], p, p, budget=budget, workers=workers)]
+    zeros = enumeration.common_zero_points([f], p, p, budget=budget, workers=workers)
+    # f(u + p e_j) = f(u) + p df/dx_j(u) mod p^2, so f mod p^2 at u and at its
+    # n neighbours u + p e_j tells the singular zeros and which have p^2 | f(u)
+    steps = p * np.eye(n + 1, n, -1, dtype=np.int64)  # rows 0, p e_1, ..., p e_n
+    points = (zeros[:, None, :] + steps).reshape(-1, n)
+    enumeration._charge(points.shape[0], enumeration.enumeration_budget(budget), "singular-zero test")
+    vals = enumeration.eval_points_mod(f, points, p * p).reshape(-1, n + 1)
+    singular = (vals[:, 1:] == vals[:, :1]).all(axis=1)
+    deep = zeros[singular & (vals[:, 0] == 0)]
+    n_singular = int(singular.sum())
+    counts = [(zeros.shape[0] - n_singular) * p ** ((k - 1) * (n - 1)) for k in range(1, m + 1)]
+    counts[0] += n_singular
+    counts[1] += deep.shape[0] * p**n
+    if m == 2:
+        return counts
+    for row in deep:
+        c0, v, h = _fiber_split(f, p, m, tuple(int(x) for x in row))
+        for k in range(3, v + 1):
+            if c0 % p**k == 0:
+                counts[k - 1] += p ** ((k - 1) * n)
+        if h is not None and c0 % p**v == 0:
+            sub = _zero_counts(h + c0 // p**v, p, m - v, budget, workers)
+            for k, count in enumerate(sub, start=v + 1):
+                counts[k - 1] += p ** ((v - 1) * n) * count
     return counts
 
 
@@ -157,7 +171,7 @@ def poincare_coeffs(
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if kind is CountKind.zeros_of_f:
-        counts = _tree_counts(f, p, max_m, budget, workers)
+        counts = _zero_counts(f, p, max_m, budget, workers)
     elif not generators:
         raise ValueError("order_ge_ideal needs a generator list")
     else:

@@ -5,13 +5,15 @@ shared bug could cancel out there; these tests pin it independently.
 
 import itertools
 import os
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from expsums import BudgetExceededError, Polynomial
+from expsums import BudgetExceededError, Polynomial, enumeration
 from expsums.enumeration import (
     common_zero_points,
     count_common_zeros,
@@ -63,6 +65,33 @@ class TestResidueHistogram:
         f = Polynomial(3, {(1, 1, 1): 1})
         with pytest.raises(BudgetExceededError):
             residue_histogram(f, 100, 100, budget=10**5)
+
+    def test_memory_holds_one_block_histogram(self, monkeypatch):
+        # keeping one modulus-length bincount per block peaks at ~152 MiB
+        monkeypatch.setattr(enumeration, "_BLOCK_ELEMS", 1 << 16)
+        f = Polynomial(1, {(3,): 1, (1,): 2})
+        tracemalloc.start()
+        try:
+            hist = residue_histogram(f, 1 << 20, 1 << 20)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert int(hist.sum()) == 1 << 20
+        assert peak < 48 * 2**20
+
+    def test_parallel_blocks_lose_no_update(self, monkeypatch):
+        # 200 one-row blocks on 4 threads add into one shared histogram
+        monkeypatch.setattr(enumeration, "_BLOCK_ELEMS", 1 << 8)
+        f = Polynomial(2, {(2, 1): 3, (0, 3): -4, (1, 0): 9})
+        want = residue_histogram(f, 200, 40009, workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runs = [residue_histogram(f, 200, 40009, workers=4) for _ in range(5)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert all(np.array_equal(hist, want) for hist in runs)
+        assert int(want.sum()) == 200**2
 
     @pytest.mark.parametrize("value", ["0", "-5"])
     def test_env_budget_must_be_positive(self, monkeypatch, value):

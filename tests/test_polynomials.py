@@ -247,6 +247,14 @@ class TestArithmetic:
         # f(1 + 3y1, 2 + 3y2) = 1 + 6y1 + 9y1^2 + 2 + 3y2
         assert g == parse_polynomial("9*x1^2 + 6*x1 + 3*x2 + 3")
 
+    @given(small_polynomials(max_n=3, max_degree=4), st.lists(st.integers(-9, 9), min_size=3, max_size=3),
+           st.integers(-27, 27))
+    @settings(max_examples=60)
+    def test_shift_scale_matches_compose(self, f, base, scale):
+        subs = [Polynomial.constant(f.n, b) + Polynomial.variable(f.n, j).scale_coefficients(scale)
+                for j, b in enumerate(base[: f.n])]
+        assert f.shift_scale(base[: f.n], scale) == f.compose(subs)
+
     def test_divide_coefficients_exact(self):
         f = parse_polynomial("4*x1 + 8")
         assert f.divide_coefficients(4) == parse_polynomial("x1 + 2")

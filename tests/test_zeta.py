@@ -5,6 +5,7 @@ import pytest
 
 from expsums import (
     CountKind,
+    Polynomial,
     count_order_ge,
     count_zeros_mod,
     fourier_crosscheck,
@@ -31,9 +32,12 @@ class TestCountZeros:
 
     def test_tree_equals_direct(self):
         cases = 0
-        for f in standard_corpus(0, 20):
+        corpus = [(f, (1, 2, 3)) for f in standard_corpus(0, 20)]
+        degenerate = [parse_polynomial("4*x1^2"), parse_polynomial("25*x1^2*x2+50"),
+                      Polynomial.constant(2, 8), parse_polynomial("x1^2+x2^2")]
+        for f, levels in corpus + [(f, (1, 2, 3, 4)) for f in degenerate]:
             for p in (2, 3, 5):
-                for m in (1, 2, 3):
+                for m in levels:
                     if p ** (m * f.n) > 10**6:
                         continue
                     tree = count_zeros_mod(f, p, m, method="tree")
@@ -42,12 +46,17 @@ class TestCountZeros:
                     cases += 1
         assert cases > 50
 
+    def test_singular_cubic_within_budget(self):
+        # lifting every zero mod 5 needed more than 10^5 candidates
+        f = parse_polynomial("x1^3+x2^3+x3^3")
+        assert count_zeros_mod(f, 5, 4, budget=10**5) == 765625
+
     def test_direct_matches_brute(self):
         f = parse_polynomial("x1^2 + x2^3 + 1")
         assert count_zeros_mod(f, 3, 2) == brute_zero_count(f, 9)
 
     def test_lifting_tree_memory_follows_block_size(self, monkeypatch):
-        # with whole levels built at once this peaks at ~350 MiB
+        # lifting whole levels of the zeros mod p at once peaked at ~350 MiB
         monkeypatch.setattr(enumeration, "_BLOCK_ELEMS", 1 << 12)
         f = parse_polynomial("x1^3+x2^3+x3^3")
         tracemalloc.start()
