@@ -65,9 +65,14 @@ class WeightFunction:
         return weight_eval(self, x)
 
     def values(self, points: np.ndarray, scale: float = 1.0) -> np.ndarray:
-        """omega(points / scale) for an (N, n) array, vectorized."""
-        c = np.asarray(self.center)
-        t2 = np.sum((points / scale - c) ** 2, axis=-1) / self.rho**2
+        """omega(points / scale) for an (N, n) array, vectorized.
+
+        The squared distance is summed left to right over the axes, the
+        order in which _ball_columns tests prefixes."""
+        t2 = np.zeros(points.shape[0])
+        for j, c in enumerate(self.center):
+            t2 = t2 + (points[:, j] / scale - c) ** 2
+        t2 = t2 / self.rho**2
         out = np.zeros(t2.shape, dtype=np.float64)
         inside = t2 < 1.0
         out[inside] = np.exp(-1.0 / (1.0 - t2[inside]))
@@ -108,17 +113,38 @@ def _box_chunks(box: list[tuple[int, int]], target: int = _SOLVER_CHUNK) -> list
     return [(a, min(a + step, hi0 + 1)) for a in range(lo0, hi0 + 1, step)]
 
 
-def _box_coordinates(box: list[tuple[int, int]], lo0: int, hi0: int) -> list[np.ndarray]:
-    """Flattened coordinate columns of [lo0,hi0) x rest-of-box."""
-    shape = [hi0 - lo0] + [hi - lo + 1 for lo, hi in box[1:]]
-    axes = [np.arange(lo0, hi0, dtype=np.int64)] + [
-        np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in box[1:]
-    ]
-    cols = []
-    for j, ax in enumerate(axes):
-        ax_shape = [1] * len(shape)
-        ax_shape[j] = -1
-        cols.append(np.broadcast_to(ax.reshape(ax_shape), shape).reshape(-1))
+def _ball_columns(
+    w: WeightFunction, B: float, box: list[tuple[int, int]], lo0: int, hi0: int
+) -> list[np.ndarray]:
+    """Coordinate columns of the lattice points x of [lo0,hi0) x box[1:],
+    in row-major order, whose first k = len(box) coordinates satisfy
+
+        sum_{j<k} (x_j/B - center_j)^2 / rho^2 < 1,
+
+    with the sum formed left to right exactly as in WeightFunction.values.
+    Adding squares never lowers a float sum, so a dropped point has weight
+    0 whatever its remaining coordinates.  Each prefix gets the integer
+    interval B (center_j -+ sqrt(rho^2 - t2)), widened by 1 against
+    rounding, and every candidate is re-tested exactly.
+    """
+    rho2 = w.rho**2
+    x = np.arange(lo0, hi0, dtype=np.int64)
+    t2 = (x / B - w.center[0]) ** 2
+    keep = t2 / rho2 < 1.0
+    cols, t2 = [x[keep]], t2[keep]
+    for j in range(1, len(box)):
+        c, (lo, hi) = w.center[j], box[j]
+        r = np.sqrt(np.maximum(rho2 - t2, 0.0))
+        first = np.maximum(np.ceil(B * (c - r)).astype(np.int64) - 1, lo)
+        last = np.minimum(np.floor(B * (c + r)).astype(np.int64) + 1, hi)
+        counts = np.maximum(last - first + 1, 0)
+        rows = np.repeat(np.arange(t2.size), counts)
+        starts = np.cumsum(counts) - counts  # where each prefix's candidates begin
+        x = np.arange(rows.size, dtype=np.int64) + np.repeat(first - starts, counts)
+        t2 = t2[rows] + (x / B - c) ** 2
+        keep = t2 / rho2 < 1.0
+        rows = rows[keep]
+        cols, t2 = [col[rows] for col in cols] + [x[keep]], t2[keep]
     return cols
 
 
@@ -145,11 +171,9 @@ def weighted_exponential_sum(
     workers = enumeration.default_workers(workers)
 
     def work(chunk):
-        lo0, hi0 = chunk
-        vals = enumeration.eval_box_exact(f, [b[0] for b in box], [b[1] for b in box], lo0, hi0)
-        cols = _box_coordinates(box, lo0, hi0)
-        pts = np.stack(cols, axis=-1).astype(np.float64)
-        wv = w.values(pts, scale=B)
+        cols = _ball_columns(w, B, box, *chunk)
+        vals = enumeration.eval_columns_exact(f, cols)
+        wv = w.values(np.stack(cols, axis=-1).astype(np.float64), scale=B)
         phases = np.exp((2j * np.pi * alpha) * vals.astype(np.float64))
         return complex(np.sum(wv * phases))
 
@@ -413,12 +437,15 @@ def weighted_solution_count(
 ) -> float:
     """N_omega(f, B) = sum over integer solutions f(x) = 0 of omega(x/B).
 
-    Solution testing is exact integer arithmetic.  Polynomials of degree
-    <= 2 in the last variable take the accelerated path: enumerate the
-    first n-1 coordinates and solve the (at most quadratic) fiber
-    equation, checking discriminants for perfect squares.  When the
-    discriminants could reach 2^53 on the box, the whole box is
-    enumerated instead.
+    Only the lattice points of the support ball are enumerated
+    (_ball_columns), one axis-0 chunk of the support box at a time, in
+    row-major order; the budget is charged for the whole box.  Solution
+    testing is exact integer arithmetic.  Polynomials of degree <= 2 in
+    the last variable take the accelerated path: enumerate the ball's
+    projection onto the first n-1 axes and solve the (at most quadratic)
+    fiber equation, checking discriminants for perfect squares.  When the
+    discriminants could reach 2^53 on the box, the ball's points in all n
+    axes are enumerated instead.
     """
     if w.n != f.n:
         raise ValueError("weight dimension does not match the polynomial")
@@ -437,12 +464,10 @@ def weighted_solution_count(
     enumeration._charge(total, budget_val, "solution enumeration")
 
     def work(chunk):
-        lo0, hi0 = chunk
-        vals = enumeration.eval_box_exact(f, [b[0] for b in box], [b[1] for b in box], lo0, hi0)
-        hit = vals == 0
+        cols = _ball_columns(w, B, box, *chunk)
+        hit = enumeration.eval_columns_exact(f, cols) == 0
         if not hit.any():
             return 0.0
-        cols = _box_coordinates(box, lo0, hi0)
         pts = np.stack([c[hit] for c in cols], axis=-1).astype(np.float64)
         return float(np.sum(w.values(pts, scale=B)))
 
@@ -471,58 +496,39 @@ def _count_quadratic_fiber(f, split, B, w, box, workers) -> float:
         return w.values(points_int.astype(np.float64), scale=B)
 
     def work(chunk):
-        lo0, hi0 = chunk
-        lows = [b[0] for b in outer_box]
-        highs = [b[1] for b in outer_box]
-        a = enumeration.eval_box_exact(A, lows, highs, lo0, hi0)
-        b = enumeration.eval_box_exact(Bc, lows, highs, lo0, hi0)
-        c = enumeration.eval_box_exact(C, lows, highs, lo0, hi0)
-        cols = _box_coordinates(outer_box, lo0, hi0)
+        cols = _ball_columns(w, B, outer_box, *chunk)
+        a, b, c = (enumeration.eval_columns_exact(g, cols) for g in (A, Bc, C))
         acc = 0.0
 
-        def add_points(sel: np.ndarray, z: np.ndarray) -> float:
+        def add_points(idx: np.ndarray, z: np.ndarray) -> float:
             ok = (z >= zlo) & (z <= zhi)
             if not ok.any():
                 return 0.0
-            idx = np.flatnonzero(sel)[ok]
-            pts = np.stack([col[idx] for col in cols] + [z[ok]], axis=-1)
+            pts = np.stack([col[idx[ok]] for col in cols] + [z[ok]], axis=-1)
             return float(np.sum(weight_of(pts)))
 
-        quad = a != 0
-        if quad.any():
-            aq, bq, cq = a[quad], b[quad], c[quad]
-            disc = bq * bq - 4 * aq * cq
-            nonneg = disc >= 0
-            if nonneg.any():
-                root = np.zeros_like(disc)
-                r = np.rint(np.sqrt(disc[nonneg].astype(np.float64))).astype(np.int64)
-                # rounding can be off by one near perfect squares
-                r = np.where(r * r > disc[nonneg], r - 1, r)
-                r = np.where((r + 1) * (r + 1) <= disc[nonneg], r + 1, r)
-                root[nonneg] = r
-                square = np.zeros_like(nonneg)
-                square[nonneg] = root[nonneg] ** 2 == disc[nonneg]
-                for sign in (1, -1):
-                    branch = square.copy()
-                    if sign == -1:
-                        branch &= root > 0  # double root counted once
-                    num = -bq + sign * root
-                    den = 2 * aq
-                    divisible = branch & (num % den == 0)
-                    if divisible.any():
-                        sel = np.zeros_like(quad)
-                        sel[np.flatnonzero(quad)[divisible]] = True
-                        z = (num[divisible] // den[divisible]).astype(np.int64)
-                        acc += add_points(sel, z)
-        lin = (a == 0) & (b != 0)
-        if lin.any():
-            bl, cl = b[lin], c[lin]
-            divisible = (-cl) % bl == 0
-            if divisible.any():
-                sel = np.zeros_like(lin)
-                sel[np.flatnonzero(lin)[divisible]] = True
-                z = ((-cl[divisible]) // bl[divisible]).astype(np.int64)
-                acc += add_points(sel, z)
+        def add_roots(idx: np.ndarray, num: np.ndarray, den: np.ndarray) -> float:
+            """add_points at the integer quotients z = num / den."""
+            ok = num % den == 0
+            return add_points(idx[ok], num[ok] // den[ok])
+
+        # only perfect-square discriminants reach the (slow) integer division
+        quad = np.flatnonzero(a != 0)
+        disc = b[quad] * b[quad] - 4 * a[quad] * c[quad]
+        nonneg = disc >= 0
+        quad, disc = quad[nonneg], disc[nonneg]
+        r = np.rint(np.sqrt(disc.astype(np.float64))).astype(np.int64)
+        # rounding can be off by one near perfect squares
+        r = np.where(r * r > disc, r - 1, r)
+        r = np.where((r + 1) * (r + 1) <= disc, r + 1, r)
+        square = r * r == disc
+        quad, r = quad[square], r[square]
+        aq, bq = a[quad], b[quad]
+        acc += add_roots(quad, -bq + r, 2 * aq)
+        double = r > 0  # a double root is counted once
+        acc += add_roots(quad[double], -bq[double] - r[double], 2 * aq[double])
+        lin = np.flatnonzero((a == 0) & (b != 0))
+        acc += add_roots(lin, -c[lin], b[lin])
         flat = (a == 0) & (b == 0) & (c == 0)
         if flat.any():
             for i in np.flatnonzero(flat):

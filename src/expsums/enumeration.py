@@ -14,6 +14,7 @@ default worker-thread count (default 1, at most os.cpu_count()).
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -280,12 +281,42 @@ def eval_points_mod(f: Polynomial, points: np.ndarray, modulus: int) -> np.ndarr
         raise ValueError(f"points must be (N, {f.n})")
     acc = np.zeros(points.shape[0], dtype=np.int64)
     cols = points.T % modulus
+    pows: dict[tuple[int, int], np.ndarray] = {}  # one table per (variable, exponent)
     for e, c in _prepare_terms(f, modulus):
         t = np.full(points.shape[0], c, dtype=np.int64)
         for j, k in enumerate(e):
             if k:
-                t = t * _pow_vector(cols[j], k, modulus) % modulus
+                if (j, k) not in pows:
+                    pows[j, k] = _pow_vector(cols[j], k, modulus)
+                t = t * pows[j, k] % modulus
         acc = (acc + t) % modulus
+    return acc
+
+
+def eval_columns_exact(f: Polynomial, cols: Sequence[np.ndarray]) -> np.ndarray:
+    """Exact int64 values of f at the points whose coordinates are the
+    equal-length int64 columns ``cols`` (one per variable).
+
+    Raises when the worst-case magnitude over the columns' ranges could
+    overflow int64.
+    """
+    if len(cols) != f.n:
+        raise ValueError(f"need {f.n} coordinate columns, got {len(cols)}")
+    size = len(cols[0]) if cols else 1
+    reach = [max(1, -int(col.min()), int(col.max())) if len(col) else 1 for col in cols]
+    bound = sum(abs(c) * math.prod(r**k for r, k in zip(reach, e)) for e, c in f.terms.items())
+    if bound >= 2**62:
+        raise ValueError("coefficients too large for the exact int64 kernel")
+    acc = np.zeros(size, dtype=np.int64)
+    pows: dict[tuple[int, int], np.ndarray] = {}
+    for e, c in f.terms.items():
+        t: np.ndarray | int = c
+        for j, k in enumerate(e):
+            if k:
+                if (j, k) not in pows:
+                    pows[j, k] = cols[j] ** k
+                t = t * pows[j, k]
+        acc += t
     return acc
 
 
@@ -296,31 +327,12 @@ def eval_box_exact(
     lo0: int,
     hi0: int,
 ) -> np.ndarray:
-    """Exact int64 values of f on [lo0,hi0) x prod_j [lows_j, highs_j].
+    """Exact int64 values of f on [lo0,hi0) x prod_{j>=1} [lows_j, highs_j],
+    flattened in row-major order (``lows[0]`` and ``highs[0]`` are unused).
 
-    Axis 0 is restricted to [lo0, hi0) within [lows_0, highs_0]; the result
-    is flattened in row-major order.  Raises when the worst-case magnitude
-    could overflow int64.
+    Raises like eval_columns_exact when the values could overflow int64.
     """
-    n = f.n
-    big = max(max(abs(int(a)), abs(int(b))) for a, b in zip(lows, highs))
-    bound = sum(abs(c) * max(1, big) ** sum(e) for e, c in f.terms.items())
-    if bound >= 2**62:
-        raise ValueError("coefficients too large for the exact int64 box kernel")
-    shape = [hi0 - lo0] + [int(highs[j]) - int(lows[j]) + 1 for j in range(1, n)]
     axes = [np.arange(lo0, hi0, dtype=np.int64)] + [
-        np.arange(int(lows[j]), int(highs[j]) + 1, dtype=np.int64) for j in range(1, n)
+        np.arange(int(lows[j]), int(highs[j]) + 1, dtype=np.int64) for j in range(1, f.n)
     ]
-    acc = np.zeros(shape, dtype=np.int64)
-    for e, c in f.terms.items():
-        t: np.ndarray | None = None
-        for j, k in enumerate(e):
-            if not k:
-                continue
-            vec = axes[j] ** k
-            ax_shape = [1] * n
-            ax_shape[j] = -1
-            shaped = vec.reshape(ax_shape)
-            t = shaped if t is None else t * shaped
-        acc = acc + c if t is None else acc + c * t
-    return acc.reshape(-1)
+    return eval_columns_exact(f, [g.reshape(-1) for g in np.meshgrid(*axes, indexing="ij")])

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from expsums import circle
 from expsums import (
     BudgetExceededError,
     OscillatoryIntegrator,
@@ -287,6 +288,69 @@ class TestWeightedCount:
             for x2 in range(-3, 4):
                 total.append(weight_eval(w, (x1 / 4.0, x2 / 4.0)))
         assert abs(got - math.fsum(total)) < 1e-13
+
+
+
+# (B, rho, centre * B, offset): centre + offset / B lies exactly on the
+# sphere.  Dyadic values make t2 == 1.0 exactly there, so its weight is 0.
+SPHERE_CASES = [
+    (8.0, 0.75, (2, -4, 1, 3), (0, 6, 0, 0)),
+    (8.0, 0.625, (2, -4, 1, 3), (3, 4, 0, 0)),  # on the sphere of the first two axes
+    (4.0, 0.75, (1, -2, 0, 1), None),  # None: offset rho * B on the last axis
+]
+
+
+def _sphere_case(case, n):
+    B, rho, c_int, offset = case
+    r = int(rho * B)
+    offset = offset[:n] if offset else ()
+    if sum(o * o for o in offset) != r * r:
+        offset = (0,) * (n - 1) + (r,)
+    w = WeightFunction(tuple(c / B for c in c_int[:n]), rho)
+    on_sphere = tuple(c + o for c, o in zip(c_int, offset))
+    assert w.values(np.array([on_sphere], dtype=np.float64), scale=B)[0] == 0.0
+    return B, w, on_sphere
+
+
+class TestBallColumns:
+    @pytest.mark.parametrize("case", SPHERE_CASES)
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_nonzero_weight_box_points(self, case, n):
+        B, w, on_sphere = _sphere_case(case, n)
+        box = w.support_box(B)
+        pts = np.array(list(itertools.product(*[range(lo, hi + 1) for lo, hi in box])))
+        want = pts[w.values(pts.astype(np.float64), scale=B) > 0]
+        assert on_sphere in map(tuple, pts.tolist()) and on_sphere not in map(tuple, want.tolist())
+        for k in range(1, n + 1):  # prefixes: the fiber solver tests its first n-1 axes only
+            wk = WeightFunction(w.center[:k], w.rho)
+            want_k = pts[:, :k][wk.values(pts[:, :k].astype(np.float64), scale=B) > 0]
+            want_k = np.unique(want_k, axis=0)  # row-major order, one row per prefix
+            got = [np.stack(circle._ball_columns(w, B, box[:k], lo0, hi0), axis=-1)
+                   for lo0, hi0 in circle._box_chunks(box[:k], target=40)]
+            assert np.concatenate(got).tolist() == want_k.tolist()
+        assert want.tolist() == want_k.tolist()
+
+
+# fiber-solver branches by the last variable z: a z^2 + b z + c with a != 0,
+# a == 0 != b, a == b == c == 0 (whole columns), and degree 3 (generic path)
+BRANCHES = {
+    "quadratic": "x{n}^2 + x1*x{n} - x1^2",
+    "linear": "x1*x{n} + x{n} + x1^2",
+    "flat_column": "x1^2 + x1",
+    "generic": "x{n}^3 + x1",
+}
+
+
+@pytest.mark.parametrize("case", SPHERE_CASES)
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("branch", sorted(BRANCHES))
+def test_solver_branches_match_brute_force(branch, n, case):
+    B, w, on_sphere = _sphere_case(case, n)
+    g = parse_polynomial(BRANCHES[branch].format(n=n), n_hint=n)
+    f = g - g.eval_int(on_sphere)  # a root of weight exactly 0
+    assert (circle._last_var_split(f) is None) == (branch == "generic")
+    want = brute_weighted_count(f, B, w)
+    assert abs(weighted_solution_count(f, B, w) - want) <= 1e-12
 
 
 class TestMajorArcReport:

@@ -10,15 +10,16 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from expsums import BudgetExceededError, Polynomial, enumeration
+from expsums import BudgetExceededError, Polynomial, enumeration, parse_polynomial
 from expsums.enumeration import (
     common_zero_points,
     count_common_zeros,
     default_workers,
     eval_box_exact,
+    eval_columns_exact,
     eval_points_mod,
     residue_histogram,
 )
@@ -131,6 +132,8 @@ class TestZeroEnumeration:
 class TestPointAndBoxEvaluation:
     @given(small_polynomials(max_n=3), st.integers(2, 50))
     @settings(max_examples=40)
+    # a Taylor-shifted fiber polynomial: 14 terms sharing 9 power tables
+    @example(parse_polynomial("x1^3+x2^3+x3^3+x1*x2*x3").shift_scale((1, 2, 1), 3), 3**7)
     def test_points_match_eval_mod(self, f, modulus):
         pts = np.array(
             [[i % 5 - 2 for i in range(k, k + f.n)] for k in range(8)], dtype=np.int64
@@ -150,3 +153,17 @@ class TestPointAndBoxEvaluation:
         f = Polynomial(1, {(4,): 2**40})
         with pytest.raises(ValueError):
             eval_box_exact(f, [-1000], [1000], -1000, 1001)
+
+    @given(small_polynomials(max_n=3))
+    def test_columns_match_eval_int(self, f):
+        rng = np.random.default_rng(f.n)
+        cols = [rng.integers(-30, 31, size=12) for _ in range(f.n)]
+        got = eval_columns_exact(f, cols)
+        assert got.tolist() == [f.eval_int(tuple(int(c[i]) for c in cols)) for i in range(12)]
+
+    def test_columns_overflow_guard_uses_each_axis(self):
+        f = Polynomial(2, {(1, 3): 1})  # x1 * x2^3
+        small = np.array([-(2**20), 2**20])
+        assert eval_columns_exact(f, [np.array([2, 3]), small]).tolist() == [-(2**61), 3 * 2**60]
+        with pytest.raises(ValueError):
+            eval_columns_exact(f, [small, small])
