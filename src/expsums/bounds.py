@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .charsums import AdditiveCharacter, exp_sum_pruned, finite_field_sum
-from .geometry import critical_count, estimate_s, exponent_sheet
+from .geometry import _ls_slope, critical_count, estimate_s, exponent_sheet
 from .polynomials import Polynomial
 
 ZERO_TOL = 1e-12
@@ -117,13 +117,7 @@ def decay_fit(
     nonzero = [(m, v) for m, v in samples if v > ZERO_TOL]
     beta = None
     if len(nonzero) >= 3:
-        xs = [m for m, _ in nonzero]
-        ys = [-math.log(v) / math.log(p) for _, v in nonzero]
-        x_bar = sum(xs) / len(xs)
-        y_bar = sum(ys) / len(ys)
-        beta = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)) / sum(
-            (x - x_bar) ** 2 for x in xs
-        )
+        beta = _ls_slope([m for m, _ in nonzero], [-math.log(v) / math.log(p) for _, v in nonzero])
 
     violates = any(v > slack * p ** (-m * float(sheet.sigma_theorem)) for m, v in samples)
     if violates:

@@ -68,7 +68,7 @@ class WeightFunction:
         """omega(points / scale) for an (N, n) array, vectorized.
 
         The squared distance is summed left to right over the axes, the
-        order in which _ball_columns tests prefixes."""
+        order in which _in_ball tests prefixes."""
         t2 = np.zeros(points.shape[0])
         for j, c in enumerate(self.center):
             t2 = t2 + (points[:, j] / scale - c) ** 2
@@ -113,39 +113,47 @@ def _box_chunks(box: list[tuple[int, int]], target: int = _SOLVER_CHUNK) -> list
     return [(a, min(a + step, hi0 + 1)) for a in range(lo0, hi0 + 1, step)]
 
 
+def _in_ball(offsets: Sequence[np.ndarray], rho2: float) -> tuple[list[np.ndarray], np.ndarray]:
+    """(idx, t2): the row-major index columns of the tensor points of the
+    ascending per-axis arrays offsets[j] = coordinate - center_j with
+
+        t2 / rho2 < 1,   t2 = sum_j offsets[j][i_j]^2 summed left to right,
+
+    and their t2, the sum WeightFunction.values forms.  Adding squares
+    never lowers a float sum, so a prefix that fails the test drops all its
+    extensions.  Each prefix gets the searchsorted interval
+    |offset| <= sqrt(rho2 - t2), widened by one index against rounding, and
+    every candidate is re-tested exactly.
+    """
+    t2 = offsets[0] ** 2
+    keep = t2 / rho2 < 1.0
+    idx, t2 = [np.flatnonzero(keep)], t2[keep]
+    for off in offsets[1:]:
+        r = np.sqrt(np.maximum(rho2 - t2, 0.0))
+        first = np.maximum(np.searchsorted(off, -r) - 1, 0)
+        stop = np.minimum(np.searchsorted(off, r, side="right") + 1, off.size)
+        counts = stop - first
+        rows = np.repeat(np.arange(t2.size), counts)
+        starts = np.cumsum(counts) - counts  # where each prefix's candidates begin
+        i = np.arange(rows.size) + np.repeat(first - starts, counts)
+        t2 = t2[rows] + off[i] ** 2
+        keep = t2 / rho2 < 1.0
+        rows = rows[keep]
+        idx, t2 = [ix[rows] for ix in idx] + [i[keep]], t2[keep]
+    return idx, t2
+
+
 def _ball_columns(
     w: WeightFunction, B: float, box: list[tuple[int, int]], lo0: int, hi0: int
 ) -> list[np.ndarray]:
     """Coordinate columns of the lattice points x of [lo0,hi0) x box[1:],
     in row-major order, whose first k = len(box) coordinates satisfy
-
-        sum_{j<k} (x_j/B - center_j)^2 / rho^2 < 1,
-
-    with the sum formed left to right exactly as in WeightFunction.values.
-    Adding squares never lowers a float sum, so a dropped point has weight
-    0 whatever its remaining coordinates.  Each prefix gets the integer
-    interval B (center_j -+ sqrt(rho^2 - t2)), widened by 1 against
-    rounding, and every candidate is re-tested exactly.
-    """
-    rho2 = w.rho**2
-    x = np.arange(lo0, hi0, dtype=np.int64)
-    t2 = (x / B - w.center[0]) ** 2
-    keep = t2 / rho2 < 1.0
-    cols, t2 = [x[keep]], t2[keep]
-    for j in range(1, len(box)):
-        c, (lo, hi) = w.center[j], box[j]
-        r = np.sqrt(np.maximum(rho2 - t2, 0.0))
-        first = np.maximum(np.ceil(B * (c - r)).astype(np.int64) - 1, lo)
-        last = np.minimum(np.floor(B * (c + r)).astype(np.int64) + 1, hi)
-        counts = np.maximum(last - first + 1, 0)
-        rows = np.repeat(np.arange(t2.size), counts)
-        starts = np.cumsum(counts) - counts  # where each prefix's candidates begin
-        x = np.arange(rows.size, dtype=np.int64) + np.repeat(first - starts, counts)
-        t2 = t2[rows] + (x / B - c) ** 2
-        keep = t2 / rho2 < 1.0
-        rows = rows[keep]
-        cols, t2 = [col[rows] for col in cols] + [x[keep]], t2[keep]
-    return cols
+    sum_{j<k} (x_j/B - center_j)^2 / rho^2 < 1 (_in_ball); a dropped point
+    has weight 0 whatever its remaining coordinates."""
+    axes = [np.arange(lo0, hi0, dtype=np.int64)]
+    axes += [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in box[1:]]
+    idx, _ = _in_ball([x / B - c for x, c in zip(axes, w.center)], w.rho**2)
+    return [x[i] for x, i in zip(axes, idx)]
 
 
 # -- lattice sums --------------------------------------------------------------
@@ -278,10 +286,11 @@ _ORDER_LADDERS = {
 class OscillatoryIntegrator:
     """Tensor quadrature of omega(x) g(f(x)) over the support ball.
 
-    Node grids are cached per order as flattened (f values, omega times
-    quadrature weight) pairs restricted to the ball, so refinement and
-    repeated evaluations reuse them.  Every evaluation climbs the ladder
-    from its first order, so a value never depends on earlier calls.
+    Each ladder order's node grid (f values, omega times quadrature
+    weight) is restricted to the ball by _in_ball, the walk the lattice
+    solvers use, and built when needed: only the plain weight integral is
+    kept.  Every evaluation climbs the ladder from its first order, so a
+    value never depends on earlier calls.
     """
 
     def __init__(self, f: Polynomial, w: WeightFunction, quad: QuadConfig | None = None):
@@ -293,54 +302,35 @@ class OscillatoryIntegrator:
         self.w = w
         self.quad = quad or QuadConfig()
         self.orders = _ORDER_LADDERS[f.n]
-        self._grids: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._weight_integral: float | None = None
 
     def _grid(self, order: int) -> tuple[np.ndarray, np.ndarray]:
-        if order in self._grids:
-            return self._grids[order]
+        """(f values, omega times quadrature weight) at the order's tensor
+        Gauss-Legendre nodes inside the support ball, in row-major order."""
         f, w = self.f, self.w
-        n = f.n
         nodes, gl_w = np.polynomial.legendre.leggauss(order)
-        axes = [w.center[j] + w.rho * nodes for j in range(n)]
-        wts = [w.rho * gl_w for _ in range(n)]
-        sq = [(axes[j] - w.center[j]) ** 2 for j in range(n)]
-        rho2 = w.rho**2
+        axes = [c + w.rho * nodes for c in w.center]
+        offsets = [x - c for x, c in zip(axes, w.center)]
+        wts = w.rho * gl_w
         chunk_f: list[np.ndarray] = []
         chunk_wq: list[np.ndarray] = []
-        for i0 in range(order):
-            # in-ball nodes of the slice x_0 = axes[0][i0], in row-major
-            # order: extend axis by axis, keeping partial sums below rho^2
-            t2 = sq[0][i0 : i0 + 1]
-            idx: list[np.ndarray] = []
-            for j in range(1, n):
-                rows, cols = np.nonzero((t2[:, None] + sq[j]) / rho2 < 1.0)
-                t2 = t2[rows] + sq[j][cols]
-                idx = [ix[rows] for ix in idx] + [cols]
-            t2 = t2 / rho2
-            inside = t2 < 1.0
-            t2 = t2[inside]
-            idx = [ix[inside] for ix in idx]
-            if not t2.size:
-                continue
-            wq = np.full(t2.size, wts[0][i0])
-            for j in range(1, n):
-                wq = wq * wts[j][idx[j - 1]]
+        for i0 in range(order):  # one axis-0 slice at a time
+            idx, t2 = _in_ball([offsets[0][i0 : i0 + 1]] + offsets[1:], w.rho**2)
+            wq = np.full(t2.size, wts[i0])
+            for ix in idx[1:]:
+                wq = wq * wts[ix]
             fv = np.zeros(t2.size)
             for e, c in f.terms.items():
                 t: np.ndarray | float = float(c)
-                if e[0]:
+                if e[0]:  # a scalar power: numpy's array power can differ by an ulp
                     t = t * axes[0][i0] ** e[0]
-                for j in range(1, n):
-                    if e[j]:
-                        t = t * (axes[j] ** e[j])[idx[j - 1]]
+                for x, k, ix in zip(axes[1:], e[1:], idx[1:]):
+                    if k:
+                        t = t * (x**k)[ix]
                 fv = fv + t
             chunk_f.append(fv)
-            chunk_wq.append(wq * np.exp(-1.0 / (1.0 - t2)))
-        fs = np.concatenate(chunk_f) if chunk_f else np.empty(0)
-        wqs = np.concatenate(chunk_wq) if chunk_wq else np.empty(0)
-        self._grids[order] = (fs, wqs)
-        return fs, wqs
+            chunk_wq.append(wq * np.exp(-1.0 / (1.0 - t2 / w.rho**2)))
+        return np.concatenate(chunk_f), np.concatenate(chunk_wq)
 
     def weight_integral(self) -> float:
         """int omega(x) dx at the mid-ladder order (scale for tolerances)."""
@@ -517,10 +507,10 @@ def _count_quadratic_fiber(f, split, B, w, box, workers) -> float:
         disc = b[quad] * b[quad] - 4 * a[quad] * c[quad]
         nonneg = disc >= 0
         quad, disc = quad[nonneg], disc[nonneg]
+        # |disc| < 2^53 (_float_sqrt_safe), so float(disc) is exact and the
+        # correctly rounded sqrt of a perfect square K^2 is K itself: r^2 == disc
+        # holds exactly when disc is a square
         r = np.rint(np.sqrt(disc.astype(np.float64))).astype(np.int64)
-        # rounding can be off by one near perfect squares
-        r = np.where(r * r > disc, r - 1, r)
-        r = np.where((r + 1) * (r + 1) <= disc, r + 1, r)
         square = r * r == disc
         quad, r = quad[square], r[square]
         aq, bq = a[quad], b[quad]

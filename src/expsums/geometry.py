@@ -77,6 +77,15 @@ def critical_count(
     return enumeration.count_common_zeros(grads, p, p, budget=budget, workers=workers)
 
 
+def _ls_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Least-squares slope of ys against xs."""
+    x_bar = sum(xs) / len(xs)
+    y_bar = sum(ys) / len(ys)
+    return sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)) / sum(
+        (x - x_bar) ** 2 for x in xs
+    )
+
+
 def estimate_s(
     f: Polynomial,
     primes: Sequence[int],
@@ -111,12 +120,7 @@ def estimate_s(
         p_big = primes[-1]
         s_fit = round(math.log(counts[p_big]) / math.log(p_big))
     else:
-        x_bar = sum(xs) / len(xs)
-        y_bar = sum(ys) / len(ys)
-        slope = sum((x - x_bar) * (y - y_bar) for x, y in zip(xs, ys)) / sum(
-            (x - x_bar) ** 2 for x in xs
-        )
-        s_fit = round(slope)
+        s_fit = round(_ls_slope(xs, ys))
     s_fit = min(max(s_fit, 0), f.n)
     intercept = sum(y - s_fit * x for x, y in zip(xs, ys)) / len(xs)
     residual = max(abs(y - s_fit * x - intercept) / x for x, y in zip(xs, ys))

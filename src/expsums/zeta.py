@@ -12,7 +12,11 @@ The cross-check ties counts to character sums through plain orthogonality:
     N_m * p^(-mn) = p^(-m) * sum_{a mod p^m} E_f(psi_{a/p^m}),
 
 where a with p | a reduce to characters of smaller conductor and a = 0
-contributes 1.
+contributes 1.  Summed over the units u mod q = p^k, e(u r / q) gives the
+Ramanujan sum c_q(r), an integer (Hardy & Wright, ch. 16), so each level
+adds the exact rational (q H(0) - (q/p) sum_{(q/p) | r} H(r)) q^(-n) for the
+residue histogram H of f mod q, and the check is an identity of fractions
+between the fiber recursion and the full histograms.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import enumeration
 from .arith import is_prime
-from .charsums import _fiber_split, _histogram_value
+from .charsums import _fiber_split
 from .polynomials import Polynomial
 
 
@@ -189,28 +193,28 @@ def fourier_crosscheck(
     budget: int | None = None,
     workers: int | None = None,
 ) -> CrosscheckReport:
-    """Check N_m * p^(-mn) against the averaged character sums.
+    """Check N_m * p^(-mn) against the averaged character sums, exactly.
 
     The right side sums E over every a mod p^m: the a = 0 term is 1, and
     p^k * a' reduces to the conductor m-k character with unit a'.  One
-    histogram per conductor level serves all its units.
+    histogram per conductor level serves all its units, which sum to an
+    integer (see the module docstring).
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if m < 1:
         raise ValueError(f"level must be >= 1, got {m}")
     count = count_zeros_mod(f, p, m, budget=budget, workers=workers)
-    lhs = float(Fraction(count, p ** (m * f.n)))
+    lhs = Fraction(count, p ** (m * f.n))
 
-    rhs_sum = 1 + 0j  # a = 0
+    rhs = Fraction(1)  # a = 0
     for k in range(1, m + 1):
-        q = p**k
+        q, step = p**k, p ** (k - 1)
         hist = enumeration.residue_histogram(f, q, q, budget=budget, workers=workers)
-        total = q**f.n
-        for unit in range(1, q):
-            if unit % p == 0:
-                continue
-            val, _ = _histogram_value(hist, q, unit, total)
-            rhs_sum += val
-    rhs = (rhs_sum / p**m).real
-    return CrosscheckReport(m=m, lhs=lhs, rhs=rhs, abs_diff=abs(lhs - rhs), count=count)
+        # sum_{u unit} e(u r / q) is the Ramanujan sum c_q(r): q - q/p at
+        # r = 0, -q/p at the other multiples of q/p, and 0 elsewhere
+        rhs += Fraction(q * int(hist[0]) - step * int(hist[::step].sum()), q**f.n)
+    rhs /= p**m
+    return CrosscheckReport(
+        m=m, lhs=float(lhs), rhs=float(rhs), abs_diff=float(abs(lhs - rhs)), count=count
+    )

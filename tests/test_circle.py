@@ -278,6 +278,20 @@ class TestWeightedCount:
         assert want > 7
         assert abs(weighted_solution_count(f, 30.0, w) - want) < 1e-12
 
+    @pytest.mark.parametrize("shift", [-1, 0, 1])
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("K", [2**25 - 3, 2**25 + 1])
+    def test_square_discriminant_near_2_pow_50(self, K, n, shift):
+        # (x_n - x1)(x_n - x1 - K) + shift has discriminant K^2 - 4 shift, a
+        # perfect square only at shift 0; K^2 is still below the 2^52 bound
+        g = parse_polynomial(f"x{n} - x1", n_hint=n)
+        f = g * (g - K) + shift
+        w = WeightFunction((0.1,) * n, 0.8)
+        assert circle._float_sqrt_safe(circle._last_var_split(f), w.support_box(8.0)[:-1])
+        want = brute_weighted_count(f, 8.0, w)
+        assert (want > 1) == (shift == 0)
+        assert abs(weighted_solution_count(f, 8.0, w) - want) < 1e-12
+
     def test_column_degenerate_fiber(self):
         # f independent of the last variable: whole columns count
         f = parse_polynomial("x1^2 - 4 + 0*x2", n_hint=2)
@@ -329,6 +343,29 @@ class TestBallColumns:
                    for lo0, hi0 in circle._box_chunks(box[:k], target=40)]
             assert np.concatenate(got).tolist() == want_k.tolist()
         assert want.tolist() == want_k.tolist()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_grid_equals_filtered_tensor_grid(self, n):
+        # Gauss-Legendre offsets: _grid at the first two ladder orders equals
+        # the full tensor grid filtered by t2 / rho^2 < 1, in row-major order;
+        # f = x1 + 2 x2 + ... makes its values tell the nodes apart
+        w = WeightFunction(tuple(0.1 * (-1) ** j * (j + 1) for j in range(n)), 0.7)
+        f = parse_polynomial(" + ".join(f"{j + 1}*x{j + 1}" for j in range(n)), n_hint=n)
+        integ = OscillatoryIntegrator(f, w)
+        for order in integ.orders[:2]:
+            nodes, gl_w = np.polynomial.legendre.leggauss(order)
+            idx = np.array(list(itertools.product(range(order), repeat=n)))
+            t2, wq, fv = np.zeros(len(idx)), np.ones(len(idx)), np.zeros(len(idx))
+            for j, c in enumerate(w.center):
+                x = (c + w.rho * nodes)[idx[:, j]]
+                t2 = t2 + (x - c) ** 2
+                wq = wq * (w.rho * gl_w)[idx[:, j]]
+                fv = fv + (j + 1.0) * x
+            t2 = t2 / w.rho**2
+            inside = t2 < 1.0
+            fs, wqs = integ._grid(order)
+            assert fs.tolist() == fv[inside].tolist()
+            assert wqs.tolist() == (wq * np.exp(-1.0 / (1.0 - t2)))[inside].tolist()
 
 
 # fiber-solver branches by the last variable z: a z^2 + b z + c with a != 0,

@@ -57,7 +57,7 @@ class TestOtherCommands:
         entries = report["result"]["entries"]
         assert entries[0]["count"] == 1  # level 0 convention
         assert entries[1]["count"] == 1 and entries[2]["count"] == 3
-        assert all(row.abs_diff < 1e-9 for row in report["result"]["crosscheck"])
+        assert all(row.abs_diff == 0 for row in report["result"]["crosscheck"])
 
     def test_zeta_squared_jacobian_ideal(self):
         code, report = run_cli(

@@ -162,17 +162,17 @@ class TestCrosscheck:
     def test_square_mod_nine(self):
         rep = fourier_crosscheck(parse_polynomial("x1^2"), 3, 2)
         assert abs(rep.lhs - 1 / 3) < 1e-15
-        assert rep.abs_diff < 1e-12
+        assert rep.abs_diff == 0
 
     def test_linear_level_one(self):
         rep = fourier_crosscheck(parse_polynomial("x1"), 5, 1)
         assert abs(rep.lhs - 1 / 5) < 1e-15
-        assert rep.abs_diff < 1e-12
+        assert rep.abs_diff == 0
 
     def test_product_mod_four(self):
         rep = fourier_crosscheck(parse_polynomial("x1*x2"), 2, 2)
         assert abs(rep.lhs - 1 / 2) < 1e-15
-        assert rep.abs_diff < 1e-12
+        assert rep.abs_diff == 0
 
     def test_corpus_sweep(self):
         for f in standard_corpus(0, 10):
@@ -181,4 +181,4 @@ class TestCrosscheck:
                     if p ** (m * f.n) > 10**5:
                         continue
                     rep = fourier_crosscheck(f, p, m)
-                    assert rep.abs_diff < 1e-9
+                    assert rep.abs_diff == 0
