@@ -312,18 +312,20 @@ class OscillatoryIntegrator:
         axes = [c + w.rho * nodes for c in w.center]
         offsets = [x - c for x, c in zip(axes, w.center)]
         wts = w.rho * gl_w
+        # scalar powers on axis 0: numpy's array power can differ by an ulp, and
+        # J(R)'s bits are part of the report
+        pow0 = {k: np.array([x**k for x in axes[0]]) for k in {e[0] for e in f.terms}}
         chunk_f: list[np.ndarray] = []
         chunk_wq: list[np.ndarray] = []
-        for i0 in range(order):  # one axis-0 slice at a time
-            idx, t2 = _in_ball([offsets[0][i0 : i0 + 1]] + offsets[1:], w.rho**2)
-            wq = np.full(t2.size, wts[i0])
+        for a, b in _box_chunks([(0, order - 1)] * f.n):  # axis-0 blocks bound the temporaries
+            idx, t2 = _in_ball([offsets[0][a:b]] + offsets[1:], w.rho**2)
+            idx[0] = idx[0] + a
+            wq = wts[idx[0]]
             for ix in idx[1:]:
                 wq = wq * wts[ix]
             fv = np.zeros(t2.size)
             for e, c in f.terms.items():
-                t: np.ndarray | float = float(c)
-                if e[0]:  # a scalar power: numpy's array power can differ by an ulp
-                    t = t * axes[0][i0] ** e[0]
+                t = float(c) * pow0[e[0]][idx[0]] if e[0] else float(c)
                 for x, k, ix in zip(axes[1:], e[1:], idx[1:]):
                     if k:
                         t = t * (x**k)[ix]
