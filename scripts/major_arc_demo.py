@@ -22,7 +22,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from expsums import (
-    QuadConfig,
     WeightFunction,
     parse_polynomial,
     singular_integral,
@@ -49,12 +48,11 @@ def main() -> int:
         norm = math.sqrt(18.0)
         center = (3 / norm, 0.0, 0.0, 0.0, 3 / norm)[: f.n]
     w = WeightFunction(center, args.rho)
-    quad = QuadConfig(tol=args.quad_tol)
 
     d = f.degree()
     for B in args.B:
         default_R = math.ceil(B**args.delta)
-        J = singular_integral(f, w, B**args.delta, quad=quad).J_of_R
+        J = singular_integral(f, w, B**args.delta, tol=args.quad_tol).J_of_R
         direct = weighted_solution_count(f, B, w)
         print(f"\nB = {B}  (default series truncation R = ceil(B^delta) = {default_R})")
         print(f"{'R':>3} {'S(R)':>12} {'J':>12} {'direct':>14} {'prediction':>14} {'ratio':>8}")

@@ -67,15 +67,15 @@ class GapReport:
     flagged: list[int] = field(default_factory=list)  # primes with negative gap
 
 
-def _max_abs_over_units(f, p, m, units, rng, budget, workers) -> float:
+def _max_abs_over_units(f, p, m, units, rng, budget) -> float:
     chi = AdditiveCharacter(p, m, 1)
-    best = exp_sum_pruned(f, chi, budget=budget, workers=workers).abs
+    best = exp_sum_pruned(f, chi, budget=budget).abs
     q = p**m
     for _ in range(max(0, units - 1)):
         a = rng.randrange(1, q)
         while a % p == 0:
             a = rng.randrange(1, q)
-        val = exp_sum_pruned(f, AdditiveCharacter(p, m, a), budget=budget, workers=workers)
+        val = exp_sum_pruned(f, AdditiveCharacter(p, m, a), budget=budget)
         best = max(best, val.abs)
     return best
 
@@ -89,7 +89,6 @@ def decay_fit(
     units: int = 1,
     seed: int = 0,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> DecayFit:
     """Measure |E| across conductors and fit the decay slope.
 
@@ -109,7 +108,7 @@ def decay_fit(
     for m in sorted(set(int(m) for m in m_range)):
         if m < 1:
             raise ValueError(f"conductor must be >= 1, got {m}")
-        mag = _max_abs_over_units(f, p, m, units, rng, budget, workers)
+        mag = _max_abs_over_units(f, p, m, units, rng, budget)
         samples.append((m, mag))
         if mag <= ZERO_TOL:
             zeros.append(m)
@@ -145,7 +144,6 @@ def deligne_check(
     primes: Sequence[int],
     s_val: int,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> list[DeligneRow]:
     """Check |E| over F_p against (d-1)^(n-s) p^(-(n-s)/2) prime by prime.
 
@@ -160,13 +158,13 @@ def deligne_check(
     fd = f.homogeneous_part(d)
     rows = []
     for p in sorted(set(int(p) for p in primes)):
-        cc = critical_count(fd, p, budget=budget, workers=workers)
+        cc = critical_count(fd, p, budget=budget)
         if s_val == 0:
             good = cc == 1
         else:
             good = round(math.log(cc) / math.log(p)) == s_val
         asserted = p > d and good
-        mag = finite_field_sum(f, p, budget=budget, workers=workers).abs
+        mag = finite_field_sum(f, p, budget=budget).abs
         bound = (d - 1) ** (f.n - s_val) * p ** (-(f.n - s_val) / 2)
         passed = mag <= bound * (1 + 1e-9)
         rows.append(
@@ -182,7 +180,6 @@ def conjecture_gap_report(
     s_val: int | None = None,
     slack: float = DEFAULT_SLACK,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> GapReport:
     """Per-prime decay fits plus the gap fitted_beta - (n-s)/d.
 
@@ -191,14 +188,12 @@ def conjecture_gap_report(
     exemplar, flagged.
     """
     if s_val is None:
-        s_val = estimate_s(f, primes, budget=budget, workers=workers).effective_s
+        s_val = estimate_s(f, primes, budget=budget).effective_s
     fits = []
     gaps: list[tuple[int, float | None]] = []
     flagged = []
     for p in sorted(set(int(p) for p in primes)):
-        fit = decay_fit(
-            f, p, range(1, m_max + 1), s_val, slack=slack, budget=budget, workers=workers
-        )
+        fit = decay_fit(f, p, range(1, m_max + 1), s_val, slack=slack, budget=budget)
         fits.append(fit)
         if fit.fitted_beta is None:
             gaps.append((p, None))

@@ -118,8 +118,8 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-def _from_histogram(f: Polynomial, modulus: int, a: int, budget, workers) -> ExpSumValue:
-    hist = enumeration.residue_histogram(f, modulus, modulus, budget=budget, workers=workers)
+def _from_histogram(f: Polynomial, modulus: int, a: int, budget) -> ExpSumValue:
+    hist = enumeration.residue_histogram(f, modulus, modulus, budget=budget)
     value, err = _histogram_value(hist, modulus, a, modulus**f.n)
     return ExpSumValue(value, abs(value), err)
 
@@ -128,11 +128,10 @@ def exp_sum_naive(
     f: Polynomial,
     chi: AdditiveCharacter,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> ExpSumValue:
     """Full enumeration of E over (Z/p^m)^n via the exact residue histogram."""
     _require_prime(chi.p)
-    return _from_histogram(f, chi.modulus, chi.unit, budget, workers)
+    return _from_histogram(f, chi.modulus, chi.unit, budget)
 
 
 def finite_field_sum(
@@ -140,10 +139,9 @@ def finite_field_sum(
     p: int,
     a: int = 1,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> ExpSumValue:
     """E over F_p^n (conductor 1)."""
-    return exp_sum_naive(f, AdditiveCharacter(p, 1, a), budget=budget, workers=workers)
+    return exp_sum_naive(f, AdditiveCharacter(p, 1, a), budget=budget)
 
 
 def exp_sum_direct(
@@ -151,7 +149,6 @@ def exp_sum_direct(
     N: int,
     a: int = 1,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> ExpSumValue:
     """E over (Z/N)^n by direct enumeration, any N >= 1 (oracle route)."""
     if N < 1:
@@ -160,7 +157,7 @@ def exp_sum_direct(
         raise ValueError(f"unit {a} shares a factor with {N}")
     if N == 1:
         return ExpSumValue(1 + 0j, 1.0, 0.0)
-    return _from_histogram(f, N, a % N, budget, workers)
+    return _from_histogram(f, N, a % N, budget)
 
 
 def _min_p_valuation(f: Polynomial, p: int) -> int:
@@ -171,10 +168,10 @@ def _min_p_valuation(f: Polynomial, p: int) -> int:
     return v
 
 
-def _critical_residues(f: Polynomial, p: int, budget, workers) -> np.ndarray:
+def _critical_residues(f: Polynomial, p: int, budget) -> np.ndarray:
     """Points of F_p^n where every gradient component vanishes, sorted."""
     grads = list(f.gradient())
-    return enumeration.common_zero_points(grads, p, p, budget=budget, workers=workers)
+    return enumeration.common_zero_points(grads, p, p, budget=budget)
 
 
 def _fiber_split(
@@ -201,7 +198,7 @@ def _fiber_split(
 
 
 def _fiber_value(
-    f: Polynomial, p: int, m: int, a: int, point: tuple[int, ...], budget, workers
+    f: Polynomial, p: int, m: int, a: int, point: tuple[int, ...], budget
 ) -> tuple[complex, float]:
     """Normalized sum over the fiber {x = point mod p} of (Z/p^m)^n.
 
@@ -214,11 +211,7 @@ def _fiber_value(
     if h is None:
         return phase, 2.0 * _EPS
     m_eff = m - v
-    sub_chi = AdditiveCharacter(p, m_eff, a % (p**m_eff))
-    if m_eff == 1:
-        sub = exp_sum_naive(h, sub_chi, budget=budget, workers=workers)
-    else:
-        sub = exp_sum_pruned(h, sub_chi, budget=budget, workers=workers)
+    sub = exp_sum_pruned(h, AdditiveCharacter(p, m_eff, a % (p**m_eff)), budget=budget)
     return phase * sub.value, sub.err_bound + 2.0 * _EPS
 
 
@@ -226,20 +219,19 @@ def exp_sum_pruned(
     f: Polynomial,
     chi: AdditiveCharacter,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> ExpSumValue:
     """E via stationary-phase pruning; exact 0 when no critical residue exists."""
     _require_prime(chi.p)
     p, m, a = chi.p, chi.m, chi.unit
     if m == 1:
-        return exp_sum_naive(f, chi, budget=budget, workers=workers)
-    criticals = _critical_residues(f, p, budget, workers)
+        return exp_sum_naive(f, chi, budget=budget)
+    criticals = _critical_residues(f, p, budget)
     if criticals.shape[0] == 0:
         return ExpSumValue(0j, 0.0, 0.0, fiber_count=0)
     total = 0j
     err = 0.0
     for row in criticals:
-        val, e = _fiber_value(f, p, m, a, tuple(int(x) for x in row), budget, workers)
+        val, e = _fiber_value(f, p, m, a, tuple(int(x) for x in row), budget)
         total += val
         err += e + _EPS
     scale = p**f.n
@@ -269,7 +261,6 @@ def exp_sum_composite(
     N: int,
     a: int = 1,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> ExpSumValue:
     """E over (Z/N)^n as the product of its prime-power factors."""
     if N < 1:
@@ -281,7 +272,7 @@ def exp_sum_composite(
     value = 1 + 0j
     err = 0.0
     for p, m, unit in crt_units(N, a):
-        part = exp_sum_pruned(f, AdditiveCharacter(p, m, unit), budget=budget, workers=workers)
+        part = exp_sum_pruned(f, AdditiveCharacter(p, m, unit), budget=budget)
         err = err * part.abs + abs(value) * part.err_bound + err * part.err_bound + _EPS
         value *= part.value
     return ExpSumValue(value, abs(value), err)

@@ -61,9 +61,6 @@ class WeightFunction:
     def n(self) -> int:
         return len(self.center)
 
-    def __call__(self, x: Sequence[float]) -> float:
-        return weight_eval(self, x)
-
     def values(self, points: np.ndarray, scale: float = 1.0) -> np.ndarray:
         """omega(points / scale) for an (N, n) array, vectorized.
 
@@ -86,15 +83,6 @@ class WeightFunction:
             hi = math.floor(B * (c + self.rho))
             out.append((lo, hi))
         return out
-
-
-def weight_eval(w: WeightFunction, x: Sequence[float]) -> float:
-    if len(x) != w.n:
-        raise ValueError(f"point has length {len(x)}, expected {w.n}")
-    t2 = sum((float(v) - c) ** 2 for v, c in zip(x, w.center)) / w.rho**2
-    if t2 >= 1.0:
-        return 0.0
-    return math.exp(-1.0 / (1.0 - t2))
 
 
 # -- box utilities -------------------------------------------------------------
@@ -165,7 +153,6 @@ def weighted_exponential_sum(
     w: WeightFunction,
     alpha: float,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> complex:
     """sum_{x in Z^n} omega(x/B) e^(2 pi i alpha f(x)), exact f values."""
     if w.n != f.n:
@@ -176,7 +163,6 @@ def weighted_exponential_sum(
         return 0j
     total = math.prod(sizes)
     enumeration._charge(total, enumeration.enumeration_budget(budget), "lattice sum")
-    workers = enumeration.default_workers(workers)
 
     def work(chunk):
         cols = _ball_columns(w, B, box, *chunk)
@@ -185,7 +171,7 @@ def weighted_exponential_sum(
         phases = np.exp((2j * np.pi * alpha) * vals.astype(np.float64))
         return complex(np.sum(wv * phases))
 
-    parts = enumeration._run_blocks(work, _box_chunks(box), workers)
+    parts = enumeration._run_blocks(work, _box_chunks(box), enumeration.default_workers())
     return complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
 
 
@@ -194,12 +180,11 @@ def complete_sum_mod_q(
     q: int,
     a: int,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> complex:
     """The complete unnormalized sum over (Z/q)^n: q^n * E_f(q, a)."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    val = exp_sum_composite(f, q, a, budget=budget, workers=workers)
+    val = exp_sum_composite(f, q, a, budget=budget)
     return q**f.n * val.value
 
 
@@ -211,11 +196,11 @@ class SingularSeriesResult:
     S_of_R: Fraction
 
 
-def _local_sums(f: Polynomial, p: int, k_max: int, budget, workers) -> list[Fraction]:
+def _local_sums(f: Polynomial, p: int, k_max: int, budget) -> list[Fraction]:
     """[sigma_0, ..., sigma_k_max], sigma_k = sum_{j <= k} A(p^j) = p^k N(p^k) p^(-kn)."""
     if k_max < 1:
         return [Fraction(1)]
-    _, dens = poincare_coeffs(f, p, k_max, budget=budget, workers=workers)
+    _, dens = poincare_coeffs(f, p, k_max, budget=budget)
     return [p**k * dk for k, dk in dens]
 
 
@@ -223,7 +208,6 @@ def singular_series(
     f: Polynomial,
     R: int,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> SingularSeriesResult:
     """Truncated series S(R) = sum_{q <= R} A(q) as an exact rational.
 
@@ -237,7 +221,7 @@ def singular_series(
     terms = [Fraction(1)] * (R + 1)  # terms[q] = A(q)
     for p in primes_up_to(R):
         k_max = max(k for k in range(1, R.bit_length() + 1) if p**k <= R)
-        sigma = _local_sums(f, p, k_max, budget, workers)
+        sigma = _local_sums(f, p, k_max, budget)
         for q in range(p, R + 1, p):
             k = max(k for k in range(1, k_max + 1) if q % p**k == 0)  # v_p(q)
             terms[q] *= sigma[k] - sigma[k - 1]
@@ -249,30 +233,16 @@ def singular_series_local(
     p: int,
     r_max: int,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> Fraction:
     """Partial local density at p: the q = p^r terms for r = 0..r_max,
     which sum to p^r_max * N(p^r_max) * p^(-r_max n)."""
-    return _local_sums(f, p, r_max, budget, workers)[-1]
+    return _local_sums(f, p, r_max, budget)[-1]
 
 
 # -- oscillatory integral ------------------------------------------------------
 
 
-@dataclass
-class QuadConfig:
-    """Convergence tolerance for I(gamma) and J(R).
-
-    The tensor Gauss-Legendre order climbs a ladder fixed by the
-    dimension (the bump weight is smooth but not analytic, so low
-    dimensions climb to high orders cheaply while n = 5 stops where the
-    tensor grid is still affordable).  Successive orders agree when their
-    difference is at most tol * max(current magnitude, the plain weight
-    integral), so tiny oscillatory values do not stall the ladder.
-    """
-
-    tol: float = 1e-6
-
+QUAD_TOL = 1e-6  # default relative tolerance of the order ladder
 
 _ORDER_LADDERS = {
     1: (16, 24, 32, 48, 64, 96, 128, 192, 256),
@@ -286,6 +256,13 @@ _ORDER_LADDERS = {
 class OscillatoryIntegrator:
     """Tensor quadrature of omega(x) g(f(x)) over the support ball.
 
+    The tensor Gauss-Legendre order climbs a ladder fixed by the
+    dimension (the bump weight is smooth but not analytic, so low
+    dimensions climb to high orders cheaply while n = 5 stops where the
+    tensor grid is still affordable).  Successive orders agree when their
+    difference is at most tol * max(current magnitude, the plain weight
+    integral), so tiny oscillatory values do not stall the ladder.
+
     Each ladder order's node grid (f values, omega times quadrature
     weight) is restricted to the ball by _in_ball, the walk the lattice
     solvers use, and built when needed: only the plain weight integral is
@@ -293,14 +270,14 @@ class OscillatoryIntegrator:
     value never depends on earlier calls.
     """
 
-    def __init__(self, f: Polynomial, w: WeightFunction, quad: QuadConfig | None = None):
+    def __init__(self, f: Polynomial, w: WeightFunction, tol: float = QUAD_TOL):
         if w.n != f.n:
             raise ValueError("weight dimension does not match the polynomial")
         if f.n not in _ORDER_LADDERS:
             raise ValueError(f"tensor quadrature supports n <= {max(_ORDER_LADDERS)}")
         self.f = f
         self.w = w
-        self.quad = quad or QuadConfig()
+        self.tol = tol
         self.orders = _ORDER_LADDERS[f.n]
         self._weight_integral: float | None = None
 
@@ -351,7 +328,7 @@ class OscillatoryIntegrator:
         prev: complex | None = None
         for order in self.orders:
             cur = integrand(*self._grid(order))
-            if prev is not None and abs(cur - prev) <= self.quad.tol * max(abs(cur), scale):
+            if prev is not None and abs(cur - prev) <= self.tol * max(abs(cur), scale):
                 return cur, order
             prev = cur
         raise QuadratureConvergenceError(f"{what} did not stabilize within orders {self.orders}")
@@ -368,10 +345,10 @@ def oscillatory_integral(
     f: Polynomial,
     w: WeightFunction,
     gamma: float,
-    quad: QuadConfig | None = None,
+    tol: float = QUAD_TOL,
 ) -> complex:
     """One-off I(gamma); build an OscillatoryIntegrator for repeated use."""
-    return OscillatoryIntegrator(f, w, quad).value(gamma)
+    return OscillatoryIntegrator(f, w, tol).value(gamma)
 
 
 @dataclass
@@ -384,7 +361,7 @@ def singular_integral(
     f: Polynomial,
     w: WeightFunction,
     R: float,
-    quad: QuadConfig | None = None,
+    tol: float = QUAD_TOL,
 ) -> SingularIntegralResult:
     """J(R) = int_{-R}^{R} I(gamma) dgamma as one n-D quadrature.
 
@@ -396,10 +373,19 @@ def singular_integral(
     """
     if R <= 0:
         raise ValueError(f"R must be positive, got {R}")
-    integrator = OscillatoryIntegrator(f, w, quad)
-    J, order = integrator._converge(
-        lambda fs, wqs: 2.0 * R * float(np.sum(wqs * np.sinc(2.0 * R * fs))), f"J(R) at R={R}"
-    )
+
+    def integrand(fs, wqs):
+        # np.sinc's steps (y = pi x, eps where y == 0, sin(y) / y) in place: the
+        # same bits with two grid-sized temporaries instead of five
+        y = fs * (2.0 * R)
+        y *= np.pi
+        y[y == 0] = np.finfo(np.float64).eps
+        s = np.sin(y)
+        s /= y
+        s *= wqs
+        return 2.0 * R * float(np.sum(s))
+
+    J, order = OscillatoryIntegrator(f, w, tol)._converge(integrand, f"J(R) at R={R}")
     return SingularIntegralResult(J_of_R=J, order=order)
 
 
@@ -425,7 +411,6 @@ def weighted_solution_count(
     B: float,
     w: WeightFunction,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> float:
     """N_omega(f, B) = sum over integer solutions f(x) = 0 of omega(x/B).
 
@@ -446,12 +431,11 @@ def weighted_solution_count(
     if any(s <= 0 for s in sizes):
         return 0.0
     budget_val = enumeration.enumeration_budget(budget)
-    workers = enumeration.default_workers(workers)
     split = _last_var_split(f)
     if split is not None and _float_sqrt_safe(split, box[:-1]):
         outer = math.prod(sizes[:-1])
         enumeration._charge(outer, budget_val, "fiber-solver enumeration")
-        return _count_quadratic_fiber(f, split, B, w, box, workers)
+        return _count_quadratic_fiber(f, split, B, w, box)
     total = math.prod(sizes)
     enumeration._charge(total, budget_val, "solution enumeration")
 
@@ -463,7 +447,7 @@ def weighted_solution_count(
         pts = np.stack([c[hit] for c in cols], axis=-1).astype(np.float64)
         return float(np.sum(w.values(pts, scale=B)))
 
-    parts = enumeration._run_blocks(work, _box_chunks(box), workers)
+    parts = enumeration._run_blocks(work, _box_chunks(box), enumeration.default_workers())
     return math.fsum(parts)
 
 
@@ -478,7 +462,7 @@ def _float_sqrt_safe(split, outer_box) -> bool:
     return b * b < 2**52 and 4 * a * c < 2**52
 
 
-def _count_quadratic_fiber(f, split, B, w, box, workers) -> float:
+def _count_quadratic_fiber(f, split, B, w, box) -> float:
     A, Bc, C = split
     outer_box = box[:-1]
     zlo, zhi = box[-1]
@@ -531,7 +515,7 @@ def _count_quadratic_fiber(f, split, B, w, box, workers) -> float:
                 acc += float(np.sum(weight_of(pts)))
         return acc
 
-    parts = enumeration._run_blocks(work, _box_chunks(outer_box), workers)
+    parts = enumeration._run_blocks(work, _box_chunks(outer_box), enumeration.default_workers())
     return math.fsum(parts)
 
 
@@ -561,9 +545,8 @@ def major_arc_report(
     s_val: int,
     R_series: int | None = None,
     R_integral: float | None = None,
-    quad: QuadConfig | None = None,
+    tol: float = QUAD_TOL,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> CircleMethodReport:
     """Assemble S(B^delta), J(B^delta), the direct count, and their ratio.
 
@@ -584,9 +567,9 @@ def major_arc_report(
     if not trusted:
         warnings.append("decay hypothesis n - s > 4(d-1) not met; prediction untrusted")
 
-    S = float(singular_series(f, r_series, budget=budget, workers=workers).S_of_R)
-    integral = singular_integral(f, w, r_int, quad=quad)
-    direct = weighted_solution_count(f, B, w, budget=budget, workers=workers)
+    S = float(singular_series(f, r_series, budget=budget).S_of_R)
+    integral = singular_integral(f, w, r_int, tol=tol)
+    direct = weighted_solution_count(f, B, w, budget=budget)
     prediction = S * integral.J_of_R * B ** (f.n - d)
     if S <= 0:
         warnings.append("truncated singular series is not positive")

@@ -4,8 +4,9 @@ Reports serialize deterministically (identical config => byte-identical
 JSON); wall time therefore goes to stderr, never into the report.  Exit
 codes: 0 success, 1 precondition error, 2 budget error, 3 verification
 failure.  The IGUSA_BUDGET environment variable overrides the enumeration
-budget and IGUSA_WORKERS the worker-thread count; an optional key=value
-config file supplies flag defaults, with explicit flags winning.
+budget; IGUSA_WORKERS, capped at the CPU count, is the only worker-thread
+setting (no flag overrides it).  An optional key=value config file supplies
+flag defaults, with explicit flags winning.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .charsums import (
     exp_sum_naive,
     exp_sum_pruned,
 )
-from .circle import QuadConfig, WeightFunction, major_arc_report
+from .circle import QUAD_TOL, WeightFunction, major_arc_report
 from .corpus import standard_corpus
 from .errors import BudgetExceededError, PolyParseError, QuadratureConvergenceError
 from .geometry import estimate_s, exponent_sheet
@@ -296,10 +297,9 @@ def _cmd_circle(cfg: RunConfig) -> dict:
         raise ValueError(f"center has {len(cfg.center)} coordinates, polynomial has {f.n}")
     w = WeightFunction(cfg.center, cfg.rho)
     fit = estimate_s(f, DEFAULT_VERIFY_PRIMES, budget=cfg.budget)
-    quad = QuadConfig(tol=cfg.quad_tol) if cfg.quad_tol else QuadConfig()
     report = major_arc_report(
         f, cfg.B, cfg.delta, w, fit.effective_s,
-        R_series=cfg.R_series, quad=quad, budget=cfg.budget,
+        R_series=cfg.R_series, tol=cfg.quad_tol or QUAD_TOL, budget=cfg.budget,
     )
     return {
         "params": {

@@ -8,8 +8,9 @@ integer histogram (or count, or index list) and the merge is exact integer
 addition / ordered concatenation.
 
 Budgets: the default enumeration budget is 10^8 points, overridable via
-the IGUSA_BUDGET environment variable or per call.  IGUSA_WORKERS sets the
-default worker-thread count (default 1, at most os.cpu_count()).
+the IGUSA_BUDGET environment variable or per call.  IGUSA_WORKERS is the
+only worker setting: the thread count is IGUSA_WORKERS capped at
+os.cpu_count() (default 1), with no per-call override.
 """
 
 from __future__ import annotations
@@ -44,11 +45,7 @@ def enumeration_budget(override: int | None = None) -> int:
     return budget
 
 
-def default_workers(override: int | None = None) -> int:
-    if override is not None:
-        if override < 1:
-            raise ValueError(f"workers must be >= 1, got {override}")
-        return override
+def default_workers() -> int:
     env = os.environ.get("IGUSA_WORKERS")
     if env:
         return max(1, min(int(env), os.cpu_count() or 1))
@@ -177,7 +174,6 @@ def residue_histogram(
     grid: int,
     modulus: int,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Exact histogram of f(x) mod modulus over x in [0, grid)^n.
 
@@ -190,7 +186,7 @@ def residue_histogram(
     n = f.n
     total = grid**n
     _charge(total, enumeration_budget(budget), "histogram enumeration")
-    workers = default_workers(workers)
+    workers = default_workers()
     terms = _prepare_terms(f, modulus)
     pow_full: dict[tuple[int, int], np.ndarray] = {}
 
@@ -208,7 +204,7 @@ def residue_histogram(
     return hist
 
 
-def _zero_masks(polys, grid, modulus, budget, workers, what, reduce) -> list:
+def _zero_masks(polys, grid, modulus, budget, what, reduce) -> list:
     """reduce(mask, offset) for each axis-0 block of [0, grid)^n, in block
     order.  mask flags the block's points (flattened, row-major) where every
     polynomial is 0 mod modulus; offset is the flat index of its first point."""
@@ -220,7 +216,7 @@ def _zero_masks(polys, grid, modulus, budget, workers, what, reduce) -> list:
     if modulus >= _MAX_MODULUS:
         raise ValueError(f"modulus {modulus} too large for the int64 kernel")
     _charge(grid**n * len(polys), enumeration_budget(budget), what)
-    workers = default_workers(workers)
+    workers = default_workers()
     terms_list = [_prepare_terms(p, modulus) for p in polys]
     pow_full: dict[tuple[int, int], np.ndarray] = {}
     inner = grid ** (n - 1)
@@ -243,13 +239,12 @@ def common_zero_points(
     grid: int,
     modulus: int,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> np.ndarray:
     """Coordinates in [0, grid)^n where every polynomial is 0 mod modulus.
 
     Returns an (N, n) int64 array in row-major (lexicographic) order.
     """
-    flats = _zero_masks(polys, grid, modulus, budget, workers, "zero-locus enumeration",
+    flats = _zero_masks(polys, grid, modulus, budget, "zero-locus enumeration",
                         lambda mask, offset: np.flatnonzero(mask) + offset)
     flat = np.concatenate(flats) if flats else np.empty(0, dtype=np.int64)
     n = polys[0].n
@@ -266,10 +261,9 @@ def count_common_zeros(
     grid: int,
     modulus: int,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> int:
     """|{x in [0,grid)^n : every polynomial is 0 mod modulus}|."""
-    return sum(_zero_masks(polys, grid, modulus, budget, workers, "zero-count enumeration",
+    return sum(_zero_masks(polys, grid, modulus, budget, "zero-count enumeration",
                            lambda mask, offset: int(mask.sum())))
 
 

@@ -66,7 +66,6 @@ def critical_count(
     fd: Polynomial,
     p: int,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> int:
     """|{x in F_p^n : grad fd(x) = 0}| by full enumeration of the affine cone."""
     if not is_prime(p):
@@ -74,7 +73,7 @@ def critical_count(
     if not fd.is_homogeneous():
         raise ValueError("leading form must be homogeneous")
     grads = list(fd.gradient())
-    return enumeration.count_common_zeros(grads, p, p, budget=budget, workers=workers)
+    return enumeration.count_common_zeros(grads, p, p, budget=budget)
 
 
 def _ls_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -91,7 +90,6 @@ def estimate_s(
     primes: Sequence[int],
     override: int | None = None,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> CriticalLocusReport:
     """Fit s from per-prime critical counts of the leading form.
 
@@ -112,7 +110,7 @@ def estimate_s(
     if override is not None and not 0 <= override <= f.n:
         raise ValueError(f"override s={override} outside [0, {f.n}]")
     fd = f.homogeneous_part(d)
-    counts = {p: critical_count(fd, p, budget=budget, workers=workers) for p in primes}
+    counts = {p: critical_count(fd, p, budget=budget) for p in primes}
 
     xs = [math.log(p) for p in primes]
     ys = [math.log(counts[p]) for p in primes]

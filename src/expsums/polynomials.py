@@ -444,10 +444,6 @@ def parse_polynomial(text: str, n_hint: int | None = None) -> Polynomial:
     return poly
 
 
-def render_polynomial(f: Polynomial) -> str:
-    return f.render()
-
-
 # -- arc-coefficient expansion ------------------------------------------------
 
 @dataclass(frozen=True)

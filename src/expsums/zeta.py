@@ -75,7 +75,6 @@ def count_zeros_mod(
     m: int,
     method: str = "tree",
     budget: int | None = None,
-    workers: int | None = None,
 ) -> int:
     """|{x mod p^m : f(x) = 0 mod p^m}|.
 
@@ -88,13 +87,13 @@ def count_zeros_mod(
     if m < 1:
         raise ValueError(f"level must be >= 1, got {m}")
     if method == "direct":
-        return enumeration.count_common_zeros([f], p**m, p**m, budget=budget, workers=workers)
+        return enumeration.count_common_zeros([f], p**m, p**m, budget=budget)
     if method != "tree":
         raise ValueError(f"unknown method {method!r}")
-    return _zero_counts(f, p, m, budget, workers)[-1]
+    return _zero_counts(f, p, m, budget)[-1]
 
 
-def _zero_counts(f: Polynomial, p: int, m: int, budget, workers) -> list[int]:
+def _zero_counts(f: Polynomial, p: int, m: int, budget) -> list[int]:
     """[N(p), ..., N(p^m)] by Igusa's stationary phase formula.
 
     Smooth zeros mod p lift to p^((k-1)(n-1)) zeros mod p^k (Hensel).  Over
@@ -105,8 +104,8 @@ def _zero_counts(f: Polynomial, p: int, m: int, budget, workers) -> list[int]:
     """
     n = f.n
     if m == 1:
-        return [enumeration.count_common_zeros([f], p, p, budget=budget, workers=workers)]
-    zeros = enumeration.common_zero_points([f], p, p, budget=budget, workers=workers)
+        return [enumeration.count_common_zeros([f], p, p, budget=budget)]
+    zeros = enumeration.common_zero_points([f], p, p, budget=budget)
     # f(u + p e_j) = f(u) + p df/dx_j(u) mod p^2, so f mod p^2 at u and at its
     # n neighbours u + p e_j tells the singular zeros and which have p^2 | f(u)
     steps = p * np.eye(n + 1, n, -1, dtype=np.int64)  # rows 0, p e_1, ..., p e_n
@@ -127,7 +126,7 @@ def _zero_counts(f: Polynomial, p: int, m: int, budget, workers) -> list[int]:
             if c0 % p**k == 0:
                 counts[k - 1] += p ** ((k - 1) * n)
         if h is not None and c0 % p**v == 0:
-            sub = _zero_counts(h + c0 // p**v, p, m - v, budget, workers)
+            sub = _zero_counts(h + c0 // p**v, p, m - v, budget)
             for k, count in enumerate(sub, start=v + 1):
                 counts[k - 1] += p ** ((v - 1) * n) * count
     return counts
@@ -138,7 +137,6 @@ def count_order_ge(
     p: int,
     m: int,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> int:
     """|{x mod p^m : v_p(g(x)) >= m for every generator g}|.
 
@@ -152,7 +150,7 @@ def count_order_ge(
         raise ValueError(f"level must be >= 1, got {m}")
     if not generators:
         raise ValueError("need at least one generator")
-    return enumeration.count_common_zeros(generators, p**m, p**m, budget=budget, workers=workers)
+    return enumeration.count_common_zeros(generators, p**m, p**m, budget=budget)
 
 
 def poincare_coeffs(
@@ -162,7 +160,6 @@ def poincare_coeffs(
     kind: CountKind = CountKind.zeros_of_f,
     generators: list[Polynomial] | None = None,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> tuple[CountTable, list[tuple[int, Fraction]]]:
     """Counts N_m for m = 0..max_m plus the exact densities N_m * p^(-mn).
 
@@ -175,12 +172,11 @@ def poincare_coeffs(
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if kind is CountKind.zeros_of_f:
-        counts = _zero_counts(f, p, max_m, budget, workers)
+        counts = _zero_counts(f, p, max_m, budget)
     elif not generators:
         raise ValueError("order_ge_ideal needs a generator list")
     else:
-        counts = [count_order_ge(generators, p, m, budget=budget, workers=workers)
-                  for m in range(1, max_m + 1)]
+        counts = [count_order_ge(generators, p, m, budget=budget) for m in range(1, max_m + 1)]
     entries = [(0, 1)] + list(enumerate(counts, start=1))
     densities = [(m, Fraction(c, p ** (m * f.n))) for m, c in entries]
     return CountTable(p=p, entries=entries, kind=kind), densities
@@ -191,7 +187,6 @@ def fourier_crosscheck(
     p: int,
     m: int,
     budget: int | None = None,
-    workers: int | None = None,
 ) -> CrosscheckReport:
     """Check N_m * p^(-mn) against the averaged character sums, exactly.
 
@@ -204,13 +199,13 @@ def fourier_crosscheck(
         raise ValueError(f"{p} is not prime")
     if m < 1:
         raise ValueError(f"level must be >= 1, got {m}")
-    count = count_zeros_mod(f, p, m, budget=budget, workers=workers)
+    count = count_zeros_mod(f, p, m, budget=budget)
     lhs = Fraction(count, p ** (m * f.n))
 
     rhs = Fraction(1)  # a = 0
     for k in range(1, m + 1):
         q, step = p**k, p ** (k - 1)
-        hist = enumeration.residue_histogram(f, q, q, budget=budget, workers=workers)
+        hist = enumeration.residue_histogram(f, q, q, budget=budget)
         # sum_{u unit} e(u r / q) is the Ramanujan sum c_q(r): q - q/p at
         # r = 0, -q/p at the other multiples of q/p, and 0 elsewhere
         rhs += Fraction(q * int(hist[0]) - step * int(hist[::step].sum()), q**f.n)

@@ -32,6 +32,15 @@ def brute_exp_sum(f: Polynomial, modulus: int, a: int = 1) -> complex:
     ) / modulus**f.n
 
 
+def brute_weight(w, x) -> float:
+    """The bump weight omega(x) of a WeightFunction at one point, by the
+    scalar formula w(t) = exp(-1/(1 - t^2)) for t = ||x - center|| / rho < 1."""
+    t2 = sum((float(v) - c) ** 2 for v, c in zip(x, w.center)) / w.rho**2
+    if t2 >= 1.0:
+        return 0.0
+    return math.exp(-1.0 / (1.0 - t2))
+
+
 def brute_zero_count(f: Polynomial, modulus: int) -> int:
     return sum(
         1

@@ -10,7 +10,6 @@ from expsums import circle
 from expsums import (
     BudgetExceededError,
     OscillatoryIntegrator,
-    QuadConfig,
     WeightFunction,
     complete_sum_mod_q,
     major_arc_report,
@@ -19,10 +18,10 @@ from expsums import (
     singular_integral,
     singular_series,
     singular_series_local,
-    weight_eval,
     weighted_exponential_sum,
     weighted_solution_count,
 )
+from conftest import brute_weight
 
 
 def brute_weighted_count(f, B, w):
@@ -30,23 +29,22 @@ def brute_weighted_count(f, B, w):
     total = []
     for pt in itertools.product(*[range(lo, hi + 1) for lo, hi in w.support_box(B)]):
         if f.eval_int(pt) == 0:
-            total.append(weight_eval(w, tuple(c / B for c in pt)))
+            total.append(brute_weight(w, tuple(c / B for c in pt)))
     return math.fsum(total)
 
 
 class TestWeight:
     def test_center_value(self):
         w = WeightFunction((0.3, -0.2), 0.9)
-        assert abs(weight_eval(w, (0.3, -0.2)) - math.exp(-1)) < 1e-15
+        assert abs(w.values(np.array([[0.3, -0.2]]))[0] - math.exp(-1)) < 1e-15
 
     def test_boundary_is_zero(self):
         w = WeightFunction((0.0,), 0.5)
-        assert weight_eval(w, (0.5,)) == 0.0
-        assert weight_eval(w, (0.7,)) == 0.0
+        assert w.values(np.array([[0.5], [0.7]])).tolist() == [0.0, 0.0]
 
     def test_half_radius(self):
         w = WeightFunction((0.0, 0.0), 0.8)
-        assert abs(weight_eval(w, (0.4, 0.0)) - math.exp(-4 / 3)) < 1e-14
+        assert abs(w.values(np.array([[0.4, 0.0]]))[0] - math.exp(-4 / 3)) < 1e-14
 
     def test_rho_validated(self):
         with pytest.raises(ValueError):
@@ -218,10 +216,9 @@ class TestSingularIntegral:
     def test_interval_additivity_bound(self):
         f = parse_polynomial("x1^2 - x2^2")
         w = WeightFunction((0.3, 0.3), 0.8)
-        quad = QuadConfig(tol=1e-5)
-        j1 = singular_integral(f, w, 1.0, quad)
-        j2 = singular_integral(f, w, 2.0, quad)
-        integ = OscillatoryIntegrator(f, w, quad)
+        j1 = singular_integral(f, w, 1.0, tol=1e-5)
+        j2 = singular_integral(f, w, 2.0, tol=1e-5)
+        integ = OscillatoryIntegrator(f, w, tol=1e-5)
         tail = 2 * max(abs(integ.value(g)) for g in (1.0, 1.5, 2.0))
         assert abs(j2.J_of_R - j1.J_of_R) <= tail * 1.0 + 1e-6
 
@@ -230,15 +227,28 @@ class TestSingularIntegral:
         f = parse_polynomial("x1^2 - x2^2 + x1*x2")
         w = WeightFunction((0.3, 0.2), 0.6)
         R = 2.0
-        quad = QuadConfig(tol=1e-9)
-        integ = OscillatoryIntegrator(f, w, quad)
+        tol = 1e-9
+        integ = OscillatoryIntegrator(f, w, tol=tol)
         nodes, weights = np.polynomial.legendre.leggauss(40)
         oracle = 2 * math.fsum(
             wt * R / 2 * integ.value(R / 2 * (1 + t)).real for t, wt in zip(nodes, weights)
         )
-        got = singular_integral(f, w, R, quad)
-        assert abs(got.J_of_R - oracle) <= 10 * quad.tol * integ.weight_integral()
+        got = singular_integral(f, w, R, tol=tol)
+        assert abs(got.J_of_R - oracle) <= 10 * tol * integ.weight_integral()
         assert got.order in integ.orders
+
+    @pytest.mark.parametrize("poly", ["x1 - x2", "x1^2 - x2^2 + x1*x2"])
+    def test_in_place_sinc_matches_np_sinc_bitwise(self, poly):
+        # on the diagonal the nodes of both axes coincide, so x1 - x2 is exactly
+        # 0 there and the sinc's removable point is exercised
+        f = parse_polynomial(poly)
+        w = WeightFunction((0.2, 0.2), 0.7)
+        R = 1.7
+        want, order = OscillatoryIntegrator(f, w)._converge(
+            lambda fs, wqs: 2.0 * R * float(np.sum(wqs * np.sinc(2.0 * R * fs))), "J"
+        )
+        got = singular_integral(f, w, R)
+        assert (got.J_of_R, got.order) == (want, order)
 
 
 class TestWeightedCount:
@@ -300,7 +310,7 @@ class TestWeightedCount:
         total = []
         for x1 in (-2, 2):
             for x2 in range(-3, 4):
-                total.append(weight_eval(w, (x1 / 4.0, x2 / 4.0)))
+                total.append(brute_weight(w, (x1 / 4.0, x2 / 4.0)))
         assert abs(got - math.fsum(total)) < 1e-13
 
 
@@ -394,14 +404,13 @@ class TestMajorArcReport:
     def test_homogeneity_in_B_at_fixed_truncation(self):
         f = parse_polynomial("x1^2+x2^2-x3^2")
         w = WeightFunction((0.4, 0.1, 0.4), 0.8)
-        quad = QuadConfig(tol=1e-5)
-        r1 = major_arc_report(f, 10.0, 0.25, w, 0, R_series=2, R_integral=1.5, quad=quad)
-        r2 = major_arc_report(f, 20.0, 0.25, w, 0, R_series=2, R_integral=1.5, quad=quad)
+        r1 = major_arc_report(f, 10.0, 0.25, w, 0, R_series=2, R_integral=1.5, tol=1e-5)
+        r2 = major_arc_report(f, 20.0, 0.25, w, 0, R_series=2, R_integral=1.5, tol=1e-5)
         assert abs(r2.prediction / r1.prediction - 2 ** (f.n - 2)) < 1e-9
 
     def test_untrusted_flag(self):
         f = parse_polynomial("x1^4+x2^4")
         w = WeightFunction((0.5, 0.5), 0.5)
-        rep = major_arc_report(f, 6.0, 0.25, w, 0, quad=QuadConfig(tol=1e-4))
+        rep = major_arc_report(f, 6.0, 0.25, w, 0, tol=1e-4)
         assert not rep.trusted
         assert any("4(d-1)" in msg for msg in rep.warnings)

@@ -3,6 +3,7 @@ oracles.  The kernel underlies both routes of several cross-checks, so a
 shared bug could cancel out there; these tests pin it independently.
 """
 
+import inspect
 import itertools
 import os
 import sys
@@ -13,7 +14,8 @@ import pytest
 from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
-from expsums import BudgetExceededError, Polynomial, enumeration, parse_polynomial
+import expsums
+from expsums import BudgetExceededError, Polynomial, circle, enumeration, parse_polynomial
 from expsums.enumeration import (
     common_zero_points,
     count_common_zeros,
@@ -56,10 +58,13 @@ class TestResidueHistogram:
         hist = residue_histogram(f, 5, 11)
         assert int(hist.sum()) == 5**3
 
-    def test_worker_invariance(self):
+    def test_worker_invariance(self, monkeypatch):
         f = Polynomial(2, {(2, 1): 3, (0, 3): -4, (1, 0): 9})
-        a = residue_histogram(f, 50, 50, workers=1)
-        b = residue_histogram(f, 50, 50, workers=4)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("IGUSA_WORKERS", "1")
+        a = residue_histogram(f, 50, 50)
+        monkeypatch.setenv("IGUSA_WORKERS", "4")
+        b = residue_histogram(f, 50, 50)
         assert np.array_equal(a, b)
 
     def test_budget_refused(self):
@@ -84,11 +89,14 @@ class TestResidueHistogram:
         # 200 one-row blocks on 4 threads add into one shared histogram
         monkeypatch.setattr(enumeration, "_BLOCK_ELEMS", 1 << 8)
         f = Polynomial(2, {(2, 1): 3, (0, 3): -4, (1, 0): 9})
-        want = residue_histogram(f, 200, 40009, workers=1)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setenv("IGUSA_WORKERS", "1")
+        want = residue_histogram(f, 200, 40009)
+        monkeypatch.setenv("IGUSA_WORKERS", "4")
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            runs = [residue_histogram(f, 200, 40009, workers=4) for _ in range(5)]
+            runs = [residue_histogram(f, 200, 40009) for _ in range(5)]
         finally:
             sys.setswitchinterval(interval)
         assert all(np.array_equal(hist, want) for hist in runs)
@@ -106,7 +114,60 @@ class TestResidueHistogram:
         assert default_workers() == (os.cpu_count() or 1)
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert default_workers() == 1
-        assert default_workers(4) == 4  # explicit arguments are not capped
+
+    def test_pools_are_capped_at_cpu_count(self, monkeypatch):
+        # a serial stand-in for the thread pool records the sizes asked for,
+        # so the uncapped request of 10^6 workers starts no thread
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setenv("IGUSA_WORKERS", str(10**6))
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(enumeration, "_BLOCK_ELEMS", 1 << 4)
+        monkeypatch.setattr(enumeration, "ThreadPoolExecutor", SerialPool)
+        chunks = circle._box_chunks
+        monkeypatch.setattr(circle, "_box_chunks", lambda box: chunks(box, target=64))
+        f = parse_polynomial("x1^3 - x2^3 + x1*x2")
+        w = circle.WeightFunction((0.1, 0.2), 0.9)
+        calls = {
+            "residue_histogram": lambda: residue_histogram(f, 30, 31),
+            "count_common_zeros": lambda: count_common_zeros([f], 30, 31),
+            "weighted_solution_count": lambda: circle.weighted_solution_count(f, 8.0, w),
+        }
+        for name, call in calls.items():
+            del sizes[:]
+            call()
+            assert sizes and max(sizes) <= 3, (name, sizes)
+
+    def test_no_public_function_takes_workers(self):
+        # IGUSA_WORKERS is the only worker setting
+        def params(obj):
+            try:
+                return inspect.signature(obj).parameters
+            except (TypeError, ValueError):  # builtins without a signature
+                return {}
+
+        names = ("bounds", "charsums", "circle", "enumeration", "geometry", "zeta")
+        takes = [
+            f"{mod.__name__}.{name}"
+            for mod in [expsums] + [getattr(expsums, m) for m in names]
+            for name, obj in vars(mod).items()
+            if not name.startswith("_") and callable(obj) and "workers" in params(obj)
+        ]
+        assert not takes
+        assert not params(default_workers)
 
 
 class TestZeroEnumeration:

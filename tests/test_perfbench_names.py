@@ -2,10 +2,12 @@
 and its Tracer.install raises AttributeError on a name that no longer
 exists, which breaks every traced bench run.  This reads the TRACED table
 from the file, without importing or installing the tracer, and checks
-that each name still resolves."""
+that each name still resolves and that the arguments its counters read
+keep their positions."""
 
 import ast
 import importlib
+import inspect
 from pathlib import Path
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
@@ -32,3 +34,17 @@ def test_every_traced_name_resolves():
             if not callable(obj):
                 missing.append(f"{mod_name}.{name}")
     assert not missing, f"perfbench/spans.py traces names that do not resolve: {missing}"
+
+
+def test_points_counters_read_leading_arguments():
+    # the tracer's "points" counters read f or polys at position 0 and grid
+    # at position 1 (spans._histogram_points, spans._zero_locus_points)
+    enumeration = importlib.import_module("expsums.enumeration")
+    leading = {
+        "residue_histogram": ["f", "grid"],
+        "common_zero_points": ["polys", "grid"],
+        "count_common_zeros": ["polys", "grid"],
+    }
+    for name, want in leading.items():
+        params = list(inspect.signature(getattr(enumeration, name)).parameters)
+        assert params[:2] == want, (name, params)
