@@ -13,24 +13,27 @@ Three evaluation routes:
 * exp_sum_pruned     -- stationary-phase pruning.  For m >= 2, writing
                         x = u + p^(m-1) t gives
                         f(x) = f(u) + p^(m-1) t . grad f(u)  (mod p^m),
-                        so the inner t-sum vanishes unless grad f(u) = 0
-                        mod p.  Only fibers over critical residues mod p
-                        remain; each fiber reduces, after factoring p^v out
-                        of f(P + p y) - f(P), to a sum at conductor m - v,
-                        and the recursion repeats.  Valid for every prime,
-                        including p = 2 and 3.
+                        so only fibers over critical residues u mod p
+                        count.  With f(u + p y) = c0 + p^v h(y) they unfold
+                        into an exact integer distribution W on Z/p^m with
+                        E = p^(-mn) sum_r W(r) e^(2 pi i a r / p^m) for
+                        every unit a, summed as one phase per atom.  W is
+                        memoised on the Polynomial per (p, m) and lives as
+                        long as it; a memo hit replays the build's budget
+                        charges, so nothing depends on call history.
+                        Valid for every prime, including p = 2 and 3.
 * exp_sum_composite  -- the product over prime powers dividing N, with the
                         per-factor units fixed by 1/N = sum_i u_i / q_i
                         where u_i = (N/q_i)^(-1) mod q_i, so that the unit
                         for the factor q_i is a * u_i mod q_i.
 
 Values carry a coarse but sound error bound: 4 ulp per distinct histogram
-angle plus one per combination step.
+angle or atom (scaled by the share of points the atoms carry) plus one
+per combination step.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import sys
 from dataclasses import dataclass
@@ -88,11 +91,6 @@ class ExpSumValue:
     abs: float
     err_bound: float
     fiber_count: int | None = None
-
-
-def _phase(numerator: int, modulus: int) -> complex:
-    """e^(2*pi*i * numerator/modulus) from the exact reduced angle."""
-    return cmath.exp(2j * math.pi * (numerator % modulus) / modulus)
 
 
 def _histogram_value(hist: np.ndarray, modulus: int, a: int, total: int) -> tuple[complex, float]:
@@ -197,22 +195,55 @@ def _fiber_split(
     return c0, v, g1.divide_coefficients(p**v)
 
 
-def _fiber_value(
-    f: Polynomial, p: int, m: int, a: int, point: tuple[int, ...], budget
-) -> tuple[complex, float]:
-    """Normalized sum over the fiber {x = point mod p} of (Z/p^m)^n.
+def _critical_atoms(f: Polynomial, p: int, m: int, budget):
+    """(charges, fibers, residues, weights) of W, the critical-atom
+    distribution of f on Z/p^m (see the module docstring).
 
-    With f(point + p y) = c0 + p^v h(y) the fiber reduces to the sum for
-    h at conductor m - v; when f is constant mod p^m there it is a bare
-    phase.
+    At m = 1, ``weights`` is the dense histogram of f mod p and the rest
+    None.  At m >= 2, each of the ``fibers`` critical residues u, with
+    f(u + p y) = c0 + p^v h(y), adds the atoms c0 + p^v r of weight
+    p^((v-1)n) W_h(r) for h's W_h at level m - v (h None: one atom c0 of
+    weight p^((m-1)n)).  Residues are sorted and distinct, in int64 arrays
+    unless a weight or a*r could overflow (then exact Python ints).
+    Memoised on f; ``charges`` lists the build's (points, what) budget
+    charges, which a hit replays in order.
     """
-    c0, v, h = _fiber_split(f, p, m, point)
-    phase = _phase(a * c0, p**m)
-    if h is None:
-        return phase, 2.0 * _EPS
-    m_eff = m - v
-    sub = exp_sum_pruned(h, AdditiveCharacter(p, m_eff, a % (p**m_eff)), budget=budget)
-    return phase * sub.value, sub.err_bound + 2.0 * _EPS
+    if getattr(f, "_atoms", None) is None:
+        object.__setattr__(f, "_atoms", {})
+    memo = f._atoms
+    if (p, m) in memo:
+        entry = memo[p, m]
+        enumeration.default_workers()  # refuses a bad IGUSA_WORKERS, as a build does
+        limit = enumeration.enumeration_budget(budget)
+        for points, what in entry[0]:
+            enumeration._charge(points, limit, what)
+        return entry
+    n, q = f.n, p**m
+    if m == 1:
+        hist = enumeration.residue_histogram(f, p, p, budget=budget)
+        memo[p, m] = ([(p**n, "histogram enumeration")], None, None,
+                      hist.astype(np.min_scalar_type(p**n)))  # counts <= p^n
+        return memo[p, m]
+    charges = [(n * p**n, "zero-locus enumeration")]
+    criticals = _critical_residues(f, p, budget)
+    dtype = np.int64 if p ** (m * n) < 2**63 and q < 2**31 else object
+    residues, weights = [np.empty(0, dtype)], [np.empty(0, dtype)]
+    for row in criticals:
+        c0, v, h = _fiber_split(f, p, m, tuple(int(x) for x in row))
+        sub_r, sub_w = np.zeros(1, np.int64), np.ones(1, np.int64)
+        if h is not None:
+            sub_charges, _, sub_r, sub_w = _critical_atoms(h, p, m - v, budget)
+            charges += sub_charges
+            if sub_r is None:  # the dense histogram at level 1
+                sub_r = np.flatnonzero(sub_w)
+                sub_w = sub_w[sub_r]
+        residues.append(c0 % q + p**v * sub_r.astype(dtype))
+        weights.append(p ** ((v - 1) * n) * sub_w.astype(dtype))
+    atoms, index = np.unique(np.concatenate(residues), return_inverse=True)
+    merged = np.zeros(atoms.size, dtype)
+    np.add.at(merged, index, np.concatenate(weights))
+    memo[p, m] = (charges, int(criticals.shape[0]), atoms, merged)
+    return memo[p, m]
 
 
 def exp_sum_pruned(
@@ -220,23 +251,21 @@ def exp_sum_pruned(
     chi: AdditiveCharacter,
     budget: int | None = None,
 ) -> ExpSumValue:
-    """E via stationary-phase pruning; exact 0 when no critical residue exists."""
+    """E from the critical-atom distribution of f at (p, m), one phase per
+    atom; exact 0 when no critical residue exists."""
     _require_prime(chi.p)
     p, m, a = chi.p, chi.m, chi.unit
-    if m == 1:
-        return exp_sum_naive(f, chi, budget=budget)
-    criticals = _critical_residues(f, p, budget)
-    if criticals.shape[0] == 0:
-        return ExpSumValue(0j, 0.0, 0.0, fiber_count=0)
-    total = 0j
-    err = 0.0
-    for row in criticals:
-        val, e = _fiber_value(f, p, m, a, tuple(int(x) for x in row), budget)
-        total += val
-        err += e + _EPS
-    scale = p**f.n
-    value = total / scale
-    return ExpSumValue(value, abs(value), err / scale + 2 * _EPS, fiber_count=int(criticals.shape[0]))
+    _, fibers, residues, weights = _critical_atoms(f, p, m, budget)
+    total = p ** (m * f.n)
+    if residues is None:
+        value, err = _histogram_value(weights, p, a, total)
+        return ExpSumValue(value, abs(value), err)
+    q = p**m
+    angles = ((a * residues) % q).astype(np.float64)
+    phases = np.exp((2j * np.pi / q) * angles)
+    value = complex(np.sum(weights.astype(np.float64) * phases)) / total
+    err = 4.0 * _EPS * (residues.size + 1) * float(weights.sum() / total)
+    return ExpSumValue(value, abs(value), err, fiber_count=fibers)
 
 
 def crt_units(N: int, a: int) -> list[tuple[int, int, int]]:

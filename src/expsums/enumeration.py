@@ -10,7 +10,7 @@ addition / ordered concatenation.
 Budgets: the default enumeration budget is 10^8 points, overridable via
 the IGUSA_BUDGET environment variable or per call.  IGUSA_WORKERS is the
 only worker setting: the thread count is IGUSA_WORKERS capped at
-os.cpu_count() (default 1), with no per-call override.
+os.cpu_count() (default 1), never overridden per call; below 1 is refused.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ def enumeration_budget(override: int | None = None) -> int:
 
 
 def default_workers() -> int:
-    env = os.environ.get("IGUSA_WORKERS")
-    if env:
-        return max(1, min(int(env), os.cpu_count() or 1))
-    return 1
+    workers = int(os.environ.get("IGUSA_WORKERS") or 1)
+    if workers < 1:
+        raise ValueError(f"worker count must be positive, got {workers}")
+    return 1 if workers == 1 else min(workers, os.cpu_count() or 1)
 
 
 def reset_meter() -> None:

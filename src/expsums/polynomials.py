@@ -42,10 +42,11 @@ class Polynomial:
     """Immutable sparse polynomial in ``n`` named variables x1..xn.
 
     Term dicts are canonical: no zero coefficients, keys iterated in
-    descending graded-lex order.  Do not mutate ``terms``.
+    descending graded-lex order.  Do not mutate ``terms``.  ``_atoms`` holds
+    charsums' lazily filled memo, which equality and hashing ignore.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_atoms")
 
     def __init__(self, n: int, terms: Mapping[Exponent, int] | None = None):
         if n < 1:

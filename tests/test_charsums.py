@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -16,7 +17,7 @@ from expsums import (
     parse_polynomial,
 )
 from expsums import enumeration
-from expsums.charsums import _fiber_split, crt_units
+from expsums.charsums import _critical_atoms, _fiber_split, crt_units
 from expsums.corpus import standard_corpus
 from conftest import brute_exp_sum, small_polynomials
 
@@ -131,6 +132,63 @@ class TestPruned:
             return
         chi = AdditiveCharacter(p, m)
         assert abs(exp_sum_pruned(f, chi).value - exp_sum_naive(f, chi).value) < 1e-9
+
+    @pytest.mark.parametrize("text", ["x1^2+x1*x2", "x1^3+x2^2+x1", "x1^2*x2+3", "x1^4+2*x1^2+x1"])
+    def test_every_unit_matches_naive(self, text):
+        f = parse_polynomial(text)
+        for p in (2, 3, 5):
+            criticals = sum(
+                all(g.eval_mod(pt, p) == 0 for g in f.gradient())
+                for pt in itertools.product(range(p), repeat=f.n)
+            )
+            for m in (1, 2, 3):
+                if p ** (m * f.n) > 20000:
+                    continue
+                for a in range(1, p**m):
+                    if a % p == 0:
+                        continue
+                    chi = AdditiveCharacter(p, m, a)
+                    got = exp_sum_pruned(f, chi)
+                    assert abs(got.value - exp_sum_naive(f, chi).value) < 1e-12, (p, m, a)
+                    assert got.fiber_count == (criticals if m > 1 else None)
+
+    def test_weights_beyond_int64(self):
+        f = parse_polynomial("x1^2+x2^2+x3^2+x4^2+x5^2")
+        # p^(mn) = 7^30 > 2^63: the atoms are kept as exact Python ints
+        v = exp_sum_pruned(f, AdditiveCharacter(7, 6, 3))
+        assert abs(v.value - 2.1063444842276643e-13) <= 1e-14 * 2.1063444842276643e-13
+        # at m = 10 the one atom, at 0, weighs 7^25 > 2^63 itself
+        _, fibers, residues, weights = _critical_atoms(f, 7, 10, None)
+        assert (fibers, list(residues), list(weights)) == (1, [0], [7**25])
+        v = exp_sum_pruned(f, AdditiveCharacter(7, 10, 3))
+        assert abs(v.value - 7.0**-25) <= 1e-14 * 7.0**-25
+
+    def test_history_independence(self):
+        text, chi = "x1^3+x1*x2+x2^2", AdditiveCharacter(3, 3, 2)
+
+        def metered(f, chi, budget=None):
+            before = enumeration.meter_consumed()
+            v = exp_sum_pruned(f, chi, budget=budget)
+            return v, enumeration.meter_consumed() - before
+
+        fresh, fresh_points = metered(parse_polynomial(text), chi)
+        primed = parse_polynomial(text)
+        for p, m, a in [(3, 1, 1), (3, 2, 1), (2, 3, 3), (3, 3, 1), (3, 3, 5)]:
+            exp_sum_pruned(primed, AdditiveCharacter(p, m, a))
+        again, again_points = metered(primed, chi)
+        assert (again.value, again.err_bound, again.fiber_count) == (
+            fresh.value, fresh.err_bound, fresh.fiber_count)
+        assert again_points == fresh_points > 0
+
+        def refused(f):
+            before = enumeration.meter_consumed()
+            with pytest.raises(BudgetExceededError) as info:
+                exp_sum_pruned(f, chi, budget=17)
+            assert enumeration.meter_consumed() == before
+            return info.value.needed, info.value.budget, str(info.value)
+
+        assert refused(primed) == refused(parse_polynomial(text)) == (
+            18, 17, "zero-locus enumeration needs 18 points, budget is 17")
 
 
 class TestComposite:

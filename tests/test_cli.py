@@ -2,6 +2,9 @@ import json
 import os
 from fractions import Fraction
 
+import pytest
+
+from expsums import enumeration
 from expsums.cli import EXIT_BUDGET, EXIT_OK, EXIT_PRECONDITION, build_config, main, run
 from expsums.circle import CircleMethodReport
 from expsums.geometry import exponent_sheet
@@ -215,6 +218,16 @@ class TestMainEntry:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "key,value"
+
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_igusa_workers_below_one_exits_1(self, monkeypatch, value):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setenv("IGUSA_WORKERS", value)
+        monkeypatch.setattr(enumeration, "ThreadPoolExecutor", no_pool)
+        code = main(["sum", "--poly", "x1^2+x2^2", "--p", "5", "--m", "2", "--a", "1"])
+        assert code == EXIT_PRECONDITION
 
     def test_igusa_budget_env(self, capsys):
         old = os.environ.get("IGUSA_BUDGET")

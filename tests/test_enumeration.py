@@ -109,6 +109,30 @@ class TestResidueHistogram:
             residue_histogram(Polynomial(1, {(1,): 1}), 3, 3)
 
 
+    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    def test_env_workers_below_one_refused(self, monkeypatch, value):
+        # refused before any pool exists: the stand-in pool fails if built
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was started")
+
+        monkeypatch.setenv("IGUSA_WORKERS", value)
+        monkeypatch.setattr(enumeration, "ThreadPoolExecutor", no_pool)
+        match = "worker count must be positive" if value != "abc" else "invalid literal"
+        with pytest.raises(ValueError, match=match):
+            default_workers()
+        with pytest.raises(ValueError, match=match):
+            residue_histogram(Polynomial(1, {(1,): 1}), 3, 3)
+
+    def test_cpu_count_read_only_for_several_workers(self, monkeypatch):
+        def no_cpu_count():
+            raise AssertionError("os.cpu_count was read")
+
+        monkeypatch.setattr(os, "cpu_count", no_cpu_count)
+        monkeypatch.delenv("IGUSA_WORKERS", raising=False)
+        assert default_workers() == 1
+        monkeypatch.setenv("IGUSA_WORKERS", "1")
+        assert default_workers() == 1
+
     def test_env_workers_capped_at_cpu_count(self, monkeypatch):
         monkeypatch.setenv("IGUSA_WORKERS", str(10**6))
         assert default_workers() == (os.cpu_count() or 1)
