@@ -8,28 +8,31 @@ and a unit a is
 Three evaluation routes:
 
 * exp_sum_naive      -- full enumeration through an exact integer histogram
-                        of residues, converted to complex once per distinct
-                        angle (order-independent, bitwise deterministic).
+                        of residues, whose nonzero entries are the atoms
+                        (order-independent, bitwise deterministic).
 * exp_sum_pruned     -- stationary-phase pruning.  For m >= 2, writing
                         x = u + p^(m-1) t gives
                         f(x) = f(u) + p^(m-1) t . grad f(u)  (mod p^m),
                         so only fibers over critical residues u mod p
                         count.  With f(u + p y) = c0 + p^v h(y) they unfold
-                        into an exact integer distribution W on Z/p^m with
-                        E = p^(-mn) sum_r W(r) e^(2 pi i a r / p^m) for
-                        every unit a, summed as one phase per atom.  W is
-                        memoised on the Polynomial per (p, m) and lives as
-                        long as it; a memo hit replays the build's budget
-                        charges, so nothing depends on call history.
-                        Valid for every prime, including p = 2 and 3.
+                        into an exact integer distribution W on Z/p^m, a
+                        set of atoms (r, W(r)) with r sorted, distinct and
+                        reduced mod p^m; at m = 1, W is the histogram of f
+                        mod p.  W is memoised on the Polynomial per (p, m)
+                        and lives as long as it; a memo hit replays the
+                        build's budget charges, so nothing depends on call
+                        history.  Valid for every prime, including p = 2
+                        and 3.
 * exp_sum_composite  -- the product over prime powers dividing N, with the
                         per-factor units fixed by 1/N = sum_i u_i / q_i
                         where u_i = (N/q_i)^(-1) mod q_i, so that the unit
                         for the factor q_i is a * u_i mod q_i.
 
-Values carry a coarse but sound error bound: 4 ulp per distinct histogram
-angle or atom (scaled by the share of points the atoms carry) plus one
-per combination step.
+Every exact sum, naive, direct, finite-field or pruned, is one phase pass
+E = total^(-1) sum_r W(r) e^(2 pi i a r / q) over its atoms (_phase_sum).
+Values carry a coarse but sound error bound, 4 eps (atoms + 1) times the
+share of the total the atoms carry (1 for a full histogram), plus one eps
+per combination step of exp_sum_composite.
 """
 
 from __future__ import annotations
@@ -93,22 +96,25 @@ class ExpSumValue:
     fiber_count: int | None = None
 
 
-def _histogram_value(hist: np.ndarray, modulus: int, a: int, total: int) -> tuple[complex, float]:
-    """sum_r hist[r] e^(2*pi*i a r / modulus) / total, chunked and ordered."""
+def _phase_sum(residues: np.ndarray, weights: np.ndarray, q: int, a: int,
+               total: int) -> tuple[complex, float]:
+    """sum_r W(r) e^(2 pi i a r / q) / total over the atoms (r, W(r)), in
+    chunks of atoms in order, and its bound 4 eps (atoms + 1) scaled by the
+    atoms' share of the total."""
     acc = 0j
-    a = a % modulus
-    for lo in range(0, modulus, _PHASE_CHUNK):
-        hi = min(lo + _PHASE_CHUNK, modulus)
-        counts = hist[lo:hi]
-        if not counts.any():
-            continue
-        residues = np.arange(lo, hi, dtype=np.int64)
-        angles = (a * residues) % modulus
-        phases = np.exp((2j * np.pi / modulus) * angles)
-        acc += complex(np.sum(counts.astype(np.float64) * phases))
-    nnz = int(np.count_nonzero(hist))
-    err = 4.0 * _EPS * (nnz + 1)
+    dtype = np.int64 if q < 2**31 else object  # a*r stays exact
+    for lo in range(0, residues.size, _PHASE_CHUNK):
+        angles = (a * residues[lo:lo + _PHASE_CHUNK].astype(dtype)) % q
+        phases = np.exp((2j * np.pi / q) * angles.astype(np.float64))
+        acc += complex(np.sum(weights[lo:lo + _PHASE_CHUNK].astype(np.float64) * phases))
+    err = 4.0 * _EPS * (residues.size + 1) * float(weights.sum() / total)
     return acc / total, err
+
+
+def _nonzero(hist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(residues, counts) of the nonzero entries of a dense histogram."""
+    residues = np.flatnonzero(hist)
+    return residues, hist[residues]
 
 
 def _require_prime(p: int) -> None:
@@ -117,8 +123,8 @@ def _require_prime(p: int) -> None:
 
 
 def _from_histogram(f: Polynomial, modulus: int, a: int, budget) -> ExpSumValue:
-    hist = enumeration.residue_histogram(f, modulus, modulus, budget=budget)
-    value, err = _histogram_value(hist, modulus, a, modulus**f.n)
+    residues, counts = _nonzero(enumeration.residue_histogram(f, modulus, modulus, budget=budget))
+    value, err = _phase_sum(residues, counts, modulus, a, modulus**f.n)
     return ExpSumValue(value, abs(value), err)
 
 
@@ -199,12 +205,14 @@ def _critical_atoms(f: Polynomial, p: int, m: int, budget):
     """(charges, fibers, residues, weights) of W, the critical-atom
     distribution of f on Z/p^m (see the module docstring).
 
-    At m = 1, ``weights`` is the dense histogram of f mod p and the rest
+    At m = 1, the atoms are the nonzero entries of the histogram of f mod
+    p, in the narrowest dtypes that hold p - 1 and p^n, and ``fibers`` is
     None.  At m >= 2, each of the ``fibers`` critical residues u, with
-    f(u + p y) = c0 + p^v h(y), adds the atoms c0 + p^v r of weight
+    f(u + p y) = c0 + p^v h(y), adds the atoms c0 + p^v r mod p^m of weight
     p^((v-1)n) W_h(r) for h's W_h at level m - v (h None: one atom c0 of
-    weight p^((m-1)n)).  Residues are sorted and distinct, in int64 arrays
-    unless a weight or a*r could overflow (then exact Python ints).
+    weight p^((m-1)n)), in int64 arrays unless a weight or a*r could
+    overflow (then exact Python ints).  At every level the residues are
+    sorted, distinct and reduced mod p^m.
     Memoised on f; ``charges`` lists the build's (points, what) budget
     charges, which a hit replays in order.
     """
@@ -220,9 +228,10 @@ def _critical_atoms(f: Polynomial, p: int, m: int, budget):
         return entry
     n, q = f.n, p**m
     if m == 1:
-        hist = enumeration.residue_histogram(f, p, p, budget=budget)
-        memo[p, m] = ([(p**n, "histogram enumeration")], None, None,
-                      hist.astype(np.min_scalar_type(p**n)))  # counts <= p^n
+        residues, counts = _nonzero(enumeration.residue_histogram(f, p, p, budget=budget))
+        memo[p, m] = ([(p**n, "histogram enumeration")], None,
+                      residues.astype(np.min_scalar_type(p - 1)),
+                      counts.astype(np.min_scalar_type(p**n)))
         return memo[p, m]
     charges = [(n * p**n, "zero-locus enumeration")]
     criticals = _critical_residues(f, p, budget)
@@ -234,10 +243,7 @@ def _critical_atoms(f: Polynomial, p: int, m: int, budget):
         if h is not None:
             sub_charges, _, sub_r, sub_w = _critical_atoms(h, p, m - v, budget)
             charges += sub_charges
-            if sub_r is None:  # the dense histogram at level 1
-                sub_r = np.flatnonzero(sub_w)
-                sub_w = sub_w[sub_r]
-        residues.append(c0 % q + p**v * sub_r.astype(dtype))
+        residues.append((c0 % q + p**v * sub_r.astype(dtype)) % q)
         weights.append(p ** ((v - 1) * n) * sub_w.astype(dtype))
     atoms, index = np.unique(np.concatenate(residues), return_inverse=True)
     merged = np.zeros(atoms.size, dtype)
@@ -256,15 +262,7 @@ def exp_sum_pruned(
     _require_prime(chi.p)
     p, m, a = chi.p, chi.m, chi.unit
     _, fibers, residues, weights = _critical_atoms(f, p, m, budget)
-    total = p ** (m * f.n)
-    if residues is None:
-        value, err = _histogram_value(weights, p, a, total)
-        return ExpSumValue(value, abs(value), err)
-    q = p**m
-    angles = ((a * residues) % q).astype(np.float64)
-    phases = np.exp((2j * np.pi / q) * angles)
-    value = complex(np.sum(weights.astype(np.float64) * phases)) / total
-    err = 4.0 * _EPS * (residues.size + 1) * float(weights.sum() / total)
+    value, err = _phase_sum(residues, weights, p**m, a, p ** (m * f.n))
     return ExpSumValue(value, abs(value), err, fiber_count=fibers)
 
 

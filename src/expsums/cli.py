@@ -154,8 +154,8 @@ def _apply_config_file(ns: argparse.Namespace, cfg: dict[str, str]) -> None:
             continue
         if getattr(ns, dest) not in (None, False):
             continue  # explicit flags win
-        if key in ("crosscheck", "self-test"):
-            setattr(ns, dest.replace("-", "_"), raw.lower() in ("1", "true", "yes"))
+        if getattr(ns, dest) is False:  # an unset store_true flag
+            setattr(ns, dest, raw.lower() in ("1", "true", "yes"))
         elif key in _CONFIG_COERCE:
             setattr(ns, dest, _CONFIG_COERCE[key](raw))
         else:

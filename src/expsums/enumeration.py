@@ -2,6 +2,8 @@
 
 All heavy loops run through numpy int64 with reduction mod M after every
 multiply, which is exact provided M < 2^31 (products stay below 2^62).
+eval_points_mod, which sees only a list of points, switches to exact
+Python ints from 2^31 on.
 Counts are exact integers throughout, so results are independent of block
 partitioning and of the worker count: parallel workers each produce an
 integer histogram (or count, or index list) and the merge is exact integer
@@ -268,16 +270,18 @@ def count_common_zeros(
 
 
 def eval_points_mod(f: Polynomial, points: np.ndarray, modulus: int) -> np.ndarray:
-    """f at each row of ``points`` (N, n), reduced mod modulus."""
-    if modulus >= _MAX_MODULUS:
-        raise ValueError(f"modulus {modulus} too large for the int64 kernel")
+    """f at each row of ``points`` (N, n), reduced mod modulus.
+
+    int64 below 2^31; from there on exact Python ints in an object array.
+    """
     if points.ndim != 2 or points.shape[1] != f.n:
         raise ValueError(f"points must be (N, {f.n})")
-    acc = np.zeros(points.shape[0], dtype=np.int64)
-    cols = points.T % modulus
+    dtype = np.int64 if modulus < _MAX_MODULUS else object
+    acc = np.zeros(points.shape[0], dtype=dtype)
+    cols = points.T.astype(dtype) % modulus
     pows: dict[tuple[int, int], np.ndarray] = {}  # one table per (variable, exponent)
     for e, c in _prepare_terms(f, modulus):
-        t = np.full(points.shape[0], c, dtype=np.int64)
+        t = np.full(points.shape[0], c, dtype=dtype)
         for j, k in enumerate(e):
             if k:
                 if (j, k) not in pows:

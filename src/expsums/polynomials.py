@@ -69,6 +69,10 @@ class Polynomial:
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
+    def __reduce__(self):
+        # copy and pickle rebuild from the terms; the _atoms memo stays behind
+        return Polynomial, (self.n, self.terms)
+
     # -- constructors ------------------------------------------------------
 
     @classmethod
@@ -239,32 +243,6 @@ class Polynomial:
                     t = t * pow(v % modulus, k, modulus) % modulus
             total += t
         return total % modulus
-
-    def compose(self, subs: Sequence["Polynomial"]) -> "Polynomial":
-        """Substitute subs[j] for variable j; all subs share one ambient n."""
-        if len(subs) != self.n:
-            raise ValueError(f"need {self.n} substitutions, got {len(subs)}")
-        if not subs:
-            raise ValueError("empty substitution")
-        m = subs[0].n
-        if any(s.n != m for s in subs):
-            raise ValueError("substitutions have mixed variable counts")
-        acc = Polynomial.zero(m)
-        pow_cache: dict[tuple[int, int], Polynomial] = {}
-
-        def spow(j: int, k: int) -> Polynomial:
-            key = (j, k)
-            if key not in pow_cache:
-                pow_cache[key] = subs[j] ** k
-            return pow_cache[key]
-
-        for e, c in self.terms.items():
-            t = Polynomial.constant(m, c)
-            for j, k in enumerate(e):
-                if k:
-                    t = t * spow(j, k)
-            acc = acc + t
-        return acc
 
     def shift_scale(self, base: Sequence[int], scale: int) -> "Polynomial":
         """f(base + scale * y) as a polynomial in y (same variable count), by
@@ -463,12 +441,6 @@ class ArcExpansion:
     order: int
     coefficients: tuple[Polynomial, ...]
     n: int
-
-    def variable_position(self, level: int, coord: int) -> int:
-        """0-based ambient position of x_{level,coord} (both 1-based)."""
-        if not (1 <= level <= self.order and 1 <= coord <= self.n):
-            raise ValueError(f"no arc variable x_({level},{coord})")
-        return (level - 1) * self.n + (coord - 1)
 
 
 def _series_mul(a: list[Polynomial], b: list[Polynomial], order: int, ambient: int) -> list[Polynomial]:

@@ -152,10 +152,3 @@ def serialize_report(report: Any, format: str = "json") -> bytes:
         return dumps_csv(report).encode()
     raise ValueError(f"unknown format {format!r}")
 
-
-def parse_json_report(data: bytes | str) -> Any:
-    """Inverse of dumps_json up to Python's float round-trip (exact at 17
-    significant digits)."""
-    if isinstance(data, bytes):
-        data = data.decode()
-    return json.loads(data)

@@ -32,6 +32,21 @@ def brute_exp_sum(f: Polynomial, modulus: int, a: int = 1) -> complex:
     ) / modulus**f.n
 
 
+def compose(f: Polynomial, subs: list[Polynomial]) -> Polynomial:
+    """f with subs[j] substituted for variable j, by repeated multiplication;
+    every substitution shares one variable count."""
+    if len(subs) != f.n:
+        raise ValueError(f"need {f.n} substitutions, got {len(subs)}")
+    m = subs[0].n
+    acc = Polynomial.zero(m)
+    for e, c in f.terms.items():
+        t = Polynomial.constant(m, c)
+        for s, k in zip(subs, e):
+            t = t * s**k
+        acc = acc + t
+    return acc
+
+
 def brute_weight(w, x) -> float:
     """The bump weight omega(x) of a WeightFunction at one point, by the
     scalar formula w(t) = exp(-1/(1 - t^2)) for t = ||x - center|| / rho < 1."""

@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -19,7 +20,7 @@ from expsums import (
 from expsums import enumeration
 from expsums.charsums import _critical_atoms, _fiber_split, crt_units
 from expsums.corpus import standard_corpus
-from conftest import brute_exp_sum, small_polynomials
+from conftest import brute_exp_sum, compose, small_polynomials
 
 
 class TestCharacter:
@@ -163,6 +164,28 @@ class TestPruned:
         v = exp_sum_pruned(f, AdditiveCharacter(7, 10, 3))
         assert abs(v.value - 7.0**-25) <= 1e-14 * 7.0**-25
 
+    def test_atoms_are_canonical_residues(self):
+        # c0 % q + p^v r reached 163 >= 125 at (5, 3); at (7, 5) two of the
+        # 15 atoms were congruent mod 7^5
+        f = parse_polynomial("x1^3+x2^3+x1*x2")
+        for (p, m), size in [((5, 3), None), ((7, 5), 14)]:
+            _, _, residues, _ = _critical_atoms(f, p, m, None)
+            assert residues[0] >= 0 and residues[-1] < p**m
+            assert all(int(b) > int(a) for a, b in zip(residues, residues[1:]))
+            assert size is None or residues.size == size
+            chi = AdditiveCharacter(p, m, 2)
+            got, want = exp_sum_pruned(f, chi), exp_sum_naive(f, chi, budget=p ** (m * f.n))
+            assert abs(got.value - want.value) <= got.err_bound + want.err_bound, (p, m)
+
+    def test_level_one_atoms_are_narrow(self):
+        f = parse_polynomial("x1^2+x2^3")
+        _, fibers, residues, weights = _critical_atoms(f, 7, 1, None)
+        hist = enumeration.residue_histogram(f, 7, 7)
+        assert fibers is None
+        assert (residues.dtype, weights.dtype) == (np.uint8, np.uint8)
+        assert residues.tolist() == np.flatnonzero(hist).tolist()
+        assert weights.tolist() == hist[hist > 0].tolist()
+
     def test_history_independence(self):
         text, chi = "x1^3+x1*x2+x2^2", AdditiveCharacter(3, 3, 2)
 
@@ -275,7 +298,7 @@ class TestSymmetries:
                 for k in range(n):
                     comp = comp + Polynomial.variable(n, k).scale_coefficients(mat[j][k])
                 subs.append(comp)
-            composed = f.compose(subs)
+            composed = compose(f, subs)
             assert abs(exp_sum_naive(composed, chi).abs - base) < 1e-9
 
     def test_value_reconstructible_from_histogram(self):

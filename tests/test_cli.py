@@ -8,7 +8,7 @@ from expsums import enumeration
 from expsums.cli import EXIT_BUDGET, EXIT_OK, EXIT_PRECONDITION, build_config, main, run
 from expsums.circle import CircleMethodReport
 from expsums.geometry import exponent_sheet
-from expsums.reports import dumps_csv, dumps_json, parse_json_report, serialize_report, to_jsonable
+from expsums.reports import dumps_csv, dumps_json, serialize_report, to_jsonable
 from expsums.zeta import CountKind, CountTable
 
 
@@ -141,6 +141,16 @@ class TestOtherCommands:
         assert report["params"]["p"] == 3
 
 
+    @pytest.mark.parametrize("raw, want", [("false", False), ("true", True)])
+    def test_config_file_store_true_flags(self, tmp_path, raw, want):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"max-units={raw}\nself-test={raw}\n")
+        assert build_config(["--config", str(cfg), "verify"]).max_units is want
+        assert build_config(["--config", str(cfg), "verify"]).self_test is want
+        cfg.write_text(f"crosscheck={raw}\n")
+        zeta = build_config(["--config", str(cfg), "zeta", "--poly", "x1", "--p", "3", "--max-m", "1"])
+        assert zeta.crosscheck is want
+
 class TestSerialization:
     def test_exponent_sheet_rationals(self):
         sheet = exponent_sheet(5, 2, 0)
@@ -159,7 +169,7 @@ class TestSerialization:
             S_truncated=1.0, J_truncated=0.127051, direct_count=10819.438,
             prediction=8131.29, ratio=1.3306, trusted=True, warnings=[],
         )
-        data = parse_json_report(serialize_report(rep))
+        data = json.loads(serialize_report(rep))
         rebuilt = CircleMethodReport(**{**data, "warnings": list(data["warnings"])})
         assert to_jsonable(rebuilt) == to_jsonable(rep)
 

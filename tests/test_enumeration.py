@@ -219,6 +219,8 @@ class TestPointAndBoxEvaluation:
     @settings(max_examples=40)
     # a Taylor-shifted fiber polynomial: 14 terms sharing 9 power tables
     @example(parse_polynomial("x1^3+x2^3+x3^3+x1*x2*x3").shift_scale((1, 2, 1), 3), 3**7)
+    # a modulus past the int64 kernel: exact Python ints
+    @example(parse_polynomial("x1^3*x2 + 5*x2^2 - 7"), 2**61 - 1)
     def test_points_match_eval_mod(self, f, modulus):
         pts = np.array(
             [[i % 5 - 2 for i in range(k, k + f.n)] for k in range(8)], dtype=np.int64

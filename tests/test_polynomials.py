@@ -1,11 +1,21 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from expsums import ArcExpansion, Polynomial, PolyParseError, arc_expansion, parse_polynomial
-from conftest import small_polynomials
+from expsums import (
+    AdditiveCharacter,
+    ArcExpansion,
+    Polynomial,
+    PolyParseError,
+    arc_expansion,
+    exp_sum_pruned,
+    parse_polynomial,
+)
+from conftest import compose, small_polynomials
 
 
 class TestParser:
@@ -236,6 +246,14 @@ class TestArithmetic:
         with pytest.raises(AttributeError):
             f.n = 3
 
+    def test_copy_and_pickle_leave_the_memo_behind(self):
+        f = parse_polynomial("x1^3+x2^3+x1*x2")
+        exp_sum_pruned(f, AdditiveCharacter(5, 3))
+        assert f._atoms
+        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
+            assert g == f and list(g.terms) == list(f.terms)
+            assert getattr(g, "_atoms", None) is None
+
     def test_pow(self):
         f = parse_polynomial("x1 + 1")
         assert f**4 == parse_polynomial("(x1+1)^4")
@@ -253,7 +271,7 @@ class TestArithmetic:
     def test_shift_scale_matches_compose(self, f, base, scale):
         subs = [Polynomial.constant(f.n, b) + Polynomial.variable(f.n, j).scale_coefficients(scale)
                 for j, b in enumerate(base[: f.n])]
-        assert f.shift_scale(base[: f.n], scale) == f.compose(subs)
+        assert f.shift_scale(base[: f.n], scale) == compose(f, subs)
 
     def test_divide_coefficients_exact(self):
         f = parse_polynomial("4*x1 + 8")

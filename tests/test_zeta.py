@@ -51,6 +51,12 @@ class TestCountZeros:
         f = parse_polynomial("x1^3+x2^3+x3^3")
         assert count_zeros_mod(f, 5, 4, budget=10**5) == 765625
 
+    def test_square_modulus_beyond_int64_kernel(self):
+        # the singular-zero test evaluates mod p^2 = 2148229801 >= 2^31
+        f = parse_polynomial("x1^2")
+        for m in (2, 3):
+            assert count_zeros_mod(f, 46349, m) == 46349
+
     def test_direct_matches_brute(self):
         f = parse_polynomial("x1^2 + x2^3 + 1")
         assert count_zeros_mod(f, 3, 2) == brute_zero_count(f, 9)
