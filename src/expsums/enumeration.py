@@ -1,9 +1,11 @@
 """Vectorized enumeration kernels: grid evaluation, exact histograms, budgets.
 
-All heavy loops run through numpy int64 with reduction mod M after every
-multiply, which is exact provided M < 2^31 (products stay below 2^62).
-eval_points_mod, which sees only a list of points, switches to exact
-Python ints from 2^31 on.
+Grid kernels (histograms, zero masks) need M < 2^31.  They run in uint32
+lanes when the worst-case unreduced value of f provably stays below 2^32,
+otherwise in int64 with a reduction mod M only where a product or sum could
+pass 2^62; either way one final a - M*(a // M) replaces ``%``.
+eval_points_mod, which sees only a list of points, reduces after every
+multiply and switches to exact Python ints from 2^31 on.
 Counts are exact integers throughout, so results are independent of block
 partitioning and of the worker count: parallel workers each produce an
 integer histogram (or count, or index list) and the merge is exact integer
@@ -71,6 +73,8 @@ def _charge(points: int, budget: int, what: str) -> None:
 
 
 def _pow_vector(values: np.ndarray, e: int, modulus: int) -> np.ndarray:
+    if e == 1:
+        return values % modulus
     out = np.ones_like(values)
     base = values % modulus
     k = e
@@ -97,6 +101,15 @@ def _prepare_terms(f: Polynomial, modulus: int) -> list[tuple[tuple[int, ...], i
 _INT64_SAFE = 2**62
 
 
+def _reduce(a: np.ndarray, modulus: int) -> np.ndarray:
+    """a mod modulus in place, for a >= 0.  numpy divides by a scalar with a
+    multiply and a shift, so a - M*(a // M) beats ``%``."""
+    q = a // modulus
+    q *= modulus
+    a -= q
+    return a
+
+
 def _block_values(
     terms: list[tuple[tuple[int, ...], int]],
     n: int,
@@ -104,28 +117,34 @@ def _block_values(
     modulus: int,
     lo: int,
     hi: int,
-    pow_full: dict[tuple[int, int], np.ndarray],
+    pow_full: dict[tuple[int, int, type], np.ndarray],
 ) -> np.ndarray:
     """Values of sum(terms) mod modulus on [lo,hi) x [0,grid)^(n-1), flattened.
 
-    Worst-case magnitudes are tracked exactly so the (slow) int64 reduction
-    runs only when a product or sum could otherwise overflow; for small
-    moduli a term costs one multiply per variable factor and a single
-    final reduction.
+    Coefficients and power tables are reduced below M, so the unreduced sum
+    is at most sum_terms c*(M-1)^v, v the number of variables in the term.
+    When that worst case is below 2^32 everything runs in uint32 lanes with
+    no reduction until the end.  Otherwise it runs in int64, where
+    worst-case magnitudes are tracked exactly so a reduction runs only when
+    a product or sum could otherwise overflow.  Either way the last step is
+    one reduction a - M*(a // M).
     """
     shape = (hi - lo,) + (grid,) * (n - 1)
-    acc = np.zeros(shape, dtype=np.int64)
-    acc_bound = 0
     red = modulus - 1
+    worst = sum(c * red ** sum(map(bool, e)) for e, c in terms)
+    lane = np.uint32 if worst < 2**32 else np.int64
+    acc = np.zeros(shape, dtype=lane)
+    acc_bound = 0
     for e, c in terms:
         t: np.ndarray | None = None
         t_bound = 1
         for j, k in enumerate(e):
             if not k:
                 continue
-            key = (j, k)
+            key = (j, k, lane)
             if key not in pow_full:
-                pow_full[key] = _pow_vector(np.arange(grid, dtype=np.int64), k, modulus)
+                table = _pow_vector(np.arange(grid, dtype=np.int64), k, modulus)
+                pow_full[key] = table.astype(lane, copy=False)
             vec = pow_full[key][lo:hi] if j == 0 else pow_full[key]
             ax_shape = [1] * n
             ax_shape[j] = -1
@@ -136,7 +155,7 @@ def _block_values(
                 t_bound = red * c
             else:
                 if t_bound * red >= _INT64_SAFE:
-                    t = t % modulus
+                    t = _reduce(t, modulus)
                     t_bound = red
                 t = t * shaped
                 t_bound *= red
@@ -145,15 +164,14 @@ def _block_values(
             acc_bound += c
         else:
             if acc_bound + t_bound >= _INT64_SAFE:
-                acc %= modulus
+                _reduce(acc, modulus)
                 acc_bound = red
                 if t_bound >= _INT64_SAFE - acc_bound:
-                    t = t % modulus
+                    t = _reduce(t, modulus)
                     t_bound = red
             acc += t
             acc_bound += t_bound
-    acc %= modulus
-    return acc.reshape(-1)
+    return _reduce(acc, modulus).reshape(-1)
 
 
 def _axis0_blocks(grid: int, n: int, workers: int = 1) -> list[tuple[int, int]]:

@@ -67,6 +67,47 @@ class TestResidueHistogram:
         b = residue_histogram(f, 50, 50)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize(
+        "terms, lane",
+        [
+            ({(16, 0): 2**15, (0, 16): 2**15 - 1}, np.uint32),
+            ({(16, 0): 2**15, (0, 16): 2**15}, np.int64),
+            ({(16, 16): 1}, np.int64),
+        ],
+    )
+    def test_lane_boundary(self, terms, lane):
+        # 2^16 = -1 mod 65537, so at (2, 2) every term hits its worst case
+        # c*(M-1)^v: the unreduced sum is 2^32 - 2^16, or exactly 2^32
+        f = Polynomial(2, terms)
+        M = 65537
+        terms = enumeration._prepare_terms(f, M)
+        assert enumeration._block_values(terms, 2, 3, M, 0, 3, {}).dtype == lane
+        assert residue_histogram(f, 3, M).tolist() == brute_histogram(f, 3, M)
+        zeros = sum(f.eval_mod(pt, M) == 0 for pt in itertools.product(range(3), repeat=2))
+        assert count_common_zeros([f], 3, M) == zeros
+
+    @given(
+        small_polynomials(max_n=2),
+        st.integers(2, 5),
+        st.one_of(st.integers(2, 400), st.integers(40_000, 70_000)),
+    )
+    @settings(max_examples=40)
+    # (M-1)^3 + (M-1) is just below 2^32 at M = 1626 and above it at 1627
+    @example(parse_polynomial("-x1*x2 - 1"), 4, 1626)
+    @example(parse_polynomial("-x1*x2 - 1"), 4, 1627)
+    def test_both_lanes_match_brute(self, f, grid, modulus):
+        points = list(itertools.product(range(grid), repeat=f.n))
+        zeros = [pt for pt in points if f.eval_mod(pt, modulus) == 0]
+        hists = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "cpu_count", lambda: 2)
+            for workers in ("1", "2"):
+                mp.setenv("IGUSA_WORKERS", workers)
+                hists.append(residue_histogram(f, grid, modulus))
+                assert [tuple(pt) for pt in common_zero_points([f], grid, modulus)] == zeros
+        assert np.array_equal(hists[0], hists[1])
+        assert hists[0].tolist() == brute_histogram(f, grid, modulus)
+
     def test_budget_refused(self):
         f = Polynomial(3, {(1, 1, 1): 1})
         with pytest.raises(BudgetExceededError):
@@ -212,6 +253,14 @@ class TestZeroEnumeration:
         g = Polynomial(2, {(0, 1): 1, (0, 0): -3})
         pts = common_zero_points([f, g], 7, 7)
         assert [tuple(r) for r in pts] == [(0, 3)]
+
+    def test_lanes_keep_separate_power_tables(self):
+        # f runs in uint32 lanes and g in int64; both read x^16 mod 65537,
+        # and at (2, 2) g's product (-1)*(-1) = 2^32 would wrap in uint32
+        f = parse_polynomial("x1^16 + x2^16 + 2")
+        g = parse_polynomial("x1^16*x2^16 - 1")
+        assert count_common_zeros([f, g], 3, 65537) == 1
+        assert [tuple(r) for r in common_zero_points([f, g], 3, 65537)] == [(2, 2)]
 
 
 class TestPointAndBoxEvaluation:
