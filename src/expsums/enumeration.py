@@ -131,7 +131,7 @@ def _block_values(
     """
     shape = (hi - lo,) + (grid,) * (n - 1)
     red = modulus - 1
-    worst = sum(c * red ** sum(map(bool, e)) for e, c in terms)
+    worst = sum(c * red ** (len(e) - e.count(0)) for e, c in terms)
     lane = np.uint32 if worst < 2**32 else np.int64
     acc = np.zeros(shape, dtype=lane)
     acc_bound = 0
@@ -208,7 +208,7 @@ def residue_histogram(
     _charge(total, enumeration_budget(budget), "histogram enumeration")
     workers = default_workers()
     terms = _prepare_terms(f, modulus)
-    pow_full: dict[tuple[int, int], np.ndarray] = {}
+    pow_full: dict[tuple[int, int, type], np.ndarray] = {}
 
     hist = np.zeros(modulus, dtype=np.int64)
     lock = threading.Lock()
@@ -238,7 +238,7 @@ def _zero_masks(polys, grid, modulus, budget, what, reduce) -> list:
     _charge(grid**n * len(polys), enumeration_budget(budget), what)
     workers = default_workers()
     terms_list = [_prepare_terms(p, modulus) for p in polys]
-    pow_full: dict[tuple[int, int], np.ndarray] = {}
+    pow_full: dict[tuple[int, int, type], np.ndarray] = {}
     inner = grid ** (n - 1)
 
     def work(block):
