@@ -103,7 +103,10 @@ _INT64_SAFE = 2**62
 
 def _reduce(a: np.ndarray, modulus: int) -> np.ndarray:
     """a mod modulus in place, for a >= 0.  numpy divides by a scalar with a
-    multiply and a shift, so a - M*(a // M) beats ``%``."""
+    multiply and a shift, so from about 1000 values on a - M*(a // M) beats
+    ``%``; below that its two extra calls cost more than they save."""
+    if a.size < 1024:
+        return np.remainder(a, modulus, out=a)
     q = a // modulus
     q *= modulus
     a -= q

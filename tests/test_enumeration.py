@@ -88,13 +88,14 @@ class TestResidueHistogram:
 
     @given(
         small_polynomials(max_n=2),
-        st.integers(2, 5),
+        st.integers(2, 40),
         st.one_of(st.integers(2, 400), st.integers(40_000, 70_000)),
     )
     @settings(max_examples=40)
-    # (M-1)^3 + (M-1) is just below 2^32 at M = 1626 and above it at 1627
-    @example(parse_polynomial("-x1*x2 - 1"), 4, 1626)
-    @example(parse_polynomial("-x1*x2 - 1"), 4, 1627)
+    # (M-1)^3 + (M-1) is just below 2^32 at M = 1626 and above it at 1627;
+    # a 40 x 40 grid is one block of 1600 values, or two of 800 at 2 workers
+    @example(parse_polynomial("-x1*x2 - 1"), 40, 1626)
+    @example(parse_polynomial("-x1*x2 - 1"), 40, 1627)
     def test_both_lanes_match_brute(self, f, grid, modulus):
         points = list(itertools.product(range(grid), repeat=f.n))
         zeros = [pt for pt in points if f.eval_mod(pt, modulus) == 0]
