@@ -3,7 +3,8 @@
 Grid kernels (histograms, zero masks) need M < 2^31.  They run in uint32
 lanes when the worst-case unreduced value of f provably stays below 2^32,
 otherwise in int64 with a reduction mod M only where a product or sum could
-pass 2^62; either way one final a - M*(a // M) replaces ``%``.
+pass 2^62; either way the reductions are a - M*(a // M), which beats ``%``
+on blocks of 1024 values or more.
 eval_points_mod, which sees only a list of points, reduces after every
 multiply and switches to exact Python ints from 2^31 on.
 Counts are exact integers throughout, so results are independent of block
@@ -130,7 +131,7 @@ def _block_values(
     no reduction until the end.  Otherwise it runs in int64, where
     worst-case magnitudes are tracked exactly so a reduction runs only when
     a product or sum could otherwise overflow.  Either way the last step is
-    one reduction a - M*(a // M).
+    one ``_reduce``.
     """
     shape = (hi - lo,) + (grid,) * (n - 1)
     red = modulus - 1

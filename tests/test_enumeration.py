@@ -80,8 +80,8 @@ class TestResidueHistogram:
         # c*(M-1)^v: the unreduced sum is 2^32 - 2^16, or exactly 2^32
         f = Polynomial(2, terms)
         M = 65537
-        terms = enumeration._prepare_terms(f, M)
-        assert enumeration._block_values(terms, 2, 3, M, 0, 3, {}).dtype == lane
+        values = enumeration._block_values(enumeration._prepare_terms(f, M), 2, 3, M, 0, 3, {})
+        assert values.dtype == lane
         assert residue_histogram(f, 3, M).tolist() == brute_histogram(f, 3, M)
         zeros = sum(f.eval_mod(pt, M) == 0 for pt in itertools.product(range(3), repeat=2))
         assert count_common_zeros([f], 3, M) == zeros
