@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -56,6 +56,8 @@ class WeightFunction:
         if not 0 < self.rho < 1:
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
         object.__setattr__(self, "center", tuple(float(c) for c in self.center))
+        if not all(map(math.isfinite, self.center)):
+            raise ValueError(f"center coordinates must be finite, got {self.center}")
 
     @property
     def n(self) -> int:
@@ -99,6 +101,23 @@ def _box_chunks(box: list[tuple[int, int]], target: int = _SOLVER_CHUNK) -> list
         inner *= hi - lo + 1
     step = max(1, target // max(1, inner))
     return [(a, min(a + step, hi0 + 1)) for a in range(lo0, hi0 + 1, step)]
+
+
+def _mirror_axes(f: Polynomial, w: WeightFunction, axes: Iterable[int]) -> list[int]:
+    """The axes j among ``axes`` with center_j == 0 and only even exponents
+    of x_j in f.  Reflecting x_j fixes f, the weight, the support box
+    (lo = -hi) and the Gauss-Legendre rule, so grids keep x_j >= 0 and
+    count a point with x_j != 0 twice."""
+    return [j for j in axes if w.center[j] == 0.0 and all(e[j] % 2 == 0 for e in f.terms)]
+
+
+def _fold(box: list[tuple[int, int]], mirror: list[int]) -> list[tuple[int, int]]:
+    return [(0, hi) if j in mirror else (lo, hi) for j, (lo, hi) in enumerate(box)]
+
+
+def _multiplicity(cols: Sequence[np.ndarray], mirror: list[int]) -> np.ndarray:
+    """2^(number of mirror axes j with x_j != 0) at each point of a folded walk."""
+    return np.ldexp(1.0, sum((cols[j] != 0 for j in mirror), np.zeros(cols[0].size, np.int64)))
 
 
 def _in_ball(offsets: Sequence[np.ndarray], rho2: float) -> tuple[list[np.ndarray], np.ndarray]:
@@ -266,8 +285,11 @@ class OscillatoryIntegrator:
     Each ladder order's node grid (f values, omega times quadrature
     weight) is restricted to the ball by _in_ball, the walk the lattice
     solvers use, and built when needed: only the plain weight integral is
-    kept.  Every evaluation climbs the ladder from its first order, so a
-    value never depends on earlier calls.
+    kept.  On each mirror axis (_mirror_axes: center_j = 0, f even in x_j)
+    only the nodes >= 0 are kept, and a node > 0 carries twice its
+    weight, so k such axes shrink the grid about 2^k-fold.  Every
+    evaluation climbs the ladder from its first order, so a value never
+    depends on earlier calls.
     """
 
     def __init__(self, f: Polynomial, w: WeightFunction, tol: float = QUAD_TOL):
@@ -286,20 +308,25 @@ class OscillatoryIntegrator:
         Gauss-Legendre nodes inside the support ball, in row-major order."""
         f, w = self.f, self.w
         nodes, gl_w = np.polynomial.legendre.leggauss(order)
-        axes = [c + w.rho * nodes for c in w.center]
+        # leggauss's nodes are antisymmetric and its weights symmetric, bitwise
+        half = nodes >= 0
+        mirror = _mirror_axes(f, w, range(f.n))
+        rules = [(nodes[half], gl_w[half] * np.where(nodes[half] > 0, 2.0, 1.0))
+                 if j in mirror else (nodes, gl_w) for j in range(f.n)]
+        axes = [c + w.rho * t for c, (t, _) in zip(w.center, rules)]
         offsets = [x - c for x, c in zip(axes, w.center)]
-        wts = w.rho * gl_w
+        wts = [w.rho * g for _, g in rules]
         # scalar powers on axis 0: numpy's array power can differ by an ulp, and
         # J(R)'s bits are part of the report
         pow0 = {k: np.array([x**k for x in axes[0]]) for k in {e[0] for e in f.terms}}
         chunk_f: list[np.ndarray] = []
         chunk_wq: list[np.ndarray] = []
-        for a, b in _box_chunks([(0, order - 1)] * f.n):  # axis-0 blocks bound the temporaries
+        for a, b in _box_chunks([(0, x.size - 1) for x in axes]):  # axis-0 blocks bound temporaries
             idx, t2 = _in_ball([offsets[0][a:b]] + offsets[1:], w.rho**2)
             idx[0] = idx[0] + a
-            wq = wts[idx[0]]
-            for ix in idx[1:]:
-                wq = wq * wts[ix]
+            wq = wts[0][idx[0]]
+            for wt, ix in zip(wts[1:], idx[1:]):
+                wq = wq * wt[ix]
             fv = np.zeros(t2.size)
             for e, c in f.terms.items():
                 t = float(c) * pow0[e[0]][idx[0]] if e[0] else float(c)
@@ -416,7 +443,10 @@ def weighted_solution_count(
 
     Only the lattice points of the support ball are enumerated
     (_ball_columns), one axis-0 chunk of the support box at a time, in
-    row-major order; the budget is charged for the whole box.  Solution
+    row-major order; the budget is charged for the whole box.  On each
+    mirror axis (_mirror_axes: center_j = 0, f even in x_j; among the
+    first n-1 on the solver path below) only x_j >= 0 is walked, and a
+    point counts 2^(mirror axes with x_j != 0) times its weight.  Solution
     testing is exact integer arithmetic.  Polynomials of degree <= 2 in
     the last variable take the accelerated path: enumerate the ball's
     projection onto the first n-1 axes and solve the (at most quadratic)
@@ -438,16 +468,19 @@ def weighted_solution_count(
         return _count_quadratic_fiber(f, split, B, w, box)
     total = math.prod(sizes)
     enumeration._charge(total, budget_val, "solution enumeration")
+    mirror = _mirror_axes(f, w, range(f.n))
+    walk = _fold(box, mirror)
 
     def work(chunk):
-        cols = _ball_columns(w, B, box, *chunk)
+        cols = _ball_columns(w, B, walk, *chunk)
         hit = enumeration.eval_columns_exact(f, cols) == 0
         if not hit.any():
             return 0.0
-        pts = np.stack([c[hit] for c in cols], axis=-1).astype(np.float64)
-        return float(np.sum(w.values(pts, scale=B)))
+        cols = [c[hit] for c in cols]
+        pts = np.stack(cols, axis=-1).astype(np.float64)
+        return float(np.sum(w.values(pts, scale=B) * _multiplicity(cols, mirror)))
 
-    parts = enumeration._run_blocks(work, _box_chunks(box), enumeration.default_workers())
+    parts = enumeration._run_blocks(work, _box_chunks(walk), enumeration.default_workers())
     return math.fsum(parts)
 
 
@@ -464,7 +497,8 @@ def _float_sqrt_safe(split, outer_box) -> bool:
 
 def _count_quadratic_fiber(f, split, B, w, box) -> float:
     A, Bc, C = split
-    outer_box = box[:-1]
+    mirror = _mirror_axes(f, w, range(f.n - 1))
+    outer_box = _fold(box[:-1], mirror)
     zlo, zhi = box[-1]
     z_axis = np.arange(zlo, zhi + 1, dtype=np.int64)
 
@@ -473,6 +507,7 @@ def _count_quadratic_fiber(f, split, B, w, box) -> float:
 
     def work(chunk):
         cols = _ball_columns(w, B, outer_box, *chunk)
+        mult = _multiplicity(cols, mirror)
         a, b, c = (enumeration.eval_columns_exact(g, cols) for g in (A, Bc, C))
         acc = 0.0
 
@@ -481,7 +516,7 @@ def _count_quadratic_fiber(f, split, B, w, box) -> float:
             if not ok.any():
                 return 0.0
             pts = np.stack([col[idx[ok]] for col in cols] + [z[ok]], axis=-1)
-            return float(np.sum(weight_of(pts)))
+            return float(np.sum(weight_of(pts) * mult[idx[ok]]))
 
         def add_roots(idx: np.ndarray, num: np.ndarray, den: np.ndarray) -> float:
             """add_points at the integer quotients z = num / den."""
@@ -512,7 +547,7 @@ def _count_quadratic_fiber(f, split, B, w, box) -> float:
                 pts = np.concatenate(
                     [np.broadcast_to(base, (z_axis.size, base.size)), z_axis[:, None]], axis=1
                 )
-                acc += float(np.sum(weight_of(pts)))
+                acc += mult[i] * float(np.sum(weight_of(pts)))
         return acc
 
     parts = enumeration._run_blocks(work, _box_chunks(outer_box), enumeration.default_workers())
@@ -554,8 +589,8 @@ def major_arc_report(
     is still computed, with a warning flag.  Explicit R overrides support
     convergence studies (holding R fixed makes the prediction scale
     exactly like B^(n-d))."""
-    if B <= 0 or delta <= 0:
-        raise ValueError("B and delta must be positive")
+    if not (math.isfinite(B) and math.isfinite(delta)) or B <= 0 or delta <= 0:
+        raise ValueError(f"B and delta must be positive and finite, got {B} and {delta}")
     d = f.degree()
     if d is None or d < 1:
         raise ValueError("polynomial must be non-constant")

@@ -106,7 +106,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--B", type=float, required=True)
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--rho", type=float, required=True)
-    sp.add_argument("--center", required=True)
+    sp.add_argument("--center", required=True,
+                    help="c1,...,cn; write --center=-0.5,... when c1 is negative")
     sp.add_argument("--R-series", dest="R_series", type=int, default=None)
     sp.add_argument("--quad-tol", dest="quad_tol", type=float, default=None)
     common(sp)

@@ -1,6 +1,7 @@
 import cmath
 import itertools
 import math
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -398,6 +399,143 @@ def test_solver_branches_match_brute_force(branch, n, case):
     assert (circle._last_var_split(f) is None) == (branch == "generic")
     want = brute_weighted_count(f, B, w)
     assert abs(weighted_solution_count(f, B, w) - want) <= 1e-12
+
+
+def _unfolded(monkeypatch):
+    monkeypatch.setattr(circle, "_mirror_axes", lambda f, w, axes: [])
+
+
+def _even_form(n):
+    """Even in every variable: x1^2 - 2 x2^2 + 3 x3^2 ... + x1^2 xn^4 - 1."""
+    terms = "".join(f" {'+-'[j % 2]} {j + 1}*x{j + 1}^2" for j in range(n))
+    return parse_polynomial(f"x1^2*x{n}^4{terms} - 1", n_hint=n)
+
+
+C10_CENTRE = (3 / math.sqrt(18), 0.0, 0.0, 0.0, 3 / math.sqrt(18))
+
+
+class TestMirrorFold:
+    @staticmethod
+    def _sums(integ, order):
+        fs, wqs = integ._grid(order)
+        return fs.size, float(np.sum(wqs)), float(np.sum(wqs * np.cos(5.0 * fs)))
+
+    def _assert_fold_exact(self, f, w, orders, monkeypatch):
+        """{order: (folded nodes, unfolded nodes)}, after checking that the
+        folded grid's sums of wq and wq cos(5 f) equal the unfolded ones."""
+        integ = OscillatoryIntegrator(f, w)
+        folded = {order: self._sums(integ, order) for order in orders}
+        _unfolded(monkeypatch)
+        sizes = {}
+        for order in orders:
+            size, mass, osc = folded[order]
+            full_size, full_mass, full_osc = self._sums(integ, order)
+            assert size < full_size
+            assert abs(mass - full_mass) <= 1e-14 * full_mass
+            assert abs(osc - full_osc) <= 1e-14 * full_mass
+            sizes[order] = size, full_size
+        return sizes
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_grid_fold_at_origin(self, n, monkeypatch):
+        f, w = _even_form(n), WeightFunction((0.0,) * n, 0.7)
+        assert circle._mirror_axes(f, w, range(n)) == list(range(n))
+        self._assert_fold_exact(f, w, OscillatoryIntegrator(f, w).orders[:2], monkeypatch)
+
+    def test_grid_fold_c10_order_40(self, monkeypatch):
+        # the c10 quadric folds on x2..x4; order 40 has no node at 0, so the
+        # folded grid holds exactly an eighth of the nodes
+        f = parse_polynomial("x1^2+x2^2+x3^2-x4^2-x5^2")
+        w = WeightFunction(C10_CENTRE, 0.9)
+        assert circle._mirror_axes(f, w, range(5)) == [1, 2, 3]
+        size, full_size = self._assert_fold_exact(f, w, [40], monkeypatch)[40]
+        assert 8 * size == full_size
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_grid_fold_odd_order_counts_zero_node_once(self, n, monkeypatch):
+        monkeypatch.setitem(circle._ORDER_LADDERS, n, (7, 9))
+        f, w = _even_form(n), WeightFunction((0.0,) * n, 0.7)
+        integ = OscillatoryIntegrator(f, w)
+        assert np.polynomial.legendre.leggauss(7)[0][3] == 0.0
+        if n == 1:
+            assert integ._grid(7)[0].size == 4
+        self._assert_fold_exact(f, w, [7, 9], monkeypatch)
+
+    @pytest.mark.parametrize(
+        "text, centre",
+        [("x1^2 + x1*x2", (0.0, 0.0)), ("x1^2 + x1*x2", (0.2, 0.0)), ("x1^3 + x2^2", (0.0, 0.3))],
+    )
+    def test_no_fold_on_odd_or_off_centre_axes(self, text, centre, monkeypatch):
+        f, w = parse_polynomial(text), WeightFunction(centre, 0.7)
+        assert circle._mirror_axes(f, w, range(2)) == []
+        integ = OscillatoryIntegrator(f, w)
+        got = [integ._grid(order) for order in integ.orders[:2]]
+        _unfolded(monkeypatch)
+        for order, (fs, wqs) in zip(integ.orders, got):
+            want_fs, want_wqs = integ._grid(order)
+            assert fs.tobytes() == want_fs.tobytes() and wqs.tobytes() == want_wqs.tobytes()
+
+
+# branches of the fiber solver (and the generic path) on forms even in the
+# first n-1 variables; x_n^4 - 4 x_n^2 is even in x_n too
+EVEN_BRANCHES = {
+    "quadratic": "x{n}^2 + x1^2*x{n} - {s}",
+    "linear": "x1^2*x{n} + x{n} - {s}",
+    "flat_column": "{s} - 4 + 0*x{n}",
+    "generic": "x{n}^4 - 4*x{n}^2 + {s} - 4",
+}
+
+
+def _even_branch(branch, n):
+    s = " + ".join(f"x{j}^2" for j in range(1, n))
+    return parse_polynomial(EVEN_BRANCHES[branch].format(n=n, s=s), n_hint=n)
+
+
+@pytest.mark.parametrize("centre", ["origin", "mixed"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("branch", sorted(EVEN_BRANCHES))
+def test_folded_solver_branches_match_brute_force(branch, n, centre):
+    f = _even_branch(branch, n)
+    c = [0.0] * n if centre == "origin" else [0.25 if j % 2 else 0.0 for j in range(n)]
+    w = WeightFunction(tuple(c), 0.8)
+    fiber = branch != "generic"
+    assert (circle._last_var_split(f) is None) == (not fiber)
+    assert circle._mirror_axes(f, w, range(n - 1 if fiber else n))
+    want = brute_weighted_count(f, 6.0, w)
+    assert want > 0
+    assert abs(weighted_solution_count(f, 6.0, w) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("text, odd", [("x3^3 + x1^2 + x2^2 - 8", 2), ("x3^2 + x1*x3 - x2^2 - 1", 0)])
+def test_odd_exponent_axis_is_walked_whole(text, odd):
+    # x3 (generic path) or x1 (fiber solver) is centred but odd in f
+    f, w = parse_polynomial(text), WeightFunction((0.0, 0.0, 0.0), 0.8)
+    mirror = circle._mirror_axes(f, w, range(3))
+    assert odd not in mirror and 1 in mirror
+    want = brute_weighted_count(f, 6.0, w)
+    assert want > 0
+    assert abs(weighted_solution_count(f, 6.0, w) - want) <= 1e-12
+
+
+@pytest.mark.parametrize("branch", ["quadratic", "generic"])
+def test_folded_solver_worker_invariance(branch, monkeypatch):
+    # 8-point chunks give the folded walk one block per axis-0 value
+    f, w = _even_branch(branch, 3), WeightFunction((0.0, 0.0, 0.0), 0.8)
+    box_chunks, blocks = circle._box_chunks, []
+
+    def small_chunks(box, target=8):
+        blocks.append(box_chunks(box, target))
+        return blocks[-1]
+
+    monkeypatch.setattr(circle, "_box_chunks", small_chunks)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    counts = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("IGUSA_WORKERS", workers)
+        counts.append(weighted_solution_count(f, 9.0, w))
+    assert blocks[0] == blocks[1] == [(x, x + 1) for x in range(8)]  # the folded axis 0
+    assert counts[0].hex() == counts[1].hex()
+    assert abs(counts[0] - brute_weighted_count(f, 9.0, w)) <= 1e-12
 
 
 class TestMajorArcReport:

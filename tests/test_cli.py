@@ -151,6 +151,33 @@ class TestOtherCommands:
         zeta = build_config(["--config", str(cfg), "zeta", "--poly", "x1", "--p", "3", "--max-m", "1"])
         assert zeta.crosscheck is want
 
+class TestCircleInputs:
+    ARGS = {"--B": "8", "--delta": "0.25", "--center": "0.5,0.25"}
+
+    def _argv(self, **override):
+        args = {**self.ARGS, **override}
+        return ["circle", "--poly", "x1^2-x2^2", "--rho", "0.5"] + [x for kv in args.items() for x in kv]
+
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    @pytest.mark.parametrize("flag", ["--B", "--delta", "--center"])
+    def test_non_finite_input_is_a_precondition(self, flag, value):
+        if flag == "--center":
+            value += ",0.25"
+        code, report = run_cli(self._argv(**{flag: value}))
+        assert code == EXIT_PRECONDITION
+        assert report["error"]["code"] == "PRECONDITION"
+        assert "finite" in report["error"]["message"]
+
+    def test_negative_first_center_coordinate(self, capsys):
+        argv = self._argv()[:-2]
+        with pytest.raises(SystemExit):  # argparse reads "-0.5,0.25" as an option
+            build_config(argv + ["--center", "-0.5,0.25"])
+        assert "expected one argument" in capsys.readouterr().err
+        code, report = run_cli(argv + ["--center=-0.5,0.25"])
+        assert code == EXIT_OK
+        assert report["params"]["center"] == [-0.5, 0.25]
+
+
 class TestSerialization:
     def test_exponent_sheet_rationals(self):
         sheet = exponent_sheet(5, 2, 0)
