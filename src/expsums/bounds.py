@@ -67,15 +67,15 @@ class GapReport:
     flagged: list[int] = field(default_factory=list)  # primes with negative gap
 
 
-def _max_abs_over_units(f, p, m, units, rng, budget) -> float:
+def _max_abs_over_units(f, p, m, units, rng) -> float:
     chi = AdditiveCharacter(p, m, 1)
-    best = exp_sum_pruned(f, chi, budget=budget).abs
+    best = exp_sum_pruned(f, chi).abs
     q = p**m
     for _ in range(max(0, units - 1)):
         a = rng.randrange(1, q)
         while a % p == 0:
             a = rng.randrange(1, q)
-        val = exp_sum_pruned(f, AdditiveCharacter(p, m, a), budget=budget)
+        val = exp_sum_pruned(f, AdditiveCharacter(p, m, a))
         best = max(best, val.abs)
     return best
 
@@ -88,7 +88,6 @@ def decay_fit(
     slack: float = DEFAULT_SLACK,
     units: int = 1,
     seed: int = 0,
-    budget: int | None = None,
 ) -> DecayFit:
     """Measure |E| across conductors and fit the decay slope.
 
@@ -108,7 +107,7 @@ def decay_fit(
     for m in sorted(set(int(m) for m in m_range)):
         if m < 1:
             raise ValueError(f"conductor must be >= 1, got {m}")
-        mag = _max_abs_over_units(f, p, m, units, rng, budget)
+        mag = _max_abs_over_units(f, p, m, units, rng)
         samples.append((m, mag))
         if mag <= ZERO_TOL:
             zeros.append(m)
@@ -139,12 +138,7 @@ def decay_fit(
     )
 
 
-def deligne_check(
-    f: Polynomial,
-    primes: Sequence[int],
-    s_val: int,
-    budget: int | None = None,
-) -> list[DeligneRow]:
+def deligne_check(f: Polynomial, primes: Sequence[int], s_val: int) -> list[DeligneRow]:
     """Check |E| over F_p against (d-1)^(n-s) p^(-(n-s)/2) prime by prime.
 
     The bound only holds at good-reduction primes, so rows are asserted
@@ -158,13 +152,13 @@ def deligne_check(
     fd = f.homogeneous_part(d)
     rows = []
     for p in sorted(set(int(p) for p in primes)):
-        cc = critical_count(fd, p, budget=budget)
+        cc = critical_count(fd, p)
         if s_val == 0:
             good = cc == 1
         else:
             good = round(math.log(cc) / math.log(p)) == s_val
         asserted = p > d and good
-        mag = finite_field_sum(f, p, budget=budget).abs
+        mag = finite_field_sum(f, p).abs
         bound = (d - 1) ** (f.n - s_val) * p ** (-(f.n - s_val) / 2)
         passed = mag <= bound * (1 + 1e-9)
         rows.append(
@@ -179,7 +173,6 @@ def conjecture_gap_report(
     m_max: int,
     s_val: int | None = None,
     slack: float = DEFAULT_SLACK,
-    budget: int | None = None,
 ) -> GapReport:
     """Per-prime decay fits plus the gap fitted_beta - (n-s)/d.
 
@@ -188,12 +181,12 @@ def conjecture_gap_report(
     exemplar, flagged.
     """
     if s_val is None:
-        s_val = estimate_s(f, primes, budget=budget).effective_s
+        s_val = estimate_s(f, primes).effective_s
     fits = []
     gaps: list[tuple[int, float | None]] = []
     flagged = []
     for p in sorted(set(int(p) for p in primes)):
-        fit = decay_fit(f, p, range(1, m_max + 1), s_val, slack=slack, budget=budget)
+        fit = decay_fit(f, p, range(1, m_max + 1), s_val, slack=slack)
         fits.append(fit)
         if fit.fitted_beta is None:
             gaps.append((p, None))

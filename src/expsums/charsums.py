@@ -122,38 +122,24 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-def _from_histogram(f: Polynomial, modulus: int, a: int, budget) -> ExpSumValue:
-    residues, counts = _nonzero(enumeration.residue_histogram(f, modulus, modulus, budget=budget))
+def _from_histogram(f: Polynomial, modulus: int, a: int) -> ExpSumValue:
+    residues, counts = _nonzero(enumeration.residue_histogram(f, modulus, modulus))
     value, err = _phase_sum(residues, counts, modulus, a, modulus**f.n)
     return ExpSumValue(value, abs(value), err)
 
 
-def exp_sum_naive(
-    f: Polynomial,
-    chi: AdditiveCharacter,
-    budget: int | None = None,
-) -> ExpSumValue:
+def exp_sum_naive(f: Polynomial, chi: AdditiveCharacter) -> ExpSumValue:
     """Full enumeration of E over (Z/p^m)^n via the exact residue histogram."""
     _require_prime(chi.p)
-    return _from_histogram(f, chi.modulus, chi.unit, budget)
+    return _from_histogram(f, chi.modulus, chi.unit)
 
 
-def finite_field_sum(
-    f: Polynomial,
-    p: int,
-    a: int = 1,
-    budget: int | None = None,
-) -> ExpSumValue:
+def finite_field_sum(f: Polynomial, p: int, a: int = 1) -> ExpSumValue:
     """E over F_p^n (conductor 1)."""
-    return exp_sum_naive(f, AdditiveCharacter(p, 1, a), budget=budget)
+    return exp_sum_naive(f, AdditiveCharacter(p, 1, a))
 
 
-def exp_sum_direct(
-    f: Polynomial,
-    N: int,
-    a: int = 1,
-    budget: int | None = None,
-) -> ExpSumValue:
+def exp_sum_direct(f: Polynomial, N: int, a: int = 1) -> ExpSumValue:
     """E over (Z/N)^n by direct enumeration, any N >= 1 (oracle route)."""
     if N < 1:
         raise ValueError(f"modulus must be >= 1, got {N}")
@@ -161,7 +147,7 @@ def exp_sum_direct(
         raise ValueError(f"unit {a} shares a factor with {N}")
     if N == 1:
         return ExpSumValue(1 + 0j, 1.0, 0.0)
-    return _from_histogram(f, N, a % N, budget)
+    return _from_histogram(f, N, a % N)
 
 
 def _min_p_valuation(f: Polynomial, p: int) -> int:
@@ -172,10 +158,10 @@ def _min_p_valuation(f: Polynomial, p: int) -> int:
     return v
 
 
-def _critical_residues(f: Polynomial, p: int, budget) -> np.ndarray:
+def _critical_residues(f: Polynomial, p: int) -> np.ndarray:
     """Points of F_p^n where every gradient component vanishes, sorted."""
     grads = list(f.gradient())
-    return enumeration.common_zero_points(grads, p, p, budget=budget)
+    return enumeration.common_zero_points(grads, p, p)
 
 
 def _fiber_split(
@@ -201,7 +187,7 @@ def _fiber_split(
     return c0, v, g1.divide_coefficients(p**v)
 
 
-def _critical_atoms(f: Polynomial, p: int, m: int, budget):
+def _critical_atoms(f: Polynomial, p: int, m: int):
     """(charges, fibers, residues, weights) of W, the critical-atom
     distribution of f on Z/p^m (see the module docstring).
 
@@ -222,26 +208,25 @@ def _critical_atoms(f: Polynomial, p: int, m: int, budget):
     if (p, m) in memo:
         entry = memo[p, m]
         enumeration.default_workers()  # refuses a bad IGUSA_WORKERS, as a build does
-        limit = enumeration.enumeration_budget(budget)
         for points, what in entry[0]:
-            enumeration._charge(points, limit, what)
+            enumeration._charge(points, what)
         return entry
     n, q = f.n, p**m
     if m == 1:
-        residues, counts = _nonzero(enumeration.residue_histogram(f, p, p, budget=budget))
+        residues, counts = _nonzero(enumeration.residue_histogram(f, p, p))
         memo[p, m] = ([(p**n, "histogram enumeration")], None,
                       residues.astype(np.min_scalar_type(p - 1)),
                       counts.astype(np.min_scalar_type(p**n)))
         return memo[p, m]
     charges = [(n * p**n, "zero-locus enumeration")]
-    criticals = _critical_residues(f, p, budget)
+    criticals = _critical_residues(f, p)
     dtype = np.int64 if p ** (m * n) < 2**63 and q < 2**31 else object
     residues, weights = [np.empty(0, dtype)], [np.empty(0, dtype)]
     for row in criticals:
         c0, v, h = _fiber_split(f, p, m, tuple(int(x) for x in row))
         sub_r, sub_w = np.zeros(1, np.int64), np.ones(1, np.int64)
         if h is not None:
-            sub_charges, _, sub_r, sub_w = _critical_atoms(h, p, m - v, budget)
+            sub_charges, _, sub_r, sub_w = _critical_atoms(h, p, m - v)
             charges += sub_charges
         residues.append((c0 % q + p**v * sub_r.astype(dtype)) % q)
         weights.append(p ** ((v - 1) * n) * sub_w.astype(dtype))
@@ -252,16 +237,12 @@ def _critical_atoms(f: Polynomial, p: int, m: int, budget):
     return memo[p, m]
 
 
-def exp_sum_pruned(
-    f: Polynomial,
-    chi: AdditiveCharacter,
-    budget: int | None = None,
-) -> ExpSumValue:
+def exp_sum_pruned(f: Polynomial, chi: AdditiveCharacter) -> ExpSumValue:
     """E from the critical-atom distribution of f at (p, m), one phase per
     atom; exact 0 when no critical residue exists."""
     _require_prime(chi.p)
     p, m, a = chi.p, chi.m, chi.unit
-    _, fibers, residues, weights = _critical_atoms(f, p, m, budget)
+    _, fibers, residues, weights = _critical_atoms(f, p, m)
     value, err = _phase_sum(residues, weights, p**m, a, p ** (m * f.n))
     return ExpSumValue(value, abs(value), err, fiber_count=fibers)
 
@@ -283,12 +264,7 @@ def crt_units(N: int, a: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def exp_sum_composite(
-    f: Polynomial,
-    N: int,
-    a: int = 1,
-    budget: int | None = None,
-) -> ExpSumValue:
+def exp_sum_composite(f: Polynomial, N: int, a: int = 1) -> ExpSumValue:
     """E over (Z/N)^n as the product of its prime-power factors."""
     if N < 1:
         raise ValueError(f"modulus must be >= 1, got {N}")
@@ -299,7 +275,7 @@ def exp_sum_composite(
     value = 1 + 0j
     err = 0.0
     for p, m, unit in crt_units(N, a):
-        part = exp_sum_pruned(f, AdditiveCharacter(p, m, unit), budget=budget)
+        part = exp_sum_pruned(f, AdditiveCharacter(p, m, unit))
         err = err * part.abs + abs(value) * part.err_bound + err * part.err_bound + _EPS
         value *= part.value
     return ExpSumValue(value, abs(value), err)

@@ -166,13 +166,7 @@ def _ball_columns(
 # -- lattice sums --------------------------------------------------------------
 
 
-def weighted_exponential_sum(
-    f: Polynomial,
-    B: float,
-    w: WeightFunction,
-    alpha: float,
-    budget: int | None = None,
-) -> complex:
+def weighted_exponential_sum(f: Polynomial, B: float, w: WeightFunction, alpha: float) -> complex:
     """sum_{x in Z^n} omega(x/B) e^(2 pi i alpha f(x)), exact f values."""
     if w.n != f.n:
         raise ValueError("weight dimension does not match the polynomial")
@@ -181,7 +175,7 @@ def weighted_exponential_sum(
     if any(s <= 0 for s in sizes):
         return 0j
     total = math.prod(sizes)
-    enumeration._charge(total, enumeration.enumeration_budget(budget), "lattice sum")
+    enumeration._charge(total, "lattice sum")
 
     def work(chunk):
         cols = _ball_columns(w, B, box, *chunk)
@@ -194,16 +188,11 @@ def weighted_exponential_sum(
     return complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
 
 
-def complete_sum_mod_q(
-    f: Polynomial,
-    q: int,
-    a: int,
-    budget: int | None = None,
-) -> complex:
+def complete_sum_mod_q(f: Polynomial, q: int, a: int) -> complex:
     """The complete unnormalized sum over (Z/q)^n: q^n * E_f(q, a)."""
     if q < 1:
         raise ValueError(f"q must be >= 1, got {q}")
-    val = exp_sum_composite(f, q, a, budget=budget)
+    val = exp_sum_composite(f, q, a)
     return q**f.n * val.value
 
 
@@ -215,47 +204,39 @@ class SingularSeriesResult:
     S_of_R: Fraction
 
 
-def _local_sums(f: Polynomial, p: int, k_max: int, budget) -> list[Fraction]:
+def _local_sums(f: Polynomial, p: int, k_max: int) -> list[Fraction]:
     """[sigma_0, ..., sigma_k_max], sigma_k = sum_{j <= k} A(p^j) = p^k N(p^k) p^(-kn)."""
     if k_max < 1:
         return [Fraction(1)]
-    _, dens = poincare_coeffs(f, p, k_max, budget=budget)
+    _, dens = poincare_coeffs(f, p, k_max)
     return [p**k * dk for k, dk in dens]
 
 
-def singular_series(
-    f: Polynomial,
-    R: int,
-    budget: int | None = None,
-) -> SingularSeriesResult:
+def singular_series(f: Polynomial, R: int) -> SingularSeriesResult:
     """Truncated series S(R) = sum_{q <= R} A(q) as an exact rational.
 
     Summing E_f over every a mod p^k gives, by orthogonality,
     sum_{j <= k} A(p^j) = p^k N(p^k) p^(-kn), so A(p^k) is a difference of
     two zero counts (zeta.poincare_coeffs) and A(q) = prod_{p^k || q} A(p^k).
-    The budget applies to each enumeration.
+    The run's enumeration budget applies to each enumeration, not to the
+    series as a whole.
     """
     if R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
     terms = [Fraction(1)] * (R + 1)  # terms[q] = A(q)
     for p in primes_up_to(R):
         k_max = max(k for k in range(1, R.bit_length() + 1) if p**k <= R)
-        sigma = _local_sums(f, p, k_max, budget)
+        sigma = _local_sums(f, p, k_max)
         for q in range(p, R + 1, p):
             k = max(k for k in range(1, k_max + 1) if q % p**k == 0)  # v_p(q)
             terms[q] *= sigma[k] - sigma[k - 1]
     return SingularSeriesResult(S_of_R=sum(terms[1:], Fraction(0)))
 
 
-def singular_series_local(
-    f: Polynomial,
-    p: int,
-    r_max: int,
-    budget: int | None = None,
-) -> Fraction:
+def singular_series_local(f: Polynomial, p: int, r_max: int) -> Fraction:
     """Partial local density at p: the q = p^r terms for r = 0..r_max,
     which sum to p^r_max * N(p^r_max) * p^(-r_max n)."""
-    return _local_sums(f, p, r_max, budget)[-1]
+    return _local_sums(f, p, r_max)[-1]
 
 
 # -- oscillatory integral ------------------------------------------------------
@@ -297,6 +278,8 @@ class OscillatoryIntegrator:
             raise ValueError("weight dimension does not match the polynomial")
         if f.n not in _ORDER_LADDERS:
             raise ValueError(f"tensor quadrature supports n <= {max(_ORDER_LADDERS)}")
+        if not (math.isfinite(tol) and tol > 0):
+            raise ValueError(f"quadrature tolerance must be positive and finite, got {tol}")
         self.f = f
         self.w = w
         self.tol = tol
@@ -433,12 +416,7 @@ def _last_var_split(f: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial] 
     return A, B, C
 
 
-def weighted_solution_count(
-    f: Polynomial,
-    B: float,
-    w: WeightFunction,
-    budget: int | None = None,
-) -> float:
+def weighted_solution_count(f: Polynomial, B: float, w: WeightFunction) -> float:
     """N_omega(f, B) = sum over integer solutions f(x) = 0 of omega(x/B).
 
     Only the lattice points of the support ball are enumerated
@@ -460,14 +438,13 @@ def weighted_solution_count(
     sizes = _box_sizes(box)
     if any(s <= 0 for s in sizes):
         return 0.0
-    budget_val = enumeration.enumeration_budget(budget)
     split = _last_var_split(f)
     if split is not None and _float_sqrt_safe(split, box[:-1]):
         outer = math.prod(sizes[:-1])
-        enumeration._charge(outer, budget_val, "fiber-solver enumeration")
+        enumeration._charge(outer, "fiber-solver enumeration")
         return _count_quadratic_fiber(f, split, B, w, box)
     total = math.prod(sizes)
-    enumeration._charge(total, budget_val, "solution enumeration")
+    enumeration._charge(total, "solution enumeration")
     mirror = _mirror_axes(f, w, range(f.n))
     walk = _fold(box, mirror)
 
@@ -581,7 +558,6 @@ def major_arc_report(
     R_series: int | None = None,
     R_integral: float | None = None,
     tol: float = QUAD_TOL,
-    budget: int | None = None,
 ) -> CircleMethodReport:
     """Assemble S(B^delta), J(B^delta), the direct count, and their ratio.
 
@@ -602,9 +578,9 @@ def major_arc_report(
     if not trusted:
         warnings.append("decay hypothesis n - s > 4(d-1) not met; prediction untrusted")
 
-    S = float(singular_series(f, r_series, budget=budget).S_of_R)
+    S = float(singular_series(f, r_series).S_of_R)
     integral = singular_integral(f, w, r_int, tol=tol)
-    direct = weighted_solution_count(f, B, w, budget=budget)
+    direct = weighted_solution_count(f, B, w)
     prediction = S * integral.J_of_R * B ** (f.n - d)
     if S <= 0:
         warnings.append("truncated singular series is not positive")

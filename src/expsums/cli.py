@@ -3,10 +3,11 @@
 Reports serialize deterministically (identical config => byte-identical
 JSON); wall time therefore goes to stderr, never into the report.  Exit
 codes: 0 success, 1 precondition error, 2 budget error, 3 verification
-failure.  The IGUSA_BUDGET environment variable overrides the enumeration
-budget; IGUSA_WORKERS, capped at the CPU count, is the only worker-thread
-setting (no flag overrides it).  An optional key=value config file supplies
-flag defaults, with explicit flags winning.
+failure.  --budget, else the IGUSA_BUDGET environment variable, sets the
+enumeration budget; it is resolved once per run and holds for every
+enumeration in it.  IGUSA_WORKERS, capped at the CPU count, is the only
+worker-thread setting (no flag overrides it).  An optional key=value config
+file supplies flag defaults, with explicit flags winning.
 """
 
 from __future__ import annotations
@@ -219,16 +220,16 @@ def _cmd_sum(cfg: RunConfig) -> dict:
         N = cfg.N if cfg.N is not None else (cfg.p or 0) ** (cfg.m or 0)
         if N < 1:
             raise ValueError("crt method requires --N or --p/--m")
-        val = exp_sum_composite(f, N, cfg.a, budget=cfg.budget)
+        val = exp_sum_composite(f, N, cfg.a)
         params = {"N": N, "a": cfg.a, "method": "crt"}
     else:
         if cfg.p is None or cfg.m is None:
             raise ValueError("sum requires --p and --m (or --N)")
         chi = AdditiveCharacter(cfg.p, cfg.m, cfg.a)
         if cfg.method == "naive":
-            val = exp_sum_naive(f, chi, budget=cfg.budget)
+            val = exp_sum_naive(f, chi)
         else:
-            val = exp_sum_pruned(f, chi, budget=cfg.budget)
+            val = exp_sum_pruned(f, chi)
         params = {"p": cfg.p, "m": cfg.m, "a": cfg.a, "method": cfg.method}
     return {
         "params": params,
@@ -246,31 +247,27 @@ def _cmd_zeta(cfg: RunConfig) -> dict:
     if cfg.max_m is None or cfg.max_m < 1:
         raise ValueError("zeta requires --max-m >= 1")
     if cfg.ideal == "f":
-        table, dens = zeta.poincare_coeffs(f, cfg.p, cfg.max_m, budget=cfg.budget)
+        table, dens = zeta.poincare_coeffs(f, cfg.p, cfg.max_m)
     else:
         gens = zeta.jacobian_squared_generators(f)
         if cfg.ideal == "f+jf2":
             gens = [f] + gens
         table, dens = zeta.poincare_coeffs(
-            f, cfg.p, cfg.max_m, kind=zeta.CountKind.order_ge_ideal,
-            generators=gens, budget=cfg.budget,
-        )
+            f, cfg.p, cfg.max_m, kind=zeta.CountKind.order_ge_ideal, generators=gens)
     entries = [
         {"m": m, "count": c, "density": frac}
         for (m, c), (_, frac) in zip(table.entries, dens)
     ]
     result = {"kind": table.kind, "ideal": cfg.ideal, "entries": entries}
     if cfg.crosscheck:
-        result["crosscheck"] = [
-            zeta.fourier_crosscheck(f, cfg.p, m, budget=cfg.budget)
-            for m in range(1, cfg.max_m + 1)
-        ]
+        result["crosscheck"] = [zeta.fourier_crosscheck(f, cfg.p, m)
+                                for m in range(1, cfg.max_m + 1)]
     return {"params": {"p": cfg.p, "max_m": cfg.max_m, "ideal": cfg.ideal}, "result": result}
 
 
 def _cmd_geometry(cfg: RunConfig) -> dict:
     f = parse_polynomial(cfg.poly_text)
-    report = estimate_s(f, cfg.primes, override=cfg.s_override, budget=cfg.budget)
+    report = estimate_s(f, cfg.primes, override=cfg.s_override)
     sheet = exponent_sheet(f.n, f.degree(), report.effective_s)
     warnings = []
     if report.override is None and report.residual > 0.15:
@@ -297,11 +294,10 @@ def _cmd_circle(cfg: RunConfig) -> dict:
     if len(cfg.center) != f.n:
         raise ValueError(f"center has {len(cfg.center)} coordinates, polynomial has {f.n}")
     w = WeightFunction(cfg.center, cfg.rho)
-    fit = estimate_s(f, DEFAULT_VERIFY_PRIMES, budget=cfg.budget)
-    report = major_arc_report(
-        f, cfg.B, cfg.delta, w, fit.effective_s,
-        R_series=cfg.R_series, tol=cfg.quad_tol or QUAD_TOL, budget=cfg.budget,
-    )
+    fit = estimate_s(f, DEFAULT_VERIFY_PRIMES)
+    tol = QUAD_TOL if cfg.quad_tol is None else cfg.quad_tol
+    report = major_arc_report(f, cfg.B, cfg.delta, w, fit.effective_s,
+                              R_series=cfg.R_series, tol=tol)
     return {
         "params": {
             "B": cfg.B, "delta": cfg.delta, "rho": cfg.rho,
@@ -328,11 +324,11 @@ def _cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
         s_val, provenance = cfg.s_override, "override"
     else:
         primes = cfg.primes if len(cfg.primes) >= 3 else DEFAULT_VERIFY_PRIMES
-        s_val = estimate_s(f, primes, budget=cfg.budget).effective_s
+        s_val = estimate_s(f, primes).effective_s
         provenance = "fitted"
     fits = [
         decay_fit(f, p, range(1, cfg.max_m + 1), s_val, slack=cfg.slack,
-                  units=4 if cfg.max_units else 1, seed=cfg.seed, budget=cfg.budget)
+                  units=4 if cfg.max_units else 1, seed=cfg.seed)
         for p in sorted(set(cfg.primes))
     ]
     failed = any(fit.verdict is Verdict.violates_theorem for fit in fits)
@@ -356,8 +352,8 @@ def _self_test(cfg: RunConfig) -> tuple[dict, bool]:
                 if p ** (m * f.n) > 10**5:
                     continue
                 chi = AdditiveCharacter(p, m, 1)
-                naive = exp_sum_naive(f, chi, budget=cfg.budget)
-                pruned = exp_sum_pruned(f, chi, budget=cfg.budget)
+                naive = exp_sum_naive(f, chi)
+                pruned = exp_sum_pruned(f, chi)
                 diff = abs(naive.value - pruned.value)
                 worst = max(worst, diff)
                 cells += 1
@@ -370,9 +366,15 @@ def _self_test(cfg: RunConfig) -> tuple[dict, bool]:
 
 
 def run(cfg: RunConfig) -> tuple[int, dict]:
-    """Dispatch a validated config; returns (exit_code, report dict)."""
+    """Dispatch a validated config; returns (exit_code, report dict).
+
+    The run's budget (cfg.budget, else IGUSA_BUDGET) and IGUSA_WORKERS are
+    checked first, and the budget holds until the run returns."""
     enumeration.reset_meter()
+    outer, enumeration._run_budget = enumeration._run_budget, cfg.budget
     try:
+        limit = enumeration._run_budget = enumeration.enumeration_budget()
+        enumeration.default_workers()
         failed = False
         if cfg.command == "sum":
             body = _cmd_sum(cfg)
@@ -399,15 +401,14 @@ def run(cfg: RunConfig) -> tuple[int, dict]:
         return EXIT_PRECONDITION, {"error": {"code": "QUADRATURE_DIVERGED", "message": str(exc)}}
     except (ValueError, ZeroDivisionError) as exc:
         return EXIT_PRECONDITION, {"error": {"code": "PRECONDITION", "message": str(exc)}}
+    finally:
+        enumeration._run_budget = outer
 
     report = {"command": cfg.command}
     if cfg.poly_text is not None:
         report["poly"] = parse_polynomial(cfg.poly_text).render()
     report.update(body)
-    report["budget"] = {
-        "limit": enumeration.enumeration_budget(cfg.budget),
-        "points_consumed": enumeration.meter_consumed(),
-    }
+    report["budget"] = {"limit": limit, "points_consumed": enumeration.meter_consumed()}
     return (EXIT_VERIFY_FAILED if failed else EXIT_OK), report
 
 

@@ -12,10 +12,11 @@ partitioning and of the worker count: parallel workers each produce an
 integer histogram (or count, or index list) and the merge is exact integer
 addition / ordered concatenation.
 
-Budgets: the default enumeration budget is 10^8 points, overridable via
-the IGUSA_BUDGET environment variable or per call.  IGUSA_WORKERS is the
-only worker setting: the thread count is IGUSA_WORKERS capped at
-os.cpu_count() (default 1), never overridden per call; below 1 is refused.
+Budgets: every enumeration is limited to the budget of the CLI run in
+progress (its --budget), else IGUSA_BUDGET, else 10^8 points; there is no
+per-call budget, and below 1 is refused.  IGUSA_WORKERS is the only worker
+setting: the thread count is IGUSA_WORKERS capped at os.cpu_count()
+(default 1), never overridden per call; below 1 is refused.
 """
 
 from __future__ import annotations
@@ -40,11 +41,16 @@ _MAX_MODULUS = 2**31  # int64 products of two reduced residues stay exact
 
 # Points touched since the last reset; CLI reports this per run.
 _consumed = 0
+# The budget of the CLI run in progress; None outside one (cli.run sets it).
+_run_budget: int | None = None
 
 
-def enumeration_budget(override: int | None = None) -> int:
-    env = os.environ.get("IGUSA_BUDGET")
-    budget = override if override is not None else int(env) if env else DEFAULT_BUDGET
+def enumeration_budget() -> int:
+    """The run's budget, else IGUSA_BUDGET (read on every call), else 10^8."""
+    budget = _run_budget
+    if budget is None:
+        env = os.environ.get("IGUSA_BUDGET")
+        budget = int(env) if env else DEFAULT_BUDGET
     if budget < 1:
         raise ValueError(f"budget must be positive, got {budget}")
     return budget
@@ -66,8 +72,9 @@ def meter_consumed() -> int:
     return _consumed
 
 
-def _charge(points: int, budget: int, what: str) -> None:
+def _charge(points: int, what: str) -> None:
     global _consumed
+    budget = enumeration_budget()
     if points > budget:
         raise BudgetExceededError(points, budget, what)
     _consumed += points
@@ -193,12 +200,7 @@ def _run_blocks(fn, blocks, workers):
         return list(pool.map(fn, blocks))
 
 
-def residue_histogram(
-    f: Polynomial,
-    grid: int,
-    modulus: int,
-    budget: int | None = None,
-) -> np.ndarray:
+def residue_histogram(f: Polynomial, grid: int, modulus: int) -> np.ndarray:
     """Exact histogram of f(x) mod modulus over x in [0, grid)^n.
 
     Returns an int64 array of length ``modulus`` whose entries sum to
@@ -209,7 +211,7 @@ def residue_histogram(
         raise ValueError(f"modulus {modulus} too large for the int64 kernel")
     n = f.n
     total = grid**n
-    _charge(total, enumeration_budget(budget), "histogram enumeration")
+    _charge(total, "histogram enumeration")
     workers = default_workers()
     terms = _prepare_terms(f, modulus)
     pow_full: dict[tuple[int, int, type], np.ndarray] = {}
@@ -228,7 +230,7 @@ def residue_histogram(
     return hist
 
 
-def _zero_masks(polys, grid, modulus, budget, what, reduce) -> list:
+def _zero_masks(polys, grid, modulus, what, reduce) -> list:
     """reduce(mask, offset) for each axis-0 block of [0, grid)^n, in block
     order.  mask flags the block's points (flattened, row-major) where every
     polynomial is 0 mod modulus; offset is the flat index of its first point."""
@@ -239,7 +241,7 @@ def _zero_masks(polys, grid, modulus, budget, what, reduce) -> list:
         raise ValueError("polynomials have mixed variable counts")
     if modulus >= _MAX_MODULUS:
         raise ValueError(f"modulus {modulus} too large for the int64 kernel")
-    _charge(grid**n * len(polys), enumeration_budget(budget), what)
+    _charge(grid**n * len(polys), what)
     workers = default_workers()
     terms_list = [_prepare_terms(p, modulus) for p in polys]
     pow_full: dict[tuple[int, int, type], np.ndarray] = {}
@@ -258,17 +260,12 @@ def _zero_masks(polys, grid, modulus, budget, what, reduce) -> list:
     return _run_blocks(work, _axis0_blocks(grid, n, workers), workers)
 
 
-def common_zero_points(
-    polys: Sequence[Polynomial],
-    grid: int,
-    modulus: int,
-    budget: int | None = None,
-) -> np.ndarray:
+def common_zero_points(polys: Sequence[Polynomial], grid: int, modulus: int) -> np.ndarray:
     """Coordinates in [0, grid)^n where every polynomial is 0 mod modulus.
 
     Returns an (N, n) int64 array in row-major (lexicographic) order.
     """
-    flats = _zero_masks(polys, grid, modulus, budget, "zero-locus enumeration",
+    flats = _zero_masks(polys, grid, modulus, "zero-locus enumeration",
                         lambda mask, offset: np.flatnonzero(mask) + offset)
     flat = np.concatenate(flats) if flats else np.empty(0, dtype=np.int64)
     n = polys[0].n
@@ -280,14 +277,9 @@ def common_zero_points(
     return coords
 
 
-def count_common_zeros(
-    polys: Sequence[Polynomial],
-    grid: int,
-    modulus: int,
-    budget: int | None = None,
-) -> int:
+def count_common_zeros(polys: Sequence[Polynomial], grid: int, modulus: int) -> int:
     """|{x in [0,grid)^n : every polynomial is 0 mod modulus}|."""
-    return sum(_zero_masks(polys, grid, modulus, budget, "zero-count enumeration",
+    return sum(_zero_masks(polys, grid, modulus, "zero-count enumeration",
                            lambda mask, offset: int(mask.sum())))
 
 

@@ -62,18 +62,14 @@ def exponent_sheet(n: int, d: int, s: int) -> ExponentSheet:
     )
 
 
-def critical_count(
-    fd: Polynomial,
-    p: int,
-    budget: int | None = None,
-) -> int:
+def critical_count(fd: Polynomial, p: int) -> int:
     """|{x in F_p^n : grad fd(x) = 0}| by full enumeration of the affine cone."""
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not fd.is_homogeneous():
         raise ValueError("leading form must be homogeneous")
     grads = list(fd.gradient())
-    return enumeration.count_common_zeros(grads, p, p, budget=budget)
+    return enumeration.count_common_zeros(grads, p, p)
 
 
 def _ls_slope(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -89,7 +85,6 @@ def estimate_s(
     f: Polynomial,
     primes: Sequence[int],
     override: int | None = None,
-    budget: int | None = None,
 ) -> CriticalLocusReport:
     """Fit s from per-prime critical counts of the leading form.
 
@@ -110,7 +105,7 @@ def estimate_s(
     if override is not None and not 0 <= override <= f.n:
         raise ValueError(f"override s={override} outside [0, {f.n}]")
     fd = f.homogeneous_part(d)
-    counts = {p: critical_count(fd, p, budget=budget) for p in primes}
+    counts = {p: critical_count(fd, p) for p in primes}
 
     xs = [math.log(p) for p in primes]
     ys = [math.log(counts[p]) for p in primes]

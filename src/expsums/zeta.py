@@ -69,13 +69,7 @@ def jacobian_squared_generators(f: Polynomial) -> list[Polynomial]:
     return pair_products(list(f.gradient()))
 
 
-def count_zeros_mod(
-    f: Polynomial,
-    p: int,
-    m: int,
-    method: str = "tree",
-    budget: int | None = None,
-) -> int:
+def count_zeros_mod(f: Polynomial, p: int, m: int, method: str = "tree") -> int:
     """|{x mod p^m : f(x) = 0 mod p^m}|.
 
     The default ("tree") recurses on the fibers over the singular zeros
@@ -87,13 +81,13 @@ def count_zeros_mod(
     if m < 1:
         raise ValueError(f"level must be >= 1, got {m}")
     if method == "direct":
-        return enumeration.count_common_zeros([f], p**m, p**m, budget=budget)
+        return enumeration.count_common_zeros([f], p**m, p**m)
     if method != "tree":
         raise ValueError(f"unknown method {method!r}")
-    return _zero_counts(f, p, m, budget)[-1]
+    return _zero_counts(f, p, m)[-1]
 
 
-def _zero_counts(f: Polynomial, p: int, m: int, budget) -> list[int]:
+def _zero_counts(f: Polynomial, p: int, m: int) -> list[int]:
     """[N(p), ..., N(p^m)] by Igusa's stationary phase formula.
 
     Smooth zeros mod p lift to p^((k-1)(n-1)) zeros mod p^k (Hensel).  Over
@@ -104,13 +98,13 @@ def _zero_counts(f: Polynomial, p: int, m: int, budget) -> list[int]:
     """
     n = f.n
     if m == 1:
-        return [enumeration.count_common_zeros([f], p, p, budget=budget)]
-    zeros = enumeration.common_zero_points([f], p, p, budget=budget)
+        return [enumeration.count_common_zeros([f], p, p)]
+    zeros = enumeration.common_zero_points([f], p, p)
     # f(u + p e_j) = f(u) + p df/dx_j(u) mod p^2, so f mod p^2 at u and at its
     # n neighbours u + p e_j tells the singular zeros and which have p^2 | f(u)
     steps = p * np.eye(n + 1, n, -1, dtype=np.int64)  # rows 0, p e_1, ..., p e_n
     points = (zeros[:, None, :] + steps).reshape(-1, n)
-    enumeration._charge(points.shape[0], enumeration.enumeration_budget(budget), "singular-zero test")
+    enumeration._charge(points.shape[0], "singular-zero test")
     vals = enumeration.eval_points_mod(f, points, p * p).reshape(-1, n + 1)
     singular = (vals[:, 1:] == vals[:, :1]).all(axis=1)
     deep = zeros[singular & (vals[:, 0] == 0)]
@@ -126,18 +120,13 @@ def _zero_counts(f: Polynomial, p: int, m: int, budget) -> list[int]:
             if c0 % p**k == 0:
                 counts[k - 1] += p ** ((k - 1) * n)
         if h is not None and c0 % p**v == 0:
-            sub = _zero_counts(h + c0 // p**v, p, m - v, budget)
+            sub = _zero_counts(h + c0 // p**v, p, m - v)
             for k, count in enumerate(sub, start=v + 1):
                 counts[k - 1] += p ** ((v - 1) * n) * count
     return counts
 
 
-def count_order_ge(
-    generators: list[Polynomial],
-    p: int,
-    m: int,
-    budget: int | None = None,
-) -> int:
+def count_order_ge(generators: list[Polynomial], p: int, m: int) -> int:
     """|{x mod p^m : v_p(g(x)) >= m for every generator g}|.
 
     Membership depends only on x mod p^m, so the full-grid enumeration at
@@ -150,7 +139,7 @@ def count_order_ge(
         raise ValueError(f"level must be >= 1, got {m}")
     if not generators:
         raise ValueError("need at least one generator")
-    return enumeration.count_common_zeros(generators, p**m, p**m, budget=budget)
+    return enumeration.count_common_zeros(generators, p**m, p**m)
 
 
 def poincare_coeffs(
@@ -159,7 +148,6 @@ def poincare_coeffs(
     max_m: int,
     kind: CountKind = CountKind.zeros_of_f,
     generators: list[Polynomial] | None = None,
-    budget: int | None = None,
 ) -> tuple[CountTable, list[tuple[int, Fraction]]]:
     """Counts N_m for m = 0..max_m plus the exact densities N_m * p^(-mn).
 
@@ -172,22 +160,17 @@ def poincare_coeffs(
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if kind is CountKind.zeros_of_f:
-        counts = _zero_counts(f, p, max_m, budget)
+        counts = _zero_counts(f, p, max_m)
     elif not generators:
         raise ValueError("order_ge_ideal needs a generator list")
     else:
-        counts = [count_order_ge(generators, p, m, budget=budget) for m in range(1, max_m + 1)]
+        counts = [count_order_ge(generators, p, m) for m in range(1, max_m + 1)]
     entries = [(0, 1)] + list(enumerate(counts, start=1))
     densities = [(m, Fraction(c, p ** (m * f.n))) for m, c in entries]
     return CountTable(p=p, entries=entries, kind=kind), densities
 
 
-def fourier_crosscheck(
-    f: Polynomial,
-    p: int,
-    m: int,
-    budget: int | None = None,
-) -> CrosscheckReport:
+def fourier_crosscheck(f: Polynomial, p: int, m: int) -> CrosscheckReport:
     """Check N_m * p^(-mn) against the averaged character sums, exactly.
 
     The right side sums E over every a mod p^m: the a = 0 term is 1, and
@@ -199,13 +182,13 @@ def fourier_crosscheck(
         raise ValueError(f"{p} is not prime")
     if m < 1:
         raise ValueError(f"level must be >= 1, got {m}")
-    count = count_zeros_mod(f, p, m, budget=budget)
+    count = count_zeros_mod(f, p, m)
     lhs = Fraction(count, p ** (m * f.n))
 
     rhs = Fraction(1)  # a = 0
     for k in range(1, m + 1):
         q, step = p**k, p ** (k - 1)
-        hist = enumeration.residue_histogram(f, q, q, budget=budget)
+        hist = enumeration.residue_histogram(f, q, q)
         # sum_{u unit} e(u r / q) is the Ramanujan sum c_q(r): q - q/p at
         # r = 0, -q/p at the other multiples of q/p, and 0 elsewhere
         rhs += Fraction(q * int(hist[0]) - step * int(hist[::step].sum()), q**f.n)

@@ -48,9 +48,10 @@ class TestNaive:
         oracle = brute_exp_sum(parse_polynomial("x1^2"), 9)
         assert abs(v.value - oracle) < 1e-12
 
-    def test_bad_reduction_family_magnitude(self):
+    def test_bad_reduction_family_magnitude(self, monkeypatch):
+        monkeypatch.setenv("IGUSA_BUDGET", str(10**8))
         f = parse_polynomial(f"x1^3 + {5**5}*x2^3")
-        v = exp_sum_naive(f, AdditiveCharacter(5, 5), budget=10**8)
+        v = exp_sum_naive(f, AdditiveCharacter(5, 5))
         assert abs(v.abs - 5**-2) < 1e-9
 
     def test_matches_brute_oracle(self):
@@ -64,9 +65,10 @@ class TestNaive:
             want = brute_exp_sum(f, p**m, a)
             assert abs(got.value - want) < 1e-12
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
+        monkeypatch.setenv("IGUSA_BUDGET", "1000")
         with pytest.raises(BudgetExceededError):
-            exp_sum_naive(parse_polynomial("x1+x2"), AdditiveCharacter(5, 4), budget=1000)
+            exp_sum_naive(parse_polynomial("x1+x2"), AdditiveCharacter(5, 4))
 
     def test_composite_p_rejected(self):
         with pytest.raises(ValueError):
@@ -159,39 +161,40 @@ class TestPruned:
         v = exp_sum_pruned(f, AdditiveCharacter(7, 6, 3))
         assert abs(v.value - 2.1063444842276643e-13) <= 1e-14 * 2.1063444842276643e-13
         # at m = 10 the one atom, at 0, weighs 7^25 > 2^63 itself
-        _, fibers, residues, weights = _critical_atoms(f, 7, 10, None)
+        _, fibers, residues, weights = _critical_atoms(f, 7, 10)
         assert (fibers, list(residues), list(weights)) == (1, [0], [7**25])
         v = exp_sum_pruned(f, AdditiveCharacter(7, 10, 3))
         assert abs(v.value - 7.0**-25) <= 1e-14 * 7.0**-25
 
-    def test_atoms_are_canonical_residues(self):
+    def test_atoms_are_canonical_residues(self, monkeypatch):
         # c0 % q + p^v r reached 163 >= 125 at (5, 3); at (7, 5) two of the
         # 15 atoms were congruent mod 7^5
         f = parse_polynomial("x1^3+x2^3+x1*x2")
         for (p, m), size in [((5, 3), None), ((7, 5), 14)]:
-            _, _, residues, _ = _critical_atoms(f, p, m, None)
+            _, _, residues, _ = _critical_atoms(f, p, m)
             assert residues[0] >= 0 and residues[-1] < p**m
             assert all(int(b) > int(a) for a, b in zip(residues, residues[1:]))
             assert size is None or residues.size == size
             chi = AdditiveCharacter(p, m, 2)
-            got, want = exp_sum_pruned(f, chi), exp_sum_naive(f, chi, budget=p ** (m * f.n))
+            monkeypatch.setenv("IGUSA_BUDGET", str(p ** (m * f.n)))
+            got, want = exp_sum_pruned(f, chi), exp_sum_naive(f, chi)
             assert abs(got.value - want.value) <= got.err_bound + want.err_bound, (p, m)
 
     def test_level_one_atoms_are_narrow(self):
         f = parse_polynomial("x1^2+x2^3")
-        _, fibers, residues, weights = _critical_atoms(f, 7, 1, None)
+        _, fibers, residues, weights = _critical_atoms(f, 7, 1)
         hist = enumeration.residue_histogram(f, 7, 7)
         assert fibers is None
         assert (residues.dtype, weights.dtype) == (np.uint8, np.uint8)
         assert residues.tolist() == np.flatnonzero(hist).tolist()
         assert weights.tolist() == hist[hist > 0].tolist()
 
-    def test_history_independence(self):
+    def test_history_independence(self, monkeypatch):
         text, chi = "x1^3+x1*x2+x2^2", AdditiveCharacter(3, 3, 2)
 
-        def metered(f, chi, budget=None):
+        def metered(f, chi):
             before = enumeration.meter_consumed()
-            v = exp_sum_pruned(f, chi, budget=budget)
+            v = exp_sum_pruned(f, chi)
             return v, enumeration.meter_consumed() - before
 
         fresh, fresh_points = metered(parse_polynomial(text), chi)
@@ -206,10 +209,11 @@ class TestPruned:
         def refused(f):
             before = enumeration.meter_consumed()
             with pytest.raises(BudgetExceededError) as info:
-                exp_sum_pruned(f, chi, budget=17)
+                exp_sum_pruned(f, chi)
             assert enumeration.meter_consumed() == before
             return info.value.needed, info.value.budget, str(info.value)
 
+        monkeypatch.setenv("IGUSA_BUDGET", "17")
         assert refused(primed) == refused(parse_polynomial(text)) == (
             18, 17, "zero-locus enumeration needs 18 points, budget is 17")
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from expsums import enumeration
+from expsums import Polynomial, enumeration
 from expsums.cli import EXIT_BUDGET, EXIT_OK, EXIT_PRECONDITION, build_config, main, run
 from expsums.circle import CircleMethodReport
 from expsums.geometry import exponent_sheet
@@ -168,6 +168,14 @@ class TestCircleInputs:
         assert report["error"]["code"] == "PRECONDITION"
         assert "finite" in report["error"]["message"]
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_quad_tol_is_a_precondition(self, value):
+        # 0 used to run at the default 1e-6; -1 and nan climbed the whole ladder
+        code, report = run_cli(self._argv(**{"--quad-tol": value}))
+        assert code == EXIT_PRECONDITION
+        assert report["error"]["code"] == "PRECONDITION"
+        assert "quadrature tolerance" in report["error"]["message"]
+
     def test_negative_first_center_coordinate(self, capsys):
         argv = self._argv()[:-2]
         with pytest.raises(SystemExit):  # argparse reads "-0.5,0.25" as an option
@@ -256,15 +264,49 @@ class TestMainEntry:
         out = capsys.readouterr().out
         assert out.splitlines()[0] == "key,value"
 
+    # the second enumerates nothing, so only the settings check can refuse it
+    SUMS = (["sum", "--poly", "x1^2+x2^2", "--p", "5", "--m", "2", "--a", "1"],
+            ["sum", "--poly", "x1", "--N", "1", "--a", "1"])
+
+    def _refused(self, argv, capsys):
+        code = main(argv)
+        error = json.loads(capsys.readouterr().out)["error"]
+        return code, error["code"]
+
     @pytest.mark.parametrize("value", ["0", "-3", "abc"])
-    def test_igusa_workers_below_one_exits_1(self, monkeypatch, value):
+    def test_igusa_workers_below_one_exits_1(self, monkeypatch, capsys, value):
         def no_pool(*args, **kwargs):
             raise AssertionError("a thread pool was started")
 
         monkeypatch.setenv("IGUSA_WORKERS", value)
         monkeypatch.setattr(enumeration, "ThreadPoolExecutor", no_pool)
-        code = main(["sum", "--poly", "x1^2+x2^2", "--p", "5", "--m", "2", "--a", "1"])
-        assert code == EXIT_PRECONDITION
+        for argv in self.SUMS:
+            assert self._refused(argv, capsys) == (EXIT_PRECONDITION, "PRECONDITION"), argv
+
+    @pytest.mark.parametrize("flag, env", [("0", None), (None, "0"), (None, "abc")],
+                             ids=["flag-0", "env-0", "env-abc"])
+    def test_budget_below_one_exits_1(self, monkeypatch, capsys, flag, env):
+        if env is None:
+            monkeypatch.delenv("IGUSA_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("IGUSA_BUDGET", env)
+        extra = [] if flag is None else ["--budget", flag]
+        for argv in self.SUMS:
+            assert self._refused(argv + extra, capsys) == (EXIT_PRECONDITION, "PRECONDITION"), argv
+
+    @pytest.mark.parametrize("argv, want", [
+        (["sum", "--poly", "x1", "--p", "5", "--m", "1", "--a", "1"], EXIT_OK),
+        (["sum", "--poly", "x1+x2", "--p", "5", "--m", "2", "--a", "1", "--method", "naive"],
+         EXIT_BUDGET),
+    ], ids=["ok", "budget-exceeded"])
+    def test_run_budget_does_not_outlive_the_run(self, monkeypatch, argv, want):
+        monkeypatch.delenv("IGUSA_BUDGET", raising=False)
+        code, report = run_cli(argv + ["--budget", "10"])
+        assert code == want
+        assert (report["budget"]["limit"] if code == EXIT_OK else report["error"]["budget"]) == 10
+        hist = enumeration.residue_histogram(Polynomial(2, {(1, 0): 1}), 5, 5)  # 25 points
+        assert hist.tolist() == [5] * 5
+        assert enumeration.enumeration_budget() == enumeration.DEFAULT_BUDGET
 
     def test_igusa_budget_env(self, capsys):
         old = os.environ.get("IGUSA_BUDGET")

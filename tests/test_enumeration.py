@@ -20,6 +20,7 @@ from expsums.enumeration import (
     common_zero_points,
     count_common_zeros,
     default_workers,
+    enumeration_budget,
     eval_box_exact,
     eval_columns_exact,
     eval_points_mod,
@@ -109,10 +110,11 @@ class TestResidueHistogram:
         assert np.array_equal(hists[0], hists[1])
         assert hists[0].tolist() == brute_histogram(f, grid, modulus)
 
-    def test_budget_refused(self):
+    def test_budget_refused(self, monkeypatch):
+        monkeypatch.setenv("IGUSA_BUDGET", str(10**5))
         f = Polynomial(3, {(1, 1, 1): 1})
         with pytest.raises(BudgetExceededError):
-            residue_histogram(f, 100, 100, budget=10**5)
+            residue_histogram(f, 100, 100)
 
     def test_memory_holds_one_block_histogram(self, monkeypatch):
         # keeping one modulus-length bincount per block peaks at ~152 MiB
@@ -219,21 +221,34 @@ class TestResidueHistogram:
 
     def test_no_public_function_takes_workers(self):
         # IGUSA_WORKERS is the only worker setting
-        def params(obj):
-            try:
-                return inspect.signature(obj).parameters
-            except (TypeError, ValueError):  # builtins without a signature
-                return {}
+        assert not _public_functions_taking("workers")
+        assert not _params(default_workers)
 
-        names = ("bounds", "charsums", "circle", "enumeration", "geometry", "zeta")
-        takes = [
-            f"{mod.__name__}.{name}"
-            for mod in [expsums] + [getattr(expsums, m) for m in names]
-            for name, obj in vars(mod).items()
-            if not name.startswith("_") and callable(obj) and "workers" in params(obj)
-        ]
-        assert not takes
-        assert not params(default_workers)
+    def test_no_public_function_takes_budget(self):
+        # a run's budget is --budget or IGUSA_BUDGET, never a per-call argument
+        assert not _public_functions_taking("budget")
+        assert not _params(enumeration_budget)
+
+
+def _params(obj):
+    try:
+        return inspect.signature(obj).parameters
+    except (TypeError, ValueError):  # builtins without a signature
+        return {}
+
+
+def _public_functions_taking(param: str) -> list[str]:
+    """Public callables of the package and its six computing modules that
+    take ``param``; exceptions (BudgetExceededError reports the budget it
+    hit) are not settings and are skipped."""
+    names = ("bounds", "charsums", "circle", "enumeration", "geometry", "zeta")
+    return [
+        f"{mod.__name__}.{name}"
+        for mod in [expsums] + [getattr(expsums, m) for m in names]
+        for name, obj in vars(mod).items()
+        if not name.startswith("_") and callable(obj) and param in _params(obj)
+        and not (isinstance(obj, type) and issubclass(obj, BaseException))
+    ]
 
 
 class TestZeroEnumeration:
