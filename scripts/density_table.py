@@ -14,7 +14,6 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from expsums import fourier_crosscheck, jacobian_squared_generators, parse_polynomial, poincare_coeffs
-from expsums.zeta import CountKind
 
 
 def main() -> int:
@@ -27,14 +26,8 @@ def main() -> int:
     args = ap.parse_args()
 
     f = parse_polynomial(args.poly)
-    if args.ideal == "f":
-        table, dens = poincare_coeffs(f, args.p, args.max_m)
-    else:
-        table, dens = poincare_coeffs(
-            f, args.p, args.max_m,
-            kind=CountKind.order_ge_ideal,
-            generators=jacobian_squared_generators(f),
-        )
+    gens = jacobian_squared_generators(f) if args.ideal == "jf2" else None
+    table, dens = poincare_coeffs(f, args.p, args.max_m, generators=gens)
     print(f"f = {f.render()},  p = {args.p},  kind = {table.kind.value}")
     print(f"{'m':>3} {'count':>12} {'density':>16} {'density (float)':>16}")
     for (m, count), (_, frac) in zip(table.entries, dens):

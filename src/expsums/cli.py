@@ -6,8 +6,14 @@ codes: 0 success, 1 precondition error, 2 budget error, 3 verification
 failure.  --budget, else the IGUSA_BUDGET environment variable, sets the
 enumeration budget; it is resolved once per run and holds for every
 enumeration in it.  IGUSA_WORKERS, capped at the CPU count, is the only
-worker-thread setting (no flag overrides it).  An optional key=value config
-file supplies flag defaults, with explicit flags winning.
+worker-thread setting (no flag overrides it).
+
+_build_parser is the one declaration of every flag.  An optional key=value
+config file (--config) supplies flag defaults: its keys are the long flag
+names of the chosen command (max-m=3, quad-tol=1e-8, self-test=yes), each
+value is checked like the flag's own value (type and choices; 1/true/yes
+set a switch), a bad value exits 1, unknown keys are ignored, and explicit
+flags win.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from dataclasses import dataclass
 
 from . import enumeration, zeta
 from .bounds import Verdict, decay_fit
@@ -40,91 +45,60 @@ EXIT_VERIFY_FAILED = 3
 DEFAULT_VERIFY_PRIMES = (5, 7, 11, 13)
 
 
-@dataclass
-class RunConfig:
-    command: str
-    poly_text: str | None = None
-    p: int | None = None
-    m: int | None = None
-    a: int | None = None
-    N: int | None = None
-    method: str = "pruned"
-    max_m: int | None = None
-    ideal: str = "f"
-    crosscheck: bool = False
-    primes: tuple[int, ...] | None = None
-    s_override: int | None = None
-    B: float | None = None
-    delta: float | None = None
-    rho: float | None = None
-    center: tuple[float, ...] | None = None
-    R_series: int | None = None
-    quad_tol: float | None = None
-    slack: float = 16.0
-    max_units: bool = False
-    self_test: bool = False
-    seed: int = 0
-    out: str | None = None
-    format: str = "json"
-    budget: int | None = None
-
-
 def _build_parser() -> argparse.ArgumentParser:
+    """The one declaration of every flag: name, type, choices and default."""
     top = argparse.ArgumentParser(prog="expsums")
     top.add_argument("--config", help="key=value file of flag defaults")
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(sp):
+    def command(name: str, help: str, poly_required: bool = True) -> argparse.ArgumentParser:
+        sp = sub.add_parser(name, help=help)
+        sp.add_argument("--poly", dest="poly_text", required=poly_required)
         sp.add_argument("--out", help="write the report here instead of stdout")
-        sp.add_argument("--format", choices=["json", "csv"], default=None)
-        sp.add_argument("--budget", type=int, default=None)
+        sp.add_argument("--format", choices=["json", "csv"], default="json")
+        sp.add_argument("--budget", type=int)
+        return sp
 
-    sp = sub.add_parser("sum", help="one exponential sum")
-    sp.add_argument("--poly", required=True)
+    sp = command("sum", "one exponential sum")
     sp.add_argument("--p", type=int)
     sp.add_argument("--m", type=int)
-    sp.add_argument("--a", type=int, default=None)
-    sp.add_argument("--N", type=int, default=None)
-    sp.add_argument("--method", choices=["naive", "pruned", "crt"], default=None)
-    common(sp)
+    sp.add_argument("--a", type=int)
+    sp.add_argument("--N", type=int)
+    sp.add_argument("--method", choices=["naive", "pruned", "crt"], default="pruned")
 
-    sp = sub.add_parser("zeta", help="solution counts and densities")
-    sp.add_argument("--poly", required=True)
+    sp = command("zeta", "solution counts and densities")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--max-m", dest="max_m", type=int, required=True)
-    sp.add_argument("--ideal", choices=["f", "jf2", "f+jf2"], default=None)
+    sp.add_argument("--ideal", choices=["f", "jf2", "f+jf2"], default="f")
     sp.add_argument("--crosscheck", action="store_true")
-    common(sp)
 
-    sp = sub.add_parser("geometry", help="critical-locus dimension and exponents")
-    sp.add_argument("--poly", required=True)
+    sp = command("geometry", "critical-locus dimension and exponents")
     sp.add_argument("--primes", required=True)
-    sp.add_argument("--s", dest="s_override", type=int, default=None)
-    common(sp)
+    sp.add_argument("--s", dest="s_override", type=int)
 
-    sp = sub.add_parser("circle", help="major-arc comparison")
-    sp.add_argument("--poly", required=True)
+    sp = command("circle", "major-arc comparison")
     sp.add_argument("--B", type=float, required=True)
     sp.add_argument("--delta", type=float, required=True)
     sp.add_argument("--rho", type=float, required=True)
     sp.add_argument("--center", required=True,
                     help="c1,...,cn; write --center=-0.5,... when c1 is negative")
-    sp.add_argument("--R-series", dest="R_series", type=int, default=None)
-    sp.add_argument("--quad-tol", dest="quad_tol", type=float, default=None)
-    common(sp)
+    sp.add_argument("--R-series", dest="R_series", type=int)
+    sp.add_argument("--quad-tol", dest="quad_tol", type=float)
 
-    sp = sub.add_parser("verify", help="decay-bound verification")
-    sp.add_argument("--poly")
+    sp = command("verify", "decay-bound verification", poly_required=False)
     sp.add_argument("--primes")
-    sp.add_argument("--max-m", dest="max_m", type=int, default=None)
-    sp.add_argument("--s", dest="s_override", type=int, default=None)
-    sp.add_argument("--slack", type=float, default=None)
+    sp.add_argument("--max-m", dest="max_m", type=int)
+    sp.add_argument("--s", dest="s_override", type=int)
+    sp.add_argument("--slack", type=float, default=16.0)
     sp.add_argument("--max-units", dest="max_units", action="store_true",
                     help="take the max of |E| over a sample of 4 random units")
     sp.add_argument("--self-test", dest="self_test", action="store_true")
-    sp.add_argument("--seed", type=int, default=None)
-    common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     return top
+
+
+def _subparsers(parser: argparse.ArgumentParser) -> dict[str, argparse.ArgumentParser]:
+    return next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
 
 
 def _read_config_file(path: str) -> dict[str, str]:
@@ -141,78 +115,51 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-_CONFIG_COERCE = {
-    "p": int, "m": int, "a": int, "N": int, "max-m": int, "R-series": int,
-    "seed": int, "s": int, "budget": int,
-    "B": float, "delta": float, "rho": float, "quad-tol": float, "slack": float,
-}
-_CONFIG_DEST = {"max-m": "max_m", "R-series": "R_series", "quad-tol": "quad_tol", "s": "s_override"}
-
-
-def _apply_config_file(ns: argparse.Namespace, cfg: dict[str, str]) -> None:
+def _config_defaults(sp: argparse.ArgumentParser, cfg: dict[str, str]) -> dict[str, object]:
+    """Convert each key=value whose key is a long flag of sp as that flag would."""
+    flags = {opt[2:]: a for a in sp._actions for opt in a.option_strings if opt.startswith("--")}
+    out = {}
     for key, raw in cfg.items():
-        dest = _CONFIG_DEST.get(key, key.replace("-", "_"))
-        if not hasattr(ns, dest):
-            continue
-        if getattr(ns, dest) not in (None, False):
-            continue  # explicit flags win
-        if getattr(ns, dest) is False:  # an unset store_true flag
-            setattr(ns, dest, raw.lower() in ("1", "true", "yes"))
-        elif key in _CONFIG_COERCE:
-            setattr(ns, dest, _CONFIG_COERCE[key](raw))
+        action = flags.get(key)
+        if action is None or isinstance(action, argparse._HelpAction):
+            continue  # unknown keys are ignored
+        if isinstance(action, argparse._StoreTrueAction):
+            value = raw.lower() in ("1", "true", "yes")
         else:
-            setattr(ns, dest, raw)
+            value = action.type(raw) if action.type else raw
+            if action.choices is not None and value not in action.choices:
+                raise ValueError(f"config {key}={raw!r}: expected one of "
+                                 + ", ".join(map(str, action.choices)))
+        out[action.dest] = value
+    return out
 
 
-def _parse_primes(text: str) -> tuple[int, ...]:
+def _parse_list(text: str, kind: type, what: str) -> tuple:
     try:
-        return tuple(int(t) for t in text.split(",") if t.strip())
+        return tuple(kind(t) for t in text.split(",") if t.strip())
     except ValueError as exc:
-        raise ValueError(f"bad prime list {text!r}") from exc
+        raise ValueError(f"bad {what} {text!r}") from exc
 
 
-def _parse_center(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(t) for t in text.split(",") if t.strip())
-    except ValueError as exc:
-        raise ValueError(f"bad center {text!r}") from exc
-
-
-def build_config(argv: list[str]) -> RunConfig:
-    ns = _build_parser().parse_args(argv)
-    if ns.config:
-        _apply_config_file(ns, _read_config_file(ns.config))
-    cfg = RunConfig(command=ns.command)
-    cfg.poly_text = getattr(ns, "poly", None)
-    cfg.out = ns.out
-    cfg.format = ns.format or "json"
-    cfg.budget = ns.budget
-    for name in ("p", "m", "a", "N", "max_m", "s_override", "B", "delta", "rho",
-                 "R_series", "quad_tol"):
-        if hasattr(ns, name):
-            setattr(cfg, name, getattr(ns, name))
-    if getattr(ns, "method", None):
-        cfg.method = ns.method
-    if getattr(ns, "ideal", None):
-        cfg.ideal = ns.ideal
-    cfg.crosscheck = bool(getattr(ns, "crosscheck", False))
-    cfg.max_units = bool(getattr(ns, "max_units", False))
-    cfg.self_test = bool(getattr(ns, "self_test", False))
-    if getattr(ns, "slack", None) is not None:
-        cfg.slack = ns.slack
-    if getattr(ns, "seed", None) is not None:
-        cfg.seed = ns.seed
-    if getattr(ns, "primes", None):
-        cfg.primes = _parse_primes(ns.primes)
-    if getattr(ns, "center", None):
-        cfg.center = _parse_center(ns.center)
+def build_config(argv: list[str]) -> argparse.Namespace:
+    """Parse argv; config-file values become the subcommand's defaults, so explicit flags win."""
+    parser = _build_parser()
+    cfg = parser.parse_args(argv)
+    if cfg.config:
+        sp = _subparsers(parser)[cfg.command]
+        sp.set_defaults(**_config_defaults(sp, _read_config_file(cfg.config)))
+        cfg = parser.parse_args(argv)
+    # split after parsing, so a bad list is a precondition error (exit 1)
+    for name, kind, what in (("primes", int, "prime list"), ("center", float, "center")):
+        if getattr(cfg, name, None) is not None:
+            setattr(cfg, name, _parse_list(getattr(cfg, name), kind, what))
     return cfg
 
 
 # -- command implementations ---------------------------------------------------
 
 
-def _cmd_sum(cfg: RunConfig) -> dict:
+def _cmd_sum(cfg: argparse.Namespace) -> dict:
     f = parse_polynomial(cfg.poly_text)
     if cfg.a is None:
         raise ValueError("sum requires --a")
@@ -242,18 +189,16 @@ def _cmd_sum(cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_zeta(cfg: RunConfig) -> dict:
+def _cmd_zeta(cfg: argparse.Namespace) -> dict:
     f = parse_polynomial(cfg.poly_text)
-    if cfg.max_m is None or cfg.max_m < 1:
+    if cfg.max_m < 1:
         raise ValueError("zeta requires --max-m >= 1")
-    if cfg.ideal == "f":
-        table, dens = zeta.poincare_coeffs(f, cfg.p, cfg.max_m)
-    else:
+    gens = None
+    if cfg.ideal != "f":
         gens = zeta.jacobian_squared_generators(f)
         if cfg.ideal == "f+jf2":
             gens = [f] + gens
-        table, dens = zeta.poincare_coeffs(
-            f, cfg.p, cfg.max_m, kind=zeta.CountKind.order_ge_ideal, generators=gens)
+    table, dens = zeta.poincare_coeffs(f, cfg.p, cfg.max_m, generators=gens)
     entries = [
         {"m": m, "count": c, "density": frac}
         for (m, c), (_, frac) in zip(table.entries, dens)
@@ -265,7 +210,7 @@ def _cmd_zeta(cfg: RunConfig) -> dict:
     return {"params": {"p": cfg.p, "max_m": cfg.max_m, "ideal": cfg.ideal}, "result": result}
 
 
-def _cmd_geometry(cfg: RunConfig) -> dict:
+def _cmd_geometry(cfg: argparse.Namespace) -> dict:
     f = parse_polynomial(cfg.poly_text)
     report = estimate_s(f, cfg.primes, override=cfg.s_override)
     sheet = exponent_sheet(f.n, f.degree(), report.effective_s)
@@ -286,11 +231,8 @@ def _cmd_geometry(cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_circle(cfg: RunConfig) -> dict:
+def _cmd_circle(cfg: argparse.Namespace) -> dict:
     f = parse_polynomial(cfg.poly_text)
-    for name in ("B", "delta", "rho", "center"):
-        if getattr(cfg, name) is None:
-            raise ValueError(f"circle requires --{name}")
     if len(cfg.center) != f.n:
         raise ValueError(f"center has {len(cfg.center)} coordinates, polynomial has {f.n}")
     w = WeightFunction(cfg.center, cfg.rho)
@@ -312,7 +254,7 @@ def _cmd_circle(cfg: RunConfig) -> dict:
     }
 
 
-def _cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
+def _cmd_verify(cfg: argparse.Namespace) -> tuple[dict, bool]:
     if cfg.self_test:
         return _self_test(cfg)
     f = parse_polynomial(cfg.poly_text)
@@ -341,7 +283,7 @@ def _cmd_verify(cfg: RunConfig) -> tuple[dict, bool]:
     }, failed
 
 
-def _self_test(cfg: RunConfig) -> tuple[dict, bool]:
+def _self_test(cfg: argparse.Namespace) -> tuple[dict, bool]:
     corpus = standard_corpus(seed=cfg.seed, size=15)
     cells = 0
     worst = 0.0
@@ -365,7 +307,7 @@ def _self_test(cfg: RunConfig) -> tuple[dict, bool]:
     }, failures > 0
 
 
-def run(cfg: RunConfig) -> tuple[int, dict]:
+def run(cfg: argparse.Namespace) -> tuple[int, dict]:
     """Dispatch a validated config; returns (exit_code, report dict).
 
     The run's budget (cfg.budget, else IGUSA_BUDGET) and IGUSA_WORKERS are

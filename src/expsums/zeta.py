@@ -146,24 +146,23 @@ def poincare_coeffs(
     f: Polynomial,
     p: int,
     max_m: int,
-    kind: CountKind = CountKind.zeros_of_f,
     generators: list[Polynomial] | None = None,
 ) -> tuple[CountTable, list[tuple[int, Fraction]]]:
     """Counts N_m for m = 0..max_m plus the exact densities N_m * p^(-mn).
 
-    kind zeros_of_f counts zeros of f; order_ge_ideal counts order >= m
-    for the supplied generator list (pre-multiplied by the caller when a
-    squared ideal is wanted).
+    Without generators the counts are the zeros of f (kind zeros_of_f);
+    with them, the points where every generator has order >= m (kind
+    order_ge_ideal; the caller pre-multiplies them when a squared ideal is
+    wanted).  An empty generator list is refused.
     """
     if max_m < 1:
         raise ValueError(f"max level must be >= 1, got {max_m}")
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    if kind is CountKind.zeros_of_f:
-        counts = _zero_counts(f, p, max_m)
-    elif not generators:
-        raise ValueError("order_ge_ideal needs a generator list")
+    if generators is None:
+        kind, counts = CountKind.zeros_of_f, _zero_counts(f, p, max_m)
     else:
+        kind = CountKind.order_ge_ideal
         counts = [count_order_ge(generators, p, m) for m in range(1, max_m + 1)]
     entries = [(0, 1)] + list(enumerate(counts, start=1))
     densities = [(m, Fraction(c, p ** (m * f.n))) for m, c in entries]

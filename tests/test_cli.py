@@ -1,11 +1,23 @@
+import argparse
 import json
 import os
+import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from expsums import Polynomial, enumeration
-from expsums.cli import EXIT_BUDGET, EXIT_OK, EXIT_PRECONDITION, build_config, main, run
+from expsums import Polynomial, cli, enumeration
+from expsums.cli import (
+    EXIT_BUDGET,
+    EXIT_OK,
+    EXIT_PRECONDITION,
+    _build_parser,
+    _subparsers,
+    build_config,
+    main,
+    run,
+)
 from expsums.circle import CircleMethodReport
 from expsums.geometry import exponent_sheet
 from expsums.reports import dumps_csv, dumps_json, serialize_report, to_jsonable
@@ -89,6 +101,12 @@ class TestOtherCommands:
         assert report["result"]["s_provenance"] == "fitted"
         assert report["result"]["exponents"].sigma_theorem == Fraction(1, 4)
 
+    def test_geometry_empty_prime_list(self):
+        # an empty --primes used to reach estimate_s as None: a TypeError traceback
+        code, report = run_cli(["geometry", "--poly", "x1^2", "--primes", ""])
+        assert code == EXIT_PRECONDITION
+        assert "at least 3 primes" in report["error"]["message"]
+
     def test_geometry_override(self):
         code, report = run_cli(
             ["geometry", "--poly", "x1^2+x2^2", "--primes", "5,7,11", "--s", "1"]
@@ -150,6 +168,90 @@ class TestOtherCommands:
         cfg.write_text(f"crosscheck={raw}\n")
         zeta = build_config(["--config", str(cfg), "zeta", "--poly", "x1", "--p", "3", "--max-m", "1"])
         assert zeta.crosscheck is want
+
+
+def _long_flags(parser):
+    """The long-flag actions of a parser, --help left out."""
+    return [a for a in parser._actions
+            if a.option_strings and not isinstance(a, argparse._HelpAction)]
+
+
+def _sample(action):
+    """A valid value for the flag that differs from its default."""
+    if action.choices:
+        return action.choices[-1]
+    return {int: "3", float: "0.5"}.get(action.type, "5,7")
+
+
+class TestConfigFile:
+    SUM = ["sum", "--poly", "x1^2", "--p", "3", "--m", "2", "--a", "1"]
+    ZETA = ["zeta", "--poly", "x1^2", "--p", "3", "--max-m", "2"]
+
+    @pytest.mark.parametrize("line, argv", [
+        ("method=foo", SUM), ("ideal=foo", ZETA), ("format=xml", SUM),
+    ])
+    def test_value_outside_choices_exits_1(self, tmp_path, monkeypatch, capsys, line, argv):
+        # these used to run: method=foo as pruned under the label "foo",
+        # ideal=foo as J_f^2, and format=xml into a traceback after the run
+        def no_run(cfg):
+            raise AssertionError("the command ran")
+
+        monkeypatch.setattr(cli, "run", no_run)
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        assert main(["--config", str(cfg)] + argv) == EXIT_PRECONDITION
+        assert "expected one of" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(_subparsers(_build_parser())))
+    def test_every_key_matches_its_flag(self, tmp_path, command):
+        actions = _long_flags(_subparsers(_build_parser())[command])
+        base = [command] + [x for a in actions if a.required for x in (a.option_strings[0], _sample(a))]
+        cfg = tmp_path / "run.cfg"
+
+        def settings(argv):
+            return {k: v for k, v in vars(build_config(argv)).items() if k != "config"}
+
+        for action in actions:
+            if action.required:
+                continue
+            flag = action.option_strings[0]
+            if isinstance(action, argparse._StoreTrueAction):
+                raw, given = "true", [flag]
+            else:
+                raw = _sample(action)
+                given = [flag, raw]
+            cfg.write_text(f"{flag[2:]}={raw}\n")
+            by_flag = settings(base + given)
+            assert by_flag != settings(base), flag
+            assert settings(["--config", str(cfg)] + base) == by_flag, flag
+
+    def test_readme_synopsis_names_every_flag(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("## Command line", 1)[1].split("```")[1]
+        parser = _build_parser()
+        commands = _subparsers(parser)
+        sections = dict.fromkeys(commands, "")
+        shared, command = "", None
+        for line in block.splitlines():
+            if line.startswith("expsums "):
+                command = line.split()[1]
+            if command in sections:
+                sections[command] += line + "\n"
+            else:  # the line of flags every command takes
+                shared += line + "\n"
+
+        def named(flag, text):
+            return re.search(re.escape(flag) + r"(?![\w-])", text) is not None
+
+        for action in _long_flags(parser):
+            assert named(action.option_strings[0], shared)
+        for name, sp in commands.items():
+            flags = {a.option_strings[0] for a in _long_flags(sp)}
+            for flag in flags:
+                assert named(flag, sections[name]) or named(flag, shared), (name, flag)
+            for flag in re.findall(r"--[\w-]+", sections[name]):
+                assert flag in flags, (name, flag)
+
 
 class TestCircleInputs:
     ARGS = {"--B": "8", "--delta": "0.25", "--center": "0.5,0.25"}

@@ -149,12 +149,19 @@ class TestPoincare:
     def test_order_kind_table(self):
         f = parse_polynomial("x1^2")
         gens = jacobian_squared_generators(f)
-        table, dens = poincare_coeffs(
-            f, 3, 2, kind=CountKind.order_ge_ideal, generators=gens
-        )
+        table, dens = poincare_coeffs(f, 3, 2, generators=gens)
         assert table.kind is CountKind.order_ge_ideal
         # v(4 x^2) >= 1 forces x = 0 mod 3; >= 2 likewise within mod 9: 3 lifts
         assert table.entries == [(0, 1), (1, 1), (2, 3)]
+
+    def test_generators_set_the_kind(self):
+        # passing generators alone used to count the zeros of f: [1, 3, 15, 45]
+        f = parse_polynomial("x1^2+x2^3")
+        table, _ = poincare_coeffs(f, 3, 3, generators=jacobian_squared_generators(f))
+        assert table.kind is CountKind.order_ge_ideal
+        assert [c for _, c in table.entries] == [1, 3, 27, 27]
+        with pytest.raises(ValueError):
+            poincare_coeffs(f, 3, 2, generators=[])
 
     def test_hensel_stabilization_smooth_locus(self):
         # gradient nonvanishing on the F_p-points of {f = 0}
