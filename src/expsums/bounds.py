@@ -7,18 +7,31 @@ and primes and classifies observed decay.  It tests exponents, not
 constants: the proven bound's constant is unknown, so assertions carry a
 configurable slack factor (default 16).  Finitely many bad-reduction
 primes are expected and surfaced, never silently asserted.
+
+Both exponents bound sup_a |E(p^m, a)| over the units a.  decay_fit
+measures the unit a = 1, or that supremum over every unit, not a sample:
+W, the critical-atom distribution of f on Z/p^m, is real, so one real FFT
+of the dense W gives |E(p^m, a)| = |E(p^m, p^m - a)| for every a at once.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .charsums import AdditiveCharacter, exp_sum_pruned, finite_field_sum
+import numpy as np
+
+from . import enumeration
+from .charsums import (
+    AdditiveCharacter,
+    _critical_atoms,
+    _require_prime,
+    exp_sum_pruned,
+    finite_field_sum,
+)
 from .geometry import _ls_slope, critical_count, estimate_s, exponent_sheet
 from .polynomials import Polynomial
 
@@ -67,17 +80,27 @@ class GapReport:
     flagged: list[int] = field(default_factory=list)  # primes with negative gap
 
 
-def _max_abs_over_units(f, p, m, units, rng) -> float:
-    chi = AdditiveCharacter(p, m, 1)
-    best = exp_sum_pruned(f, chi).abs
+def _max_abs_over_units(f: Polynomial, p: int, m: int) -> float:
+    """sup over the units a mod q = p^m of |E(q, a)|, from one real FFT of W.
+
+    With W scattered into a dense array of length q, rfft(W)[a] is the
+    conjugate of p^(mn) E(q, a), and a <= q/2 covers every unit up to the
+    mirror a -> q - a.  q points are charged to the budget before the array
+    is allocated.  The result is within 4 eps log2(q) times the atoms' share
+    of the p^(mn) points (measured: under 0.7 of that on the corpus and at
+    primes up to 2999).
+    """
+    _require_prime(p)
     q = p**m
-    for _ in range(max(0, units - 1)):
-        a = rng.randrange(1, q)
-        while a % p == 0:
-            a = rng.randrange(1, q)
-        val = exp_sum_pruned(f, AdditiveCharacter(p, m, a))
-        best = max(best, val.abs)
-    return best
+    if q >= enumeration._MAX_MODULUS:
+        raise ValueError(f"modulus {q} too large for the unit spectrum")
+    enumeration._charge(q, "unit spectrum")
+    _, _, residues, weights = _critical_atoms(f, p, m)
+    dense = np.zeros(q)
+    dense[residues.astype(np.int64)] = weights.astype(np.float64)
+    mags = np.abs(np.fft.rfft(dense))
+    mags[::p] = 0.0  # a = 0 and the other non-units
+    return float(mags.max()) / p ** (m * f.n)
 
 
 def decay_fit(
@@ -86,10 +109,12 @@ def decay_fit(
     m_range: Sequence[int],
     s_val: int,
     slack: float = DEFAULT_SLACK,
-    units: int = 1,
-    seed: int = 0,
+    max_units: bool = False,
 ) -> DecayFit:
     """Measure |E| across conductors and fit the decay slope.
+
+    |E| is |E(p^m, 1)|, or with max_units the supremum over every unit mod
+    p^m (_max_abs_over_units).  slack must be positive and finite.
 
     fitted_beta is the least-squares slope of -log_p|E| against m over the
     nonzero samples, reported only when at least three exist.  Values at
@@ -100,14 +125,18 @@ def decay_fit(
     d = f.degree()
     if d is None:
         raise ValueError("zero polynomial has no decay to fit")
+    if not (math.isfinite(slack) and slack > 0):
+        raise ValueError(f"slack must be positive and finite, got {slack}")
     sheet = exponent_sheet(f.n, d, s_val)
-    rng = random.Random(seed)
     samples: list[tuple[int, float]] = []
     zeros: list[int] = []
     for m in sorted(set(int(m) for m in m_range)):
         if m < 1:
             raise ValueError(f"conductor must be >= 1, got {m}")
-        mag = _max_abs_over_units(f, p, m, units, rng)
+        if max_units:
+            mag = _max_abs_over_units(f, p, m)
+        else:
+            mag = exp_sum_pruned(f, AdditiveCharacter(p, m, 1)).abs
         samples.append((m, mag))
         if mag <= ZERO_TOL:
             zeros.append(m)

@@ -23,7 +23,7 @@ import sys
 import time
 
 from . import enumeration, zeta
-from .bounds import Verdict, decay_fit
+from .bounds import DEFAULT_SLACK, Verdict, decay_fit
 from .charsums import (
     AdditiveCharacter,
     exp_sum_composite,
@@ -89,11 +89,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--primes")
     sp.add_argument("--max-m", dest="max_m", type=int)
     sp.add_argument("--s", dest="s_override", type=int)
-    sp.add_argument("--slack", type=float, default=16.0)
+    sp.add_argument("--slack", type=float, default=DEFAULT_SLACK)
     sp.add_argument("--max-units", dest="max_units", action="store_true",
-                    help="take the max of |E| over a sample of 4 random units")
+                    help="the supremum of |E| over all units mod p^m")
     sp.add_argument("--self-test", dest="self_test", action="store_true")
-    sp.add_argument("--seed", type=int, default=0)
+    sp.add_argument("--seed", type=int, default=0, help="self-test corpus")
     return top
 
 
@@ -163,6 +163,8 @@ def _cmd_sum(cfg: argparse.Namespace) -> dict:
     f = parse_polynomial(cfg.poly_text)
     if cfg.a is None:
         raise ValueError("sum requires --a")
+    if cfg.N is not None and cfg.method == "naive":
+        raise ValueError("--method naive needs --p and --m, not --N")
     if cfg.N is not None or cfg.method == "crt":
         N = cfg.N if cfg.N is not None else (cfg.p or 0) ** (cfg.m or 0)
         if N < 1:
@@ -270,7 +272,7 @@ def _cmd_verify(cfg: argparse.Namespace) -> tuple[dict, bool]:
         provenance = "fitted"
     fits = [
         decay_fit(f, p, range(1, cfg.max_m + 1), s_val, slack=cfg.slack,
-                  units=4 if cfg.max_units else 1, seed=cfg.seed)
+                  max_units=cfg.max_units)
         for p in sorted(set(cfg.primes))
     ]
     failed = any(fit.verdict is Verdict.violates_theorem for fit in fits)
@@ -278,6 +280,7 @@ def _cmd_verify(cfg: argparse.Namespace) -> tuple[dict, bool]:
         "params": {
             "primes": list(cfg.primes), "max_m": cfg.max_m,
             "s": s_val, "s_provenance": provenance, "slack": cfg.slack,
+            "max_units": cfg.max_units,
         },
         "result": {"fits": fits, "violations": failed},
     }, failed

@@ -1,15 +1,22 @@
+import math
+import sys
 from fractions import Fraction
 
 import pytest
 
 from expsums import (
+    AdditiveCharacter,
     Verdict,
     conjecture_gap_report,
     decay_fit,
     deligne_check,
+    exp_sum_pruned,
     exponent_sheet,
     parse_polynomial,
 )
+from expsums.bounds import _max_abs_over_units
+from expsums.charsums import _critical_atoms
+from expsums.corpus import standard_corpus
 
 
 class TestDecayFit:
@@ -69,11 +76,40 @@ class TestDecayFit:
 
     def test_max_units_sampling(self):
         f = parse_polynomial("x1^2")
-        a = decay_fit(f, 5, [1, 2, 3], 0, units=4, seed=1)
+        a = decay_fit(f, 5, [1, 2, 3], 0, max_units=True)
         b = decay_fit(f, 5, [1, 2, 3], 0)
         # all units share the Gauss magnitude here
         for (m1, v1), (m2, v2) in zip(a.samples, b.samples):
             assert m1 == m2 and abs(v1 - v2) < 1e-12
+
+    @pytest.mark.parametrize("slack", [math.nan, math.inf, 0.0, -1.0])
+    def test_bad_slack_refused(self, slack):
+        # nan used to return meets_theorem whatever the samples
+        with pytest.raises(ValueError, match="slack"):
+            decay_fit(parse_polynomial("x1^2"), 5, [1, 2], 0, slack=slack)
+
+
+class TestUnitSupremum:
+    def test_fft_supremum_equals_per_unit_maximum(self):
+        # every unit, through the per-unit phase pass; the FFT bound is
+        # 4 eps log2(q) times the atoms' share of the p^(mn) points
+        cells = 0
+        for f in standard_corpus(0):
+            for p in (2, 3, 5, 7):
+                for m in range(1, 5):
+                    q = p**m
+                    best = max(exp_sum_pruned(f, AdditiveCharacter(p, m, a)).abs
+                               for a in range(1, q) if a % p)
+                    weights = _critical_atoms(f, p, m)[3]
+                    share = float(weights.sum() / p ** (m * f.n))
+                    tol = 4 * sys.float_info.epsilon * math.log2(q) * share
+                    assert abs(_max_abs_over_units(f, p, m) - best) <= tol, (f, p, m)
+                    cells += 1
+        assert cells == 800
+
+    def test_modulus_beyond_the_int_kernels_refused(self):
+        with pytest.raises(ValueError, match="too large"):
+            _max_abs_over_units(parse_polynomial("x1^2"), 2, 31)
 
 
 class TestDeligne:

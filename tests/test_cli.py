@@ -57,6 +57,17 @@ class TestSumCommand:
         assert code == EXIT_OK
         assert abs(report["result"]["abs"] - (1 / 3) * 5**-0.5) < 1e-9
 
+    def test_naive_method_with_N_refused(self):
+        # used to run the CRT route and report "method": "crt"
+        code, report = run_cli(
+            ["sum", "--poly", "x1^2", "--a", "1", "--N", "45", "--method", "naive"]
+        )
+        assert code == EXIT_PRECONDITION
+        assert report["error"]["code"] == "PRECONDITION"
+        code, report = run_cli(["sum", "--poly", "x1^2", "--a", "1", "--N", "45"])
+        assert code == EXIT_OK
+        assert report["params"]["method"] == "crt"
+
     def test_nonprime_p_precondition(self):
         code, report = run_cli(["sum", "--poly", "x1", "--p", "6", "--m", "2", "--a", "1"])
         assert code == EXIT_PRECONDITION
@@ -132,6 +143,41 @@ class TestOtherCommands:
         )
         assert code == EXIT_VERIFY_FAILED
         assert report["result"]["violations"] is True
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+    def test_bad_slack_is_a_precondition(self, value):
+        # nan and inf used to run the whole check into a traceback
+        code, report = run_cli(
+            ["verify", "--poly", "x1^2", "--primes", "5", "--max-m", "2", "--slack", value]
+        )
+        assert code == EXIT_PRECONDITION
+        assert report["error"]["code"] == "PRECONDITION"
+        assert "slack" in report["error"]["message"]
+
+    def test_max_units_is_the_exact_supremum(self):
+        # four random units used to read 0.276 at --seed 0 and 0.724 at --seed 7
+        argv = ["verify", "--poly", "x1^3+x1", "--primes", "5", "--max-m", "3"]
+        data = [serialize_report(run_cli(argv + ["--max-units", "--seed", seed])[1])
+                for seed in ("0", "7")]
+        assert data[0] == data[1]
+        report = json.loads(data[0])
+        assert report["params"]["max_units"] is True
+        assert report["result"]["fits"][0]["samples"][0] == [1, 0.72360679774997894]
+        report = run_cli(argv)[1]  # the unit a = 1
+        assert report["params"]["max_units"] is False
+        assert report["result"]["fits"][0].samples[0] == (1, 0.27639320225002101)
+
+    @pytest.mark.parametrize("extra, want, what", [
+        (["--primes", "5", "--budget", "124"], EXIT_BUDGET, "unit spectrum needs 125 points"),
+        (["--primes", "6"], EXIT_PRECONDITION, "6 is not prime"),
+    ])
+    def test_max_units_refusals(self, extra, want, what):
+        argv = ["verify", "--poly", "x1^2", "--max-m", "3", "--s", "0"] + extra
+        if want == EXIT_BUDGET:  # the sums alone fit the budget
+            assert run_cli(argv)[0] == EXIT_OK
+        code, report = run_cli(argv + ["--max-units"])
+        assert code == want
+        assert what in report["error"]["message"]
 
     def test_verify_self_test(self):
         code, report = run_cli(["verify", "--self-test", "--seed", "0"])
