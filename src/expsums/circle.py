@@ -37,7 +37,7 @@ import numpy as np
 from . import enumeration
 from .arith import primes_up_to
 from .charsums import exp_sum_composite
-from .errors import QuadratureConvergenceError
+from .errors import BudgetExceededError, QuadratureConvergenceError
 from .polynomials import Polynomial
 from .zeta import poincare_coeffs
 
@@ -66,16 +66,12 @@ class WeightFunction:
     def values(self, points: np.ndarray, scale: float = 1.0) -> np.ndarray:
         """omega(points / scale) for an (N, n) array, vectorized.
 
-        The squared distance is summed left to right over the axes, the
-        order in which _in_ball tests prefixes."""
+        The squared distance is summed left to right over the axes, as
+        _in_ball sums it, so _bump of _in_ball's t2 gives the same bits."""
         t2 = np.zeros(points.shape[0])
         for j, c in enumerate(self.center):
             t2 = t2 + (points[:, j] / scale - c) ** 2
-        t2 = t2 / self.rho**2
-        out = np.zeros(t2.shape, dtype=np.float64)
-        inside = t2 < 1.0
-        out[inside] = np.exp(-1.0 / (1.0 - t2[inside]))
-        return out
+        return _bump(t2, self.rho)
 
     def support_box(self, B: float) -> list[tuple[int, int]]:
         """Per-axis integer ranges of {x : ||x/B - center|| < rho}."""
@@ -85,6 +81,13 @@ class WeightFunction:
             hi = math.floor(B * (c + self.rho))
             out.append((lo, hi))
         return out
+
+
+def _bump(t2: np.ndarray, rho: float) -> np.ndarray:
+    """w(sqrt(t2) / rho) for squared distances t2 from the center:
+    exp(-1 / (1 - t2 / rho^2)) where t2 / rho^2 < 1, else 0."""
+    with np.errstate(divide="ignore"):  # on and outside the sphere: exp(-1/0) = exp(-inf) = 0
+        return np.exp(-1.0 / np.maximum(1.0 - t2 / rho**2, 0.0))
 
 
 # -- box utilities -------------------------------------------------------------
@@ -152,15 +155,16 @@ def _in_ball(offsets: Sequence[np.ndarray], rho2: float) -> tuple[list[np.ndarra
 
 def _ball_columns(
     w: WeightFunction, B: float, box: list[tuple[int, int]], lo0: int, hi0: int
-) -> list[np.ndarray]:
-    """Coordinate columns of the lattice points x of [lo0,hi0) x box[1:],
-    in row-major order, whose first k = len(box) coordinates satisfy
-    sum_{j<k} (x_j/B - center_j)^2 / rho^2 < 1 (_in_ball); a dropped point
-    has weight 0 whatever its remaining coordinates."""
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """(cols, t2): coordinate columns of the lattice points x of [lo0,hi0) x
+    box[1:], in row-major order, whose first k = len(box) coordinates have
+    t2 = sum_{j<k} (x_j/B - center_j)^2 < rho^2 (_in_ball), and that t2; a
+    dropped point has weight 0 whatever its remaining coordinates.  At
+    k = n, _bump(t2, rho) is omega(x/B), bit for bit WeightFunction.values."""
     axes = [np.arange(lo0, hi0, dtype=np.int64)]
     axes += [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in box[1:]]
-    idx, _ = _in_ball([x / B - c for x, c in zip(axes, w.center)], w.rho**2)
-    return [x[i] for x, i in zip(axes, idx)]
+    idx, t2 = _in_ball([x / B - c for x, c in zip(axes, w.center)], w.rho**2)
+    return [x[i] for x, i in zip(axes, idx)], t2
 
 
 # -- lattice sums --------------------------------------------------------------
@@ -178,11 +182,10 @@ def weighted_exponential_sum(f: Polynomial, B: float, w: WeightFunction, alpha: 
     enumeration._charge(total, "lattice sum")
 
     def work(chunk):
-        cols = _ball_columns(w, B, box, *chunk)
+        cols, t2 = _ball_columns(w, B, box, *chunk)
         vals = enumeration.eval_columns_exact(f, cols)
-        wv = w.values(np.stack(cols, axis=-1).astype(np.float64), scale=B)
         phases = np.exp((2j * np.pi * alpha) * vals.astype(np.float64))
-        return complex(np.sum(wv * phases))
+        return complex(np.sum(_bump(t2, w.rho) * phases))
 
     parts = enumeration._run_blocks(work, _box_chunks(box), enumeration.default_workers())
     return complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
@@ -219,10 +222,13 @@ def singular_series(f: Polynomial, R: int) -> SingularSeriesResult:
     sum_{j <= k} A(p^j) = p^k N(p^k) p^(-kn), so A(p^k) is a difference of
     two zero counts (zeta.poincare_coeffs) and A(q) = prod_{p^k || q} A(p^k).
     The run's enumeration budget applies to each enumeration, not to the
-    series as a whole.
+    series as a whole; an R above it is refused, uncharged, before the
+    R + 1 terms or the sieve up to R are allocated.
     """
     if R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
+    if R > (budget := enumeration.enumeration_budget()):
+        raise BudgetExceededError(R, budget, "singular series")
     terms = [Fraction(1)] * (R + 1)  # terms[q] = A(q)
     for p in primes_up_to(R):
         k_max = max(k for k in range(1, R.bit_length() + 1) if p**k <= R)
@@ -318,7 +324,7 @@ class OscillatoryIntegrator:
                         t = t * (x**k)[ix]
                 fv = fv + t
             chunk_f.append(fv)
-            chunk_wq.append(wq * np.exp(-1.0 / (1.0 - t2 / w.rho**2)))
+            chunk_wq.append(wq * _bump(t2, w.rho))
         return np.concatenate(chunk_f), np.concatenate(chunk_wq)
 
     def weight_integral(self) -> float:
@@ -419,9 +425,9 @@ def _last_var_split(f: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial] 
 def weighted_solution_count(f: Polynomial, B: float, w: WeightFunction) -> float:
     """N_omega(f, B) = sum over integer solutions f(x) = 0 of omega(x/B).
 
-    Only the lattice points of the support ball are enumerated
-    (_ball_columns), one axis-0 chunk of the support box at a time, in
-    row-major order; the budget is charged for the whole box.  On each
+    Only the lattice points of the support ball are enumerated and
+    weighted by their walk's t2 (_ball_columns), one axis-0 box chunk at a
+    time, row-major; the budget is charged for the whole box.  On each
     mirror axis (_mirror_axes: center_j = 0, f even in x_j; among the
     first n-1 on the solver path below) only x_j >= 0 is walked, and a
     point counts 2^(mirror axes with x_j != 0) times its weight.  Solution
@@ -449,13 +455,9 @@ def weighted_solution_count(f: Polynomial, B: float, w: WeightFunction) -> float
     walk = _fold(box, mirror)
 
     def work(chunk):
-        cols = _ball_columns(w, B, walk, *chunk)
+        cols, t2 = _ball_columns(w, B, walk, *chunk)
         hit = enumeration.eval_columns_exact(f, cols) == 0
-        if not hit.any():
-            return 0.0
-        cols = [c[hit] for c in cols]
-        pts = np.stack(cols, axis=-1).astype(np.float64)
-        return float(np.sum(w.values(pts, scale=B) * _multiplicity(cols, mirror)))
+        return float(np.sum(_bump(t2[hit], w.rho) * _multiplicity([c[hit] for c in cols], mirror)))
 
     parts = enumeration._run_blocks(work, _box_chunks(walk), enumeration.default_workers())
     return math.fsum(parts)
@@ -479,21 +481,19 @@ def _count_quadratic_fiber(f, split, B, w, box) -> float:
     zlo, zhi = box[-1]
     z_axis = np.arange(zlo, zhi + 1, dtype=np.int64)
 
-    def weight_of(points_int: np.ndarray) -> np.ndarray:
-        return w.values(points_int.astype(np.float64), scale=B)
-
     def work(chunk):
-        cols = _ball_columns(w, B, outer_box, *chunk)
-        mult = _multiplicity(cols, mirror)
+        cols, t2 = _ball_columns(w, B, outer_box, *chunk)
         a, b, c = (enumeration.eval_columns_exact(g, cols) for g in (A, Bc, C))
         acc = 0.0
 
         def add_points(idx: np.ndarray, z: np.ndarray) -> float:
+            """Weighted count of the points (cols[idx], z) with z in the box:
+            omega from the walk's t2 plus the last axis's term, times the
+            mirror multiplicity of cols[idx]."""
             ok = (z >= zlo) & (z <= zhi)
-            if not ok.any():
-                return 0.0
-            pts = np.stack([col[idx[ok]] for col in cols] + [z[ok]], axis=-1)
-            return float(np.sum(weight_of(pts) * mult[idx[ok]]))
+            idx, z = idx[ok], z[ok]
+            mult = _multiplicity([col[idx] for col in cols], mirror)
+            return float(np.sum(_bump(t2[idx] + (z / B - w.center[-1]) ** 2, w.rho) * mult))
 
         def add_roots(idx: np.ndarray, num: np.ndarray, den: np.ndarray) -> float:
             """add_points at the integer quotients z = num / den."""
@@ -517,14 +517,8 @@ def _count_quadratic_fiber(f, split, B, w, box) -> float:
         acc += add_roots(quad[double], -bq[double] - r[double], 2 * aq[double])
         lin = np.flatnonzero((a == 0) & (b != 0))
         acc += add_roots(lin, -c[lin], b[lin])
-        flat = (a == 0) & (b == 0) & (c == 0)
-        if flat.any():
-            for i in np.flatnonzero(flat):
-                base = np.array([col[i] for col in cols], dtype=np.int64)
-                pts = np.concatenate(
-                    [np.broadcast_to(base, (z_axis.size, base.size)), z_axis[:, None]], axis=1
-                )
-                acc += mult[i] * float(np.sum(weight_of(pts)))
+        for i in np.flatnonzero((a == 0) & (b == 0) & (c == 0)):
+            acc += add_points(np.full(z_axis.size, i), z_axis)
         return acc
 
     parts = enumeration._run_blocks(work, _box_chunks(outer_box), enumeration.default_workers())
@@ -564,13 +558,19 @@ def major_arc_report(
     The prediction is trusted when n - s > 4(d-1); outside that range it
     is still computed, with a warning flag.  Explicit R overrides support
     convergence studies (holding R fixed makes the prediction scale
-    exactly like B^(n-d))."""
+    exactly like B^(n-d)).  The quadrature's preconditions (n <= 5, the
+    weight's dimension, tol) and a B^delta past the float range are
+    refused before the series runs."""
     if not (math.isfinite(B) and math.isfinite(delta)) or B <= 0 or delta <= 0:
         raise ValueError(f"B and delta must be positive and finite, got {B} and {delta}")
     d = f.degree()
     if d is None or d < 1:
         raise ValueError("polynomial must be non-constant")
-    R = B**delta
+    OscillatoryIntegrator(f, w, tol)  # checks only; singular_integral builds its own
+    try:
+        R = B**delta
+    except OverflowError:
+        raise ValueError(f"B^delta overflows a float at B={B}, delta={delta}") from None
     r_series = R_series if R_series is not None else math.ceil(R)
     r_int = R_integral if R_integral is not None else R
     warnings: list[str] = []

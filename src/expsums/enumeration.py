@@ -200,34 +200,48 @@ def _run_blocks(fn, blocks, workers):
         return list(pool.map(fn, blocks))
 
 
+def _grid_blocks(polys, grid, modulus, what, step) -> list:
+    """step(values, lo) for each axis-0 block [lo, hi) x [0, grid)^(n-1) of
+    the grid, in block order; values(i) is polys[i] mod modulus on the
+    block, flattened row-major (_block_values).  Checks the modulus and
+    charges grid^n points per polynomial before anything runs; the blocks
+    share one power-table cache and run on default_workers() threads."""
+    if modulus >= _MAX_MODULUS:
+        raise ValueError(f"modulus {modulus} too large for the int64 kernel")
+    n = polys[0].n
+    _charge(grid**n * len(polys), what)
+    workers = default_workers()
+    terms = [_prepare_terms(p, modulus) for p in polys]
+    pow_full: dict[tuple[int, int, type], np.ndarray] = {}
+
+    def work(block):
+        lo, hi = block
+        return step(lambda i: _block_values(terms[i], n, grid, modulus, lo, hi, pow_full), lo)
+
+    return _run_blocks(work, _axis0_blocks(grid, n, workers), workers)
+
+
 def residue_histogram(f: Polynomial, grid: int, modulus: int) -> np.ndarray:
     """Exact histogram of f(x) mod modulus over x in [0, grid)^n.
 
     Returns an int64 array of length ``modulus`` whose entries sum to
-    grid^n.  Each block's bincount is added to it as the block finishes,
-    so at most one bincount per worker is alive besides the total.
+    grid^n.  The first block's bincount becomes the total and every later
+    one is added to it as its block finishes, so at most one bincount per
+    worker is alive besides the total.
     """
-    if modulus >= _MAX_MODULUS:
-        raise ValueError(f"modulus {modulus} too large for the int64 kernel")
-    n = f.n
-    total = grid**n
-    _charge(total, "histogram enumeration")
-    workers = default_workers()
-    terms = _prepare_terms(f, modulus)
-    pow_full: dict[tuple[int, int, type], np.ndarray] = {}
-
-    hist = np.zeros(modulus, dtype=np.int64)
+    total: list[np.ndarray] = []
     lock = threading.Lock()
 
-    def work(block):
-        lo, hi = block
-        vals = _block_values(terms, n, grid, modulus, lo, hi, pow_full)
-        part = np.bincount(vals, minlength=modulus)
+    def add(values, lo):
+        part = np.bincount(values(0), minlength=modulus)
         with lock:  # integer addition: the block order does not matter
-            np.add(hist, part, out=hist)
+            if total:
+                np.add(total[0], part, out=total[0])
+            else:
+                total.append(part)
 
-    _run_blocks(work, _axis0_blocks(grid, n, workers), workers)
-    return hist
+    _grid_blocks([f], grid, modulus, "histogram enumeration", add)
+    return total[0] if total else np.zeros(modulus, dtype=np.int64)
 
 
 def _zero_masks(polys, grid, modulus, what, reduce) -> list:
@@ -236,28 +250,19 @@ def _zero_masks(polys, grid, modulus, what, reduce) -> list:
     polynomial is 0 mod modulus; offset is the flat index of its first point."""
     if not polys:
         raise ValueError("need at least one polynomial")
-    n = polys[0].n
-    if any(p.n != n for p in polys):
+    if any(p.n != polys[0].n for p in polys):
         raise ValueError("polynomials have mixed variable counts")
-    if modulus >= _MAX_MODULUS:
-        raise ValueError(f"modulus {modulus} too large for the int64 kernel")
-    _charge(grid**n * len(polys), what)
-    workers = default_workers()
-    terms_list = [_prepare_terms(p, modulus) for p in polys]
-    pow_full: dict[tuple[int, int, type], np.ndarray] = {}
-    inner = grid ** (n - 1)
+    inner = grid ** (polys[0].n - 1)
 
-    def work(block):
-        lo, hi = block
-        mask: np.ndarray | None = None
-        for terms in terms_list:
-            m = _block_values(terms, n, grid, modulus, lo, hi, pow_full) == 0
-            mask = m if mask is None else (mask & m)
+    def mask_of(values, lo):
+        mask = values(0) == 0
+        for i in range(1, len(polys)):
             if not mask.any():
                 break
+            mask &= values(i) == 0
         return reduce(mask, lo * inner)
 
-    return _run_blocks(work, _axis0_blocks(grid, n, workers), workers)
+    return _grid_blocks(polys, grid, modulus, what, mask_of)
 
 
 def common_zero_points(polys: Sequence[Polynomial], grid: int, modulus: int) -> np.ndarray:
@@ -268,13 +273,7 @@ def common_zero_points(polys: Sequence[Polynomial], grid: int, modulus: int) -> 
     flats = _zero_masks(polys, grid, modulus, "zero-locus enumeration",
                         lambda mask, offset: np.flatnonzero(mask) + offset)
     flat = np.concatenate(flats) if flats else np.empty(0, dtype=np.int64)
-    n = polys[0].n
-    coords = np.empty((flat.size, n), dtype=np.int64)
-    rem = flat
-    for j in range(n - 1, -1, -1):
-        coords[:, j] = rem % grid
-        rem = rem // grid
-    return coords
+    return np.stack(np.unravel_index(flat, (grid,) * polys[0].n), axis=-1)
 
 
 def count_common_zeros(polys: Sequence[Polynomial], grid: int, modulus: int) -> int:

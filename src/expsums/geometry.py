@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import enumeration
-from .arith import is_prime
+from .charsums import _require_prime
 from .polynomials import Polynomial
 
 
@@ -64,8 +64,7 @@ def exponent_sheet(n: int, d: int, s: int) -> ExponentSheet:
 
 def critical_count(fd: Polynomial, p: int) -> int:
     """|{x in F_p^n : grad fd(x) = 0}| by full enumeration of the affine cone."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     if not fd.is_homogeneous():
         raise ValueError("leading form must be homogeneous")
     grads = list(fd.gradient())
@@ -97,8 +96,7 @@ def estimate_s(
     if len(primes) < 3:
         raise ValueError(f"need at least 3 primes, got {len(primes)}")
     for p in primes:
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
+        _require_prime(p)
     d = f.degree()
     if d is None or d < 2:
         raise ValueError("polynomial must have degree >= 2")

@@ -11,7 +11,7 @@ Text syntax (whitespace insignificant)::
     term   := factor ("*"? factor)*
     factor := base ("^" uint)?
     base   := int | var | "(" expr ")"
-    var    := "x" uint          (1-based: x1, x2, ...)
+    var    := "x" uint          (1-based: x1, x2, ..., x64 at most)
 
 The "*" between juxtaposed factors may be omitted ("3x1" == "3*x1").
 Unicode identifiers and floating-point coefficients are rejected.
@@ -30,6 +30,8 @@ from typing import Mapping, Sequence
 from .errors import PolyParseError
 
 MAX_EXPONENT = 2**31
+# Past 64 variables every grid (p >= 2) holds at least 2^64 points.
+MAX_VARIABLES = 64
 
 Exponent = tuple[int, ...]
 
@@ -322,10 +324,12 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
                 j += 1
             if j == i + 1:
                 raise PolyParseError("expected digits after 'x'", pos)
-            idx = int(text[i + 1 : j])
-            if idx == 0:
+            digits = text[i + 1 : j].lstrip("0")
+            if not digits:
                 raise PolyParseError("variable index 0 is not allowed (variables start at x1)", pos)
-            toks.append((_TOK_VAR, idx, pos))
+            if len(digits) > len(str(MAX_VARIABLES)) or int(digits) > MAX_VARIABLES:
+                raise PolyParseError(f"variable index exceeds {MAX_VARIABLES}", pos)
+            toks.append((_TOK_VAR, int(digits), pos))
             i = j
         else:
             raise PolyParseError(f"unexpected character {ch!r}", pos)
@@ -407,11 +411,13 @@ def parse_polynomial(text: str, n_hint: int | None = None) -> Polynomial:
     """Parse the DSL into a canonical Polynomial.
 
     The ambient variable count is the largest variable index seen, or
-    n_hint if that is larger.  Raises PolyParseError with a 1-based byte
-    offset on malformed input.
+    n_hint if that is larger; neither may exceed MAX_VARIABLES.  Raises
+    PolyParseError with a 1-based byte offset on malformed input or a
+    variable index above MAX_VARIABLES, and ValueError on an n_hint
+    outside [1, MAX_VARIABLES].
     """
-    if n_hint is not None and n_hint < 1:
-        raise ValueError(f"n_hint must be positive, got {n_hint}")
+    if n_hint is not None and not 1 <= n_hint <= MAX_VARIABLES:
+        raise ValueError(f"n_hint must lie in [1, {MAX_VARIABLES}], got {n_hint}")
     toks = _tokenize(text)
     max_idx = max((v for k, v, _ in toks if k == _TOK_VAR), default=0)  # type: ignore[type-var]
     n = max(int(max_idx), n_hint or 0, 1)
@@ -443,24 +449,12 @@ class ArcExpansion:
     n: int
 
 
-def _series_mul(a: list[Polynomial], b: list[Polynomial], order: int, ambient: int) -> list[Polynomial]:
-    out = [Polynomial.zero(ambient) for _ in range(order + 1)]
-    for i, ai in enumerate(a):
-        if ai.is_zero:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > order:
-                break
-            if bj.is_zero:
-                continue
-            out[i + j] = out[i + j] + ai * bj
-    return out
-
-
 def arc_expansion(f: Polynomial, base_point: Sequence[int], order: int) -> ArcExpansion:
     """Expand f(P_j + sum_{i=1..m} x_{ij} t^i) and truncate at t^order.
 
-    Computed by repeated truncated series multiplication, all exact.
+    Plain substitution in Polynomial's own ring: t is one more variable
+    after the m*n arc variables, and after every product the powers of t
+    beyond t^order are dropped.  All exact.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -468,31 +462,18 @@ def arc_expansion(f: Polynomial, base_point: Sequence[int], order: int) -> ArcEx
         raise ValueError(f"base point has length {len(base_point)}, expected {f.n}")
     n = f.n
     ambient = order * n
-    # t-series for each substituted coordinate: P_j + x_{1j} t + ... + x_{mj} t^m
-    subs_series: list[list[Polynomial]] = []
-    for j in range(n):
-        coeffs = [Polynomial.constant(ambient, int(base_point[j]))]
-        coeffs += [Polynomial.variable(ambient, (i - 1) * n + j) for i in range(1, order + 1)]
-        subs_series.append(coeffs)
-
-    one = [Polynomial.constant(ambient, 1)] + [Polynomial.zero(ambient)] * order
-    acc = [Polynomial.zero(ambient) for _ in range(order + 1)]
-    pow_cache: dict[tuple[int, int], list[Polynomial]] = {}
-
-    def series_pow(j: int, k: int) -> list[Polynomial]:
-        key = (j, k)
-        if key not in pow_cache:
-            s = one
-            for _ in range(k):
-                s = _series_mul(s, subs_series[j], order, ambient)
-            pow_cache[key] = s
-        return pow_cache[key]
-
+    t = Polynomial.variable(ambient + 1, ambient)
+    # coordinate j becomes P_j + x_{1j} t + ... + x_{mj} t^m
+    subs = [int(base_point[j]) + sum(Polynomial.variable(ambient + 1, (i - 1) * n + j) * t**i
+                                     for i in range(1, order + 1)) for j in range(n)]
+    acc = Polynomial.zero(ambient + 1)
     for e, c in f.terms.items():
-        t = [Polynomial.constant(ambient, c)] + [Polynomial.zero(ambient)] * order
+        term = Polynomial.constant(ambient + 1, c)
         for j, k in enumerate(e):
-            if k:
-                t = _series_mul(t, series_pow(j, k), order, ambient)
-        acc = [a + b for a, b in zip(acc, t)]
-
-    return ArcExpansion(tuple(int(v) for v in base_point), order, tuple(acc), n)
+            for _ in range(k):  # times coordinate j, less the powers of t beyond t^order
+                term = Polynomial(ambient + 1, {
+                    x: v for x, v in (term * subs[j]).terms.items() if x[-1] <= order})
+        acc = acc + term
+    coeffs = tuple(Polynomial(ambient, {e[:-1]: c for e, c in acc.terms.items() if e[-1] == i})
+                   for i in range(order + 1))
+    return ArcExpansion(tuple(int(v) for v in base_point), order, coeffs, n)

@@ -28,8 +28,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import enumeration
-from .arith import is_prime
-from .charsums import _fiber_split
+from .charsums import _fiber_split, _require_prime
 from .polynomials import Polynomial
 
 
@@ -69,6 +68,12 @@ def jacobian_squared_generators(f: Polynomial) -> list[Polynomial]:
     return pair_products(list(f.gradient()))
 
 
+def _require_prime_level(p: int, m: int) -> None:
+    _require_prime(p)
+    if m < 1:
+        raise ValueError(f"level must be >= 1, got {m}")
+
+
 def count_zeros_mod(f: Polynomial, p: int, m: int, method: str = "tree") -> int:
     """|{x mod p^m : f(x) = 0 mod p^m}|.
 
@@ -76,10 +81,7 @@ def count_zeros_mod(f: Polynomial, p: int, m: int, method: str = "tree") -> int:
     mod p (see _zero_counts); method="direct" enumerates the full grid and
     is the oracle.
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if m < 1:
-        raise ValueError(f"level must be >= 1, got {m}")
+    _require_prime_level(p, m)
     if method == "direct":
         return enumeration.count_common_zeros([f], p**m, p**m)
     if method != "tree":
@@ -133,10 +135,7 @@ def count_order_ge(generators: list[Polynomial], p: int, m: int) -> int:
     precision p^m is sound; it is also the default (the lifting logic for
     several generators is subtler, and correctness comes first).
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if m < 1:
-        raise ValueError(f"level must be >= 1, got {m}")
+    _require_prime_level(p, m)
     if not generators:
         raise ValueError("need at least one generator")
     return enumeration.count_common_zeros(generators, p**m, p**m)
@@ -157,8 +156,7 @@ def poincare_coeffs(
     """
     if max_m < 1:
         raise ValueError(f"max level must be >= 1, got {max_m}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     if generators is None:
         kind, counts = CountKind.zeros_of_f, _zero_counts(f, p, max_m)
     else:
@@ -177,10 +175,7 @@ def fourier_crosscheck(f: Polynomial, p: int, m: int) -> CrosscheckReport:
     histogram per conductor level serves all its units, which sum to an
     integer (see the module docstring).
     """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if m < 1:
-        raise ValueError(f"level must be >= 1, got {m}")
+    _require_prime_level(p, m)
     count = count_zeros_mod(f, p, m)
     lhs = Fraction(count, p ** (m * f.n))
 

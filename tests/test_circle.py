@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from expsums import circle
+from expsums import circle, enumeration
 from expsums import (
     BudgetExceededError,
     OscillatoryIntegrator,
@@ -156,6 +156,17 @@ class TestSingularSeries:
         f = parse_polynomial("x1^2+x2^2+x3^2-x4^2-x5^2")
         with pytest.raises(BudgetExceededError):
             singular_series(f, 16)
+
+    def test_cutoff_above_the_budget_refused_uncharged(self, monkeypatch):
+        # R above the budget used to allocate R + 1 terms and sieve to R
+        monkeypatch.setenv("IGUSA_BUDGET", "10")
+        f = parse_polynomial("x1^2 - 2")
+        enumeration.reset_meter()
+        with pytest.raises(BudgetExceededError) as err:
+            singular_series(f, 11)
+        assert (err.value.needed, err.value.budget) == (11, 10)
+        assert enumeration.meter_consumed() == 0
+        singular_series(f, 10)  # R at the budget runs
 
     def test_local_factor_matches_grouping(self):
         f = parse_polynomial("x1^2+x2^2")
@@ -351,7 +362,7 @@ class TestBallColumns:
             wk = WeightFunction(w.center[:k], w.rho)
             want_k = pts[:, :k][wk.values(pts[:, :k].astype(np.float64), scale=B) > 0]
             want_k = np.unique(want_k, axis=0)  # row-major order, one row per prefix
-            got = [np.stack(circle._ball_columns(w, B, box[:k], lo0, hi0), axis=-1)
+            got = [np.stack(circle._ball_columns(w, B, box[:k], lo0, hi0)[0], axis=-1)
                    for lo0, hi0 in circle._box_chunks(box[:k], target=40)]
             assert np.concatenate(got).tolist() == want_k.tolist()
         assert want.tolist() == want_k.tolist()

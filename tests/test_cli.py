@@ -324,6 +324,28 @@ class TestCircleInputs:
         assert report["error"]["code"] == "PRECONDITION"
         assert "quadrature tolerance" in report["error"]["message"]
 
+    def test_overflowing_B_power_is_a_precondition(self):
+        # B**delta raised an uncaught OverflowError
+        code, report = run_cli(self._argv(**{"--delta": "1000"}))
+        assert code == EXIT_PRECONDITION
+        assert report["error"]["code"] == "PRECONDITION"
+        assert "overflows" in report["error"]["message"]
+
+    @pytest.mark.parametrize("flag, value", [("--delta", "12"), ("--R-series", "100000000000")])
+    def test_series_cutoff_above_the_budget_refused(self, flag, value):
+        # the series built an (R + 1)-entry list and sieved up to R unchecked
+        code, report = run_cli(self._argv(**{flag: value}))
+        assert code == EXIT_BUDGET
+        assert report["error"]["message"].startswith("singular series needs")
+
+    def test_six_variables_refused_before_the_series(self):
+        # the series ran first and exited 2 on its enumerations
+        argv = ["circle", "--poly", "x1^2+x2^2+x3^2+x4^2+x5^2-x6^2", "--B", "10000",
+                "--delta", "0.5", "--rho", "0.5", "--center", "0.1,0,0,0,0,0.1"]
+        code, report = run_cli(argv)
+        assert code == EXIT_PRECONDITION
+        assert "n <= 5" in report["error"]["message"]
+
     def test_negative_first_center_coordinate(self, capsys):
         argv = self._argv()[:-2]
         with pytest.raises(SystemExit):  # argparse reads "-0.5,0.25" as an option

@@ -112,3 +112,11 @@ class TestExponentSheet:
         assert sheet.sigma_theorem == sheet.lct_lower / 2
         if s == 0:
             assert sheet.lct_isolated == sheet.lct_lower
+
+
+def test_composite_prime_refused():
+    fd = parse_polynomial("x1^2 + x2^2")
+    with pytest.raises(ValueError, match="^9 is not prime$"):
+        critical_count(fd, 9)
+    with pytest.raises(ValueError, match="^9 is not prime$"):
+        estimate_s(fd, [5, 7, 9])

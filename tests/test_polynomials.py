@@ -15,6 +15,7 @@ from expsums import (
     exp_sum_pruned,
     parse_polynomial,
 )
+from expsums.corpus import standard_corpus
 from conftest import compose, small_polynomials
 
 
@@ -43,6 +44,20 @@ class TestParser:
     def test_variable_index_zero_rejected(self):
         with pytest.raises(PolyParseError):
             parse_polynomial("x0 + 1")
+
+    def test_variable_index_above_64_rejected(self):
+        # past 64 variables every grid holds at least 2^64 points; x100000 used
+        # to build 100000-long exponent tuples, x100000000 ran out of memory
+        assert parse_polynomial("x64").n == 64
+        for text, offset in (("x65", 1), ("x100000", 1), ("x1*x2 + x100000000", 9),
+                             ("x1 + x" + "9" * 5000, 6)):
+            with pytest.raises(PolyParseError) as err:
+                parse_polynomial(text)
+            assert err.value.offset == offset
+            assert "exceeds 64" in err.value.bare_message
+        with pytest.raises(ValueError):
+            parse_polynomial("x1", n_hint=65)
+        assert parse_polynomial("x1", n_hint=64).n == 64
 
     def test_exponent_overflow(self):
         with pytest.raises(PolyParseError):
@@ -184,6 +199,25 @@ class TestArcExpansion:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             arc_expansion(parse_polynomial("x1+x2"), (0,), 2)
+
+    def test_matches_substitution_on_the_corpus(self):
+        """Independent oracle: with integer arc variables x_ij and t = p,
+        sum_i coefficients[i](x) p^i == f(P + sum_i x_i p^i) mod p^(order+1)."""
+        import random
+
+        rng = random.Random(0)
+        p = 5
+        for f in standard_corpus(0):
+            order = min(4, max(2, 8 // f.n))
+            point = tuple(rng.randrange(-3, 4) for _ in range(f.n))
+            exp = arc_expansion(f, point, order)
+            assert len(exp.coefficients) == order + 1
+            for _ in range(3):
+                x = [rng.randrange(-50, 51) for _ in range(order * f.n)]
+                arc = [point[j] + sum(x[(i - 1) * f.n + j] * p**i for i in range(1, order + 1))
+                       for j in range(f.n)]
+                series = sum(c.eval_int(x) * p**i for i, c in enumerate(exp.coefficients))
+                assert (series - f.eval_int(arc)) % p ** (order + 1) == 0
 
     def _weighted_scale(self, poly: Polynomial, n: int, lam: int, p: int, point):
         """poly(lam^i * x_ij) mod p at an integer point."""

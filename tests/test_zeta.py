@@ -196,3 +196,24 @@ class TestCrosscheck:
                         continue
                     rep = fourier_crosscheck(f, p, m)
                     assert rep.abs_diff == 0
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, m: count_zeros_mod(parse_polynomial("x1"), p, m),
+    lambda p, m: count_order_ge([parse_polynomial("x1")], p, m),
+    lambda p, m: fourier_crosscheck(parse_polynomial("x1"), p, m),
+], ids=["count_zeros_mod", "count_order_ge", "fourier_crosscheck"])
+def test_prime_and_level_refusals(call):
+    # the prime check comes first, then the level; messages are part of the CLI output
+    with pytest.raises(ValueError, match="^6 is not prime$"):
+        call(6, 0)
+    with pytest.raises(ValueError, match="^level must be >= 1, got 0$"):
+        call(5, 0)
+
+
+def test_poincare_refusals():
+    f = parse_polynomial("x1")
+    with pytest.raises(ValueError, match="^max level must be >= 1, got 0$"):
+        poincare_coeffs(f, 6, 0)
+    with pytest.raises(ValueError, match="^6 is not prime$"):
+        poincare_coeffs(f, 6, 1)
