@@ -223,14 +223,21 @@ def singular_series(f: Polynomial, R: int) -> SingularSeriesResult:
     two zero counts (zeta.poincare_coeffs) and A(q) = prod_{p^k || q} A(p^k).
     The run's enumeration budget applies to each enumeration, not to the
     series as a whole; an R above it is refused, uncharged, before the
-    R + 1 terms or the sieve up to R are allocated.
+    R + 1 terms or the sieve up to R are allocated.  So is, before the first
+    enumeration, the first prime p <= R whose p^n grid exceeds it, with the
+    error that grid's enumeration would raise.
     """
     if R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
     if R > (budget := enumeration.enumeration_budget()):
         raise BudgetExceededError(R, budget, "singular series")
+    primes = primes_up_to(R)
+    if (p := next((p for p in primes if p**f.n > budget), None)) is not None:
+        # k_max = 1 counts zeros (zeta._zero_counts); deeper levels list them first
+        what = "zero-count enumeration" if p * p > R else "zero-locus enumeration"
+        raise BudgetExceededError(p**f.n, budget, what)
     terms = [Fraction(1)] * (R + 1)  # terms[q] = A(q)
-    for p in primes_up_to(R):
+    for p in primes:
         k_max = max(k for k in range(1, R.bit_length() + 1) if p**k <= R)
         sigma = _local_sums(f, p, k_max)
         for q in range(p, R + 1, p):

@@ -19,6 +19,7 @@ flags win.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 
@@ -34,7 +35,7 @@ from .circle import QUAD_TOL, WeightFunction, major_arc_report
 from .corpus import standard_corpus
 from .errors import BudgetExceededError, PolyParseError, QuadratureConvergenceError
 from .geometry import estimate_s, exponent_sheet
-from .polynomials import parse_polynomial
+from .polynomials import Polynomial, parse_polynomial
 from .reports import serialize_report
 
 EXIT_OK = 0
@@ -159,40 +160,27 @@ def build_config(argv: list[str]) -> argparse.Namespace:
 # -- command implementations ---------------------------------------------------
 
 
-def _cmd_sum(cfg: argparse.Namespace) -> dict:
-    f = parse_polynomial(cfg.poly_text)
+def _cmd_sum(f: Polynomial, cfg: argparse.Namespace) -> tuple[dict, bool]:
     if cfg.a is None:
         raise ValueError("sum requires --a")
-    if cfg.N is not None and cfg.method == "naive":
-        raise ValueError("--method naive needs --p and --m, not --N")
-    if cfg.N is not None or cfg.method == "crt":
-        N = cfg.N if cfg.N is not None else (cfg.p or 0) ** (cfg.m or 0)
+    if cfg.N is None and cfg.method != "crt":  # one prime power, naive or pruned
+        if cfg.p is None or cfg.m is None:
+            raise ValueError("sum requires --p and --m (or --N)")
+        route = exp_sum_naive if cfg.method == "naive" else exp_sum_pruned
+        val = route(f, AdditiveCharacter(cfg.p, cfg.m, cfg.a))
+        params = {"p": cfg.p, "m": cfg.m, "a": cfg.a, "method": cfg.method}
+    else:  # CRT over N, or over p^m
+        if cfg.method == "naive":
+            raise ValueError("--method naive needs --p and --m, not --N")
+        N = cfg.N if cfg.N is not None else cfg.p**cfg.m if None not in (cfg.p, cfg.m) else 0
         if N < 1:
             raise ValueError("crt method requires --N or --p/--m")
         val = exp_sum_composite(f, N, cfg.a)
         params = {"N": N, "a": cfg.a, "method": "crt"}
-    else:
-        if cfg.p is None or cfg.m is None:
-            raise ValueError("sum requires --p and --m (or --N)")
-        chi = AdditiveCharacter(cfg.p, cfg.m, cfg.a)
-        if cfg.method == "naive":
-            val = exp_sum_naive(f, chi)
-        else:
-            val = exp_sum_pruned(f, chi)
-        params = {"p": cfg.p, "m": cfg.m, "a": cfg.a, "method": cfg.method}
-    return {
-        "params": params,
-        "result": {
-            "value": val.value,
-            "abs": val.abs,
-            "err_bound": val.err_bound,
-            "fiber_count": val.fiber_count,
-        },
-    }
+    return {"params": params, "result": dataclasses.asdict(val)}, False
 
 
-def _cmd_zeta(cfg: argparse.Namespace) -> dict:
-    f = parse_polynomial(cfg.poly_text)
+def _cmd_zeta(f: Polynomial, cfg: argparse.Namespace) -> tuple[dict, bool]:
     if cfg.max_m < 1:
         raise ValueError("zeta requires --max-m >= 1")
     gens = None
@@ -209,11 +197,11 @@ def _cmd_zeta(cfg: argparse.Namespace) -> dict:
     if cfg.crosscheck:
         result["crosscheck"] = [zeta.fourier_crosscheck(f, cfg.p, m)
                                 for m in range(1, cfg.max_m + 1)]
-    return {"params": {"p": cfg.p, "max_m": cfg.max_m, "ideal": cfg.ideal}, "result": result}
+    return {"params": {"p": cfg.p, "max_m": cfg.max_m, "ideal": cfg.ideal},
+            "result": result}, False
 
 
-def _cmd_geometry(cfg: argparse.Namespace) -> dict:
-    f = parse_polynomial(cfg.poly_text)
+def _cmd_geometry(f: Polynomial, cfg: argparse.Namespace) -> tuple[dict, bool]:
     report = estimate_s(f, cfg.primes, override=cfg.s_override)
     sheet = exponent_sheet(f.n, f.degree(), report.effective_s)
     warnings = []
@@ -230,11 +218,10 @@ def _cmd_geometry(cfg: argparse.Namespace) -> dict:
             "exponents": sheet,
             "warnings": warnings,
         },
-    }
+    }, False
 
 
-def _cmd_circle(cfg: argparse.Namespace) -> dict:
-    f = parse_polynomial(cfg.poly_text)
+def _cmd_circle(f: Polynomial, cfg: argparse.Namespace) -> tuple[dict, bool]:
     if len(cfg.center) != f.n:
         raise ValueError(f"center has {len(cfg.center)} coordinates, polynomial has {f.n}")
     w = WeightFunction(cfg.center, cfg.rho)
@@ -253,13 +240,14 @@ def _cmd_circle(cfg: argparse.Namespace) -> dict:
             "s_provenance": "fitted",
             "report": report,
         },
-    }
+    }, False
 
 
-def _cmd_verify(cfg: argparse.Namespace) -> tuple[dict, bool]:
+def _cmd_verify(f: Polynomial | None, cfg: argparse.Namespace) -> tuple[dict, bool]:
     if cfg.self_test:
         return _self_test(cfg)
-    f = parse_polynomial(cfg.poly_text)
+    if f is None:
+        raise ValueError("verify requires --poly")
     if not cfg.primes:
         raise ValueError("verify requires --primes")
     if cfg.max_m is None or cfg.max_m < 1:
@@ -310,29 +298,26 @@ def _self_test(cfg: argparse.Namespace) -> tuple[dict, bool]:
     }, failures > 0
 
 
+COMMANDS = {"sum": _cmd_sum, "zeta": _cmd_zeta, "geometry": _cmd_geometry,
+            "circle": _cmd_circle, "verify": _cmd_verify}
+
+
 def run(cfg: argparse.Namespace) -> tuple[int, dict]:
     """Dispatch a validated config; returns (exit_code, report dict).
 
     The run's budget (cfg.budget, else IGUSA_BUDGET) and IGUSA_WORKERS are
-    checked first, and the budget holds until the run returns."""
+    checked first, and the budget holds until the run returns.  --poly is
+    parsed once, before any work; COMMANDS[command](f, cfg) returns (body,
+    failed), and report["poly"] renders f (None only for a bare self-test)."""
     enumeration.reset_meter()
     outer, enumeration._run_budget = enumeration._run_budget, cfg.budget
     try:
         limit = enumeration._run_budget = enumeration.enumeration_budget()
         enumeration.default_workers()
-        failed = False
-        if cfg.command == "sum":
-            body = _cmd_sum(cfg)
-        elif cfg.command == "zeta":
-            body = _cmd_zeta(cfg)
-        elif cfg.command == "geometry":
-            body = _cmd_geometry(cfg)
-        elif cfg.command == "circle":
-            body = _cmd_circle(cfg)
-        elif cfg.command == "verify":
-            body, failed = _cmd_verify(cfg)
-        else:
+        if cfg.command not in COMMANDS:
             raise ValueError(f"unknown command {cfg.command!r}")
+        f = None if cfg.poly_text is None else parse_polynomial(cfg.poly_text)
+        body, failed = COMMANDS[cfg.command](f, cfg)
     except PolyParseError as exc:
         return EXIT_PRECONDITION, {
             "error": {"code": "PARSE_ERROR", "message": exc.bare_message, "offset": exc.offset}
@@ -350,8 +335,8 @@ def run(cfg: argparse.Namespace) -> tuple[int, dict]:
         enumeration._run_budget = outer
 
     report = {"command": cfg.command}
-    if cfg.poly_text is not None:
-        report["poly"] = parse_polynomial(cfg.poly_text).render()
+    if f is not None:
+        report["poly"] = f.render()
     report.update(body)
     report["budget"] = {"limit": limit, "points_consumed": enumeration.meter_consumed()}
     return (EXIT_VERIFY_FAILED if failed else EXIT_OK), report

@@ -2,6 +2,7 @@ import argparse
 import json
 import os
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -20,6 +21,7 @@ from expsums.cli import (
 )
 from expsums.circle import CircleMethodReport
 from expsums.geometry import exponent_sheet
+from expsums.polynomials import parse_polynomial
 from expsums.reports import dumps_csv, dumps_json, serialize_report, to_jsonable
 from expsums.zeta import CountKind, CountTable
 
@@ -67,6 +69,17 @@ class TestSumCommand:
         code, report = run_cli(["sum", "--poly", "x1^2", "--a", "1", "--N", "45"])
         assert code == EXIT_OK
         assert report["params"]["method"] == "crt"
+
+    @pytest.mark.parametrize("extra", [[], ["--p", "5"]], ids=["no-modulus", "p-only"])
+    def test_crt_without_full_modulus_refused(self, extra):
+        # 0**0 and 5**0 used to run at N = 1 and report value 1
+        argv = ["sum", "--poly", "x1^2", "--a", "1", "--method", "crt"]
+        code, report = run_cli(argv + extra)
+        assert code == EXIT_PRECONDITION
+        assert report["error"]["message"] == "crt method requires --N or --p/--m"
+        code, report = run_cli(argv + ["--p", "5", "--m", "2"])
+        assert code == EXIT_OK
+        assert report["params"]["N"] == 25
 
     def test_nonprime_p_precondition(self):
         code, report = run_cli(["sum", "--poly", "x1", "--p", "6", "--m", "2", "--a", "1"])
@@ -184,6 +197,23 @@ class TestOtherCommands:
         assert code == EXIT_OK
         assert report["result"]["failures"] == 0
         assert report["result"]["cells"] > 10
+
+    def test_verify_without_poly_refused(self):
+        # parse_polynomial(None) used to end in a TypeError traceback
+        code, report = run_cli(["verify", "--primes", "5", "--max-m", "2"])
+        assert code == EXIT_PRECONDITION
+        assert report["error"] == {"code": "PRECONDITION", "message": "verify requires --poly"}
+
+    def test_self_test_with_bad_poly_is_a_parse_error(self, monkeypatch):
+        # the whole self-test used to run, then the report's parse raised uncaught
+        def no_work(cfg):
+            raise AssertionError("the self-test ran")
+
+        monkeypatch.setattr(cli, "_self_test", no_work)
+        code, report = run_cli(["verify", "--self-test", "--poly", "x1+"])
+        assert code == EXIT_PRECONDITION
+        assert report["error"]["code"] == "PARSE_ERROR"
+        assert report["error"]["offset"] == 4
 
     def test_config_file_defaults(self, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -346,6 +376,24 @@ class TestCircleInputs:
         assert code == EXIT_PRECONDITION
         assert "n <= 5" in report["error"]["message"]
 
+    @pytest.mark.parametrize("extra, needed, what", [
+        (["--R-series", "1000"], 101847563, "zero-count enumeration"),  # p = 467 > sqrt(R)
+        (["--R-series", "400", "--budget", "6600"], 6859, "zero-locus enumeration"),  # p = 19
+    ], ids=["zero-count", "zero-locus"])
+    def test_series_prime_grid_above_the_budget_refused_at_once(self, extra, needed, what):
+        # the series used to enumerate every smaller prime first (11.6 s for R = 1000)
+        argv = ["circle", "--poly", "x1^2-x2^2+x3^2", "--B", "8", "--delta", "0.25",
+                "--rho", "0.5", "--center", "0.5,0.25,0"] + extra
+        budget = 6600 if "--budget" in extra else enumeration.DEFAULT_BUDGET
+        started = time.monotonic()
+        code, report = run_cli(argv)
+        assert time.monotonic() - started < 1.0
+        assert code == EXIT_BUDGET
+        assert serialize_report(report) == serialize_report({"error": {
+            "code": "BUDGET_EXCEEDED",
+            "message": f"{what} needs {needed} points, budget is {budget}",
+            "needed": needed, "budget": budget}})
+
     def test_negative_first_center_coordinate(self, capsys):
         argv = self._argv()[:-2]
         with pytest.raises(SystemExit):  # argparse reads "-0.5,0.25" as an option
@@ -354,6 +402,40 @@ class TestCircleInputs:
         code, report = run_cli(argv + ["--center=-0.5,0.25"])
         assert code == EXIT_OK
         assert report["params"]["center"] == [-0.5, 0.25]
+
+
+ONE_OF_EACH = [
+    ["sum", "--poly", "x1^2", "--p", "3", "--m", "2", "--a", "1"],
+    ["zeta", "--poly", "x1^2", "--p", "3", "--max-m", "2"],
+    ["geometry", "--poly", "x1^2+x2^2", "--primes", "5,7,11"],
+    ["circle", "--poly", "x1^2-x2^2", "--B", "8", "--delta", "0.25", "--rho", "0.5",
+     "--center", "0.5,0.25"],
+    ["verify", "--poly", "x1^2", "--primes", "5", "--max-m", "2", "--s", "0"],
+    ["verify", "--self-test", "--poly", "x1^2"],
+]
+
+
+@pytest.mark.parametrize("argv", ONE_OF_EACH,
+                         ids=["sum", "zeta", "geometry", "circle", "verify", "self-test"])
+def test_poly_parsed_once_per_run(monkeypatch, argv):
+    # run used to parse --poly again for report["poly"]
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return parse_polynomial(text)
+
+    monkeypatch.setattr(cli, "parse_polynomial", counting)
+    code, report = run_cli(argv)
+    assert code == EXIT_OK
+    assert calls == [argv[argv.index("--poly") + 1]]
+    assert report["poly"] == parse_polynomial(calls[0]).render()
+
+
+def test_unknown_command_is_a_precondition():
+    cfg = argparse.Namespace(command="nope", budget=None, poly_text="x1")
+    assert run(cfg) == (EXIT_PRECONDITION, {
+        "error": {"code": "PRECONDITION", "message": "unknown command 'nope'"}})
 
 
 class TestSerialization:
