@@ -223,21 +223,17 @@ def singular_series(f: Polynomial, R: int) -> SingularSeriesResult:
     two zero counts (zeta.poincare_coeffs) and A(q) = prod_{p^k || q} A(p^k).
     The run's enumeration budget applies to each enumeration, not to the
     series as a whole; an R above it is refused, uncharged, before the
-    R + 1 terms or the sieve up to R are allocated.  So is, before the first
-    enumeration, the first prime p <= R whose p^n grid exceeds it, with the
-    error that grid's enumeration would raise.
+    R + 1 terms or the sieve up to R are allocated.  The primes run from
+    the largest down: the largest p <= R has p^2 > R, so its one zero count
+    on the p^n grid, the largest grid of the series, is charged first and
+    a grid past the budget is refused before any other enumeration runs.
     """
     if R < 1:
         raise ValueError(f"R must be >= 1, got {R}")
     if R > (budget := enumeration.enumeration_budget()):
         raise BudgetExceededError(R, budget, "singular series")
-    primes = primes_up_to(R)
-    if (p := next((p for p in primes if p**f.n > budget), None)) is not None:
-        # k_max = 1 counts zeros (zeta._zero_counts); deeper levels list them first
-        what = "zero-count enumeration" if p * p > R else "zero-locus enumeration"
-        raise BudgetExceededError(p**f.n, budget, what)
     terms = [Fraction(1)] * (R + 1)  # terms[q] = A(q)
-    for p in primes:
+    for p in reversed(primes_up_to(R)):
         k_max = max(k for k in range(1, R.bit_length() + 1) if p**k <= R)
         sigma = _local_sums(f, p, k_max)
         for q in range(p, R + 1, p):
@@ -274,16 +270,16 @@ class OscillatoryIntegrator:
     dimensions climb to high orders cheaply while n = 5 stops where the
     tensor grid is still affordable).  Successive orders agree when their
     difference is at most tol * max(current magnitude, the plain weight
-    integral), so tiny oscillatory values do not stall the ladder.
+    integral on the current order's grid), so tiny oscillatory values do
+    not stall the ladder.
 
     Each ladder order's node grid (f values, omega times quadrature
     weight) is restricted to the ball by _in_ball, the walk the lattice
-    solvers use, and built when needed: only the plain weight integral is
-    kept.  On each mirror axis (_mirror_axes: center_j = 0, f even in x_j)
-    only the nodes >= 0 are kept, and a node > 0 carries twice its
-    weight, so k such axes shrink the grid about 2^k-fold.  Every
-    evaluation climbs the ladder from its first order, so a value never
-    depends on earlier calls.
+    solvers use, built when its order is reached and not kept.  On each
+    mirror axis (_mirror_axes: center_j = 0, f even in x_j) only the nodes
+    >= 0 are kept, and a node > 0 carries twice its weight, so k such axes
+    shrink the grid about 2^k-fold.  Every evaluation climbs the ladder
+    from its first order, so a value never depends on earlier calls.
     """
 
     def __init__(self, f: Polynomial, w: WeightFunction, tol: float = QUAD_TOL):
@@ -293,11 +289,14 @@ class OscillatoryIntegrator:
             raise ValueError(f"tensor quadrature supports n <= {max(_ORDER_LADDERS)}")
         if not (math.isfinite(tol) and tol > 0):
             raise ValueError(f"quadrature tolerance must be positive and finite, got {tol}")
+        try:
+            float(max(f.terms.values(), key=abs, default=0))
+        except OverflowError:
+            raise ValueError("coefficient too large for the float quadrature") from None
         self.f = f
         self.w = w
         self.tol = tol
         self.orders = _ORDER_LADDERS[f.n]
-        self._weight_integral: float | None = None
 
     def _grid(self, order: int) -> tuple[np.ndarray, np.ndarray]:
         """(f values, omega times quadrature weight) at the order's tensor
@@ -334,24 +333,16 @@ class OscillatoryIntegrator:
             chunk_wq.append(wq * _bump(t2, w.rho))
         return np.concatenate(chunk_f), np.concatenate(chunk_wq)
 
-    def weight_integral(self) -> float:
-        """int omega(x) dx at the mid-ladder order (scale for tolerances)."""
-        if self._weight_integral is None:
-            order = self.orders[min(2, len(self.orders) - 1)]
-            _, wq = self._grid(order)
-            self._weight_integral = float(np.sum(wq))
-        return self._weight_integral
-
     def _converge(
         self, integrand: Callable[[np.ndarray, np.ndarray], complex], what: str
     ) -> tuple[complex, int]:
         """(value, order): integrand(f values, weights) refined along the
         order ladder until two successive orders agree."""
-        scale = self.weight_integral()
         prev: complex | None = None
         for order in self.orders:
-            cur = integrand(*self._grid(order))
-            if prev is not None and abs(cur - prev) <= self.tol * max(abs(cur), scale):
+            fs, wqs = self._grid(order)
+            cur = integrand(fs, wqs)
+            if prev is not None and abs(cur - prev) <= self.tol * max(abs(cur), float(np.sum(wqs))):
                 return cur, order
             prev = cur
         raise QuadratureConvergenceError(f"{what} did not stabilize within orders {self.orders}")
@@ -566,8 +557,8 @@ def major_arc_report(
     is still computed, with a warning flag.  Explicit R overrides support
     convergence studies (holding R fixed makes the prediction scale
     exactly like B^(n-d)).  The quadrature's preconditions (n <= 5, the
-    weight's dimension, tol) and a B^delta past the float range are
-    refused before the series runs."""
+    weight's dimension, tol, coefficients within the float range) and a
+    B^delta past the float range are refused before the series runs."""
     if not (math.isfinite(B) and math.isfinite(delta)) or B <= 0 or delta <= 0:
         raise ValueError(f"B and delta must be positive and finite, got {B} and {delta}")
     d = f.degree()

@@ -27,6 +27,7 @@ from . import enumeration, zeta
 from .bounds import DEFAULT_SLACK, Verdict, decay_fit
 from .charsums import (
     AdditiveCharacter,
+    _require_prime,
     exp_sum_composite,
     exp_sum_naive,
     exp_sum_pruned,
@@ -172,8 +173,11 @@ def _cmd_sum(f: Polynomial, cfg: argparse.Namespace) -> tuple[dict, bool]:
     else:  # CRT over N, or over p^m
         if cfg.method == "naive":
             raise ValueError("--method naive needs --p and --m, not --N")
-        N = cfg.N if cfg.N is not None else cfg.p**cfg.m if None not in (cfg.p, cfg.m) else 0
-        if N < 1:
+        N = cfg.N
+        if N is None and None not in (cfg.p, cfg.m):  # the prime-power route's checks
+            N = AdditiveCharacter(cfg.p, cfg.m).modulus
+            _require_prime(cfg.p)
+        if N is None or N < 1:
             raise ValueError("crt method requires --N or --p/--m")
         val = exp_sum_composite(f, N, cfg.a)
         params = {"N": N, "a": cfg.a, "method": "crt"}

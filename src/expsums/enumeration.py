@@ -128,7 +128,6 @@ def _block_values(
     modulus: int,
     lo: int,
     hi: int,
-    pow_full: dict[tuple[int, int, type], np.ndarray],
 ) -> np.ndarray:
     """Values of sum(terms) mod modulus on [lo,hi) x [0,grid)^(n-1), flattened.
 
@@ -146,29 +145,26 @@ def _block_values(
     lane = np.uint32 if worst < 2**32 else np.int64
     acc = np.zeros(shape, dtype=lane)
     acc_bound = 0
+    # the block's rows on axis 0 and [0, grid) on the others, shaped to broadcast
+    axes = np.ix_(np.arange(lo, hi, dtype=np.int64), *[np.arange(grid, dtype=np.int64)] * (n - 1))
+    pows: dict[tuple[int, int], np.ndarray] = {}  # one table per (variable, exponent)
     for e, c in terms:
         t: np.ndarray | None = None
         t_bound = 1
         for j, k in enumerate(e):
             if not k:
                 continue
-            key = (j, k, lane)
-            if key not in pow_full:
-                table = _pow_vector(np.arange(grid, dtype=np.int64), k, modulus)
-                pow_full[key] = table.astype(lane, copy=False)
-            vec = pow_full[key][lo:hi] if j == 0 else pow_full[key]
-            ax_shape = [1] * n
-            ax_shape[j] = -1
-            shaped = vec.reshape(ax_shape)
+            if (j, k) not in pows:
+                pows[j, k] = _pow_vector(axes[j], k, modulus).astype(lane, copy=False)
             if t is None:
                 # fold the coefficient into the first (cheap, 1-D) factor
-                t = shaped * c
+                t = pows[j, k] * c
                 t_bound = red * c
             else:
                 if t_bound * red >= _INT64_SAFE:
                     t = _reduce(t, modulus)
                     t_bound = red
-                t = t * shaped
+                t = t * pows[j, k]
                 t_bound *= red
         if t is None:
             acc += c
@@ -204,19 +200,19 @@ def _grid_blocks(polys, grid, modulus, what, step) -> list:
     """step(values, lo) for each axis-0 block [lo, hi) x [0, grid)^(n-1) of
     the grid, in block order; values(i) is polys[i] mod modulus on the
     block, flattened row-major (_block_values).  Checks the modulus and
-    charges grid^n points per polynomial before anything runs; the blocks
-    share one power-table cache and run on default_workers() threads."""
+    charges grid^n points per polynomial before anything runs; each block
+    builds its own power tables, so the default_workers() threads share no
+    mutable state."""
     if modulus >= _MAX_MODULUS:
         raise ValueError(f"modulus {modulus} too large for the int64 kernel")
     n = polys[0].n
     _charge(grid**n * len(polys), what)
     workers = default_workers()
     terms = [_prepare_terms(p, modulus) for p in polys]
-    pow_full: dict[tuple[int, int, type], np.ndarray] = {}
 
     def work(block):
         lo, hi = block
-        return step(lambda i: _block_values(terms[i], n, grid, modulus, lo, hi, pow_full), lo)
+        return step(lambda i: _block_values(terms[i], n, grid, modulus, lo, hi), lo)
 
     return _run_blocks(work, _axis0_blocks(grid, n, workers), workers)
 

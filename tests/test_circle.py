@@ -24,6 +24,8 @@ from expsums import (
 )
 from conftest import brute_weight
 
+C10_CENTRE = (3 / math.sqrt(18), 0.0, 0.0, 0.0, 3 / math.sqrt(18))
+
 
 def brute_weighted_count(f, B, w):
     """N_omega(f, B) by a plain loop over the support box."""
@@ -247,8 +249,22 @@ class TestSingularIntegral:
             wt * R / 2 * integ.value(R / 2 * (1 + t)).real for t, wt in zip(nodes, weights)
         )
         got = singular_integral(f, w, R, tol=tol)
-        assert abs(got.J_of_R - oracle) <= 10 * tol * integ.weight_integral()
+        assert abs(got.J_of_R - oracle) <= 10 * tol * float(np.sum(integ._grid(got.order)[1]))
         assert got.order in integ.orders
+
+    @pytest.mark.parametrize("poly, centre, rho, R", [
+        ("x1^2 - x2^2 + x1*x2", (0.3, 0.2), 0.6, 2.0),
+        ("x1^2+x2^2+x3^2-x4^2-x5^2", C10_CENTRE, 0.9, 30**0.25),
+    ], ids=["quadric-2", "c10-B30"])
+    def test_ladder_builds_each_order_once(self, poly, centre, rho, R, monkeypatch):
+        # the tolerance scale came from an extra mid-ladder grid built first
+        built = []
+        grid = OscillatoryIntegrator._grid
+        monkeypatch.setattr(OscillatoryIntegrator, "_grid",
+                            lambda self, order: built.append(order) or grid(self, order))
+        got = singular_integral(parse_polynomial(poly), WeightFunction(centre, rho), R)
+        orders = list(circle._ORDER_LADDERS[len(centre)])
+        assert built == orders[: orders.index(got.order) + 1]
 
     @pytest.mark.parametrize("poly", ["x1 - x2", "x1^2 - x2^2 + x1*x2"])
     def test_in_place_sinc_matches_np_sinc_bitwise(self, poly):
@@ -421,9 +437,6 @@ def _even_form(n):
     """Even in every variable: x1^2 - 2 x2^2 + 3 x3^2 ... + x1^2 xn^4 - 1."""
     terms = "".join(f" {'+-'[j % 2]} {j + 1}*x{j + 1}^2" for j in range(n))
     return parse_polynomial(f"x1^2*x{n}^4{terms} - 1", n_hint=n)
-
-
-C10_CENTRE = (3 / math.sqrt(18), 0.0, 0.0, 0.0, 3 / math.sqrt(18))
 
 
 class TestMirrorFold:

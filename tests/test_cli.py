@@ -81,6 +81,18 @@ class TestSumCommand:
         assert code == EXIT_OK
         assert report["params"]["N"] == 25
 
+    @pytest.mark.parametrize("p, m, message", [
+        ("5", "0", "conductor must be >= 1, got 0"),
+        ("6", "2", "6 is not prime"),
+    ], ids=["m-0", "composite-p"])
+    def test_crt_prime_power_checked_like_the_pruned_route(self, p, m, message):
+        # --method crt took p^m unchecked: it ran at N = 1 for m = 0 and at N = 36 for p = 6
+        for method in ("crt", "pruned"):
+            code, report = run_cli(["sum", "--poly", "x1^2", "--a", "1", "--p", p, "--m", m,
+                                    "--method", method])
+            assert code == EXIT_PRECONDITION
+            assert report["error"]["message"] == message
+
     def test_nonprime_p_precondition(self):
         code, report = run_cli(["sum", "--poly", "x1", "--p", "6", "--m", "2", "--a", "1"])
         assert code == EXIT_PRECONDITION
@@ -368,6 +380,15 @@ class TestCircleInputs:
         assert code == EXIT_BUDGET
         assert report["error"]["message"].startswith("singular series needs")
 
+    def test_coefficient_past_the_float_range_is_a_precondition(self):
+        # J(R)'s float(c) raised an uncaught OverflowError after the series ran
+        argv = ["circle", "--poly", "10^400*x1^2+x2^2-x3^2", "--B", "4", "--delta", "0.25",
+                "--rho", "0.5", "--center", "0.5,0.25,0"]
+        code, report = run_cli(argv)
+        assert code == EXIT_PRECONDITION
+        assert report["error"]["message"] == "coefficient too large for the float quadrature"
+        assert report["error"]["code"] == "PRECONDITION"
+
     def test_six_variables_refused_before_the_series(self):
         # the series ran first and exited 2 on its enumerations
         argv = ["circle", "--poly", "x1^2+x2^2+x3^2+x4^2+x5^2-x6^2", "--B", "10000",
@@ -376,12 +397,13 @@ class TestCircleInputs:
         assert code == EXIT_PRECONDITION
         assert "n <= 5" in report["error"]["message"]
 
-    @pytest.mark.parametrize("extra, needed, what", [
-        (["--R-series", "1000"], 101847563, "zero-count enumeration"),  # p = 467 > sqrt(R)
-        (["--R-series", "400", "--budget", "6600"], 6859, "zero-locus enumeration"),  # p = 19
-    ], ids=["zero-count", "zero-locus"])
-    def test_series_prime_grid_above_the_budget_refused_at_once(self, extra, needed, what):
-        # the series used to enumerate every smaller prime first (11.6 s for R = 1000)
+    @pytest.mark.parametrize("extra, needed", [
+        (["--R-series", "1000"], 997**3),
+        (["--R-series", "400", "--budget", "6600"], 397**3),
+    ], ids=["zero-count", "budget-6600"])
+    def test_series_prime_grid_above_the_budget_refused_at_once(self, extra, needed):
+        # the series used to enumerate every smaller prime first (11.6 s for R = 1000);
+        # the largest prime p <= R comes first, and p^2 > R makes its grid a zero count
         argv = ["circle", "--poly", "x1^2-x2^2+x3^2", "--B", "8", "--delta", "0.25",
                 "--rho", "0.5", "--center", "0.5,0.25,0"] + extra
         budget = 6600 if "--budget" in extra else enumeration.DEFAULT_BUDGET
@@ -391,7 +413,7 @@ class TestCircleInputs:
         assert code == EXIT_BUDGET
         assert serialize_report(report) == serialize_report({"error": {
             "code": "BUDGET_EXCEEDED",
-            "message": f"{what} needs {needed} points, budget is {budget}",
+            "message": f"zero-count enumeration needs {needed} points, budget is {budget}",
             "needed": needed, "budget": budget}})
 
     def test_negative_first_center_coordinate(self, capsys):
