@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -75,6 +75,8 @@ class WeightFunction:
 
     def support_box(self, B: float) -> list[tuple[int, int]]:
         """Per-axis integer ranges of {x : ||x/B - center|| < rho}."""
+        if not (math.isfinite(B) and B > 0):
+            raise ValueError(f"B must be positive and finite, got {B}")
         out = []
         for c in self.center:
             lo = math.ceil(B * (c - self.rho))
@@ -90,37 +92,55 @@ def _bump(t2: np.ndarray, rho: float) -> np.ndarray:
         return np.exp(-1.0 / np.maximum(1.0 - t2 / rho**2, 0.0))
 
 
-# -- box utilities -------------------------------------------------------------
+# -- the in-ball walk ----------------------------------------------------------
 
 
-def _box_sizes(box: list[tuple[int, int]]) -> list[int]:
-    return [hi - lo + 1 for lo, hi in box]
-
-
-def _box_chunks(box: list[tuple[int, int]], target: int = _SOLVER_CHUNK) -> list[tuple[int, int]]:
-    lo0, hi0 = box[0]
-    inner = 1
-    for lo, hi in box[1:]:
-        inner *= hi - lo + 1
-    step = max(1, target // max(1, inner))
-    return [(a, min(a + step, hi0 + 1)) for a in range(lo0, hi0 + 1, step)]
+def _box_chunks(sizes: list[int], target: int = _SOLVER_CHUNK) -> list[tuple[int, int]]:
+    """Axis-0 index chunks [a, b) of a grid with these axis lengths, about
+    target points each; they depend on the grid's shape alone."""
+    step = max(1, target // max(1, math.prod(sizes[1:])))
+    return [(a, min(a + step, sizes[0])) for a in range(0, sizes[0], step)]
 
 
 def _mirror_axes(f: Polynomial, w: WeightFunction, axes: Iterable[int]) -> list[int]:
     """The axes j among ``axes`` with center_j == 0 and only even exponents
     of x_j in f.  Reflecting x_j fixes f, the weight, the support box
-    (lo = -hi) and the Gauss-Legendre rule, so grids keep x_j >= 0 and
-    count a point with x_j != 0 twice."""
+    (lo = -hi) and the Gauss-Legendre rule, so grids fold there (_axes)."""
     return [j for j in axes if w.center[j] == 0.0 and all(e[j] % 2 == 0 for e in f.terms)]
 
 
-def _fold(box: list[tuple[int, int]], mirror: list[int]) -> list[tuple[int, int]]:
-    return [(0, hi) if j in mirror else (lo, hi) for j, (lo, hi) in enumerate(box)]
+def _axes(f: Polynomial, w: WeightFunction, coords: list, weights: list, scale: float):
+    """(coords, offsets = coords / scale - center, weights) of the first
+    len(coords) axes, each an ascending array with per-point weights, after
+    the mirror fold, which updates the two lists in place.  The fold is one
+    per-axis rule: on a mirror axis keep the coordinates >= 0 and double the
+    weight of those != 0.  Lattice axes (weight 1) and Gauss-Legendre axes
+    (rho * w_GL) share it."""
+    for j in _mirror_axes(f, w, range(len(coords))):
+        keep = coords[j] >= 0
+        coords[j], g = coords[j][keep], weights[j][keep]
+        weights[j] = np.where(coords[j] > 0, 2 * g, g)
+    return coords, [x / scale - c for x, c in zip(coords, w.center)], weights
 
 
-def _multiplicity(cols: Sequence[np.ndarray], mirror: list[int]) -> np.ndarray:
-    """2^(number of mirror axes j with x_j != 0) at each point of a folded walk."""
-    return np.ldexp(1.0, sum((cols[j] != 0 for j in mirror), np.zeros(cols[0].size, np.int64)))
+def _columns(coords: list, idx: list) -> list:
+    """The coordinate columns coords[j][idx[j]] of a walked chunk.  Empties
+    idx, so the walk's index arrays are freed while the work runs on."""
+    cols = [x[i] for x, i in zip(coords, idx)]
+    idx.clear()
+    return cols
+
+
+def _lattice(f: Polynomial, B: float, w: WeightFunction, box: list[tuple[int, int]], what: str):
+    """_axes of the integer points of box, scaled by B, weight 1 each; the
+    dimensions are checked and the whole box is charged to the budget
+    first.  The weights (powers of 2 after the fold) are exact in float32,
+    which halves the walk's wq."""
+    if w.n != f.n:
+        raise ValueError("weight dimension does not match the polynomial")
+    enumeration._charge(math.prod(hi - lo + 1 for lo, hi in box), what)
+    coords = [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in box]
+    return _axes(f, w, coords, [np.ones(x.size, np.float32) for x in coords], B)
 
 
 def _in_ball(offsets: Sequence[np.ndarray], rho2: float) -> tuple[list[np.ndarray], np.ndarray]:
@@ -153,41 +173,42 @@ def _in_ball(offsets: Sequence[np.ndarray], rho2: float) -> tuple[list[np.ndarra
     return idx, t2
 
 
-def _ball_columns(
-    w: WeightFunction, B: float, box: list[tuple[int, int]], lo0: int, hi0: int
-) -> tuple[list[np.ndarray], np.ndarray]:
-    """(cols, t2): coordinate columns of the lattice points x of [lo0,hi0) x
-    box[1:], in row-major order, whose first k = len(box) coordinates have
-    t2 = sum_{j<k} (x_j/B - center_j)^2 < rho^2 (_in_ball), and that t2; a
-    dropped point has weight 0 whatever its remaining coordinates.  At
-    k = n, _bump(t2, rho) is omega(x/B), bit for bit WeightFunction.values."""
-    axes = [np.arange(lo0, hi0, dtype=np.int64)]
-    axes += [np.arange(lo, hi + 1, dtype=np.int64) for lo, hi in box[1:]]
-    idx, t2 = _in_ball([x / B - c for x, c in zip(axes, w.center)], w.rho**2)
-    return [x[i] for x, i in zip(axes, idx)], t2
+def _walk(offsets: list, weights: list, rho: float, work) -> list:
+    """[work(idx, wq, t2) for each _box_chunks chunk], in chunk order: idx and
+    t2 are _in_ball's index columns and squared distances of the chunk's
+    tensor points of offsets inside the ball of radius rho (at k = n axes,
+    _bump(t2, rho) is omega bit for bit), and wq is the product of the
+    per-axis weights there.  Chunks run on the default_workers() threads."""
+    scaled = [j for j, g in enumerate(weights) if (g != 1.0).any()]  # axes of weight 1 drop out
+
+    def run(chunk):
+        a, b = chunk
+        idx, t2 = _in_ball([offsets[0][a:b]] + offsets[1:], rho**2)
+        idx[0] = idx[0] + a
+        wq = np.ones(t2.size, weights[0].dtype)
+        for j in scaled:
+            wq *= weights[j][idx[j]]
+        return work(idx, wq, t2)
+
+    chunks = _box_chunks([off.size for off in offsets])
+    return enumeration._run_blocks(run, chunks, enumeration.default_workers())
 
 
 # -- lattice sums --------------------------------------------------------------
 
 
 def weighted_exponential_sum(f: Polynomial, B: float, w: WeightFunction, alpha: float) -> complex:
-    """sum_{x in Z^n} omega(x/B) e^(2 pi i alpha f(x)), exact f values."""
-    if w.n != f.n:
-        raise ValueError("weight dimension does not match the polynomial")
+    """sum_{x in Z^n} omega(x/B) e^(2 pi i alpha f(x)), exact f values,
+    over the support ball's lattice points (one _walk, mirror axes folded)."""
     box = w.support_box(B)
-    sizes = _box_sizes(box)
-    if any(s <= 0 for s in sizes):
-        return 0j
-    total = math.prod(sizes)
-    enumeration._charge(total, "lattice sum")
+    coords, offsets, weights = _lattice(f, B, w, box, "lattice sum")
 
-    def work(chunk):
-        cols, t2 = _ball_columns(w, B, box, *chunk)
-        vals = enumeration.eval_columns_exact(f, cols)
+    def work(idx, wq, t2):
+        vals = enumeration.eval_columns_exact(f, _columns(coords, idx))
         phases = np.exp((2j * np.pi * alpha) * vals.astype(np.float64))
-        return complex(np.sum(_bump(t2, w.rho) * phases))
+        return complex(np.sum(_bump(t2, w.rho) * wq * phases))
 
-    parts = enumeration._run_blocks(work, _box_chunks(box), enumeration.default_workers())
+    parts = _walk(offsets, weights, w.rho, work)
     return complex(math.fsum(p.real for p in parts), math.fsum(p.imag for p in parts))
 
 
@@ -262,97 +283,94 @@ _ORDER_LADDERS = {
 }
 
 
+def _check_quadrature(f: Polynomial, w: WeightFunction, tol: float, R: float | None = None) -> None:
+    """Refuse a weight of another dimension, n > 5, a tolerance that is not
+    positive and finite or a coefficient past the float range; for J(R)
+    also an R that is not positive and finite, or a bound on 2 pi R |f|
+    over the support ball (|x_j| <= |center_j| + rho) past the float range."""
+    if w.n != f.n:
+        raise ValueError("weight dimension does not match the polynomial")
+    if f.n not in _ORDER_LADDERS:
+        raise ValueError(f"tensor quadrature supports n <= {max(_ORDER_LADDERS)}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"quadrature tolerance must be positive and finite, got {tol}")
+    try:
+        float(max(f.terms.values(), key=abs, default=0))
+    except OverflowError:
+        raise ValueError("coefficient too large for the float quadrature") from None
+    if R is None:
+        return
+    if not (math.isfinite(R) and R > 0):
+        raise ValueError(f"R must be positive and finite, got {R}")
+    with np.errstate(over="ignore"):  # float64 powers past the float range read inf
+        bound = 2 * math.pi * R * enumeration._magnitude_bound(f, np.abs(w.center) + w.rho)
+    if not math.isfinite(bound):
+        raise ValueError(f"2 pi R |f| may overflow a float on the support ball at R={R}")
+
+
+def _grid(f: Polynomial, w: WeightFunction, order: int) -> tuple[np.ndarray, np.ndarray]:
+    """(f values, omega times quadrature weight) at the order's tensor
+    Gauss-Legendre nodes inside the support ball, in row-major order: one
+    _walk, whose axes carry the weights rho * w_GL, folded on mirror axes
+    (_axes; leggauss's nodes are antisymmetric and its weights symmetric,
+    bitwise)."""
+    nodes, gl_w = np.polynomial.legendre.leggauss(order)
+    coords = [c + w.rho * nodes for c in w.center]
+    axes, offsets, weights = _axes(f, w, coords, [w.rho * gl_w] * f.n, 1.0)
+    # scalar powers on axis 0: numpy's array power can differ by an ulp, and
+    # J(R)'s bits are part of the report
+    pow0 = {k: np.array([x**k for x in axes[0]]) for k in {e[0] for e in f.terms}}
+
+    def work(idx, wq, t2):
+        fv = np.zeros(t2.size)
+        for e, c in f.terms.items():
+            t = float(c) * pow0[e[0]][idx[0]] if e[0] else float(c)
+            for x, k, ix in zip(axes[1:], e[1:], idx[1:]):
+                if k:
+                    t = t * (x**k)[ix]
+            fv = fv + t
+        return fv, wq * _bump(t2, w.rho)
+
+    fs, wqs = zip(*_walk(offsets, weights, w.rho, work))
+    return np.concatenate(fs), np.concatenate(wqs)
+
+
+def _ladder(f: Polynomial, w: WeightFunction, tol: float, integrand, what: str):
+    """(value, order): integrand(f values, weights) of omega(x) g(f(x)) on
+    the order's _grid, climbing the dimension's ladder from its first order
+    until two successive orders differ by at most tol * max(current
+    magnitude, the plain weight integral on the current grid), so tiny
+    oscillatory values do not stall it.  The bump weight is smooth but not
+    analytic, so low dimensions climb to high orders cheaply while n = 5
+    stops where the tensor grid is still affordable.  Each grid is built
+    when its order is reached and not kept."""
+    prev: complex | None = None
+    orders = _ORDER_LADDERS[f.n]
+    for order in orders:
+        fs, wqs = _grid(f, w, order)
+        cur = integrand(fs, wqs)
+        if prev is not None and abs(cur - prev) <= tol * max(abs(cur), float(np.sum(wqs))):
+            return cur, order
+        prev = cur
+    raise QuadratureConvergenceError(f"{what} did not stabilize within orders {orders}")
+
+
 class OscillatoryIntegrator:
-    """Tensor quadrature of omega(x) g(f(x)) over the support ball.
-
-    The tensor Gauss-Legendre order climbs a ladder fixed by the
-    dimension (the bump weight is smooth but not analytic, so low
-    dimensions climb to high orders cheaply while n = 5 stops where the
-    tensor grid is still affordable).  Successive orders agree when their
-    difference is at most tol * max(current magnitude, the plain weight
-    integral on the current order's grid), so tiny oscillatory values do
-    not stall the ladder.
-
-    Each ladder order's node grid (f values, omega times quadrature
-    weight) is restricted to the ball by _in_ball, the walk the lattice
-    solvers use, built when its order is reached and not kept.  On each
-    mirror axis (_mirror_axes: center_j = 0, f even in x_j) only the nodes
-    >= 0 are kept, and a node > 0 carries twice its weight, so k such axes
-    shrink the grid about 2^k-fold.  Every evaluation climbs the ladder
-    from its first order, so a value never depends on earlier calls.
-    """
+    """I(gamma) = int omega(x) e^(2 pi i gamma f(x)) dx, refined along the
+    order ladder (_ladder) after the quadrature checks (_check_quadrature)."""
 
     def __init__(self, f: Polynomial, w: WeightFunction, tol: float = QUAD_TOL):
-        if w.n != f.n:
-            raise ValueError("weight dimension does not match the polynomial")
-        if f.n not in _ORDER_LADDERS:
-            raise ValueError(f"tensor quadrature supports n <= {max(_ORDER_LADDERS)}")
-        if not (math.isfinite(tol) and tol > 0):
-            raise ValueError(f"quadrature tolerance must be positive and finite, got {tol}")
-        try:
-            float(max(f.terms.values(), key=abs, default=0))
-        except OverflowError:
-            raise ValueError("coefficient too large for the float quadrature") from None
+        _check_quadrature(f, w, tol)
         self.f = f
         self.w = w
         self.tol = tol
-        self.orders = _ORDER_LADDERS[f.n]
-
-    def _grid(self, order: int) -> tuple[np.ndarray, np.ndarray]:
-        """(f values, omega times quadrature weight) at the order's tensor
-        Gauss-Legendre nodes inside the support ball, in row-major order."""
-        f, w = self.f, self.w
-        nodes, gl_w = np.polynomial.legendre.leggauss(order)
-        # leggauss's nodes are antisymmetric and its weights symmetric, bitwise
-        half = nodes >= 0
-        mirror = _mirror_axes(f, w, range(f.n))
-        rules = [(nodes[half], gl_w[half] * np.where(nodes[half] > 0, 2.0, 1.0))
-                 if j in mirror else (nodes, gl_w) for j in range(f.n)]
-        axes = [c + w.rho * t for c, (t, _) in zip(w.center, rules)]
-        offsets = [x - c for x, c in zip(axes, w.center)]
-        wts = [w.rho * g for _, g in rules]
-        # scalar powers on axis 0: numpy's array power can differ by an ulp, and
-        # J(R)'s bits are part of the report
-        pow0 = {k: np.array([x**k for x in axes[0]]) for k in {e[0] for e in f.terms}}
-        chunk_f: list[np.ndarray] = []
-        chunk_wq: list[np.ndarray] = []
-        for a, b in _box_chunks([(0, x.size - 1) for x in axes]):  # axis-0 blocks bound temporaries
-            idx, t2 = _in_ball([offsets[0][a:b]] + offsets[1:], w.rho**2)
-            idx[0] = idx[0] + a
-            wq = wts[0][idx[0]]
-            for wt, ix in zip(wts[1:], idx[1:]):
-                wq = wq * wt[ix]
-            fv = np.zeros(t2.size)
-            for e, c in f.terms.items():
-                t = float(c) * pow0[e[0]][idx[0]] if e[0] else float(c)
-                for x, k, ix in zip(axes[1:], e[1:], idx[1:]):
-                    if k:
-                        t = t * (x**k)[ix]
-                fv = fv + t
-            chunk_f.append(fv)
-            chunk_wq.append(wq * _bump(t2, w.rho))
-        return np.concatenate(chunk_f), np.concatenate(chunk_wq)
-
-    def _converge(
-        self, integrand: Callable[[np.ndarray, np.ndarray], complex], what: str
-    ) -> tuple[complex, int]:
-        """(value, order): integrand(f values, weights) refined along the
-        order ladder until two successive orders agree."""
-        prev: complex | None = None
-        for order in self.orders:
-            fs, wqs = self._grid(order)
-            cur = integrand(fs, wqs)
-            if prev is not None and abs(cur - prev) <= self.tol * max(abs(cur), float(np.sum(wqs))):
-                return cur, order
-            prev = cur
-        raise QuadratureConvergenceError(f"{what} did not stabilize within orders {self.orders}")
 
     def value(self, gamma: float) -> complex:
         """I(gamma) = int omega(x) e^(2 pi i gamma f(x)) dx."""
         phase = 2j * np.pi * gamma
-        return self._converge(
-            lambda fs, wqs: complex(np.sum(wqs * np.exp(phase * fs))), f"I(gamma) at gamma={gamma}"
-        )[0]
+        return _ladder(self.f, self.w, self.tol,
+                       lambda fs, wqs: complex(np.sum(wqs * np.exp(phase * fs))),
+                       f"I(gamma) at gamma={gamma}")[0]
 
 
 def oscillatory_integral(
@@ -383,10 +401,10 @@ def singular_integral(
 
         J(R) = int omega(x) 2R sinc(2R f(x)) dx,   sinc(u) = sin(pi u) / (pi u),
 
-    which refines along the same order ladder as I(gamma).
+    which refines along the same order ladder as I(gamma) (_ladder), after
+    _check_quadrature at R.
     """
-    if R <= 0:
-        raise ValueError(f"R must be positive, got {R}")
+    _check_quadrature(f, w, tol, R)
 
     def integrand(fs, wqs):
         # np.sinc's steps (y = pi x, eps where y == 0, sin(y) / y) in place: the
@@ -399,7 +417,7 @@ def singular_integral(
         s *= wqs
         return 2.0 * R * float(np.sum(s))
 
-    J, order = OscillatoryIntegrator(f, w, tol)._converge(integrand, f"J(R) at R={R}")
+    J, order = _ladder(f, w, tol, integrand, f"J(R) at R={R}")
     return SingularIntegralResult(J_of_R=J, order=order)
 
 
@@ -423,80 +441,58 @@ def _last_var_split(f: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial] 
 def weighted_solution_count(f: Polynomial, B: float, w: WeightFunction) -> float:
     """N_omega(f, B) = sum over integer solutions f(x) = 0 of omega(x/B).
 
-    Only the lattice points of the support ball are enumerated and
-    weighted by their walk's t2 (_ball_columns), one axis-0 box chunk at a
-    time, row-major; the budget is charged for the whole box.  On each
-    mirror axis (_mirror_axes: center_j = 0, f even in x_j; among the
-    first n-1 on the solver path below) only x_j >= 0 is walked, and a
-    point counts 2^(mirror axes with x_j != 0) times its weight.  Solution
-    testing is exact integer arithmetic.  Polynomials of degree <= 2 in
-    the last variable take the accelerated path: enumerate the ball's
-    projection onto the first n-1 axes and solve the (at most quadratic)
-    fiber equation, checking discriminants for perfect squares.  When the
-    discriminants could reach 2^53 on the box, the ball's points in all n
-    axes are enumerated instead.
+    One _walk visits the lattice points of the support ball, with the
+    mirror axes folded (_axes), and weighs each by its t2 and per-axis
+    weights; the budget is charged for the whole box.  Solution testing is
+    exact integer arithmetic.  Polynomials of degree <= 2 in the last
+    variable take the accelerated path: walk the ball's projection onto the
+    first n-1 axes and solve the (at most quadratic) fiber equation,
+    checking discriminants for perfect squares.  When the discriminants
+    could reach 2^53 on the box, all n axes are walked instead.
     """
-    if w.n != f.n:
-        raise ValueError("weight dimension does not match the polynomial")
     box = w.support_box(B)
-    sizes = _box_sizes(box)
-    if any(s <= 0 for s in sizes):
-        return 0.0
     split = _last_var_split(f)
     if split is not None and _float_sqrt_safe(split, box[:-1]):
-        outer = math.prod(sizes[:-1])
-        enumeration._charge(outer, "fiber-solver enumeration")
         return _count_quadratic_fiber(f, split, B, w, box)
-    total = math.prod(sizes)
-    enumeration._charge(total, "solution enumeration")
-    mirror = _mirror_axes(f, w, range(f.n))
-    walk = _fold(box, mirror)
+    coords, offsets, weights = _lattice(f, B, w, box, "solution enumeration")
 
-    def work(chunk):
-        cols, t2 = _ball_columns(w, B, walk, *chunk)
-        hit = enumeration.eval_columns_exact(f, cols) == 0
-        return float(np.sum(_bump(t2[hit], w.rho) * _multiplicity([c[hit] for c in cols], mirror)))
+    def work(idx, wq, t2):
+        hit = enumeration.eval_columns_exact(f, _columns(coords, idx)) == 0
+        return float(np.sum(_bump(t2[hit], w.rho) * wq[hit]))
 
-    parts = enumeration._run_blocks(work, _box_chunks(walk), enumeration.default_workers())
-    return math.fsum(parts)
+    return math.fsum(_walk(offsets, weights, w.rho, work))
 
 
 def _float_sqrt_safe(split, outer_box) -> bool:
     """True when b^2 and 4|a c| stay below 2^52 on the box, so the
     discriminant b^2 - 4ac neither wraps in int64 nor loses bits as a float."""
     reach = [max(abs(lo), abs(hi)) for lo, hi in outer_box]
-    a, b, c = (
-        sum(abs(k) * math.prod(r**j for r, j in zip(reach, e)) for e, k in p.terms.items())
-        for p in split
-    )
+    a, b, c = (enumeration._magnitude_bound(p, reach) for p in split)
     return b * b < 2**52 and 4 * a * c < 2**52
 
 
 def _count_quadratic_fiber(f, split, B, w, box) -> float:
     A, Bc, C = split
-    mirror = _mirror_axes(f, w, range(f.n - 1))
-    outer_box = _fold(box[:-1], mirror)
+    coords, offsets, weights = _lattice(f, B, w, box[:-1], "fiber-solver enumeration")
     zlo, zhi = box[-1]
     z_axis = np.arange(zlo, zhi + 1, dtype=np.int64)
 
-    def work(chunk):
-        cols, t2 = _ball_columns(w, B, outer_box, *chunk)
+    def work(idx, wq, t2):
+        cols = _columns(coords, idx)
         a, b, c = (enumeration.eval_columns_exact(g, cols) for g in (A, Bc, C))
         acc = 0.0
 
-        def add_points(idx: np.ndarray, z: np.ndarray) -> float:
-            """Weighted count of the points (cols[idx], z) with z in the box:
-            omega from the walk's t2 plus the last axis's term, times the
-            mirror multiplicity of cols[idx]."""
+        def add_points(i: np.ndarray, z: np.ndarray) -> float:
+            """Weighted count of the points (cols[i], z) with z in the box: omega
+            from the walk's t2 plus the last axis's term, times wq[i]."""
             ok = (z >= zlo) & (z <= zhi)
-            idx, z = idx[ok], z[ok]
-            mult = _multiplicity([col[idx] for col in cols], mirror)
-            return float(np.sum(_bump(t2[idx] + (z / B - w.center[-1]) ** 2, w.rho) * mult))
+            i, z = i[ok], z[ok]
+            return float(np.sum(_bump(t2[i] + (z / B - w.center[-1]) ** 2, w.rho) * wq[i]))
 
-        def add_roots(idx: np.ndarray, num: np.ndarray, den: np.ndarray) -> float:
+        def add_roots(i: np.ndarray, num: np.ndarray, den: np.ndarray) -> float:
             """add_points at the integer quotients z = num / den."""
             ok = num % den == 0
-            return add_points(idx[ok], num[ok] // den[ok])
+            return add_points(i[ok], num[ok] // den[ok])
 
         # only perfect-square discriminants reach the (slow) integer division
         quad = np.flatnonzero(a != 0)
@@ -519,8 +515,7 @@ def _count_quadratic_fiber(f, split, B, w, box) -> float:
             acc += add_points(np.full(z_axis.size, i), z_axis)
         return acc
 
-    parts = enumeration._run_blocks(work, _box_chunks(outer_box), enumeration.default_workers())
-    return math.fsum(parts)
+    return math.fsum(_walk(offsets, weights, w.rho, work))
 
 
 # -- the report ----------------------------------------------------------------
@@ -556,21 +551,21 @@ def major_arc_report(
     The prediction is trusted when n - s > 4(d-1); outside that range it
     is still computed, with a warning flag.  Explicit R overrides support
     convergence studies (holding R fixed makes the prediction scale
-    exactly like B^(n-d)).  The quadrature's preconditions (n <= 5, the
-    weight's dimension, tol, coefficients within the float range) and a
-    B^delta past the float range are refused before the series runs."""
+    exactly like B^(n-d)).  A B^delta past the float range and the
+    quadrature's preconditions (_check_quadrature at the integral's R) are
+    refused before the series runs."""
     if not (math.isfinite(B) and math.isfinite(delta)) or B <= 0 or delta <= 0:
         raise ValueError(f"B and delta must be positive and finite, got {B} and {delta}")
     d = f.degree()
     if d is None or d < 1:
         raise ValueError("polynomial must be non-constant")
-    OscillatoryIntegrator(f, w, tol)  # checks only; singular_integral builds its own
     try:
         R = B**delta
     except OverflowError:
         raise ValueError(f"B^delta overflows a float at B={B}, delta={delta}") from None
     r_series = R_series if R_series is not None else math.ceil(R)
     r_int = R_integral if R_integral is not None else R
+    _check_quadrature(f, w, tol, r_int)
     warnings: list[str] = []
     trusted = d >= 2 and (f.n - s_val) > 4 * (d - 1)
     if not trusted:

@@ -205,12 +205,15 @@ def _cmd_zeta(f: Polynomial, cfg: argparse.Namespace) -> tuple[dict, bool]:
             "result": result}, False
 
 
+def _fit_warnings(fit) -> list[str]:
+    """The warning on a shaky dimension fit: a fitted s with residual > 0.15."""
+    shaky = fit.override is None and fit.residual > 0.15
+    return [f"dimension fit residual {fit.residual:.3f} exceeds 0.15"] if shaky else []
+
+
 def _cmd_geometry(f: Polynomial, cfg: argparse.Namespace) -> tuple[dict, bool]:
     report = estimate_s(f, cfg.primes, override=cfg.s_override)
     sheet = exponent_sheet(f.n, f.degree(), report.effective_s)
-    warnings = []
-    if report.override is None and report.residual > 0.15:
-        warnings.append(f"dimension fit residual {report.residual:.3f} exceeds 0.15")
     return {
         "params": {"primes": list(cfg.primes), "s_override": cfg.s_override},
         "result": {
@@ -220,7 +223,7 @@ def _cmd_geometry(f: Polynomial, cfg: argparse.Namespace) -> tuple[dict, bool]:
             "s": report.effective_s,
             "s_provenance": "override" if report.override is not None else "fitted",
             "exponents": sheet,
-            "warnings": warnings,
+            "warnings": _fit_warnings(report),
         },
     }, False
 
@@ -233,6 +236,7 @@ def _cmd_circle(f: Polynomial, cfg: argparse.Namespace) -> tuple[dict, bool]:
     tol = QUAD_TOL if cfg.quad_tol is None else cfg.quad_tol
     report = major_arc_report(f, cfg.B, cfg.delta, w, fit.effective_s,
                               R_series=cfg.R_series, tol=tol)
+    report.warnings += _fit_warnings(fit)
     return {
         "params": {
             "B": cfg.B, "delta": cfg.delta, "rho": cfg.rho,

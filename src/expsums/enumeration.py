@@ -300,6 +300,11 @@ def eval_points_mod(f: Polynomial, points: np.ndarray, modulus: int) -> np.ndarr
     return acc
 
 
+def _magnitude_bound(f: Polynomial, reach: Sequence) -> int | float:
+    """sum_e |c_e| prod_j reach_j^(e_j): a bound on |f(x)| wherever |x_j| <= reach_j."""
+    return sum(abs(c) * math.prod(r**k for r, k in zip(reach, e)) for e, c in f.terms.items())
+
+
 def eval_columns_exact(f: Polynomial, cols: Sequence[np.ndarray]) -> np.ndarray:
     """Exact int64 values of f at the points whose coordinates are the
     equal-length int64 columns ``cols`` (one per variable).
@@ -311,8 +316,7 @@ def eval_columns_exact(f: Polynomial, cols: Sequence[np.ndarray]) -> np.ndarray:
         raise ValueError(f"need {f.n} coordinate columns, got {len(cols)}")
     size = len(cols[0]) if cols else 1
     reach = [max(1, -int(col.min()), int(col.max())) if len(col) else 1 for col in cols]
-    bound = sum(abs(c) * math.prod(r**k for r, k in zip(reach, e)) for e, c in f.terms.items())
-    if bound >= 2**62:
+    if _magnitude_bound(f, reach) >= 2**62:
         raise ValueError("coefficients too large for the exact int64 kernel")
     acc = np.zeros(size, dtype=np.int64)
     pows: dict[tuple[int, int], np.ndarray] = {}

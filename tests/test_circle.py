@@ -249,8 +249,8 @@ class TestSingularIntegral:
             wt * R / 2 * integ.value(R / 2 * (1 + t)).real for t, wt in zip(nodes, weights)
         )
         got = singular_integral(f, w, R, tol=tol)
-        assert abs(got.J_of_R - oracle) <= 10 * tol * float(np.sum(integ._grid(got.order)[1]))
-        assert got.order in integ.orders
+        assert abs(got.J_of_R - oracle) <= 10 * tol * float(np.sum(circle._grid(f, w, got.order)[1]))
+        assert got.order in circle._ORDER_LADDERS[f.n]
 
     @pytest.mark.parametrize("poly, centre, rho, R", [
         ("x1^2 - x2^2 + x1*x2", (0.3, 0.2), 0.6, 2.0),
@@ -259,12 +259,27 @@ class TestSingularIntegral:
     def test_ladder_builds_each_order_once(self, poly, centre, rho, R, monkeypatch):
         # the tolerance scale came from an extra mid-ladder grid built first
         built = []
-        grid = OscillatoryIntegrator._grid
-        monkeypatch.setattr(OscillatoryIntegrator, "_grid",
-                            lambda self, order: built.append(order) or grid(self, order))
+        grid = circle._grid
+        monkeypatch.setattr(circle, "_grid", lambda f, w, order: built.append(order) or grid(f, w, order))
         got = singular_integral(parse_polynomial(poly), WeightFunction(centre, rho), R)
         orders = list(circle._ORDER_LADDERS[len(centre)])
         assert built == orders[: orders.index(got.order) + 1]
+
+    @pytest.mark.parametrize("R", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_R_not_positive_and_finite_refused(self, R):
+        # nan and inf passed the R <= 0 check and ended in QuadratureConvergenceError
+        with pytest.raises(ValueError, match="R must be positive and finite"):
+            singular_integral(parse_polynomial("x1^2 - x2^2"), WeightFunction((0.2, 0.1), 0.5), R)
+
+    @pytest.mark.parametrize("poly, centre", [
+        ("10^308*x1^2 + x2^2 - x3^2", (0.5, 0.25, 0.0)),  # a coefficient
+        ("x1^2 + x2^2", (1e200, 0.0)),  # the reach of the support ball
+    ], ids=["coefficient", "centre"])
+    def test_sinc_argument_overflow_refused(self, poly, centre):
+        # 2 pi R f(x) overflowed on the nodes, and the ladder climbed on inf/nan values
+        f, w = parse_polynomial(poly), WeightFunction(centre, 0.5)
+        with pytest.raises(ValueError, match="may overflow a float on the support ball"):
+            singular_integral(f, w, 2**0.5)
 
     @pytest.mark.parametrize("poly", ["x1 - x2", "x1^2 - x2^2 + x1*x2"])
     def test_in_place_sinc_matches_np_sinc_bitwise(self, poly):
@@ -273,8 +288,8 @@ class TestSingularIntegral:
         f = parse_polynomial(poly)
         w = WeightFunction((0.2, 0.2), 0.7)
         R = 1.7
-        want, order = OscillatoryIntegrator(f, w)._converge(
-            lambda fs, wqs: 2.0 * R * float(np.sum(wqs * np.sinc(2.0 * R * fs))), "J"
+        want, order = circle._ladder(
+            f, w, circle.QUAD_TOL, lambda fs, wqs: 2.0 * R * float(np.sum(wqs * np.sinc(2.0 * R * fs))), "J"
         )
         got = singular_integral(f, w, R)
         assert (got.J_of_R, got.order) == (want, order)
@@ -331,6 +346,15 @@ class TestWeightedCount:
         assert (want > 1) == (shift == 0)
         assert abs(weighted_solution_count(f, 8.0, w) - want) < 1e-12
 
+    @pytest.mark.parametrize("B", [0.0, -3.0, float("nan"), float("inf")])
+    def test_B_not_positive_and_finite_refused(self, B):
+        # 0.0 and -3.0 returned 0.0 (a divide-by-zero warning, an empty box)
+        f, w = parse_polynomial("x1^2+x2^2-25"), WeightFunction((0.0, 0.0), 0.9)
+        with pytest.raises(ValueError, match="B must be positive and finite"):
+            weighted_solution_count(f, B, w)
+        with pytest.raises(ValueError, match="B must be positive and finite"):
+            weighted_exponential_sum(f, B, w, 0.5)
+
     def test_column_degenerate_fiber(self):
         # f independent of the last variable: whole columns count
         f = parse_polynomial("x1^2 - 4 + 0*x2", n_hint=2)
@@ -368,7 +392,10 @@ def _sphere_case(case, n):
 class TestBallColumns:
     @pytest.mark.parametrize("case", SPHERE_CASES)
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_equals_nonzero_weight_box_points(self, case, n):
+    def test_equals_nonzero_weight_box_points(self, case, n, monkeypatch):
+        # the walk's points of nonzero weight, unfolded (weight 1 on every axis)
+        box_chunks = circle._box_chunks
+        monkeypatch.setattr(circle, "_box_chunks", lambda box: box_chunks(box, target=40))
         B, w, on_sphere = _sphere_case(case, n)
         box = w.support_box(B)
         pts = np.array(list(itertools.product(*[range(lo, hi + 1) for lo, hi in box])))
@@ -378,8 +405,9 @@ class TestBallColumns:
             wk = WeightFunction(w.center[:k], w.rho)
             want_k = pts[:, :k][wk.values(pts[:, :k].astype(np.float64), scale=B) > 0]
             want_k = np.unique(want_k, axis=0)  # row-major order, one row per prefix
-            got = [np.stack(circle._ball_columns(w, B, box[:k], lo0, hi0)[0], axis=-1)
-                   for lo0, hi0 in circle._box_chunks(box[:k], target=40)]
+            axes = [np.arange(lo, hi + 1) for lo, hi in box[:k]]
+            got = circle._walk([x / B - c for x, c in zip(axes, w.center)], [np.ones(x.size) for x in axes],
+                               w.rho, lambda idx, wq, t2: np.stack([x[i] for x, i in zip(axes, idx)], axis=-1))
             assert np.concatenate(got).tolist() == want_k.tolist()
         assert want.tolist() == want_k.tolist()
 
@@ -390,8 +418,7 @@ class TestBallColumns:
         # f = x1 + 2 x2 + ... makes its values tell the nodes apart
         w = WeightFunction(tuple(0.1 * (-1) ** j * (j + 1) for j in range(n)), 0.7)
         f = parse_polynomial(" + ".join(f"{j + 1}*x{j + 1}" for j in range(n)), n_hint=n)
-        integ = OscillatoryIntegrator(f, w)
-        for order in integ.orders[:2]:
+        for order in circle._ORDER_LADDERS[n][:2]:
             nodes, gl_w = np.polynomial.legendre.leggauss(order)
             idx = np.array(list(itertools.product(range(order), repeat=n)))
             t2, wq, fv = np.zeros(len(idx)), np.ones(len(idx)), np.zeros(len(idx))
@@ -402,7 +429,7 @@ class TestBallColumns:
                 fv = fv + (j + 1.0) * x
             t2 = t2 / w.rho**2
             inside = t2 < 1.0
-            fs, wqs = integ._grid(order)
+            fs, wqs = circle._grid(f, w, order)
             assert fs.tolist() == fv[inside].tolist()
             assert wqs.tolist() == (wq * np.exp(-1.0 / (1.0 - t2)))[inside].tolist()
 
@@ -441,20 +468,19 @@ def _even_form(n):
 
 class TestMirrorFold:
     @staticmethod
-    def _sums(integ, order):
-        fs, wqs = integ._grid(order)
+    def _sums(f, w, order):
+        fs, wqs = circle._grid(f, w, order)
         return fs.size, float(np.sum(wqs)), float(np.sum(wqs * np.cos(5.0 * fs)))
 
     def _assert_fold_exact(self, f, w, orders, monkeypatch):
         """{order: (folded nodes, unfolded nodes)}, after checking that the
         folded grid's sums of wq and wq cos(5 f) equal the unfolded ones."""
-        integ = OscillatoryIntegrator(f, w)
-        folded = {order: self._sums(integ, order) for order in orders}
+        folded = {order: self._sums(f, w, order) for order in orders}
         _unfolded(monkeypatch)
         sizes = {}
         for order in orders:
             size, mass, osc = folded[order]
-            full_size, full_mass, full_osc = self._sums(integ, order)
+            full_size, full_mass, full_osc = self._sums(f, w, order)
             assert size < full_size
             assert abs(mass - full_mass) <= 1e-14 * full_mass
             assert abs(osc - full_osc) <= 1e-14 * full_mass
@@ -465,7 +491,7 @@ class TestMirrorFold:
     def test_grid_fold_at_origin(self, n, monkeypatch):
         f, w = _even_form(n), WeightFunction((0.0,) * n, 0.7)
         assert circle._mirror_axes(f, w, range(n)) == list(range(n))
-        self._assert_fold_exact(f, w, OscillatoryIntegrator(f, w).orders[:2], monkeypatch)
+        self._assert_fold_exact(f, w, circle._ORDER_LADDERS[n][:2], monkeypatch)
 
     def test_grid_fold_c10_order_40(self, monkeypatch):
         # the c10 quadric folds on x2..x4; order 40 has no node at 0, so the
@@ -480,10 +506,9 @@ class TestMirrorFold:
     def test_grid_fold_odd_order_counts_zero_node_once(self, n, monkeypatch):
         monkeypatch.setitem(circle._ORDER_LADDERS, n, (7, 9))
         f, w = _even_form(n), WeightFunction((0.0,) * n, 0.7)
-        integ = OscillatoryIntegrator(f, w)
         assert np.polynomial.legendre.leggauss(7)[0][3] == 0.0
         if n == 1:
-            assert integ._grid(7)[0].size == 4
+            assert circle._grid(f, w, 7)[0].size == 4
         self._assert_fold_exact(f, w, [7, 9], monkeypatch)
 
     @pytest.mark.parametrize(
@@ -493,11 +518,11 @@ class TestMirrorFold:
     def test_no_fold_on_odd_or_off_centre_axes(self, text, centre, monkeypatch):
         f, w = parse_polynomial(text), WeightFunction(centre, 0.7)
         assert circle._mirror_axes(f, w, range(2)) == []
-        integ = OscillatoryIntegrator(f, w)
-        got = [integ._grid(order) for order in integ.orders[:2]]
+        orders = circle._ORDER_LADDERS[2][:2]
+        got = [circle._grid(f, w, order) for order in orders]
         _unfolded(monkeypatch)
-        for order, (fs, wqs) in zip(integ.orders, got):
-            want_fs, want_wqs = integ._grid(order)
+        for order, (fs, wqs) in zip(orders, got):
+            want_fs, want_wqs = circle._grid(f, w, order)
             assert fs.tobytes() == want_fs.tobytes() and wqs.tobytes() == want_wqs.tobytes()
 
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from expsums import Polynomial, cli, enumeration
+from expsums import Polynomial, circle, cli, enumeration
 from expsums.cli import (
     EXIT_BUDGET,
     EXIT_OK,
@@ -389,6 +389,28 @@ class TestCircleInputs:
         assert report["error"]["message"] == "coefficient too large for the float quadrature"
         assert report["error"]["code"] == "PRECONDITION"
 
+    def test_sinc_overflow_refused_before_the_series(self, monkeypatch):
+        # the series ran first; J(R)'s 2 pi R f then overflowed and the ladder
+        # climbed on inf/nan values to QUADRATURE_DIVERGED
+        calls = []
+        monkeypatch.setattr(circle, "singular_series", lambda *args: calls.append(args))
+        argv = ["circle", "--poly", "10^308*x1^2+x2^2-x3^2", "--B", "4", "--delta", "0.25",
+                "--rho", "0.5", "--center", "0.5,0.25,0"]
+        code, report = run_cli(argv)
+        assert code == EXIT_PRECONDITION
+        assert report["error"]["code"] == "PRECONDITION"
+        assert "may overflow a float" in report["error"]["message"]
+        assert calls == []
+
+    def test_shaky_dimension_fit_is_warned(self):
+        # s = 0 fitted with residual 0.727 on the default primes, silently
+        argv = ["circle", "--poly", "(x1^2+x2^2)^2+x3^4", "--B", "6", "--delta", "0.25",
+                "--rho", "0.5", "--center", "0.5,0.25,0.1"]
+        code, report = run_cli(argv)
+        assert code == EXIT_OK
+        assert report["result"]["s_provenance"] == "fitted"
+        assert report["result"]["report"].warnings[-1] == "dimension fit residual 0.727 exceeds 0.15"
+
     def test_six_variables_refused_before_the_series(self):
         # the series ran first and exited 2 on its enumerations
         argv = ["circle", "--poly", "x1^2+x2^2+x3^2+x4^2+x5^2-x6^2", "--B", "10000",
@@ -424,6 +446,35 @@ class TestCircleInputs:
         code, report = run_cli(argv + ["--center=-0.5,0.25"])
         assert code == EXIT_OK
         assert report["params"]["center"] == [-0.5, 0.25]
+
+
+@pytest.mark.parametrize("poly, centre", [
+    ("x1^2+x2^2+x3^2-x4^2", "0.5,0.25,0.3,0.4"),
+    ("x1^3+x2^3-x3^3", "0.5,0.25,0.3"),
+], ids=["unmirrored", "cubic"])
+def test_circle_bytes_equal_across_worker_counts(poly, centre, monkeypatch):
+    # c11 covers the mirrored quadric only; one chunk per axis-0 value puts
+    # J(R)'s grids and the lattice walk (the fiber solver, then the general
+    # path) on two threads
+    box_chunks, chunk_counts = circle._box_chunks, []
+
+    def small_chunks(box):
+        chunks = box_chunks(box, target=1)
+        chunk_counts.append(len(chunks))
+        return chunks
+
+    monkeypatch.setattr(circle, "_box_chunks", small_chunks)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    argv = ["circle", "--poly", poly, "--B", "12", "--delta", "0.25", "--rho", "0.6",
+            "--center", centre]
+    out = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("IGUSA_WORKERS", workers)
+        code, report = run_cli(argv)
+        assert code == EXIT_OK
+        out.append(serialize_report(report))
+    assert min(chunk_counts) > 1
+    assert out[0] == out[1]
 
 
 ONE_OF_EACH = [

@@ -30,9 +30,11 @@ def test_every_traced_name_resolves():
     for mod_name, names in table.items():
         module = importlib.import_module(f"expsums.{mod_name}")
         for name in names:
-            obj = module
-            for part in name.split("."):  # "Class.method" entries resolve on the class
-                obj = getattr(obj, part, None)
+            if "." in name:  # Tracer.install reads a method from its class's own __dict__
+                cls_name, meth = name.split(".")
+                obj = vars(getattr(module, cls_name, object)).get(meth)
+            else:
+                obj = getattr(module, name, None)
             if not callable(obj):
                 missing.append(f"{mod_name}.{name}")
     assert not missing, f"perfbench/spans.py traces names that do not resolve: {missing}"
