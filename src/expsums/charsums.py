@@ -5,11 +5,22 @@ and a unit a is
 
     E = p^(-mn) * sum_{x mod p^m} e^(2*pi*i * a*f(x) / p^m).
 
-Three evaluation routes:
+Four evaluation routes:
 
 * exp_sum_naive      -- full enumeration through an exact integer histogram
                         of residues, whose nonzero entries are the atoms
                         (order-independent, bitwise deterministic).
+* exp_sum_direct     -- the same over Z/N for any N, the oracle for
+                        exp_sum_composite.  Its histogram mod N is counted
+                        through the CRT: #{x mod N : f(x) = r} is the
+                        product over q || N of #{x mod q : f(x) = r mod q},
+                        exactly in integers, so it costs sum_q q^n points
+                        plus N multiplies instead of N^n points.  The CRT
+                        only counts points: one unit mod N is applied in
+                        one phase pass over the whole histogram, with no
+                        per-factor units, no pruning and no product of
+                        complex factors, so the route stays independent of
+                        exp_sum_composite.
 * exp_sum_pruned     -- stationary-phase pruning.  For m >= 2, writing
                         x = u + p^(m-1) t gives
                         f(x) = f(u) + p^(m-1) t . grad f(u)  (mod p^m),
@@ -122,16 +133,19 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-def _from_histogram(f: Polynomial, modulus: int, a: int) -> ExpSumValue:
-    residues, counts = _nonzero(enumeration.residue_histogram(f, modulus, modulus))
-    value, err = _phase_sum(residues, counts, modulus, a, modulus**f.n)
+def _from_histogram(f: Polynomial, q: int, a: int, atoms) -> ExpSumValue:
+    """E from ``atoms``, the _nonzero entries of the exact histogram of f
+    mod q over (Z/q)^n.  Callers pass the atoms, not the histogram, so the
+    dense array is freed before the phase pass."""
+    value, err = _phase_sum(*atoms, q, a, q**f.n)
     return ExpSumValue(value, abs(value), err)
 
 
 def exp_sum_naive(f: Polynomial, chi: AdditiveCharacter) -> ExpSumValue:
     """Full enumeration of E over (Z/p^m)^n via the exact residue histogram."""
     _require_prime(chi.p)
-    return _from_histogram(f, chi.modulus, chi.unit)
+    q = chi.modulus
+    return _from_histogram(f, q, chi.unit, _nonzero(enumeration.residue_histogram(f, q, q)))
 
 
 def finite_field_sum(f: Polynomial, p: int, a: int = 1) -> ExpSumValue:
@@ -139,15 +153,37 @@ def finite_field_sum(f: Polynomial, p: int, a: int = 1) -> ExpSumValue:
     return exp_sum_naive(f, AdditiveCharacter(p, 1, a))
 
 
+def _crt_histogram(f: Polynomial, N: int) -> np.ndarray:
+    """Exact histogram of f mod N over (Z/N)^n, from one histogram per
+    prime power q || N: the count at r is the product over q of the counts
+    at r mod q, which is the column of r in the row-major (N/q, q) view.
+
+    Charges N points for the assembled array before it is built; int64
+    unless N^n reaches 2^63 (then exact Python ints).
+    """
+    if N >= enumeration._MAX_MODULUS:
+        raise ValueError(f"modulus {N} too large for the int64 kernel")
+    factors = factorize(N)
+    if len(factors) == 1:
+        return enumeration.residue_histogram(f, N, N)
+    enumeration._charge(N, "histogram assembly")
+    counts = np.ones(N, np.int64 if N**f.n < 2**63 else object)
+    for p, m in sorted(factors.items()):
+        q = p**m
+        hist = enumeration.residue_histogram(f, q, q).astype(counts.dtype, copy=False)
+        counts.reshape(-1, q)[...] *= hist
+    return counts
+
+
 def exp_sum_direct(f: Polynomial, N: int, a: int = 1) -> ExpSumValue:
-    """E over (Z/N)^n by direct enumeration, any N >= 1 (oracle route)."""
+    """E over (Z/N)^n from the exact histogram of f mod N (oracle route)."""
     if N < 1:
         raise ValueError(f"modulus must be >= 1, got {N}")
     if math.gcd(a, N) != 1:
         raise ValueError(f"unit {a} shares a factor with {N}")
     if N == 1:
         return ExpSumValue(1 + 0j, 1.0, 0.0)
-    return _from_histogram(f, N, a % N)
+    return _from_histogram(f, N, a % N, _nonzero(_crt_histogram(f, N)))
 
 
 def _min_p_valuation(f: Polynomial, p: int) -> int:

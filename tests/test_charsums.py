@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,8 +19,9 @@ from expsums import (
     parse_polynomial,
 )
 from expsums import enumeration
-from expsums.charsums import _critical_atoms, _fiber_split, crt_units
-from expsums.corpus import standard_corpus
+from expsums.arith import factorize
+from expsums.charsums import _crt_histogram, _critical_atoms, _fiber_split, _phase_sum, crt_units
+from expsums.corpus import crt_subcorpus, standard_corpus
 from conftest import brute_exp_sum, compose, small_polynomials
 
 
@@ -269,6 +271,80 @@ class TestComposite:
         got = exp_sum_composite(f, N, a)
         want = exp_sum_direct(f, N, a)
         assert abs(got.value - want.value) < 1e-10
+
+
+class TestDirect:
+    """The direct route's histogram mod N is assembled from one histogram
+    per prime power q || N (CRT point count) and must equal the full grid."""
+
+    @staticmethod
+    def _check(f, N):
+        full = enumeration.residue_histogram(f, N, N)
+        got = _crt_histogram(f, N)
+        assert got.dtype == np.int64 and np.array_equal(got, full), (str(f), N)
+        residues = np.flatnonzero(full)
+        want, err = _phase_sum(residues, full[residues], N, N - 1, N**f.n)
+        v = exp_sum_direct(f, N, N - 1)
+        assert (v.value, v.err_bound) == (want, err), (str(f), N)
+
+    def test_assembled_histogram_is_the_full_grid(self):
+        composite = [N for N in range(2, 151) if len(factorize(N)) > 1]
+        for f in crt_subcorpus(0, 20):
+            for N in composite:
+                self._check(f, N)
+            if f.n == 2:
+                self._check(f, 210)
+        threes = [f for f in standard_corpus(0) if f.n == 3]
+        assert threes
+        for f in threes:
+            for N in (6, 10, 12, 30):
+                self._check(f, N)
+
+    def test_meter_charges_factors_and_assembly(self, monkeypatch):
+        f = parse_polynomial("x1^3+x1*x2+2*x2^2")
+        before = enumeration.meter_consumed()
+        v = exp_sum_direct(f, 600, 7)
+        assert enumeration.meter_consumed() - before == 8**2 + 3**2 + 25**2 + 600
+        # the largest single charge is 625, far below the old 600^2
+        monkeypatch.setenv("IGUSA_BUDGET", str(10**4))
+        assert exp_sum_direct(f, 600, 7).value == v.value
+        assert abs(v.value - exp_sum_composite(f, 600, 7).value) < 1e-12
+
+    def test_huge_modulus_refused_before_allocating(self):
+        f = parse_polynomial("x1^2+x2")
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="too large for the int64 kernel"):
+                exp_sum_direct(f, 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23 * 29, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_assembly_charged_before_it_is_built(self, monkeypatch):
+        f = parse_polynomial("x1^2+x2")
+        N = 2 * 3 * 5 * 7 * 11 * 13 * 17 * 19 * 23  # np.ones(N) would be 1.7 GB
+        monkeypatch.setenv("IGUSA_BUDGET", str(10**6))
+        before = enumeration.meter_consumed()
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExceededError) as info:
+                exp_sum_direct(f, N, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        assert (info.value.needed, info.value.budget) == (N, 10**6)
+        assert enumeration.meter_consumed() == before
+
+    def test_counts_past_int64_stay_exact(self):
+        # N^n = 2310^6 > 2^63: the assembled counts are exact Python ints
+        f = parse_polynomial("x1*x2*x3*x4*x5*x6")
+        hist = _crt_histogram(f, 2310)
+        assert hist.dtype == object and sum(hist.tolist()) == 2310**6
+        got, want = exp_sum_direct(f, 2310, 13), exp_sum_composite(f, 2310, 13)
+        assert got.abs > 0.1
+        assert abs(got.value - want.value) <= got.err_bound + want.err_bound
 
 
 class TestSymmetries:
