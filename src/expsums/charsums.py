@@ -9,7 +9,8 @@ Four evaluation routes:
 
 * exp_sum_naive      -- full enumeration through an exact integer histogram
                         of residues, whose nonzero entries are the atoms
-                        (order-independent, bitwise deterministic).
+                        (order-independent, bitwise deterministic): the
+                        direct route at N = p^m.
 * exp_sum_direct     -- the same over Z/N for any N, the oracle for
                         exp_sum_composite.  Its histogram mod N is counted
                         through the CRT: #{x mod N : f(x) = r} is the
@@ -115,9 +116,16 @@ def _phase_sum(residues: np.ndarray, weights: np.ndarray, q: int, a: int,
     acc = 0j
     dtype = np.int64 if q < 2**31 else object  # a*r stays exact
     for lo in range(0, residues.size, _PHASE_CHUNK):
-        angles = (a * residues[lo:lo + _PHASE_CHUNK].astype(dtype)) % q
-        phases = np.exp((2j * np.pi / q) * angles.astype(np.float64))
-        acc += complex(np.sum(weights[lo:lo + _PHASE_CHUNK].astype(np.float64) * phases))
+        angles = residues[lo:lo + _PHASE_CHUNK].astype(dtype)
+        angles *= a
+        angles %= q
+        # 0 + i (2 pi / q) angle, bit for bit the product (2j pi / q) * angle
+        phases = np.zeros(angles.size, np.complex128)
+        phases.imag = angles
+        phases.imag *= 2 * np.pi / q
+        np.exp(phases, out=phases)
+        phases *= weights[lo:lo + _PHASE_CHUNK].astype(np.float64)
+        acc += complex(np.sum(phases))
     err = 4.0 * _EPS * (residues.size + 1) * float(weights.sum() / total)
     return acc / total, err
 
@@ -133,19 +141,10 @@ def _require_prime(p: int) -> None:
         raise ValueError(f"{p} is not prime")
 
 
-def _from_histogram(f: Polynomial, q: int, a: int, atoms) -> ExpSumValue:
-    """E from ``atoms``, the _nonzero entries of the exact histogram of f
-    mod q over (Z/q)^n.  Callers pass the atoms, not the histogram, so the
-    dense array is freed before the phase pass."""
-    value, err = _phase_sum(*atoms, q, a, q**f.n)
-    return ExpSumValue(value, abs(value), err)
-
-
 def exp_sum_naive(f: Polynomial, chi: AdditiveCharacter) -> ExpSumValue:
     """Full enumeration of E over (Z/p^m)^n via the exact residue histogram."""
     _require_prime(chi.p)
-    q = chi.modulus
-    return _from_histogram(f, q, chi.unit, _nonzero(enumeration.residue_histogram(f, q, q)))
+    return exp_sum_direct(f, chi.modulus, chi.unit)
 
 
 def finite_field_sum(f: Polynomial, p: int, a: int = 1) -> ExpSumValue:
@@ -183,7 +182,9 @@ def exp_sum_direct(f: Polynomial, N: int, a: int = 1) -> ExpSumValue:
         raise ValueError(f"unit {a} shares a factor with {N}")
     if N == 1:
         return ExpSumValue(1 + 0j, 1.0, 0.0)
-    return _from_histogram(f, N, a % N, _nonzero(_crt_histogram(f, N)))
+    # only the atoms are kept: the dense histogram is freed before the phase pass
+    value, err = _phase_sum(*_nonzero(_crt_histogram(f, N)), N, a % N, N**f.n)
+    return ExpSumValue(value, abs(value), err)
 
 
 def _min_p_valuation(f: Polynomial, p: int) -> int:

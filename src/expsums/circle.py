@@ -95,13 +95,6 @@ def _bump(t2: np.ndarray, rho: float) -> np.ndarray:
 # -- the in-ball walk ----------------------------------------------------------
 
 
-def _box_chunks(sizes: list[int], target: int = _SOLVER_CHUNK) -> list[tuple[int, int]]:
-    """Axis-0 index chunks [a, b) of a grid with these axis lengths, about
-    target points each; they depend on the grid's shape alone."""
-    step = max(1, target // max(1, math.prod(sizes[1:])))
-    return [(a, min(a + step, sizes[0])) for a in range(0, sizes[0], step)]
-
-
 def _mirror_axes(f: Polynomial, w: WeightFunction, axes: Iterable[int]) -> list[int]:
     """The axes j among ``axes`` with center_j == 0 and only even exponents
     of x_j in f.  Reflecting x_j fixes f, the weight, the support box
@@ -174,11 +167,12 @@ def _in_ball(offsets: Sequence[np.ndarray], rho2: float) -> tuple[list[np.ndarra
 
 
 def _walk(offsets: list, weights: list, rho: float, work) -> list:
-    """[work(idx, wq, t2) for each _box_chunks chunk], in chunk order: idx and
-    t2 are _in_ball's index columns and squared distances of the chunk's
-    tensor points of offsets inside the ball of radius rho (at k = n axes,
-    _bump(t2, rho) is omega bit for bit), and wq is the product of the
-    per-axis weights there.  Chunks run on the default_workers() threads."""
+    """[work(idx, wq, t2) for each enumeration._box_chunks chunk of about
+    _SOLVER_CHUNK points], in chunk order: idx and t2 are _in_ball's index
+    columns and squared distances of the chunk's tensor points of offsets
+    inside the ball of radius rho (at k = n axes, _bump(t2, rho) is omega bit
+    for bit), and wq is the product of the per-axis weights there.  Chunks
+    run on the default_workers() threads."""
     scaled = [j for j, g in enumerate(weights) if (g != 1.0).any()]  # axes of weight 1 drop out
 
     def run(chunk):
@@ -190,7 +184,7 @@ def _walk(offsets: list, weights: list, rho: float, work) -> list:
             wq *= weights[j][idx[j]]
         return work(idx, wq, t2)
 
-    chunks = _box_chunks([off.size for off in offsets])
+    chunks = enumeration._box_chunks([off.size for off in offsets], _SOLVER_CHUNK)
     return enumeration._run_blocks(run, chunks, enumeration.default_workers())
 
 

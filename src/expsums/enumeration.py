@@ -1,10 +1,10 @@
 """Vectorized enumeration kernels: grid evaluation, exact histograms, budgets.
 
-Grid kernels (histograms, zero masks) need M < 2^31.  They run in uint32
-lanes when the worst-case unreduced value of f provably stays below 2^32,
-otherwise in int64 with a reduction mod M only where a product or sum could
-pass 2^62; either way the reductions are a - M*(a // M), which beats ``%``
-on blocks of 1024 values or more.
+Grid kernels (histograms, zero masks) need M < 2^31.  The worst-case
+unreduced value of f picks one of three lanes: uint32 below 2^32, int64
+below 2^63, and from there int64 with every product reduced mod M; the
+reductions are a - M*(a // M), which beats ``%`` on blocks of 1024 values
+or more.
 eval_points_mod, which sees only a list of points, reduces after every
 multiply and switches to exact Python ints from 2^31 on.
 Counts are exact integers throughout, so results are independent of block
@@ -106,9 +106,6 @@ def _prepare_terms(f: Polynomial, modulus: int) -> list[tuple[tuple[int, ...], i
     return terms
 
 
-_INT64_SAFE = 2**62
-
-
 def _reduce(a: np.ndarray, modulus: int) -> np.ndarray:
     """a mod modulus in place, for a >= 0.  numpy divides by a scalar with a
     multiply and a shift, so from about 1000 values on a - M*(a // M) beats
@@ -132,61 +129,39 @@ def _block_values(
     """Values of sum(terms) mod modulus on [lo,hi) x [0,grid)^(n-1), flattened.
 
     Coefficients and power tables are reduced below M, so the unreduced sum
-    is at most sum_terms c*(M-1)^v, v the number of variables in the term.
-    When that worst case is below 2^32 everything runs in uint32 lanes with
-    no reduction until the end.  Otherwise it runs in int64, where
-    worst-case magnitudes are tracked exactly so a reduction runs only when
-    a product or sum could otherwise overflow.  Either way the last step is
-    one ``_reduce``.
+    is at most worst = sum_terms c*(M-1)^v, v the number of variables in the
+    term.  worst picks the lane: below 2^32 uint32, below 2^63 int64, both
+    unreduced until the end; from 2^63 on int64 with every product reduced,
+    since two residues below 2^31 multiply below 2^62 and the sum then stays
+    below terms*M.  Either way the last step is one ``_reduce``.
     """
     shape = (hi - lo,) + (grid,) * (n - 1)
-    red = modulus - 1
-    worst = sum(c * red ** (len(e) - e.count(0)) for e, c in terms)
+    worst = sum(c * (modulus - 1) ** (len(e) - e.count(0)) for e, c in terms)
     lane = np.uint32 if worst < 2**32 else np.int64
+    reduce_products = worst >= 2**63
     acc = np.zeros(shape, dtype=lane)
-    acc_bound = 0
     # the block's rows on axis 0 and [0, grid) on the others, shaped to broadcast
     axes = np.ix_(np.arange(lo, hi, dtype=np.int64), *[np.arange(grid, dtype=np.int64)] * (n - 1))
     pows: dict[tuple[int, int], np.ndarray] = {}  # one table per (variable, exponent)
     for e, c in terms:
-        t: np.ndarray | None = None
-        t_bound = 1
+        t: np.ndarray | int = c  # folded into the first (cheap, 1-D) factor
         for j, k in enumerate(e):
             if not k:
                 continue
             if (j, k) not in pows:
                 pows[j, k] = _pow_vector(axes[j], k, modulus).astype(lane, copy=False)
-            if t is None:
-                # fold the coefficient into the first (cheap, 1-D) factor
-                t = pows[j, k] * c
-                t_bound = red * c
-            else:
-                if t_bound * red >= _INT64_SAFE:
-                    t = _reduce(t, modulus)
-                    t_bound = red
-                t = t * pows[j, k]
-                t_bound *= red
-        if t is None:
-            acc += c
-            acc_bound += c
-        else:
-            if acc_bound + t_bound >= _INT64_SAFE:
-                _reduce(acc, modulus)
-                acc_bound = red
-                if t_bound >= _INT64_SAFE - acc_bound:
-                    t = _reduce(t, modulus)
-                    t_bound = red
-            acc += t
-            acc_bound += t_bound
+            t = t * pows[j, k]
+            if reduce_products:
+                t = _reduce(t, modulus)
+        acc += t
     return _reduce(acc, modulus).reshape(-1)
 
 
-def _axis0_blocks(grid: int, n: int, workers: int = 1) -> list[tuple[int, int]]:
-    inner = grid ** (n - 1)
-    step = max(1, _BLOCK_ELEMS // max(1, inner))
-    if workers > 1:
-        step = max(1, min(step, -(-grid // workers)))
-    return [(lo, min(lo + step, grid)) for lo in range(0, grid, step)]
+def _box_chunks(sizes: Sequence[int], target: int) -> list[tuple[int, int]]:
+    """Axis-0 index chunks [a, b) of a grid with these axis lengths, about
+    target points each; they depend on the grid's shape alone."""
+    step = max(1, target // max(1, math.prod(sizes[1:])))
+    return [(a, min(a + step, sizes[0])) for a in range(0, sizes[0], step)]
 
 
 def _run_blocks(fn, blocks, workers):
@@ -198,11 +173,11 @@ def _run_blocks(fn, blocks, workers):
 
 def _grid_blocks(polys, grid, modulus, what, step) -> list:
     """step(values, lo) for each axis-0 block [lo, hi) x [0, grid)^(n-1) of
-    the grid, in block order; values(i) is polys[i] mod modulus on the
-    block, flattened row-major (_block_values).  Checks the modulus and
-    charges grid^n points per polynomial before anything runs; each block
-    builds its own power tables, so the default_workers() threads share no
-    mutable state."""
+    the grid (_box_chunks of about _BLOCK_ELEMS points), in block order;
+    values(i) is polys[i] mod modulus on the block, flattened row-major
+    (_block_values).  Checks the modulus and charges grid^n points per
+    polynomial before anything runs; each block builds its own power tables,
+    so the default_workers() threads share no mutable state."""
     if modulus >= _MAX_MODULUS:
         raise ValueError(f"modulus {modulus} too large for the int64 kernel")
     n = polys[0].n
@@ -214,7 +189,7 @@ def _grid_blocks(polys, grid, modulus, what, step) -> list:
         lo, hi = block
         return step(lambda i: _block_values(terms[i], n, grid, modulus, lo, hi), lo)
 
-    return _run_blocks(work, _axis0_blocks(grid, n, workers), workers)
+    return _run_blocks(work, _box_chunks([grid] * n, _BLOCK_ELEMS), workers)
 
 
 def residue_histogram(f: Polynomial, grid: int, modulus: int) -> np.ndarray:

@@ -394,8 +394,7 @@ class TestBallColumns:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_equals_nonzero_weight_box_points(self, case, n, monkeypatch):
         # the walk's points of nonzero weight, unfolded (weight 1 on every axis)
-        box_chunks = circle._box_chunks
-        monkeypatch.setattr(circle, "_box_chunks", lambda box: box_chunks(box, target=40))
+        monkeypatch.setattr(circle, "_SOLVER_CHUNK", 40)
         B, w, on_sphere = _sphere_case(case, n)
         box = w.support_box(B)
         pts = np.array(list(itertools.product(*[range(lo, hi + 1) for lo, hi in box])))
@@ -571,13 +570,13 @@ def test_odd_exponent_axis_is_walked_whole(text, odd):
 def test_folded_solver_worker_invariance(branch, monkeypatch):
     # 8-point chunks give the folded walk one block per axis-0 value
     f, w = _even_branch(branch, 3), WeightFunction((0.0, 0.0, 0.0), 0.8)
-    box_chunks, blocks = circle._box_chunks, []
+    box_chunks, blocks = enumeration._box_chunks, []
 
-    def small_chunks(box, target=8):
-        blocks.append(box_chunks(box, target))
+    def small_chunks(sizes, target):
+        blocks.append(box_chunks(sizes, 8))
         return blocks[-1]
 
-    monkeypatch.setattr(circle, "_box_chunks", small_chunks)
+    monkeypatch.setattr(enumeration, "_box_chunks", small_chunks)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     counts = []
     for workers in ("1", "2"):

@@ -454,16 +454,16 @@ class TestCircleInputs:
 ], ids=["unmirrored", "cubic"])
 def test_circle_bytes_equal_across_worker_counts(poly, centre, monkeypatch):
     # c11 covers the mirrored quadric only; one chunk per axis-0 value puts
-    # J(R)'s grids and the lattice walk (the fiber solver, then the general
-    # path) on two threads
-    box_chunks, chunk_counts = circle._box_chunks, []
+    # J(R)'s grids, the lattice walk (the fiber solver, then the general
+    # path) and the series' zero counts on two threads
+    box_chunks, chunk_counts = enumeration._box_chunks, []
 
-    def small_chunks(box):
-        chunks = box_chunks(box, target=1)
+    def small_chunks(sizes, target):
+        chunks = box_chunks(sizes, 1)
         chunk_counts.append(len(chunks))
         return chunks
 
-    monkeypatch.setattr(circle, "_box_chunks", small_chunks)
+    monkeypatch.setattr(enumeration, "_box_chunks", small_chunks)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     argv = ["circle", "--poly", poly, "--B", "12", "--delta", "0.25", "--rho", "0.6",
             "--center", centre]

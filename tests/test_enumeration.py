@@ -87,6 +87,29 @@ class TestResidueHistogram:
         zeros = sum(f.eval_mod(pt, M) == 0 for pt in itertools.product(range(3), repeat=2))
         assert count_common_zeros([f], 3, M) == zeros
 
+    @pytest.mark.parametrize("c", [2, 3])
+    @pytest.mark.parametrize("grid", [8, 40])
+    def test_products_reduced_from_2_63(self, c, grid):
+        # 7 is a primitive root mod M = 2^31 - 1, so 7^e = M - 1 for
+        # e = (M-1)/2 and the grid reaches the worst case c*(M-1)^2 + 5*(M-1)
+        # + 2: 2^63 - 6*2^30 at c = 2, unreduced, and past 2^63 at c = 3;
+        # 64 values take _reduce's %, 1600 its a - M*(a // M)
+        M = 2**31 - 1
+        e = (M - 1) // 2
+        f = Polynomial(2, {(e, e): c, (e, 0): 5, (0, 0): 2})
+        values = enumeration._block_values(enumeration._prepare_terms(f, M), 2, grid, M, 0, grid)
+        assert values.tolist() == [f.eval_mod(pt, M) for pt in itertools.product(range(grid), repeat=2)]
+
+    def test_blocks_do_not_depend_on_workers(self, monkeypatch):
+        # blocks follow the grid's shape alone: 1600 points are one block
+        f = Polynomial(2, {(2, 1): 3, (0, 3): -4, (1, 0): 9})
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        blocks = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("IGUSA_WORKERS", workers)
+            blocks.append(enumeration._grid_blocks([f], 40, 41, "blocks", lambda values, lo: (lo, values(0).size)))
+        assert blocks[0] == blocks[1] == [(0, 1600)]
+
     @given(
         small_polynomials(max_n=2),
         st.integers(2, 40),
@@ -94,9 +117,12 @@ class TestResidueHistogram:
     )
     @settings(max_examples=40)
     # (M-1)^3 + (M-1) is just below 2^32 at M = 1626 and above it at 1627;
-    # a 40 x 40 grid is one block of 1600 values, or two of 800 at 2 workers
+    # a 40 x 40 grid is one block of 1600 values, which _reduce cuts by
+    # a - M*(a // M), and a 30 x 30 grid one of 900, which takes its %
     @example(parse_polynomial("-x1*x2 - 1"), 40, 1626)
     @example(parse_polynomial("-x1*x2 - 1"), 40, 1627)
+    @example(parse_polynomial("-x1*x2 - 1"), 30, 1626)
+    @example(parse_polynomial("-x1*x2 - 1"), 30, 1627)
     def test_both_lanes_match_brute(self, f, grid, modulus):
         points = list(itertools.product(range(grid), repeat=f.n))
         zeros = [pt for pt in points if f.eval_mod(pt, modulus) == 0]
@@ -206,8 +232,7 @@ class TestResidueHistogram:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         monkeypatch.setattr(enumeration, "_BLOCK_ELEMS", 1 << 4)
         monkeypatch.setattr(enumeration, "ThreadPoolExecutor", SerialPool)
-        chunks = circle._box_chunks
-        monkeypatch.setattr(circle, "_box_chunks", lambda box: chunks(box, target=64))
+        monkeypatch.setattr(circle, "_SOLVER_CHUNK", 64)
         f = parse_polynomial("x1^3 - x2^3 + x1*x2")
         w = circle.WeightFunction((0.1, 0.2), 0.9)
         calls = {
