@@ -50,10 +50,11 @@ def factorize(n: int) -> dict[int, int]:
         while rem % p == 0:
             out[p] = out.get(p, 0) + 1
             rem //= p
-    f = 5
+    f, tested = 5, 0
     while f * f <= rem:
-        if is_prime(rem):
+        if rem != tested and is_prime(rem):  # each cofactor is tested once
             break
+        tested = rem
         for p in (f, f + 2):
             while rem % p == 0:
                 out[p] = out.get(p, 0) + 1

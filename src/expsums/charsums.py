@@ -33,18 +33,20 @@ Four evaluation routes:
                         mod p.  W is memoised on the Polynomial per (p, m)
                         and lives as long as it; a memo hit replays the
                         build's budget charges, so nothing depends on call
-                        history.  Valid for every prime, including p = 2
-                        and 3.
+                        history.  While p^m is at most both the points W's
+                        build charged and _PHASE_CHUNK, the memo keeps W's
+                        real FFT instead, one lookup per unit.  Valid for
+                        every prime, including p = 2 and 3.
 * exp_sum_composite  -- the product over prime powers dividing N, with the
                         per-factor units fixed by 1/N = sum_i u_i / q_i
                         where u_i = (N/q_i)^(-1) mod q_i, so that the unit
                         for the factor q_i is a * u_i mod q_i.
 
-Every exact sum, naive, direct, finite-field or pruned, is one phase pass
-E = total^(-1) sum_r W(r) e^(2 pi i a r / q) over its atoms (_phase_sum).
-Values carry a coarse but sound error bound, 4 eps (atoms + 1) times the
-share of the total the atoms carry (1 for a full histogram), plus one eps
-per combination step of exp_sum_composite.
+Every naive, direct and finite-field sum, and each pruned sum past the
+spectrum's rule, is one phase pass E = total^(-1) sum_r W(r) e^(2 pi i a r / q)
+over its atoms (_phase_sum).  Values carry a coarse but sound error bound:
+4 eps (atoms + 1, plus log2 q for a spectrum read) times the atoms' share of
+the total (1 for a full histogram), plus one eps per exp_sum_composite step.
 """
 
 from __future__ import annotations
@@ -237,17 +239,18 @@ def _critical_atoms(f: Polynomial, p: int, m: int):
     overflow (then exact Python ints).  At every level the residues are
     sorted, distinct and reduced mod p^m.
     Memoised on f; ``charges`` lists the build's (points, what) budget
-    charges, which a hit replays in order.
+    charges, which a hit replays in order.  exp_sum_pruned may swap in W's
+    spectrum and bound for residues and weights.
     """
     if getattr(f, "_atoms", None) is None:
         object.__setattr__(f, "_atoms", {})
     memo = f._atoms
-    if (p, m) in memo:
+    if (p, m) in memo:  # stored only after p passed _require_prime
         entry = memo[p, m]
         enumeration.default_workers()  # refuses a bad IGUSA_WORKERS, as a build does
-        for points, what in entry[0]:
-            enumeration._charge(points, what)
+        enumeration._charge_each(entry[0])
         return entry
+    _require_prime(p)
     n, q = f.n, p**m
     if m == 1:
         residues, counts = _nonzero(enumeration.residue_histogram(f, p, p))
@@ -274,13 +277,34 @@ def _critical_atoms(f: Polynomial, p: int, m: int):
     return memo[p, m]
 
 
+def _unit_spectrum(entry, q: int) -> np.ndarray:
+    """S for W's memo entry on Z/q: the memoised one, else the rfft of W
+    scattered into a dense float64 array of length q, raw.  p^(mn) E(q, a)
+    is conj(S[a]) for a <= q/2 and S[q - a] above."""
+    _, _, residues, weights = entry
+    if residues.dtype.kind == "c":
+        return residues
+    dense = np.zeros(q)
+    dense[residues.astype(np.int64)] = weights.astype(np.float64)
+    return np.fft.rfft(dense)
+
+
 def exp_sum_pruned(f: Polynomial, chi: AdditiveCharacter) -> ExpSumValue:
-    """E from the critical-atom distribution of f at (p, m), one phase per
-    atom; exact 0 when no critical residue exists."""
-    _require_prime(chi.p)
+    """E from the critical-atom distribution W of f at (p, m), exact 0 when no
+    critical residue exists: read off W's spectrum, memoised in place of the
+    atoms, while q = p^m is at most both the points W's build charged and
+    _PHASE_CHUNK; beyond that, one phase pass over the atoms."""
     p, m, a = chi.p, chi.m, chi.unit
-    _, fibers, residues, weights = _critical_atoms(f, p, m)
-    value, err = _phase_sum(residues, weights, p**m, a, p ** (m * f.n))
+    q, total = p**m, p ** (m * f.n)
+    entry = charges, fibers, residues, weights = _critical_atoms(f, p, m)
+    if residues.dtype.kind != "c":  # atoms, not yet a spectrum
+        if q > min(sum(points for points, _ in charges), _PHASE_CHUNK):
+            value, err = _phase_sum(residues, weights, q, a, total)
+            return ExpSumValue(value, abs(value), err, fiber_count=fibers)
+        err = 4.0 * _EPS * (residues.size + 1 + math.log2(q)) * float(weights.sum() / total)
+        f._atoms[p, m] = charges, fibers, _unit_spectrum(entry, q), err
+    _, _, spectrum, err = f._atoms[p, m]
+    value = complex(spectrum[a].conjugate() if 2 * a <= q else spectrum[q - a]) / total
     return ExpSumValue(value, abs(value), err, fiber_count=fibers)
 
 

@@ -73,11 +73,17 @@ def meter_consumed() -> int:
 
 
 def _charge(points: int, what: str) -> None:
+    _charge_each([(points, what)])
+
+
+def _charge_each(charges) -> None:
+    """Charge each (points, what) in order, against one read of the budget."""
     global _consumed
     budget = enumeration_budget()
-    if points > budget:
-        raise BudgetExceededError(points, budget, what)
-    _consumed += points
+    for points, what in charges:
+        if points > budget:
+            raise BudgetExceededError(points, budget, what)
+        _consumed += points
 
 
 def _pow_vector(values: np.ndarray, e: int, modulus: int) -> np.ndarray:
@@ -294,6 +300,7 @@ def eval_columns_exact(f: Polynomial, cols: Sequence[np.ndarray]) -> np.ndarray:
     if _magnitude_bound(f, reach) >= 2**62:
         raise ValueError("coefficients too large for the exact int64 kernel")
     acc = np.zeros(size, dtype=np.int64)
+    last = {(j, k): e for e in f.terms for j, k in enumerate(e) if k}  # each table's last reader
     pows: dict[tuple[int, int], np.ndarray] = {}
     for e, c in f.terms.items():
         t: np.ndarray | int = c
@@ -301,7 +308,7 @@ def eval_columns_exact(f: Polynomial, cols: Sequence[np.ndarray]) -> np.ndarray:
             if k:
                 if (j, k) not in pows:
                     pows[j, k] = cols[j] ** k
-                t = t * pows[j, k]
+                t = t * (pows.pop((j, k)) if last[j, k] == e else pows[j, k])
         acc += t
     return acc
 

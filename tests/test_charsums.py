@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import tracemalloc
@@ -18,7 +19,7 @@ from expsums import (
     finite_field_sum,
     parse_polynomial,
 )
-from expsums import enumeration
+from expsums import charsums, enumeration
 from expsums.arith import factorize
 from expsums.charsums import _crt_histogram, _critical_atoms, _fiber_split, _phase_sum, crt_units
 from expsums.corpus import crt_subcorpus, standard_corpus
@@ -203,6 +204,7 @@ class TestPruned:
         primed = parse_polynomial(text)
         for p, m, a in [(3, 1, 1), (3, 2, 1), (2, 3, 3), (3, 3, 1), (3, 3, 5)]:
             exp_sum_pruned(primed, AdditiveCharacter(p, m, a))
+        assert primed._atoms[3, 3][2].dtype == np.complex128  # the spectrum exists
         again, again_points = metered(primed, chi)
         assert (again.value, again.err_bound, again.fiber_count) == (
             fresh.value, fresh.err_bound, fresh.fiber_count)
@@ -218,6 +220,98 @@ class TestPruned:
         monkeypatch.setenv("IGUSA_BUDGET", "17")
         assert refused(primed) == refused(parse_polynomial(text)) == (
             18, 17, "zero-locus enumeration needs 18 points, budget is 17")
+
+
+class TestUnitSpectrum:
+    """exp_sum_pruned reads every unit off W's memoised spectrum while
+    q = p^m is at most both the points W's build charged and _PHASE_CHUNK."""
+
+    def test_every_unit_matches_phase_pass(self):
+        # on every cell whose sums read the spectrum; the oracle is the phase
+        # pass over atoms built on a fresh copy
+        spectra = 0
+        for f in standard_corpus(0):
+            for p in (2, 3, 5, 7):
+                for m in range(1, 5):
+                    exp_sum_pruned(f, AdditiveCharacter(p, m, 1))
+                    if f._atoms[p, m][2].dtype != np.complex128:
+                        continue
+                    spectra += 1
+                    q, total = p**m, p ** (m * f.n)
+                    _, _, residues, weights = _critical_atoms(copy.copy(f), p, m)
+                    for a in range(1, q):
+                        if a % p:
+                            got = exp_sum_pruned(f, AdditiveCharacter(p, m, a))
+                            want, _ = _phase_sum(residues, weights, q, a, total)
+                            assert abs(got.value - want) <= got.err_bound, (f, p, m, a)
+        assert spectra == 524  # of the 800 cells
+
+    def test_rule_boundary(self, monkeypatch):
+        passes = []
+
+        def counted(residues, weights, q, a, total):
+            passes.append(q)
+            return _phase_sum(residues, weights, q, a, total)
+
+        monkeypatch.setattr(charsums, "_phase_sum", counted)
+
+        def route(f, p, m):
+            exp_sum_pruned(f, AdditiveCharacter(p, m, 1))
+            return f._atoms[p, m][2].dtype == np.complex128, p**m in passes
+
+        # x1^2 at p = 5: level 1 charges its 5 histogram points, so q = 5 is
+        # the largest q within the charges; level 2 charges 5 and has q = 25
+        f = parse_polynomial("x1^2")
+        assert route(f, 5, 1) == (True, False)
+        assert route(f, 5, 2) == (False, True)
+        # x1 at level 1 charges q = p points; the phase table caps q at 2^20
+        assert route(parse_polynomial("x1"), 1048573, 1) == (True, False)
+        assert route(parse_polynomial("x1"), 1048583, 1) == (False, True)
+
+    def test_composite_p_refused_on_primed_polynomial(self):
+        f = parse_polynomial("x1^2+x1*x2")
+        for p, m in [(2, 2), (3, 2), (5, 1)]:
+            exp_sum_pruned(f, AdditiveCharacter(p, m, 1))
+        for p, m in [(6, 1), (6, 2), (15, 1)]:
+            with pytest.raises(ValueError, match="not prime"):
+                exp_sum_pruned(f, AdditiveCharacter(p, m, 1))
+
+    def test_hit_skips_primality_and_phase_pass(self, monkeypatch):
+        f = parse_polynomial("x1^3+x1*x2+x2^2")
+        for p, m in [(3, 3), (7, 2), (397, 1)]:
+            exp_sum_pruned(f, AdditiveCharacter(p, m, 1))
+        calls = []
+        monkeypatch.setattr(charsums, "is_prime", lambda n: calls.append(n) or True)
+        monkeypatch.setattr(charsums, "_phase_sum", lambda *args: calls.append(args))
+        exp_sum_composite(f, 27 * 49 * 397, 5)
+        for p, m, a in [(3, 3, 2), (7, 2, 48), (397, 1, 200)]:
+            exp_sum_pruned(f, AdditiveCharacter(p, m, a))
+        assert calls == []
+
+    def test_hit_replays_charges_like_a_miss(self, monkeypatch):
+        # x1^2+x2^3 at (5, 3) charges 50 zero-locus points, then 25 for the
+        # fiber's level-1 histogram; the budget 30 lies between the two
+        text, chi = "x1^2+x2^3", AdditiveCharacter(5, 3, 2)
+        primed = parse_polynomial(text)
+        exp_sum_pruned(primed, chi)
+        assert [points for points, _ in primed._atoms[5, 3][0]] == [50, 25]
+
+        def refused(f):
+            before = enumeration.meter_consumed()
+            with pytest.raises(BudgetExceededError) as info:
+                exp_sum_pruned(f, chi)
+            return str(info.value), enumeration.meter_consumed() - before
+
+        monkeypatch.setenv("IGUSA_BUDGET", "30")
+        assert refused(primed) == refused(parse_polynomial(text)) == (
+            "zero-locus enumeration needs 50 points, budget is 30", 0)
+
+    def test_replay_keeps_the_charges_before_a_refused_one(self, monkeypatch):
+        monkeypatch.setenv("IGUSA_BUDGET", "30")
+        before = enumeration.meter_consumed()
+        with pytest.raises(BudgetExceededError, match="b needs 50 points, budget is 30"):
+            enumeration._charge_each([(25, "a"), (50, "b"), (5, "c")])
+        assert enumeration.meter_consumed() - before == 25
 
 
 class TestComposite:

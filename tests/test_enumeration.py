@@ -339,6 +339,23 @@ class TestPointAndBoxEvaluation:
         got = eval_columns_exact(f, cols)
         assert got.tolist() == [f.eval_int(tuple(int(c[i]) for c in cols)) for i in range(12)]
 
+    def test_columns_drop_each_power_table_after_its_last_use(self):
+        # the quadric reads each x_j^2 table once: holding all four until the
+        # end peaked at 6 columns' worth above the start, dropping them at 2
+        f = Polynomial(4, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 2): -1})
+        size = 1 << 17
+        cols = [np.arange(size, dtype=np.int64) - j for j in range(4)]
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            vals = eval_columns_exact(f, cols)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        x = np.arange(size, dtype=np.int64)
+        assert vals.tolist() == (x**2 + (x - 1) ** 2 + (x - 2) ** 2 - (x - 3) ** 2).tolist()
+        assert peak < 3 * cols[0].nbytes
+
     def test_columns_overflow_guard_uses_each_axis(self):
         f = Polynomial(2, {(1, 3): 1})  # x1 * x2^3
         small = np.array([-(2**20), 2**20])
