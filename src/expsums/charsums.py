@@ -40,7 +40,8 @@ Four evaluation routes:
 * exp_sum_composite  -- the product over prime powers dividing N, with the
                         per-factor units fixed by 1/N = sum_i u_i / q_i
                         where u_i = (N/q_i)^(-1) mod q_i, so that the unit
-                        for the factor q_i is a * u_i mod q_i.
+                        for the factor q_i is a * u_i mod q_i; the q_i and
+                        u_i are memoised per N.
 
 Every naive, direct and finite-field sum, and each pruned sum past the
 spectrum's rule, is one phase pass E = total^(-1) sum_r W(r) e^(2 pi i a r / q)
@@ -51,6 +52,7 @@ the total (1 for a full histogram), plus one eps per exp_sum_composite step.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -308,6 +310,17 @@ def exp_sum_pruned(f: Polynomial, chi: AdditiveCharacter) -> ExpSumValue:
     return ExpSumValue(value, abs(value), err, fiber_count=fibers)
 
 
+@functools.lru_cache(maxsize=1024)
+def _crt_factors(N: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(p, m, q, (N/q)^(-1) mod q) for each prime power q = p^m || N, p
+    ascending; memoised, so N is factorized once."""
+    out = []
+    for p, m in sorted(factorize(N).items()):
+        q = p**m
+        out.append((p, m, q, pow(N // q, -1, q)))
+    return tuple(out)
+
+
 def crt_units(N: int, a: int) -> list[tuple[int, int, int]]:
     """Per-prime-power characters (p, m, unit) for x -> e^(2 pi i a x / N).
 
@@ -315,14 +328,7 @@ def crt_units(N: int, a: int) -> list[tuple[int, int, int]]:
     a x / N = sum_i (a u_i x) / q_i  (mod 1), so the factor at q_i uses
     the unit a * u_i mod q_i.
     """
-    factors = factorize(N)
-    out = []
-    for p in sorted(factors):
-        m = factors[p]
-        q = p**m
-        u = pow(N // q, -1, q)
-        out.append((p, m, (a * u) % q))
-    return out
+    return [(p, m, (a * u) % q) for p, m, q, u in _crt_factors(N)]
 
 
 def exp_sum_composite(f: Polynomial, N: int, a: int = 1) -> ExpSumValue:

@@ -8,9 +8,13 @@ or more.
 eval_points_mod, which sees only a list of points, reduces after every
 multiply and switches to exact Python ints from 2^31 on.
 Counts are exact integers throughout, so results are independent of block
-partitioning and of the worker count: parallel workers each produce an
-integer histogram (or count, or index list) and the merge is exact integer
-addition / ordered concatenation.
+partitioning and of the worker count: every block counts into one integer
+histogram under a lock (a bincount when the block has at least M values,
+else np.add.at), and counts and index lists merge by exact addition and
+ordered concatenation.  Blocks hold about 2^17 points, so a block's
+accumulator and temporaries stay near the L2 cache.  Histograms and zero
+counts enumerate only the variables the polynomials read and scale by
+grid^(free variables); the budget is charged for the nominal grid.
 
 Budgets: every enumeration is limited to the budget of the CLI run in
 progress (its --budget), else IGUSA_BUDGET, else 10^8 points; there is no
@@ -34,8 +38,9 @@ from .polynomials import Polynomial
 
 DEFAULT_BUDGET = 10**8
 
-# Target elements per evaluation block; keeps temporaries ~tens of MB.
-_BLOCK_ELEMS = 1 << 21
+# Target points per evaluation block: its accumulator, power tables and
+# bincount copy (a few MiB at most) stay near the L2 cache.
+_BLOCK_ELEMS = 1 << 17
 
 _MAX_MODULUS = 2**31  # int64 products of two reduced residues stay exact
 
@@ -146,8 +151,10 @@ def _block_values(
     lane = np.uint32 if worst < 2**32 else np.int64
     reduce_products = worst >= 2**63
     acc = np.zeros(shape, dtype=lane)
-    # the block's rows on axis 0 and [0, grid) on the others, shaped to broadcast
-    axes = np.ix_(np.arange(lo, hi, dtype=np.int64), *[np.arange(grid, dtype=np.int64)] * (n - 1))
+    # the block's rows on axis 0 and [0, grid) on the others (one shared
+    # arange, built only when there are others), shaped to broadcast
+    rest = [np.arange(grid, dtype=np.int64)] * (n - 1) if n > 1 else []
+    axes = np.ix_(np.arange(lo, hi, dtype=np.int64), *rest)
     pows: dict[tuple[int, int], np.ndarray] = {}  # one table per (variable, exponent)
     for e, c in terms:
         t: np.ndarray | int = c  # folded into the first (cheap, 1-D) factor
@@ -177,59 +184,93 @@ def _run_blocks(fn, blocks, workers):
         return list(pool.map(fn, blocks))
 
 
-def _grid_blocks(polys, grid, modulus, what, step) -> list:
-    """step(values, lo) for each axis-0 block [lo, hi) x [0, grid)^(n-1) of
-    the grid (_box_chunks of about _BLOCK_ELEMS points), in block order;
+def _read_axes(polys) -> tuple[int, ...]:
+    """The variables that some polynomial in polys reads, at least one.  A
+    count over [0, grid)^n is grid^(n - len) times the count over these axes."""
+    read = tuple(j for j, column in enumerate(zip(*[e for p in polys for e in p.terms])) if any(column))
+    return read or (0,)
+
+
+def _grid_blocks(polys, grid, modulus, what, step, axes=None) -> list:
+    """step(values, lo) for each axis-0 block [lo, hi) x [0, grid)^(k-1) of
+    the grid [0, grid)^k over the variables ``axes`` (default all n; k their
+    number), in block order; the blocks are _box_chunks of about
+    _BLOCK_ELEMS points, so they depend on that grid's shape alone.
     values(i) is polys[i] mod modulus on the block, flattened row-major
-    (_block_values).  Checks the modulus and charges grid^n points per
-    polynomial before anything runs; each block builds its own power tables,
+    (_block_values); ``axes`` must hold every variable a polynomial reads.
+    Checks the modulus and charges grid^n points per polynomial, for the
+    nominal n, before anything runs; each block builds its own power tables,
     so the default_workers() threads share no mutable state."""
     if modulus >= _MAX_MODULUS:
         raise ValueError(f"modulus {modulus} too large for the int64 kernel")
     n = polys[0].n
     _charge(grid**n * len(polys), what)
     workers = default_workers()
+    axes = range(n) if axes is None else axes
     terms = [_prepare_terms(p, modulus) for p in polys]
+    if len(axes) < n:  # drop the free variables' exponents, all 0
+        terms = [[(tuple([e[j] for j in axes]), c) for e, c in t] for t in terms]
 
     def work(block):
         lo, hi = block
-        return step(lambda i: _block_values(terms[i], n, grid, modulus, lo, hi), lo)
+        return step(lambda i: _block_values(terms[i], len(axes), grid, modulus, lo, hi), lo)
 
-    return _run_blocks(work, _box_chunks([grid] * n, _BLOCK_ELEMS), workers)
+    return _run_blocks(work, _box_chunks([grid] * len(axes), _BLOCK_ELEMS), workers)
 
 
 def residue_histogram(f: Polynomial, grid: int, modulus: int) -> np.ndarray:
     """Exact histogram of f(x) mod modulus over x in [0, grid)^n.
 
     Returns an int64 array of length ``modulus`` whose entries sum to
-    grid^n.  The first block's bincount becomes the total and every later
-    one is added to it as its block finishes, so at most one bincount per
-    worker is alive besides the total.
+    grid^n.  Only the variables f reads are enumerated, and the counts are
+    scaled by grid^(free variables).  Every block counts into one total,
+    made by the first block counted (so a refused call allocates nothing):
+    a block of at least ``modulus`` values adds its bincount (the first
+    such becomes the total), a smaller one counts straight in with
+    np.add.at, so no block's bincount is longer than the block.
     """
-    total: list[np.ndarray] = []
+    axes = _read_axes([f])
+    total = None
     lock = threading.Lock()
 
     def add(values, lo):
-        part = np.bincount(values(0), minlength=modulus)
+        nonlocal total
+        block = values(0)
+        part = np.bincount(block, minlength=modulus) if block.size >= modulus else None
         with lock:  # integer addition: the block order does not matter
-            if total:
-                np.add(total[0], part, out=total[0])
+            if part is None:
+                if total is None:
+                    total = np.zeros(modulus, dtype=np.int64)
+                np.add.at(total, block, 1)
+            elif total is None:
+                total = part
             else:
-                total.append(part)
+                np.add(total, part, out=total)
 
-    _grid_blocks([f], grid, modulus, "histogram enumeration", add)
-    return total[0] if total else np.zeros(modulus, dtype=np.int64)
+    _grid_blocks([f], grid, modulus, "histogram enumeration", add, axes)
+    if grid**f.n >= 2**63:  # free variables let a budget past 2^63 get here
+        raise ValueError(f"{grid}^{f.n} points overflow the int64 histogram")
+    if total is None:
+        total = np.zeros(modulus, dtype=np.int64)
+    elif len(axes) < f.n:
+        total *= grid ** (f.n - len(axes))
+    return total
 
 
-def _zero_masks(polys, grid, modulus, what, reduce) -> list:
-    """reduce(mask, offset) for each axis-0 block of [0, grid)^n, in block
-    order.  mask flags the block's points (flattened, row-major) where every
-    polynomial is 0 mod modulus; offset is the flat index of its first point."""
+def _zero_masks(polys, grid, modulus, what, reduce, skip_free=False) -> tuple[list, int]:
+    """(parts, scale): reduce(mask, offset) for each axis-0 block, in block
+    order, of [0, grid)^n, or with skip_free of the grid over only the
+    variables the polynomials read; a count over [0, grid)^n is scale times
+    the count over those blocks.  mask flags the block's points (flattened,
+    row-major) where every polynomial is 0 mod modulus; offset is the flat
+    index of its first point."""
     if not polys:
         raise ValueError("need at least one polynomial")
     if any(p.n != polys[0].n for p in polys):
         raise ValueError("polynomials have mixed variable counts")
-    inner = grid ** (polys[0].n - 1)
+    n = polys[0].n
+    axes = _read_axes(polys) if skip_free else range(n)
+    inner = grid ** (len(axes) - 1)
 
     def mask_of(values, lo):
         mask = values(0) == 0
@@ -239,7 +280,7 @@ def _zero_masks(polys, grid, modulus, what, reduce) -> list:
             mask &= values(i) == 0
         return reduce(mask, lo * inner)
 
-    return _grid_blocks(polys, grid, modulus, what, mask_of)
+    return _grid_blocks(polys, grid, modulus, what, mask_of, axes), grid ** (n - len(axes))
 
 
 def common_zero_points(polys: Sequence[Polynomial], grid: int, modulus: int) -> np.ndarray:
@@ -247,16 +288,17 @@ def common_zero_points(polys: Sequence[Polynomial], grid: int, modulus: int) -> 
 
     Returns an (N, n) int64 array in row-major (lexicographic) order.
     """
-    flats = _zero_masks(polys, grid, modulus, "zero-locus enumeration",
-                        lambda mask, offset: np.flatnonzero(mask) + offset)
+    flats, _ = _zero_masks(polys, grid, modulus, "zero-locus enumeration",
+                           lambda mask, offset: np.flatnonzero(mask) + offset)
     flat = np.concatenate(flats) if flats else np.empty(0, dtype=np.int64)
     return np.stack(np.unravel_index(flat, (grid,) * polys[0].n), axis=-1)
 
 
 def count_common_zeros(polys: Sequence[Polynomial], grid: int, modulus: int) -> int:
     """|{x in [0,grid)^n : every polynomial is 0 mod modulus}|."""
-    return sum(_zero_masks(polys, grid, modulus, "zero-count enumeration",
-                           lambda mask, offset: int(mask.sum())))
+    counts, scale = _zero_masks(polys, grid, modulus, "zero-count enumeration",
+                                lambda mask, offset: int(mask.sum()), skip_free=True)
+    return sum(counts) * scale
 
 
 def eval_points_mod(f: Polynomial, points: np.ndarray, modulus: int) -> np.ndarray:

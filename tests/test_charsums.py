@@ -367,6 +367,47 @@ class TestComposite:
         assert abs(got.value - want.value) < 1e-10
 
 
+    def test_factorizes_each_modulus_once(self, monkeypatch):
+        seen = []
+
+        def counting(n):
+            seen.append(n)
+            return factorize(n)
+
+        charsums._crt_factors.cache_clear()
+        monkeypatch.setattr(charsums, "factorize", counting)
+        f = parse_polynomial("x1^2 + 3*x1")
+        try:
+            for _ in range(3):
+                for N in (45, 360, 391, 45):
+                    for a in (1, 7, 11):
+                        exp_sum_composite(f, N, a)
+                        assert crt_units(N, a) == [(p, m, a * pow(N // p**m, -1, p**m) % p**m)
+                                                   for p, m in sorted(factorize(N).items())]
+        finally:
+            charsums._crt_factors.cache_clear()
+        assert sorted(seen) == [45, 360, 391]
+
+    def test_memoised_units_keep_the_bits(self):
+        # value, abs and err_bound of the product over q || N, with each
+        # factor's unit from a fresh factorization of N, bit for bit
+        def fresh(f, N, a):
+            value, err = 1 + 0j, 0.0
+            for p, m in sorted(factorize(N).items()):
+                q = p**m
+                part = exp_sum_pruned(f, AdditiveCharacter(p, m, a * pow(N // q, -1, q) % q))
+                err = err * part.abs + abs(value) * part.err_bound + err * part.err_bound + charsums._EPS
+                value *= part.value
+            return value, abs(value), err
+
+        charsums._crt_factors.cache_clear()
+        for f in crt_subcorpus(0, 20):
+            for N in range(2, 401):
+                for _ in range(2):  # a miss, then a hit
+                    got = exp_sum_composite(f, N, N - 1)
+                    assert (got.value, got.abs, got.err_bound) == fresh(f, N, N - 1), (str(f), N)
+
+
 class TestDirect:
     """The direct route's histogram mod N is assembled from one histogram
     per prime power q || N (CRT point count) and must equal the full grid."""

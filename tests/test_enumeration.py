@@ -8,6 +8,7 @@ import itertools
 import os
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -123,6 +124,15 @@ class TestResidueHistogram:
     @example(parse_polynomial("-x1*x2 - 1"), 40, 1627)
     @example(parse_polynomial("-x1*x2 - 1"), 30, 1626)
     @example(parse_polynomial("-x1*x2 - 1"), 30, 1627)
+    # polynomials that skip variables: histograms and zero counts enumerate
+    # only the variables read and scale by grid^(free variables), in the
+    # uint32 lane (small M) and the int64 lane (M - 2 times M - 1 >= 2^32)
+    @example(Polynomial.constant(3, 3), 12, 5)
+    @example(Polynomial.constant(3, 3), 12, 3)
+    @example(parse_polynomial("-2*x2"), 30, 7)
+    @example(parse_polynomial("-2*x2"), 30, 65537)
+    @example(Polynomial(3, {(0, 3, 0): 2, (0, 1, 0): -1}), 12, 9)
+    @example(Polynomial(3, {(0, 3, 0): 2, (0, 1, 0): -1}), 12, 50021)
     def test_both_lanes_match_brute(self, f, grid, modulus):
         points = list(itertools.product(range(grid), repeat=f.n))
         zeros = [pt for pt in points if f.eval_mod(pt, modulus) == 0]
@@ -133,6 +143,7 @@ class TestResidueHistogram:
                 mp.setenv("IGUSA_WORKERS", workers)
                 hists.append(residue_histogram(f, grid, modulus))
                 assert [tuple(pt) for pt in common_zero_points([f], grid, modulus)] == zeros
+                assert count_common_zeros([f], grid, modulus) == len(zeros)
         assert np.array_equal(hists[0], hists[1])
         assert hists[0].tolist() == brute_histogram(f, grid, modulus)
 
@@ -143,8 +154,10 @@ class TestResidueHistogram:
             residue_histogram(f, 100, 100)
 
     def test_memory_holds_one_block_histogram(self, monkeypatch):
-        # keeping one modulus-length bincount per block peaks at ~152 MiB, and
-        # grid-length power tables shared by the blocks at ~28 MiB
+        # keeping one modulus-length bincount per block peaks at ~152 MiB,
+        # grid-length power tables shared by the blocks at ~28 MiB, and a
+        # bincount per block beside the total at ~17 MiB; blocks smaller
+        # than the modulus count into the 8 MiB total with np.add.at
         monkeypatch.setattr(enumeration, "_BLOCK_ELEMS", 1 << 16)
         f = Polynomial(1, {(3,): 1, (1,): 2})
         tracemalloc.start()
@@ -154,7 +167,154 @@ class TestResidueHistogram:
         finally:
             tracemalloc.stop()
         assert int(hist.sum()) == 1 << 20
-        assert peak < 20 * 2**20
+        assert peak < 12 * 2**20
+
+    def test_memory_of_a_three_variable_histogram(self):
+        # 125^3 points in cache-sized blocks: one 2^21-point block with its
+        # bincount copy peaked at ~22 MiB
+        f = parse_polynomial("x1^3+x2^3+x3^3+x1*x2*x3")
+        tracemalloc.start()
+        try:
+            hist = residue_histogram(f, 125, 125)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert int(hist.sum()) == 125**3
+        assert peak < 4 * 2**20
+
+    def test_one_variable_blocks_build_no_grid_length_axis(self, monkeypatch):
+        # with n = 1 a block builds only its own rows: np.arange makes grid
+        # values in all, not a grid-length axis for every block besides
+        sizes = []
+        arange = np.arange
+
+        def recording(*args, **kwargs):
+            out = arange(*args, **kwargs)
+            sizes.append(out.size)
+            return out
+
+        monkeypatch.setattr(enumeration, "_BLOCK_ELEMS", 1 << 8)
+        monkeypatch.setattr(np, "arange", recording)
+        f = Polynomial(1, {(3,): 1, (1,): 2})
+        hist = residue_histogram(f, 5000, 5003)
+        assert sum(sizes) == 5000 and max(sizes) <= 1 << 8
+        assert hist.tolist() == brute_histogram(f, 5000, 5003)
+
+    def test_counting_rule_at_the_block_size(self, monkeypatch):
+        # a block of at least M values adds its bincount, a smaller one
+        # counts straight into the total: 4 blocks of 256 values
+        calls = []
+        bincount = np.bincount
+
+        def counting(*args, **kwargs):
+            calls.append(args[0].size)
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(enumeration, "_BLOCK_ELEMS", 1 << 8)
+        monkeypatch.setattr(np, "bincount", counting)
+        f = Polynomial(1, {(3,): 1, (1,): 2})
+        for modulus, want in ((255, [256] * 4), (256, [256] * 4), (257, [])):
+            del calls[:]
+            assert residue_histogram(f, 1024, modulus).tolist() == brute_histogram(f, 1024, modulus)
+            assert calls == want, modulus
+
+    def test_counts_are_added_under_the_lock(self, monkeypatch):
+        # 1124 values in blocks of 256 mod 200: the first block's bincount
+        # becomes the total, three more are added to it and the last 100
+        # values count in with np.add.at, each while holding the lock
+        class RecordingLock:
+            def __init__(self):
+                self.lock, self.held = real_lock(), False
+
+            def __enter__(self):
+                self.lock.acquire()
+                self.held = True
+
+            def __exit__(self, *exc):
+                self.held = False
+                self.lock.release()
+
+        class RecordingAdd:
+            def __call__(self, *args, **kwargs):
+                calls.append(("add", locks[-1].held))
+                return add(*args, **kwargs)
+
+            def at(self, *args, **kwargs):
+                calls.append(("at", locks[-1].held))
+                return add.at(*args, **kwargs)
+
+        calls, locks = [], []
+        real_lock, add = enumeration.threading.Lock, np.add
+        monkeypatch.setattr(enumeration, "threading", SimpleNamespace(
+            Lock=lambda: locks.append(RecordingLock()) or locks[-1]))
+        monkeypatch.setattr(np, "add", RecordingAdd())
+        monkeypatch.setattr(enumeration, "_BLOCK_ELEMS", 1 << 8)
+        f = Polynomial(1, {(3,): 1, (1,): 2})
+        hist = residue_histogram(f, 1124, 200)
+        monkeypatch.undo()
+        assert hist.tolist() == brute_histogram(f, 1124, 200)
+        assert calls == [("add", True)] * 3 + [("at", True)]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_bincount_and_add_at_agree(self, monkeypatch, workers):
+        # 60 x 60 points mod 1009: one-row blocks of 60 values take np.add.at,
+        # one 3600-value block its bincount; the totals agree bit for bit
+        f = parse_polynomial("x1^3+x1*x2+2*x2^2")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setenv("IGUSA_WORKERS", workers)
+        hists = []
+        for elems in (1 << 4, 1 << 20):
+            monkeypatch.setattr(enumeration, "_BLOCK_ELEMS", elems)
+            hists.append(residue_histogram(f, 60, 1009))
+        assert hists[0].dtype == hists[1].dtype == np.int64
+        assert np.array_equal(hists[0], hists[1])
+        assert hists[0].tolist() == brute_histogram(f, 60, 1009)
+
+    def test_free_variables_charge_the_nominal_grid(self, monkeypatch):
+        # enumerating only x2 of three variables still charges 125^3 points
+        # per polynomial, and the budget refuses the nominal grid
+        f = Polynomial(3, {(0, 2, 0): 1, (0, 0, 0): 4})
+        before = enumeration.meter_consumed()
+        hist = residue_histogram(f, 125, 7)
+        assert enumeration.meter_consumed() - before == 125**3
+        assert int(hist.sum()) == 125**3
+        before = enumeration.meter_consumed()
+        grads = list(f.gradient())
+        assert count_common_zeros(grads, 125, 7) == 125**2 * 18  # x2 = 0 mod 7
+        assert enumeration.meter_consumed() - before == 3 * 125**3
+        monkeypatch.setenv("IGUSA_BUDGET", str(125**3 - 1))
+        for call in (lambda: residue_histogram(Polynomial.constant(3, 3), 125, 5),
+                     lambda: count_common_zeros([Polynomial.constant(3, 0)], 125, 5)):
+            before = enumeration.meter_consumed()
+            with pytest.raises(BudgetExceededError):
+                call()
+            assert enumeration.meter_consumed() == before
+
+    def test_free_variables_past_int64(self, monkeypatch):
+        # with free variables a budget past 2^63 lets (2^21)^3 = 2^63 points
+        # through at the cost of 2^21: the count stays exact, and the int64
+        # histogram refuses rather than wrap; one point fewer a side fits
+        monkeypatch.setenv("IGUSA_BUDGET", str(2**64))
+        grid = 1 << 21
+        assert count_common_zeros([Polynomial.constant(3, 0)], grid, 7) == 2**63
+        assert residue_histogram(Polynomial.constant(3, 1), grid - 1, 7)[1] == (grid - 1) ** 3
+        with pytest.raises(ValueError, match="overflow the int64 histogram"):
+            residue_histogram(Polynomial.constant(3, 1), grid, 7)
+
+    @given(small_polynomials(max_n=3), st.integers(2, 20), st.integers(2, 400))
+    @settings(max_examples=40)
+    @example(Polynomial(3, {(0, 3, 0): 2, (0, 1, 0): -1}), 20, 7)
+    def test_block_size_invariance(self, f, grid, modulus):
+        # the partition is a tuning choice: every block size gives the same bits
+        grads = list(f.gradient())
+        results = []
+        with pytest.MonkeyPatch.context() as mp:
+            for elems in (1 << 4, 1 << 10, enumeration._BLOCK_ELEMS):
+                mp.setattr(enumeration, "_BLOCK_ELEMS", elems)
+                results.append((residue_histogram(f, grid, modulus).tolist(),
+                                count_common_zeros([f], grid, modulus),
+                                count_common_zeros(grads, grid, modulus)))
+        assert results[0] == results[1] == results[2]
 
     def test_parallel_blocks_lose_no_update(self, monkeypatch):
         # 200 one-row blocks on 4 threads add into one shared histogram
@@ -295,6 +455,19 @@ class TestZeroEnumeration:
         g = Polynomial(2, {(0, 1): 1, (0, 0): -3})
         pts = common_zero_points([f, g], 7, 7)
         assert [tuple(r) for r in pts] == [(0, 3)]
+
+    @pytest.mark.parametrize("modulus", [7, 65537])
+    def test_gradient_with_the_zero_polynomial(self, modulus):
+        # x2 is free in x1^3 + x1*x3, so its gradient (3*x1^2 + x3, 0, x1)
+        # holds the zero polynomial and the count scales by the grid
+        f = Polynomial(3, {(3, 0, 0): 1, (1, 0, 1): 1})
+        grads = list(f.gradient())
+        assert grads[1].is_zero
+        want = sum(all(g.eval_mod(pt, modulus) == 0 for g in grads)
+                   for pt in itertools.product(range(9), repeat=3))
+        assert want == 9 * len(range(0, 9, modulus)) ** 2  # x1 = x3 = 0 mod M
+        assert count_common_zeros(grads, 9, modulus) == want
+        assert len(common_zero_points(grads, 9, modulus)) == want
 
     def test_lanes_keep_separate_power_tables(self):
         # f runs in uint32 lanes and g in int64; both read x^16 mod 65537,
