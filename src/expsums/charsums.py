@@ -8,9 +8,8 @@ and a unit a is
 Four evaluation routes:
 
 * exp_sum_naive      -- full enumeration through an exact integer histogram
-                        of residues, whose nonzero entries are the atoms
-                        (order-independent, bitwise deterministic): the
-                        direct route at N = p^m.
+                        of residues (order-independent, bitwise
+                        deterministic): the direct route at N = p^m.
 * exp_sum_direct     -- the same over Z/N for any N, the oracle for
                         exp_sum_composite.  Its histogram mod N is counted
                         through the CRT: #{x mod N : f(x) = r} is the
@@ -18,10 +17,13 @@ Four evaluation routes:
                         exactly in integers, so it costs sum_q q^n points
                         plus N multiplies instead of N^n points.  The CRT
                         only counts points: one unit mod N is applied in
-                        one phase pass over the whole histogram, with no
-                        per-factor units, no pruning and no product of
+                        one phase pass over the whole dense histogram, with
+                        no per-factor units, no pruning and no product of
                         complex factors, so the route stays independent of
-                        exp_sum_composite.
+                        exp_sum_composite.  The pass splits r = i B + j
+                        with B = isqrt(N - 1) + 1, so it computes about
+                        2 sqrt(N) phases, not one per residue
+                        (_dense_phase_sum).
 * exp_sum_pruned     -- stationary-phase pruning.  For m >= 2, writing
                         x = u + p^(m-1) t gives
                         f(x) = f(u) + p^(m-1) t . grad f(u)  (mod p^m),
@@ -43,11 +45,13 @@ Four evaluation routes:
                         for the factor q_i is a * u_i mod q_i; the q_i and
                         u_i are memoised per N.
 
-Every naive, direct and finite-field sum, and each pruned sum past the
-spectrum's rule, is one phase pass E = total^(-1) sum_r W(r) e^(2 pi i a r / q)
-over its atoms (_phase_sum).  Values carry a coarse but sound error bound:
-4 eps (atoms + 1, plus log2 q for a spectrum read) times the atoms' share of
-the total (1 for a full histogram), plus one eps per exp_sum_composite step.
+Every naive, direct and finite-field sum is one pass of
+E = total^(-1) sum_r H(r) e^(2 pi i a r / q) over its dense histogram H,
+split into A = q // B rows of B (_dense_phase_sum); each pruned sum past the
+spectrum's rule is the same pass over its atoms (_phase_sum).  Values carry
+a coarse but sound error bound: 4 eps (A + B + 2) for a dense pass, else
+4 eps (atoms + 1, plus log2 q for a spectrum read) times the atoms' share
+of the total, plus one eps per exp_sum_composite step.
 """
 
 from __future__ import annotations
@@ -134,10 +138,59 @@ def _phase_sum(residues: np.ndarray, weights: np.ndarray, q: int, a: int,
     return acc / total, err
 
 
-def _nonzero(hist: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(residues, counts) of the nonzero entries of a dense histogram."""
-    residues = np.flatnonzero(hist)
-    return residues, hist[residues]
+def _dense_phase_sum(hist: np.ndarray, a: int, total: int) -> tuple[complex, float]:
+    """sum_r H(r) e^(2 pi i a r / q) / total over a dense histogram H of
+    length q >= 2 (int64 or exact ints) that sums to total, and its bound
+    4 eps (A + B + 2).
+
+    The index split of Bailey's four-step FFT, at one frequency: with
+    B = isqrt(q - 1) + 1, A = q // B and r = i B + j (j < B),
+    e(a r / q) = rho_i c_j for c_j = e(a j / q) and rho_i = e(a B i / q), so
+    the sum is sum_i rho_i sum_j H(i B + j) c_j over the A full rows of B
+    and one tail row i = A of q - A B entries.  Only the A + B + 1 phases are
+    computed.  H is read once, in cache-sized blocks of about
+    enumeration._BLOCK_ELEMS entries copied into one float64 buffer (the
+    tail row padded with zeros); each block's real and imaginary row sums
+    are einsum reductions, not BLAS, whose threads would change the bits.
+
+    Error, with u = eps / 2, every |phase| = 1 and the weights >= 0: a
+    count's conversion to float64 costs u; each phase, from a centred angle
+    |theta| <= pi in three roundings and one exp, is off by at most
+    (3 pi + 3) u < 13 u, so c and rho cost 26 u; a row sum of length B costs
+    gamma_B ~ B u (real and imaginary parts alike, hence the complex sum
+    too); the complex multiply by rho costs sqrt(5) u < 3 u; summing the
+    row terms, within a block and then across blocks, costs gamma_A; and
+    the division by total costs 2 u.  Relative to the total weight that is
+    (A + B + 32) u to first order, within 8 u (A + B + 2) since A + B >= 3.
+    """
+    q = hist.size
+    B = math.isqrt(q - 1) + 1
+    A = q // B
+    # c_j for j < B, then rho_i for i <= A, in one table, from int64 angles
+    # centred to |k| <= q/2; c's parts are copied because einsum reads
+    # contiguous vectors twice as fast
+    angles = np.concatenate([np.arange(B, dtype=np.int64) * a,
+                             np.arange(A + 1, dtype=np.int64) * (a * B % q)]) % q
+    angles[angles > q // 2] -= q
+    phases = np.zeros(angles.size, np.complex128)
+    phases.imag = angles
+    phases.imag *= 2 * np.pi / q
+    np.exp(phases, out=phases)
+    c_re, c_im, rho = phases.real[:B].copy(), phases.imag[:B].copy(), phases[B:]
+    rows = min(max(1, enumeration._BLOCK_ELEMS // B), A + 1)
+    buf, sums = np.empty(rows * B), np.empty(rows, np.complex128)
+    acc = 0j
+    for lo in range(0, q, rows * B):
+        part = hist[lo:lo + rows * B]
+        k = -(-part.size // B)  # rows in this block, the tail row included
+        np.copyto(buf[:part.size], part, casting="unsafe")
+        buf[part.size:k * B] = 0
+        blk, s = buf[:k * B].reshape(k, B), sums[:k]
+        np.einsum("ij,j->i", blk, c_re, out=s.real)
+        np.einsum("ij,j->i", blk, c_im, out=s.imag)
+        s *= rho[lo // B:lo // B + k]
+        acc += complex(np.sum(s))
+    return acc / total, 4.0 * _EPS * (A + B + 2)
 
 
 def _require_prime(p: int) -> None:
@@ -170,11 +223,16 @@ def _crt_histogram(f: Polynomial, N: int) -> np.ndarray:
     if len(factors) == 1:
         return enumeration.residue_histogram(f, N, N)
     enumeration._charge(N, "histogram assembly")
-    counts = np.ones(N, np.int64 if N**f.n < 2**63 else object)
+    dtype = np.int64 if N**f.n < 2**63 else object
+    counts = None
     for p, m in sorted(factors.items()):
         q = p**m
-        hist = enumeration.residue_histogram(f, q, q).astype(counts.dtype, copy=False)
-        counts.reshape(-1, q)[...] *= hist
+        hist = enumeration.residue_histogram(f, q, q).astype(dtype, copy=False)
+        if counts is None:  # the first factor fills the counts, the rest multiply in
+            counts = np.empty(N, dtype)
+            counts.reshape(-1, q)[...] = hist
+        else:
+            counts.reshape(-1, q)[...] *= hist
     return counts
 
 
@@ -186,8 +244,7 @@ def exp_sum_direct(f: Polynomial, N: int, a: int = 1) -> ExpSumValue:
         raise ValueError(f"unit {a} shares a factor with {N}")
     if N == 1:
         return ExpSumValue(1 + 0j, 1.0, 0.0)
-    # only the atoms are kept: the dense histogram is freed before the phase pass
-    value, err = _phase_sum(*_nonzero(_crt_histogram(f, N)), N, a % N, N**f.n)
+    value, err = _dense_phase_sum(_crt_histogram(f, N), a % N, N**f.n)
     return ExpSumValue(value, abs(value), err)
 
 
@@ -255,10 +312,11 @@ def _critical_atoms(f: Polynomial, p: int, m: int):
     _require_prime(p)
     n, q = f.n, p**m
     if m == 1:
-        residues, counts = _nonzero(enumeration.residue_histogram(f, p, p))
+        hist = enumeration.residue_histogram(f, p, p)
+        residues = np.flatnonzero(hist)
         memo[p, m] = ([(p**n, "histogram enumeration")], None,
                       residues.astype(np.min_scalar_type(p - 1)),
-                      counts.astype(np.min_scalar_type(p**n)))
+                      hist[residues].astype(np.min_scalar_type(p**n)))
         return memo[p, m]
     charges = [(n * p**n, "zero-locus enumeration")]
     criticals = _critical_residues(f, p)

@@ -97,14 +97,12 @@ def _pow_vector(values: np.ndarray, e: int, modulus: int) -> np.ndarray:
     out = np.ones_like(values)
     base = values % modulus
     k = e
-    while k:  # in place: one table's worth of temporaries, not three
+    while k:  # in place but for _reduce's quotient: one table of temporaries
         if k & 1:
-            np.multiply(out, base, out=out)
-            np.remainder(out, modulus, out=out)
+            _reduce(np.multiply(out, base, out=out), modulus)
         k >>= 1
         if k:
-            np.multiply(base, base, out=base)
-            np.remainder(base, modulus, out=base)
+            _reduce(np.multiply(base, base, out=base), modulus)
     return out
 
 
@@ -118,10 +116,11 @@ def _prepare_terms(f: Polynomial, modulus: int) -> list[tuple[tuple[int, ...], i
 
 
 def _reduce(a: np.ndarray, modulus: int) -> np.ndarray:
-    """a mod modulus in place, for a >= 0.  numpy divides by a scalar with a
-    multiply and a shift, so from about 1000 values on a - M*(a // M) beats
-    ``%``; below that its two extra calls cost more than they save."""
-    if a.size < 1024:
+    """a mod modulus in place, for a >= 0.  numpy divides an integer array
+    by a scalar with a multiply and a shift, so from about 1000 values on
+    a - M*(a // M) beats ``%``; below that, or on exact Python ints, its two
+    extra passes cost more than they save."""
+    if a.size < 1024 or a.dtype == object:
         return np.remainder(a, modulus, out=a)
     q = a // modulus
     q *= modulus

@@ -1,7 +1,11 @@
 import copy
 import itertools
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +25,14 @@ from expsums import (
 )
 from expsums import charsums, enumeration
 from expsums.arith import factorize
-from expsums.charsums import _crt_histogram, _critical_atoms, _fiber_split, _phase_sum, crt_units
+from expsums.charsums import (
+    _crt_histogram,
+    _critical_atoms,
+    _dense_phase_sum,
+    _fiber_split,
+    _phase_sum,
+    crt_units,
+)
 from expsums.corpus import crt_subcorpus, standard_corpus
 from conftest import brute_exp_sum, compose, small_polynomials
 
@@ -408,19 +419,84 @@ class TestComposite:
                     assert (got.value, got.abs, got.err_bound) == fresh(f, N, N - 1), (str(f), N)
 
 
+def _long_double_sum(hist, a, total):
+    """sum_r H(r) e(a r / q) / total in long double, from exact angles."""
+    q = hist.size
+    pi = np.longdouble("3.14159265358979323846264338327950288")
+    theta = 2 * pi * ((np.arange(q, dtype=np.int64) * a) % q).astype(np.longdouble) / q
+    weights = np.array(hist.tolist() if hist.dtype == object else hist, dtype=np.longdouble)
+    return complex(float(np.sum(weights * np.cos(theta)) / total),
+                   float(np.sum(weights * np.sin(theta)) / total))
+
+
 class TestDirect:
     """The direct route's histogram mod N is assembled from one histogram
-    per prime power q || N (CRT point count) and must equal the full grid."""
+    per prime power q || N (CRT point count) and must equal the full grid;
+    its phase pass is _dense_phase_sum over that histogram."""
 
     @staticmethod
     def _check(f, N):
         full = enumeration.residue_histogram(f, N, N)
         got = _crt_histogram(f, N)
         assert got.dtype == np.int64 and np.array_equal(got, full), (str(f), N)
+        v = exp_sum_direct(f, N, N - 1)
+        assert (v.value, v.err_bound) == _dense_phase_sum(full, N - 1, N**f.n), (str(f), N)
         residues = np.flatnonzero(full)
         want, err = _phase_sum(residues, full[residues], N, N - 1, N**f.n)
-        v = exp_sum_direct(f, N, N - 1)
-        assert (v.value, v.err_bound) == (want, err), (str(f), N)
+        assert abs(v.value - want) <= min(v.err_bound, err), (str(f), N)
+
+    @pytest.mark.parametrize("text, N", [
+        ("x1^3+2*x1", 2),  # B = 2, A = 1: one full row
+        ("x1^3+2*x1", 3),  # A = 1 and a tail row of 1
+        ("x1^2+x1*x2", 4),  # B = A = 2: square, no tail
+        ("x1^3+x1*x2+2*x2^2", 97),  # prime: B = 10, A = 9, tail of 7
+        ("x1^3+x1*x2+2*x2^2", 169),  # square: B = A = 13
+        ("x1*x2*x3*x4*x5*x6", 2310),  # exact-int counts, tail of 7
+        ("x1", 262147),  # prime: blocks of 255, 255 and 2 rows, the last the tail
+    ])
+    def test_split_shapes_within_bound(self, text, N):
+        f = parse_polynomial(text)
+        hist = _crt_histogram(f, N)
+        assert hist.dtype == (object if N**f.n >= 2**63 else np.int64)
+        B = math.isqrt(N - 1) + 1
+        for a in [a for a in sorted({1, 5, N - 1}) if math.gcd(a, N) == 1]:
+            v = exp_sum_direct(f, N, a)
+            assert v.err_bound == 4 * sys.float_info.epsilon * (N // B + B + 2)
+            assert abs(v.value - _long_double_sum(hist, a, N**f.n)) <= v.err_bound, (N, a)
+            if N < 10**4:
+                assert abs(v.value - exp_sum_composite(f, N, a).value) <= 1e-12, (N, a)
+
+    def test_large_sum_keeps_only_the_histogram(self):
+        # the 5*10^6 sum holds its int64 histogram (N * 8 bytes) and one
+        # block buffer, with no atom arrays and no per-atom phases
+        f, N = parse_polynomial("x1^3+2*x1"), 5 * 10**6
+        tracemalloc.start()
+        try:
+            v = exp_sum_direct(f, N, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < N * 8 + (16 << 20)
+        want = exp_sum_composite(f, N, 7)
+        assert abs(v.value - want.value) <= v.err_bound + want.err_bound
+
+    def test_bits_do_not_depend_on_thread_settings(self):
+        # the pass uses no BLAS, so OpenBLAS threads cannot reorder its sums
+        root = Path(__file__).resolve().parent.parent
+        code = ("from expsums import exp_sum_direct, parse_polynomial as P\n"
+                "v = exp_sum_direct(P('x1^3+2*x1'), 3 * 2**20, 5)\n"
+                "print(v.value.real.hex(), v.value.imag.hex(), v.err_bound.hex())")
+        outs = set()
+        for name in ("OPENBLAS_NUM_THREADS", "IGUSA_WORKERS"):
+            for value in ("1", "2"):
+                env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                    filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+                env[name] = value
+                done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                      text=True, timeout=120)
+                assert done.returncode == 0, done.stderr
+                outs.add(done.stdout)
+        assert len(outs) == 1, outs
 
     def test_assembled_histogram_is_the_full_grid(self):
         composite = [N for N in range(2, 151) if len(factorize(N)) > 1]

@@ -18,6 +18,7 @@ import hypothesis.strategies as st
 import expsums
 from expsums import BudgetExceededError, Polynomial, circle, enumeration, parse_polynomial
 from expsums.enumeration import (
+    _pow_vector,
     common_zero_points,
     count_common_zeros,
     default_workers,
@@ -492,6 +493,18 @@ class TestPointAndBoxEvaluation:
         got = eval_points_mod(f, pts, modulus)
         want = [f.eval_mod(tuple(int(v) for v in row), modulus) for row in pts]
         assert got.tolist() == want
+
+    @pytest.mark.parametrize("modulus, dtype", [
+        (7, np.int64), (390625, np.int64), (2**31 - 1, np.int64),
+        (2**31, object), (2**61 - 1, object),  # eval_points_mod's exact ints
+    ])
+    def test_power_tables_equal_pow(self, modulus, dtype):
+        rng = np.random.default_rng(modulus % 1000)
+        for size in (5, 3000):  # either side of _reduce's 1024-value rule
+            values = rng.integers(-2**40, 2**40, size).astype(dtype)
+            for e in range(1, 9):
+                got = _pow_vector(values, e, modulus).tolist()
+                assert got == [pow(x, e, modulus) for x in values.tolist()], (size, e)
 
     def test_box_exact_values(self):
         f = Polynomial(2, {(2, 0): 1, (0, 1): -1})
