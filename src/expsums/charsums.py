@@ -36,7 +36,7 @@ Four evaluation routes:
                         and lives as long as it; a memo hit replays the
                         build's budget charges, so nothing depends on call
                         history.  While p^m is at most both the points W's
-                        build charged and _PHASE_CHUNK, the memo keeps W's
+                        build charged and _SPECTRUM_CAP, the memo keeps W's
                         real FFT instead, one lookup per unit.  Valid for
                         every prime, including p = 2 and 3.
 * exp_sum_composite  -- the product over prime powers dividing N, with the
@@ -48,8 +48,9 @@ Four evaluation routes:
 Every naive, direct and finite-field sum is one pass of
 E = total^(-1) sum_r H(r) e^(2 pi i a r / q) over its dense histogram H,
 split into A = q // B rows of B (_dense_phase_sum); each pruned sum past the
-spectrum's rule is the same pass over its atoms (_phase_sum).  Values carry
-a coarse but sound error bound: 4 eps (A + B + 2) for a dense pass, else
+spectrum's rule is the same pass over its atoms (_phase_sum).  Both run in
+enumeration._run_blocks blocks, added in block order.  Values carry a
+coarse but sound error bound: 4 eps (A + B + 2) for a dense pass, else
 4 eps (atoms + 1, plus log2 q for a spectrum read) times the atoms' share
 of the total, plus one eps per exp_sum_composite step.
 """
@@ -58,6 +59,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from dataclasses import dataclass
 
@@ -69,8 +71,7 @@ from .polynomials import Polynomial
 
 _EPS = sys.float_info.epsilon
 
-# Phase tables beyond this size are processed in chunks.
-_PHASE_CHUNK = 1 << 20
+_SPECTRUM_CAP = 1 << 20  # the longest spectrum of W the memo keeps
 
 
 @dataclass(frozen=True)
@@ -118,13 +119,13 @@ class ExpSumValue:
 
 def _phase_sum(residues: np.ndarray, weights: np.ndarray, q: int, a: int,
                total: int) -> tuple[complex, float]:
-    """sum_r W(r) e^(2 pi i a r / q) / total over the atoms (r, W(r)), in
-    chunks of atoms in order, and its bound 4 eps (atoms + 1) scaled by the
-    atoms' share of the total."""
-    acc = 0j
+    """sum_r W(r) e^(2 pi i a r / q) / total over the atoms (r, W(r)), one
+    enumeration._run_blocks chunk of atoms at a time, and its bound
+    4 eps (atoms + 1) scaled by the atoms' share of the total."""
     dtype = np.int64 if q < 2**31 else object  # a*r stays exact
-    for lo in range(0, residues.size, _PHASE_CHUNK):
-        angles = residues[lo:lo + _PHASE_CHUNK].astype(dtype)
+
+    def block(lo, hi):
+        angles = residues[lo:hi].astype(dtype)
         angles *= a
         angles %= q
         # 0 + i (2 pi / q) angle, bit for bit the product (2j pi / q) * angle
@@ -132,10 +133,11 @@ def _phase_sum(residues: np.ndarray, weights: np.ndarray, q: int, a: int,
         phases.imag = angles
         phases.imag *= 2 * np.pi / q
         np.exp(phases, out=phases)
-        phases *= weights[lo:lo + _PHASE_CHUNK].astype(np.float64)
-        acc += complex(np.sum(phases))
-    err = 4.0 * _EPS * (residues.size + 1) * float(weights.sum() / total)
-    return acc / total, err
+        phases *= weights[lo:hi].astype(np.float64)
+        return complex(np.sum(phases))
+
+    acc = functools.reduce(operator.add, enumeration._run_blocks(block, residues.shape), 0j)
+    return acc / total, 4.0 * _EPS * (residues.size + 1) * float(weights.sum() / total)
 
 
 def _dense_phase_sum(hist: np.ndarray, a: int, total: int) -> tuple[complex, float]:
@@ -148,10 +150,10 @@ def _dense_phase_sum(hist: np.ndarray, a: int, total: int) -> tuple[complex, flo
     e(a r / q) = rho_i c_j for c_j = e(a j / q) and rho_i = e(a B i / q), so
     the sum is sum_i rho_i sum_j H(i B + j) c_j over the A full rows of B
     and one tail row i = A of q - A B entries.  Only the A + B + 1 phases are
-    computed.  H is read once, in cache-sized blocks of about
-    enumeration._BLOCK_ELEMS entries copied into one float64 buffer (the
-    tail row padded with zeros); each block's real and imaginary row sums
-    are einsum reductions, not BLAS, whose threads would change the bits.
+    computed.  H is read once, in enumeration._run_blocks row blocks, each
+    copied into its own float64 buffer (threads share none; the tail row is
+    padded with zeros); each block's real and imaginary row sums are einsum
+    reductions, not BLAS, whose threads would change the bits.
 
     Error, with u = eps / 2, every |phase| = 1 and the weights >= 0: a
     count's conversion to float64 costs u; each phase, from a centred angle
@@ -177,20 +179,20 @@ def _dense_phase_sum(hist: np.ndarray, a: int, total: int) -> tuple[complex, flo
     phases.imag *= 2 * np.pi / q
     np.exp(phases, out=phases)
     c_re, c_im, rho = phases.real[:B].copy(), phases.imag[:B].copy(), phases[B:]
-    rows = min(max(1, enumeration._BLOCK_ELEMS // B), A + 1)
-    buf, sums = np.empty(rows * B), np.empty(rows, np.complex128)
-    acc = 0j
-    for lo in range(0, q, rows * B):
-        part = hist[lo:lo + rows * B]
-        k = -(-part.size // B)  # rows in this block, the tail row included
+
+    def block(lo, hi):  # rows [lo, hi)
+        part = hist[lo * B:hi * B]
+        buf = np.zeros((hi - lo) * B)
         np.copyto(buf[:part.size], part, casting="unsafe")
-        buf[part.size:k * B] = 0
-        blk, s = buf[:k * B].reshape(k, B), sums[:k]
-        np.einsum("ij,j->i", blk, c_re, out=s.real)
-        np.einsum("ij,j->i", blk, c_im, out=s.imag)
-        s *= rho[lo // B:lo // B + k]
-        acc += complex(np.sum(s))
-    return acc / total, 4.0 * _EPS * (A + B + 2)
+        s = np.empty(hi - lo, np.complex128)
+        np.einsum("ij,j->i", buf.reshape(-1, B), c_re, out=s.real)
+        np.einsum("ij,j->i", buf.reshape(-1, B), c_im, out=s.imag)
+        s *= rho[lo:hi]
+        return complex(np.sum(s))
+
+    # the rows H fills: A full rows and the tail row, if it is not empty
+    parts = enumeration._run_blocks(block, (-(-q // B), B))
+    return functools.reduce(operator.add, parts, 0j) / total, 4.0 * _EPS * (A + B + 2)
 
 
 def _require_prime(p: int) -> None:
@@ -209,6 +211,17 @@ def finite_field_sum(f: Polynomial, p: int, a: int = 1) -> ExpSumValue:
     return exp_sum_naive(f, AdditiveCharacter(p, 1, a))
 
 
+@functools.lru_cache(maxsize=1024)
+def _crt_factors(N: int) -> tuple[tuple[int, int, int, int], ...]:
+    """(p, m, q, (N/q)^(-1) mod q) for each prime power q = p^m || N, p
+    ascending; memoised, so N is factorized once for both CRT routes."""
+    out = []
+    for p, m in sorted(factorize(N).items()):
+        q = p**m
+        out.append((p, m, q, pow(N // q, -1, q)))
+    return tuple(out)
+
+
 def _crt_histogram(f: Polynomial, N: int) -> np.ndarray:
     """Exact histogram of f mod N over (Z/N)^n, from one histogram per
     prime power q || N: the count at r is the product over q of the counts
@@ -219,14 +232,13 @@ def _crt_histogram(f: Polynomial, N: int) -> np.ndarray:
     """
     if N >= enumeration._MAX_MODULUS:
         raise ValueError(f"modulus {N} too large for the int64 kernel")
-    factors = factorize(N)
+    factors = _crt_factors(N)
     if len(factors) == 1:
         return enumeration.residue_histogram(f, N, N)
     enumeration._charge(N, "histogram assembly")
     dtype = np.int64 if N**f.n < 2**63 else object
     counts = None
-    for p, m in sorted(factors.items()):
-        q = p**m
+    for _, _, q, _ in factors:
         hist = enumeration.residue_histogram(f, q, q).astype(dtype, copy=False)
         if counts is None:  # the first factor fills the counts, the rest multiply in
             counts = np.empty(N, dtype)
@@ -236,14 +248,19 @@ def _crt_histogram(f: Polynomial, N: int) -> np.ndarray:
     return counts
 
 
-def exp_sum_direct(f: Polynomial, N: int, a: int = 1) -> ExpSumValue:
-    """E over (Z/N)^n from the exact histogram of f mod N (oracle route)."""
+def _sum_mod_one(N: int, a: int) -> ExpSumValue | None:
+    """E = 1 at N = 1, else None; refuses N < 1 and a unit sharing a factor."""
     if N < 1:
         raise ValueError(f"modulus must be >= 1, got {N}")
     if math.gcd(a, N) != 1:
         raise ValueError(f"unit {a} shares a factor with {N}")
-    if N == 1:
-        return ExpSumValue(1 + 0j, 1.0, 0.0)
+    return ExpSumValue(1 + 0j, 1.0, 0.0) if N == 1 else None
+
+
+def exp_sum_direct(f: Polynomial, N: int, a: int = 1) -> ExpSumValue:
+    """E over (Z/N)^n from the exact histogram of f mod N (oracle route)."""
+    if (one := _sum_mod_one(N, a)) is not None:
+        return one
     value, err = _dense_phase_sum(_crt_histogram(f, N), a % N, N**f.n)
     return ExpSumValue(value, abs(value), err)
 
@@ -353,12 +370,12 @@ def exp_sum_pruned(f: Polynomial, chi: AdditiveCharacter) -> ExpSumValue:
     """E from the critical-atom distribution W of f at (p, m), exact 0 when no
     critical residue exists: read off W's spectrum, memoised in place of the
     atoms, while q = p^m is at most both the points W's build charged and
-    _PHASE_CHUNK; beyond that, one phase pass over the atoms."""
+    _SPECTRUM_CAP; beyond that, one phase pass over the atoms."""
     p, m, a = chi.p, chi.m, chi.unit
     q, total = p**m, p ** (m * f.n)
     entry = charges, fibers, residues, weights = _critical_atoms(f, p, m)
     if residues.dtype.kind != "c":  # atoms, not yet a spectrum
-        if q > min(sum(points for points, _ in charges), _PHASE_CHUNK):
+        if q > min(sum(points for points, _ in charges), _SPECTRUM_CAP):
             value, err = _phase_sum(residues, weights, q, a, total)
             return ExpSumValue(value, abs(value), err, fiber_count=fibers)
         err = 4.0 * _EPS * (residues.size + 1 + math.log2(q)) * float(weights.sum() / total)
@@ -366,17 +383,6 @@ def exp_sum_pruned(f: Polynomial, chi: AdditiveCharacter) -> ExpSumValue:
     _, _, spectrum, err = f._atoms[p, m]
     value = complex(spectrum[a].conjugate() if 2 * a <= q else spectrum[q - a]) / total
     return ExpSumValue(value, abs(value), err, fiber_count=fibers)
-
-
-@functools.lru_cache(maxsize=1024)
-def _crt_factors(N: int) -> tuple[tuple[int, int, int, int], ...]:
-    """(p, m, q, (N/q)^(-1) mod q) for each prime power q = p^m || N, p
-    ascending; memoised, so N is factorized once."""
-    out = []
-    for p, m in sorted(factorize(N).items()):
-        q = p**m
-        out.append((p, m, q, pow(N // q, -1, q)))
-    return tuple(out)
 
 
 def crt_units(N: int, a: int) -> list[tuple[int, int, int]]:
@@ -391,12 +397,8 @@ def crt_units(N: int, a: int) -> list[tuple[int, int, int]]:
 
 def exp_sum_composite(f: Polynomial, N: int, a: int = 1) -> ExpSumValue:
     """E over (Z/N)^n as the product of its prime-power factors."""
-    if N < 1:
-        raise ValueError(f"modulus must be >= 1, got {N}")
-    if math.gcd(a, N) != 1:
-        raise ValueError(f"unit {a} shares a factor with {N}")
-    if N == 1:
-        return ExpSumValue(1 + 0j, 1.0, 0.0)
+    if (one := _sum_mod_one(N, a)) is not None:
+        return one
     value = 1 + 0j
     err = 0.0
     for p, m, unit in crt_units(N, a):

@@ -20,9 +20,9 @@ n-D quadrature.
 Truncations default to R = ceil(B^delta) for the series and B^delta for
 the integral.
 
-Floating-point reductions are carried out in a fixed chunk order
-(chunk results combined by math.fsum in index order), so results are
-bitwise independent of the worker count.
+Every walk is cut by enumeration's block runner, from the grid's shape
+alone, and chunk results are combined in chunk order (by math.fsum), so
+results are bitwise independent of the worker count.
 """
 
 from __future__ import annotations
@@ -40,8 +40,6 @@ from .charsums import exp_sum_composite
 from .errors import BudgetExceededError, QuadratureConvergenceError
 from .polynomials import Polynomial
 from .zeta import poincare_coeffs
-
-_SOLVER_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -167,16 +165,14 @@ def _in_ball(offsets: Sequence[np.ndarray], rho2: float) -> tuple[list[np.ndarra
 
 
 def _walk(offsets: list, weights: list, rho: float, work) -> list:
-    """[work(idx, wq, t2) for each enumeration._box_chunks chunk of about
-    _SOLVER_CHUNK points], in chunk order: idx and t2 are _in_ball's index
+    """[work(idx, wq, t2) for each enumeration._run_blocks chunk of the
+    offsets' tensor grid], in chunk order: idx and t2 are _in_ball's index
     columns and squared distances of the chunk's tensor points of offsets
     inside the ball of radius rho (at k = n axes, _bump(t2, rho) is omega bit
-    for bit), and wq is the product of the per-axis weights there.  Chunks
-    run on the default_workers() threads."""
+    for bit), and wq is the product of the per-axis weights there."""
     scaled = [j for j, g in enumerate(weights) if (g != 1.0).any()]  # axes of weight 1 drop out
 
-    def run(chunk):
-        a, b = chunk
+    def run(a, b):
         idx, t2 = _in_ball([offsets[0][a:b]] + offsets[1:], rho**2)
         idx[0] = idx[0] + a
         wq = np.ones(t2.size, weights[0].dtype)
@@ -184,8 +180,7 @@ def _walk(offsets: list, weights: list, rho: float, work) -> list:
             wq *= weights[j][idx[j]]
         return work(idx, wq, t2)
 
-    chunks = enumeration._box_chunks([off.size for off in offsets], _SOLVER_CHUNK)
-    return enumeration._run_blocks(run, chunks, enumeration.default_workers())
+    return enumeration._run_blocks(run, [off.size for off in offsets])
 
 
 # -- lattice sums --------------------------------------------------------------

@@ -11,10 +11,12 @@ Counts are exact integers throughout, so results are independent of block
 partitioning and of the worker count: every block counts into one integer
 histogram under a lock (a bincount when the block has at least M values,
 else np.add.at), and counts and index lists merge by exact addition and
-ordered concatenation.  Blocks hold about 2^17 points, so a block's
-accumulator and temporaries stay near the L2 cache.  Histograms and zero
-counts enumerate only the variables the polynomials read and scale by
-grid^(free variables); the budget is charged for the nominal grid.
+ordered concatenation.  _run_blocks cuts every long pass (these grids, the
+circle walk, charsums' phase passes) into blocks of about 2^17 points, so
+a block's accumulator and temporaries stay near the L2 cache.
+Histograms and zero counts enumerate only the variables the polynomials
+read and scale by grid^(free variables); the budget is charged for the
+nominal grid.
 
 Budgets: every enumeration is limited to the budget of the CLI run in
 progress (its --budget), else IGUSA_BUDGET, else 10^8 points; there is no
@@ -169,18 +171,22 @@ def _block_values(
     return _reduce(acc, modulus).reshape(-1)
 
 
-def _box_chunks(sizes: Sequence[int], target: int) -> list[tuple[int, int]]:
+def _box_chunks(sizes: Sequence[int]) -> list[tuple[int, int]]:
     """Axis-0 index chunks [a, b) of a grid with these axis lengths, about
-    target points each; they depend on the grid's shape alone."""
-    step = max(1, target // max(1, math.prod(sizes[1:])))
+    _BLOCK_ELEMS points each; they depend on the grid's shape alone."""
+    step = max(1, _BLOCK_ELEMS // max(1, math.prod(sizes[1:])))
     return [(a, min(a + step, sizes[0])) for a in range(0, sizes[0], step)]
 
 
-def _run_blocks(fn, blocks, workers):
+def _run_blocks(fn, sizes: Sequence[int]) -> list:
+    """[fn(a, b) for each _box_chunks chunk [a, b) of the grid of these axis
+    lengths], in chunk order, on the default_workers() threads."""
+    blocks = _box_chunks(sizes)
+    workers = default_workers()
     if workers <= 1 or len(blocks) <= 1:
-        return [fn(b) for b in blocks]
+        return [fn(a, b) for a, b in blocks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, blocks))
+        return list(pool.map(lambda block: fn(*block), blocks))
 
 
 def _read_axes(polys) -> tuple[int, ...]:
@@ -191,10 +197,9 @@ def _read_axes(polys) -> tuple[int, ...]:
 
 
 def _grid_blocks(polys, grid, modulus, what, step, axes=None) -> list:
-    """step(values, lo) for each axis-0 block [lo, hi) x [0, grid)^(k-1) of
-    the grid [0, grid)^k over the variables ``axes`` (default all n; k their
-    number), in block order; the blocks are _box_chunks of about
-    _BLOCK_ELEMS points, so they depend on that grid's shape alone.
+    """step(values, lo) for each _run_blocks block [lo, hi) x [0, grid)^(k-1)
+    of the grid [0, grid)^k over the variables ``axes`` (default all n; k
+    their number), in block order.
     values(i) is polys[i] mod modulus on the block, flattened row-major
     (_block_values); ``axes`` must hold every variable a polynomial reads.
     Checks the modulus and charges grid^n points per polynomial, for the
@@ -204,17 +209,15 @@ def _grid_blocks(polys, grid, modulus, what, step, axes=None) -> list:
         raise ValueError(f"modulus {modulus} too large for the int64 kernel")
     n = polys[0].n
     _charge(grid**n * len(polys), what)
-    workers = default_workers()
     axes = range(n) if axes is None else axes
     terms = [_prepare_terms(p, modulus) for p in polys]
     if len(axes) < n:  # drop the free variables' exponents, all 0
         terms = [[(tuple([e[j] for j in axes]), c) for e, c in t] for t in terms]
 
-    def work(block):
-        lo, hi = block
+    def work(lo, hi):
         return step(lambda i: _block_values(terms[i], len(axes), grid, modulus, lo, hi), lo)
 
-    return _run_blocks(work, _box_chunks([grid] * len(axes), _BLOCK_ELEMS), workers)
+    return _run_blocks(work, [grid] * len(axes))
 
 
 def residue_histogram(f: Polynomial, grid: int, modulus: int) -> np.ndarray:

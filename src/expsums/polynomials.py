@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
+import string
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -296,32 +298,29 @@ _TOK_INT = "int"
 _TOK_VAR = "var"
 _TOK_OP = "op"
 _TOK_END = "end"
+_DIGITS = re.compile("[0-9]*")  # ASCII only, unlike str.isdigit
 
 
 def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    """Tokens as (kind, value, 1-based offset)."""
+    """Tokens as (kind, value, 1-based offset).  Digits and spaces are ASCII
+    only, so every character before an error is one byte."""
     toks: list[tuple[str, object, int]] = []
-    i = 0
-    size = len(text)
+    i, size = 0, len(text)
     while i < size:
         ch = text[i]
-        if ch.isspace():
+        if ch in string.whitespace:
             i += 1
             continue
         pos = i + 1
         if ch in "+-*^()":
             toks.append((_TOK_OP, ch, pos))
             i += 1
-        elif ch.isdigit():
-            j = i
-            while j < size and text[j].isdigit():
-                j += 1
+        elif ch in string.digits:
+            j = _DIGITS.match(text, i).end()
             toks.append((_TOK_INT, int(text[i:j]), pos))
             i = j
         elif ch == "x":
-            j = i + 1
-            while j < size and text[j].isdigit():
-                j += 1
+            j = _DIGITS.match(text, i + 1).end()
             if j == i + 1:
                 raise PolyParseError("expected digits after 'x'", pos)
             digits = text[i + 1 : j].lstrip("0")

@@ -235,7 +235,7 @@ class TestPruned:
 
 class TestUnitSpectrum:
     """exp_sum_pruned reads every unit off W's memoised spectrum while
-    q = p^m is at most both the points W's build charged and _PHASE_CHUNK."""
+    q = p^m is at most both the points W's build charged and _SPECTRUM_CAP."""
 
     def test_every_unit_matches_phase_pass(self):
         # on every cell whose sums read the spectrum; the oracle is the phase
@@ -481,11 +481,21 @@ class TestDirect:
         assert abs(v.value - want.value) <= v.err_bound + want.err_bound
 
     def test_bits_do_not_depend_on_thread_settings(self):
-        # the pass uses no BLAS, so OpenBLAS threads cannot reorder its sums
+        # the passes use no BLAS, so OpenBLAS threads cannot reorder their
+        # sums; a dense pass and a pruned pass past the spectrum rule each
+        # span several blocks, which IGUSA_WORKERS=2 runs on two threads and
+        # which are added in block order
+        f, N, p = parse_polynomial("x1^3+2*x1"), 3 * 2**20, 1048583
+        B = math.isqrt(N - 1) + 1
+        assert len(enumeration._box_chunks((-(-N // B), B))) > 1
+        assert p > charsums._SPECTRUM_CAP
+        assert len(enumeration._box_chunks(_critical_atoms(f, p, 1)[2].shape)) > 1
         root = Path(__file__).resolve().parent.parent
-        code = ("from expsums import exp_sum_direct, parse_polynomial as P\n"
-                "v = exp_sum_direct(P('x1^3+2*x1'), 3 * 2**20, 5)\n"
-                "print(v.value.real.hex(), v.value.imag.hex(), v.err_bound.hex())")
+        code = ("from expsums import AdditiveCharacter, exp_sum_direct, exp_sum_pruned\n"
+                "from expsums import parse_polynomial as P\n"
+                f"f = P('{f}')\n"
+                f"for v in (exp_sum_direct(f, {N}, 5), exp_sum_pruned(f, AdditiveCharacter({p}, 1, 5))):\n"
+                "    print(v.value.real.hex(), v.value.imag.hex(), v.err_bound.hex())")
         outs = set()
         for name in ("OPENBLAS_NUM_THREADS", "IGUSA_WORKERS"):
             for value in ("1", "2"):

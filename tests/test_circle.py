@@ -2,6 +2,7 @@ import cmath
 import itertools
 import math
 import os
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -296,6 +297,19 @@ class TestSingularIntegral:
 
 
 class TestWeightedCount:
+    def test_c10_walk_peak_stays_small(self):
+        # the walk was cut at its own chunks of 2^20 points, a tracemalloc peak
+        # of 45.9 MiB at B = 40; enumeration's 2^17-point blocks keep it near 5
+        f, w = parse_polynomial("x1^2+x2^2+x3^2-x4^2-x5^2"), WeightFunction(C10_CENTRE, 0.9)
+        tracemalloc.start()
+        try:
+            count = weighted_solution_count(f, 40.0, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert count > 0
+        assert peak < 16 << 20
+
     def test_no_solutions(self):
         f = parse_polynomial("x1^2 + 1")
         w = WeightFunction((0.0,), 0.9)
@@ -394,7 +408,7 @@ class TestBallColumns:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_equals_nonzero_weight_box_points(self, case, n, monkeypatch):
         # the walk's points of nonzero weight, unfolded (weight 1 on every axis)
-        monkeypatch.setattr(circle, "_SOLVER_CHUNK", 40)
+        monkeypatch.setattr(enumeration, "_BLOCK_ELEMS", 40)
         B, w, on_sphere = _sphere_case(case, n)
         box = w.support_box(B)
         pts = np.array(list(itertools.product(*[range(lo, hi + 1) for lo, hi in box])))
@@ -572,11 +586,12 @@ def test_folded_solver_worker_invariance(branch, monkeypatch):
     f, w = _even_branch(branch, 3), WeightFunction((0.0, 0.0, 0.0), 0.8)
     box_chunks, blocks = enumeration._box_chunks, []
 
-    def small_chunks(sizes, target):
-        blocks.append(box_chunks(sizes, 8))
+    def recorded_chunks(sizes):
+        blocks.append(box_chunks(sizes))
         return blocks[-1]
 
-    monkeypatch.setattr(enumeration, "_box_chunks", small_chunks)
+    monkeypatch.setattr(enumeration, "_BLOCK_ELEMS", 8)
+    monkeypatch.setattr(enumeration, "_box_chunks", recorded_chunks)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     counts = []
     for workers in ("1", "2"):

@@ -44,6 +44,13 @@ class TestSumCommand:
         assert report["error"]["code"] == "PARSE_ERROR"
         assert report["error"]["offset"] == 7
 
+    def test_non_ascii_digit_is_a_parse_error(self):
+        # int() of the superscript two raised, and the run exited as PRECONDITION
+        code, report = run_cli(["sum", "--poly", "x1^\u00b2", "--p", "3", "--m", "2", "--a", "1"])
+        assert code == EXIT_PRECONDITION
+        assert report["error"]["code"] == "PARSE_ERROR"
+        assert report["error"]["offset"] == 4
+
     def test_budget_exceeded(self):
         code, report = run_cli(
             ["sum", "--poly", "x1+x2", "--p", "5", "--m", "4", "--a", "1",
@@ -458,12 +465,13 @@ def test_circle_bytes_equal_across_worker_counts(poly, centre, monkeypatch):
     # path) and the series' zero counts on two threads
     box_chunks, chunk_counts = enumeration._box_chunks, []
 
-    def small_chunks(sizes, target):
-        chunks = box_chunks(sizes, 1)
+    def counted_chunks(sizes):
+        chunks = box_chunks(sizes)
         chunk_counts.append(len(chunks))
         return chunks
 
-    monkeypatch.setattr(enumeration, "_box_chunks", small_chunks)
+    monkeypatch.setattr(enumeration, "_BLOCK_ELEMS", 1)
+    monkeypatch.setattr(enumeration, "_box_chunks", counted_chunks)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     argv = ["circle", "--poly", poly, "--B", "12", "--delta", "0.25", "--rho", "0.6",
             "--center", centre]

@@ -393,7 +393,6 @@ class TestResidueHistogram:
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
         monkeypatch.setattr(enumeration, "_BLOCK_ELEMS", 1 << 4)
         monkeypatch.setattr(enumeration, "ThreadPoolExecutor", SerialPool)
-        monkeypatch.setattr(circle, "_SOLVER_CHUNK", 64)
         f = parse_polynomial("x1^3 - x2^3 + x1*x2")
         w = circle.WeightFunction((0.1, 0.2), 0.9)
         calls = {

@@ -71,6 +71,35 @@ class TestParser:
         with pytest.raises(PolyParseError):
             parse_polynomial("x1 + α")
 
+    @pytest.mark.parametrize("text, offset", [
+        ("x\u0661+1", 1),  # Arabic-Indic one: parsed as x1 + 1; an x without digits
+        ("\u0663*x1", 1),  # Arabic-Indic three: parsed as 3*x1
+        ("x\uff12", 1),  # fullwidth two: parsed as x2
+        ("x1^\u00b2", 4),  # superscript two: int() raised a plain ValueError
+        ("x1\u00a0+ 1", 3),  # no-break space
+        ("x1 +\u30001", 5),  # ideographic space
+        ("x1+1\x1c", 5),  # a separator that str.isspace accepts
+    ])
+    def test_only_ascii_digits_and_spaces(self, text, offset):
+        # every character before an error is ASCII, so the offset counts bytes
+        with pytest.raises(PolyParseError) as err:
+            parse_polynomial(text)
+        assert err.value.offset == offset
+        assert len(text[:offset - 1].encode()) == offset - 1
+
+    @settings(max_examples=400, derandomize=True, deadline=None)
+    @given(st.text(alphabet="x0123+-*^() \t\u0661\u0663\uff12\u00b2\u00a0\u3000", max_size=8))
+    def test_any_text_parses_or_raises_parse_error(self, text):
+        # DSL characters mixed with non-ASCII digits and spaces: a polynomial,
+        # or a PolyParseError at a byte offset within the text or one past it.
+        # Eight characters keep every power small: "3^333333" is the largest
+        # constant and "(x1+1)^3" the largest expansion
+        try:
+            parse_polynomial(text)
+        except PolyParseError as err:
+            assert 1 <= err.offset <= len(text) + 1
+            assert text[:err.offset - 1].isascii()
+
     def test_leading_sign(self):
         assert parse_polynomial("-x1 + 3") == parse_polynomial("3 - x1")
 
