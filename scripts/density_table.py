@@ -4,6 +4,7 @@ cross-check against averaged character sums.
 
 Usage:
     python scripts/density_table.py --poly "x1^2+x2^3" --p 5 --max-m 3
+    python scripts/density_table.py --poly "x1^2+x2^3" --p 5 --max-m 3 --crosscheck
     python scripts/density_table.py --poly "x1^2" --p 3 --max-m 4 --ideal jf2
 """
 

@@ -117,6 +117,15 @@ class ExpSumValue:
     fiber_count: int | None = None
 
 
+def _phases(angles: np.ndarray, q: int) -> np.ndarray:
+    """e(angle / q) for each integer angle: 0 + i (2 pi / q) angle, bit for
+    bit the product (2j pi / q) * angle, exponentiated in place."""
+    phases = np.zeros(angles.size, np.complex128)
+    phases.imag = angles
+    phases.imag *= 2 * np.pi / q
+    return np.exp(phases, out=phases)
+
+
 def _phase_sum(residues: np.ndarray, weights: np.ndarray, q: int, a: int,
                total: int) -> tuple[complex, float]:
     """sum_r W(r) e^(2 pi i a r / q) / total over the atoms (r, W(r)), one
@@ -128,11 +137,7 @@ def _phase_sum(residues: np.ndarray, weights: np.ndarray, q: int, a: int,
         angles = residues[lo:hi].astype(dtype)
         angles *= a
         angles %= q
-        # 0 + i (2 pi / q) angle, bit for bit the product (2j pi / q) * angle
-        phases = np.zeros(angles.size, np.complex128)
-        phases.imag = angles
-        phases.imag *= 2 * np.pi / q
-        np.exp(phases, out=phases)
+        phases = _phases(angles, q)
         phases *= weights[lo:hi].astype(np.float64)
         return complex(np.sum(phases))
 
@@ -174,10 +179,7 @@ def _dense_phase_sum(hist: np.ndarray, a: int, total: int) -> tuple[complex, flo
     angles = np.concatenate([np.arange(B, dtype=np.int64) * a,
                              np.arange(A + 1, dtype=np.int64) * (a * B % q)]) % q
     angles[angles > q // 2] -= q
-    phases = np.zeros(angles.size, np.complex128)
-    phases.imag = angles
-    phases.imag *= 2 * np.pi / q
-    np.exp(phases, out=phases)
+    phases = _phases(angles, q)
     c_re, c_im, rho = phases.real[:B].copy(), phases.imag[:B].copy(), phases[B:]
 
     def block(lo, hi):  # rows [lo, hi)
@@ -265,20 +267,6 @@ def exp_sum_direct(f: Polynomial, N: int, a: int = 1) -> ExpSumValue:
     return ExpSumValue(value, abs(value), err)
 
 
-def _min_p_valuation(f: Polynomial, p: int) -> int:
-    """Smallest p-valuation of a coefficient of the nonzero polynomial f."""
-    content, v = math.gcd(*f.terms.values()), 0
-    while content % p == 0:
-        content, v = content // p, v + 1
-    return v
-
-
-def _critical_residues(f: Polynomial, p: int) -> np.ndarray:
-    """Points of F_p^n where every gradient component vanishes, sorted."""
-    grads = list(f.gradient())
-    return enumeration.common_zero_points(grads, p, p)
-
-
 def _fiber_split(
     f: Polynomial, p: int, m: int, point: tuple[int, ...]
 ) -> tuple[int, int, Polynomial | None]:
@@ -291,15 +279,15 @@ def _fiber_split(
     """
     g = f.shift_scale(point, p)
     c0 = g.constant_term()
-    g1 = Polynomial(g.n, {e: c for e, c in g.terms.items() if any(e)})
-    if g1.is_zero:
-        return c0, m, None
-    v = _min_p_valuation(g1, p)
+    rest = {e: c for e, c in g.terms.items() if any(e)}
+    content, v = math.gcd(*rest.values()), 0
+    while v < m and content % p == 0:  # rest's least p-valuation, capped at m (m if rest is empty)
+        content, v = content // p, v + 1
     if v < 2:
         raise ValueError(f"fiber over {point} is not critical mod {p} (p-valuation {v} < 2)")
-    if v >= m:
+    if v == m:
         return c0, m, None
-    return c0, v, g1.divide_coefficients(p**v)
+    return c0, v, Polynomial(g.n, {e: c // p**v for e, c in rest.items()})
 
 
 def _critical_atoms(f: Polynomial, p: int, m: int):
@@ -336,7 +324,7 @@ def _critical_atoms(f: Polynomial, p: int, m: int):
                       hist[residues].astype(np.min_scalar_type(p**n)))
         return memo[p, m]
     charges = [(n * p**n, "zero-locus enumeration")]
-    criticals = _critical_residues(f, p)
+    criticals = enumeration.common_zero_points(list(f.gradient()), p, p)  # sorted
     dtype = np.int64 if p ** (m * n) < 2**63 and q < 2**31 else object
     residues, weights = [np.empty(0, dtype)], [np.empty(0, dtype)]
     for row in criticals:

@@ -4,9 +4,8 @@ Grid kernels (histograms, zero masks) need M < 2^31.  The worst-case
 unreduced value of f picks one of three lanes: uint32 below 2^32, int64
 below 2^63, and from there int64 with every product reduced mod M; the
 reductions are a - M*(a // M), which beats ``%`` on blocks of 1024 values
-or more.
-eval_points_mod, which sees only a list of points, reduces after every
-multiply and switches to exact Python ints from 2^31 on.
+or more.  eval_points_mod runs the same lanes on a list of points, plus a
+fourth from M = 2^31 on, which only it reaches: exact Python ints.
 Counts are exact integers throughout, so results are independent of block
 partitioning and of the worker count: every block counts into one integer
 histogram under a lock (a bincount when the block has at least M values,
@@ -109,12 +108,7 @@ def _pow_vector(values: np.ndarray, e: int, modulus: int) -> np.ndarray:
 
 
 def _prepare_terms(f: Polynomial, modulus: int) -> list[tuple[tuple[int, ...], int]]:
-    terms = []
-    for e, c in f.terms.items():
-        cm = c % modulus
-        if cm:
-            terms.append((e, cm))
-    return terms
+    return [(e, cm) for e, c in f.terms.items() if (cm := c % modulus)]
 
 
 def _reduce(a: np.ndarray, modulus: int) -> np.ndarray:
@@ -132,33 +126,33 @@ def _reduce(a: np.ndarray, modulus: int) -> np.ndarray:
 
 def _block_values(
     terms: list[tuple[tuple[int, ...], int]],
-    n: int,
-    grid: int,
+    axes: Sequence[np.ndarray],
+    shape: tuple[int, ...],
     modulus: int,
-    lo: int,
-    hi: int,
 ) -> np.ndarray:
-    """Values of sum(terms) mod modulus on [lo,hi) x [0,grid)^(n-1), flattened.
+    """Values of sum(terms) mod modulus at the points whose coordinates are
+    the int64 arrays ``axes`` (one per variable, broadcast to ``shape``),
+    flattened row-major.
 
     Coefficients and power tables are reduced below M, so the unreduced sum
     is at most worst = sum_terms c*(M-1)^v, v the number of variables in the
     term.  worst picks the lane: below 2^32 uint32, below 2^63 int64, both
     unreduced until the end; from 2^63 on int64 with every product reduced,
     since two residues below 2^31 multiply below 2^62 and the sum then stays
-    below terms*M.  Either way the last step is one ``_reduce``.
+    below terms*M.  From M = 2^31 on, which only point lists reach: exact
+    Python ints, every product reduced.  The last step is one ``_reduce``.
     """
-    shape = (hi - lo,) + (grid,) * (n - 1)
-    worst = sum(c * (modulus - 1) ** (len(e) - e.count(0)) for e, c in terms)
-    lane = np.uint32 if worst < 2**32 else np.int64
-    reduce_products = worst >= 2**63
+    if modulus >= _MAX_MODULUS:
+        lane, reduce_products = object, True
+        axes = [a.astype(object) for a in axes]
+    else:
+        worst = sum(c * (modulus - 1) ** (len(e) - e.count(0)) for e, c in terms)
+        lane = np.uint32 if worst < 2**32 else np.int64
+        reduce_products = worst >= 2**63
     acc = np.zeros(shape, dtype=lane)
-    # the block's rows on axis 0 and [0, grid) on the others (one shared
-    # arange, built only when there are others), shaped to broadcast
-    rest = [np.arange(grid, dtype=np.int64)] * (n - 1) if n > 1 else []
-    axes = np.ix_(np.arange(lo, hi, dtype=np.int64), *rest)
     pows: dict[tuple[int, int], np.ndarray] = {}  # one table per (variable, exponent)
     for e, c in terms:
-        t: np.ndarray | int = c  # folded into the first (cheap, 1-D) factor
+        t: np.ndarray | int = c  # folded into the first factor
         for j, k in enumerate(e):
             if not k:
                 continue
@@ -213,9 +207,12 @@ def _grid_blocks(polys, grid, modulus, what, step, axes=None) -> list:
     terms = [_prepare_terms(p, modulus) for p in polys]
     if len(axes) < n:  # drop the free variables' exponents, all 0
         terms = [[(tuple([e[j] for j in axes]), c) for e, c in t] for t in terms]
+    inner = (grid,) * (len(axes) - 1)  # a block's shape past its rows
+    rest = [np.arange(grid, dtype=np.int64)] * len(inner) if inner else []  # one shared arange
 
     def work(lo, hi):
-        return step(lambda i: _block_values(terms[i], len(axes), grid, modulus, lo, hi), lo)
+        block = np.ix_(np.arange(lo, hi, dtype=np.int64), *rest)
+        return step(lambda i: _block_values(terms[i], block, (hi - lo,) + inner, modulus), lo)
 
     return _run_blocks(work, [grid] * len(axes))
 
@@ -306,23 +303,14 @@ def count_common_zeros(polys: Sequence[Polynomial], grid: int, modulus: int) -> 
 def eval_points_mod(f: Polynomial, points: np.ndarray, modulus: int) -> np.ndarray:
     """f at each row of ``points`` (N, n), reduced mod modulus.
 
-    int64 below 2^31; from there on exact Python ints in an object array.
+    int64 below 2^31; from there on exact Python ints in an object array
+    (_block_values' lanes, on the points' columns).
     """
     if points.ndim != 2 or points.shape[1] != f.n:
         raise ValueError(f"points must be (N, {f.n})")
-    dtype = np.int64 if modulus < _MAX_MODULUS else object
-    acc = np.zeros(points.shape[0], dtype=dtype)
-    cols = points.T.astype(dtype) % modulus
-    pows: dict[tuple[int, int], np.ndarray] = {}  # one table per (variable, exponent)
-    for e, c in _prepare_terms(f, modulus):
-        t = np.full(points.shape[0], c, dtype=dtype)
-        for j, k in enumerate(e):
-            if k:
-                if (j, k) not in pows:
-                    pows[j, k] = _pow_vector(cols[j], k, modulus)
-                t = t * pows[j, k] % modulus
-        acc = (acc + t) % modulus
-    return acc
+    cols = list(points.astype(np.int64, copy=False).T)
+    values = _block_values(_prepare_terms(f, modulus), cols, points.shape[:1], modulus)
+    return values.astype(np.int64, copy=False) if values.dtype == np.uint32 else values
 
 
 def _magnitude_bound(f: Polynomial, reach: Sequence) -> int | float:

@@ -14,7 +14,8 @@ Text syntax (whitespace insignificant)::
     var    := "x" uint          (1-based: x1, x2, ..., x64 at most)
 
 The "*" between juxtaposed factors may be omitted ("3x1" == "3*x1").
-Unicode identifiers and floating-point coefficients are rejected.
+Unicode identifiers, floating-point coefficients, and products or literals
+past MAX_TERM_PAIRS or MAX_COEFFICIENT_BITS are rejected.
 Canonical rendering writes terms in descending graded-lexicographic order
 with explicit "*" and "^" throughout, e.g. "1*x1^2 + 3*x2^1"; rendering
 then parsing is the identity.
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import re
 import string
 from dataclasses import dataclass
@@ -32,6 +34,10 @@ from typing import Mapping, Sequence
 from .errors import PolyParseError
 
 MAX_EXPONENT = 2**31
+# Bounds on parsed products and literals (_product): parsing stays short, and
+# coefficients stay far below the 14,284 bits of Python's 4,300 str digits.
+MAX_TERM_PAIRS = 2**19
+MAX_COEFFICIENT_BITS = 2**13
 # Past 64 variables every grid (p >= 2) holds at least 2^64 points.
 MAX_VARIABLES = 64
 
@@ -166,7 +172,7 @@ class Polynomial:
         out: dict[Exponent, int] = {}
         for ea, ca in self.terms.items():
             for eb, cb in other.terms.items():
-                e = tuple(x + y for x, y in zip(ea, eb))
+                e = tuple(map(operator.add, ea, eb))
                 out[e] = out.get(e, 0) + ca * cb
         return Polynomial(self.n, out)
 
@@ -175,14 +181,7 @@ class Polynomial:
     def __pow__(self, k: int) -> "Polynomial":
         if k < 0:
             raise ValueError("negative power")
-        result = Polynomial.constant(self.n, 1)
-        base = self
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return result
+        return _power(self, k, operator.mul)
 
     def partial(self, j: int) -> "Polynomial":
         """Partial derivative with respect to variable j (0-based)."""
@@ -292,6 +291,18 @@ class Polynomial:
         return f"Polynomial({self.n}, {self.render()!r})"
 
 
+def _power(base: Polynomial, k: int, mul) -> Polynomial:
+    """base^k for k >= 0 by repeated squaring, every product by mul."""
+    result = Polynomial.constant(base.n, 1)
+    while k:
+        if k & 1:
+            result = mul(result, base)
+        k >>= 1
+        if k:
+            base = mul(base, base)
+    return result
+
+
 # -- parser -----------------------------------------------------------------
 
 _TOK_INT = "int"
@@ -317,7 +328,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             i += 1
         elif ch in string.digits:
             j = _DIGITS.match(text, i).end()
-            toks.append((_TOK_INT, int(text[i:j]), pos))
+            digits = text[i:j].lstrip("0") or "0"  # over 3 bits a digit: int() gets short text
+            if len(digits) > MAX_COEFFICIENT_BITS // 3 or int(digits).bit_length() > MAX_COEFFICIENT_BITS:
+                raise PolyParseError(f"integer literal exceeds {MAX_COEFFICIENT_BITS} bits", pos)
+            toks.append((_TOK_INT, int(digits), pos))
             i = j
         elif ch == "x":
             j = _DIGITS.match(text, i + 1).end()
@@ -334,6 +348,18 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             raise PolyParseError(f"unexpected character {ch!r}", pos)
     toks.append((_TOK_END, None, size + 1))
     return toks
+
+
+def _product(a: Polynomial, b: Polynomial, pos: int) -> Polynomial:
+    """a * b, refused at ``pos`` past MAX_TERM_PAIRS term pairs or past
+    MAX_COEFFICIENT_BITS bits in the factors' largest coefficients together."""
+    pairs = len(a.terms) * len(b.terms)
+    if pairs > MAX_TERM_PAIRS:
+        raise PolyParseError(f"product of {pairs} term pairs exceeds {MAX_TERM_PAIRS}", pos)
+    bits = sum(max((c.bit_length() for c in f.terms.values()), default=0) for f in (a, b))
+    if bits > MAX_COEFFICIENT_BITS:
+        raise PolyParseError(f"product of {bits}-bit coefficients exceeds {MAX_COEFFICIENT_BITS} bits", pos)
+    return a * b
 
 
 class _Parser:
@@ -369,18 +395,16 @@ class _Parser:
     def term(self) -> Polynomial:
         acc = self.factor()
         while True:
-            kind, val, _ = self.peek()
+            kind, val, pos = self.peek()
             if kind == _TOK_OP and val == "*":
                 self.advance()
-                acc = acc * self.factor()
-            elif kind in (_TOK_INT, _TOK_VAR) or (kind == _TOK_OP and val == "("):
-                acc = acc * self.factor()
-            else:
+            elif not (kind in (_TOK_INT, _TOK_VAR) or (kind == _TOK_OP and val == "(")):
                 return acc
+            acc = _product(acc, self.factor(), pos)
 
     def factor(self) -> Polynomial:
         base = self.base()
-        kind, val, _ = self.peek()
+        kind, val, caret = self.peek()
         if kind == _TOK_OP and val == "^":
             self.advance()
             kind, val, pos = self.advance()
@@ -388,7 +412,7 @@ class _Parser:
                 raise PolyParseError("expected integer exponent after '^'", pos)
             if val > MAX_EXPONENT:
                 raise PolyParseError(f"exponent {val} exceeds 2^31", pos)
-            return base**val
+            return _power(base, val, lambda a, b: _product(a, b, caret))
         return base
 
     def base(self) -> Polynomial:
@@ -411,9 +435,10 @@ def parse_polynomial(text: str, n_hint: int | None = None) -> Polynomial:
 
     The ambient variable count is the largest variable index seen, or
     n_hint if that is larger; neither may exceed MAX_VARIABLES.  Raises
-    PolyParseError with a 1-based byte offset on malformed input or a
-    variable index above MAX_VARIABLES, and ValueError on an n_hint
-    outside [1, MAX_VARIABLES].
+    PolyParseError with a 1-based byte offset on malformed input, a
+    variable index above MAX_VARIABLES, or a product or literal past
+    MAX_TERM_PAIRS or MAX_COEFFICIENT_BITS (at its operator or literal),
+    and ValueError on an n_hint outside [1, MAX_VARIABLES].
     """
     if n_hint is not None and not 1 <= n_hint <= MAX_VARIABLES:
         raise ValueError(f"n_hint must lie in [1, {MAX_VARIABLES}], got {n_hint}")

@@ -11,12 +11,10 @@ The cross-check ties counts to character sums through plain orthogonality:
 
     N_m * p^(-mn) = p^(-m) * sum_{a mod p^m} E_f(psi_{a/p^m}),
 
-where a with p | a reduce to characters of smaller conductor and a = 0
-contributes 1.  Summed over the units u mod q = p^k, e(u r / q) gives the
-Ramanujan sum c_q(r), an integer (Hardy & Wright, ch. 16), so each level
-adds the exact rational (q H(0) - (q/p) sum_{(q/p) | r} H(r)) q^(-n) for the
-residue histogram H of f mod q, and the check is an identity of fractions
-between the fiber recursion and the full histograms.
+where the units mod each q = p^k sum to integer Ramanujan sums (Hardy &
+Wright, ch. 16), and the levels telescope, like circle's S(R) terms, to the
+full-grid zero density at level m (see fourier_crosscheck): an identity of
+fractions between the fiber recursion and one direct count.
 """
 
 from __future__ import annotations
@@ -171,22 +169,22 @@ def fourier_crosscheck(f: Polynomial, p: int, m: int) -> CrosscheckReport:
     """Check N_m * p^(-mn) against the averaged character sums, exactly.
 
     The right side sums E over every a mod p^m: the a = 0 term is 1, and
-    p^k * a' reduces to the conductor m-k character with unit a'.  One
-    histogram per conductor level serves all its units, which sum to an
-    integer (see the module docstring).
+    p^k * a' reduces to the conductor m-k character with unit a'.  Write
+    q = p^k and H_k for the residue histogram of f mod q over (Z/q)^n.  The
+    units of level k sum to Ramanujan sums c_q(r): q - q/p at r = 0, -q/p at
+    the other multiples of q/p, and 0 elsewhere, so level k adds
+
+        (q H_k(0) - (q/p) sum_{(q/p) | r} H_k(r)) / q^n.
+
+    The inner sum counts the x with f(x) = 0 mod p^(k-1), which is
+    p^n H_{k-1}(0), with H_0(0) = 1.  So the term is
+    p^k H_k(0) p^(-kn) - p^(k-1) H_{k-1}(0) p^(-(k-1)n), the terms
+    telescope (Igusa's sum_{j<=k} A(p^j) = p^k N(p^k) p^(-kn)), and with
+    the a = 0 term and the factor p^(-m) the right side is H_m(0) p^(-mn):
+    the direct count of zeros mod p^m over the full grid.
     """
-    _require_prime_level(p, m)
     count = count_zeros_mod(f, p, m)
     lhs = Fraction(count, p ** (m * f.n))
-
-    rhs = Fraction(1)  # a = 0
-    for k in range(1, m + 1):
-        q, step = p**k, p ** (k - 1)
-        hist = enumeration.residue_histogram(f, q, q)
-        # sum_{u unit} e(u r / q) is the Ramanujan sum c_q(r): q - q/p at
-        # r = 0, -q/p at the other multiples of q/p, and 0 elsewhere
-        rhs += Fraction(q * int(hist[0]) - step * int(hist[::step].sum()), q**f.n)
-    rhs /= p**m
-    return CrosscheckReport(
-        m=m, lhs=float(lhs), rhs=float(rhs), abs_diff=float(abs(lhs - rhs)), count=count
-    )
+    rhs = Fraction(count_zeros_mod(f, p, m, method="direct"), p ** (m * f.n))
+    return CrosscheckReport(m=m, lhs=float(lhs), rhs=float(rhs), abs_diff=float(abs(lhs - rhs)),
+                            count=count)

@@ -9,11 +9,12 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+from fractions import Fraction
 
 import hypothesis.strategies as st
 from hypothesis import settings
 
-from expsums import Polynomial
+from expsums import Polynomial, enumeration
 
 settings.register_profile("suite", max_examples=30, deadline=None, derandomize=True)
 settings.load_profile("suite")
@@ -62,6 +63,20 @@ def brute_zero_count(f: Polynomial, modulus: int) -> int:
         for point in itertools.product(range(modulus), repeat=f.n)
         if f.eval_mod(point, modulus) == 0
     )
+
+
+def ramanujan_crosscheck_rhs(f: Polynomial, p: int, m: int) -> Fraction:
+    """p^(-m) sum_{a mod p^m} E(p^m, a), level by level: the units mod
+    q = p^k sum to Ramanujan sums c_q(r) (q - q/p at r = 0, -q/p at the
+    other multiples of q/p, 0 elsewhere) over the residue histogram H of f
+    mod q.  Reads the histogram kernel, which test_enumeration pins against
+    plain loops."""
+    rhs = Fraction(1)  # a = 0
+    for k in range(1, m + 1):
+        q, step = p**k, p ** (k - 1)
+        hist = enumeration.residue_histogram(f, q, q)
+        rhs += Fraction(q * int(hist[0]) - step * int(hist[::step].sum()), q**f.n)
+    return rhs / p**m
 
 
 def brute_critical_count(fd: Polynomial, p: int) -> int:

@@ -51,6 +51,16 @@ class TestSumCommand:
         assert report["error"]["code"] == "PARSE_ERROR"
         assert report["error"]["offset"] == 4
 
+    @pytest.mark.parametrize("poly, offset", [("7^6000*x1", 2), ("1" * 5000 + "*x1", 1)],
+                             ids=["power", "literal"])
+    def test_oversized_coefficient_is_a_parse_error(self, poly, offset):
+        # 7^6000 crashed rendering the report; the 5000-digit literal exited
+        # as PRECONDITION with int()'s "Exceeds the limit (4300 digits)"
+        code, report = run_cli(["sum", "--poly", poly, "--p", "5", "--m", "1", "--a", "1"])
+        assert code == EXIT_PRECONDITION
+        assert report["error"]["code"] == "PARSE_ERROR"
+        assert report["error"]["offset"] == offset
+
     def test_budget_exceeded(self):
         code, report = run_cli(
             ["sum", "--poly", "x1+x2", "--p", "5", "--m", "4", "--a", "1",

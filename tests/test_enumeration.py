@@ -83,7 +83,8 @@ class TestResidueHistogram:
         # c*(M-1)^v: the unreduced sum is 2^32 - 2^16, or exactly 2^32
         f = Polynomial(2, terms)
         M = 65537
-        values = enumeration._block_values(enumeration._prepare_terms(f, M), 2, 3, M, 0, 3)
+        axes = np.ix_(np.arange(3), np.arange(3))
+        values = enumeration._block_values(enumeration._prepare_terms(f, M), axes, (3, 3), M)
         assert values.dtype == lane
         assert residue_histogram(f, 3, M).tolist() == brute_histogram(f, 3, M)
         zeros = sum(f.eval_mod(pt, M) == 0 for pt in itertools.product(range(3), repeat=2))
@@ -99,7 +100,8 @@ class TestResidueHistogram:
         M = 2**31 - 1
         e = (M - 1) // 2
         f = Polynomial(2, {(e, e): c, (e, 0): 5, (0, 0): 2})
-        values = enumeration._block_values(enumeration._prepare_terms(f, M), 2, grid, M, 0, grid)
+        axes = np.ix_(np.arange(grid), np.arange(grid))
+        values = enumeration._block_values(enumeration._prepare_terms(f, M), axes, (grid, grid), M)
         assert values.tolist() == [f.eval_mod(pt, M) for pt in itertools.product(range(grid), repeat=2)]
 
     def test_blocks_do_not_depend_on_workers(self, monkeypatch):
@@ -481,9 +483,16 @@ class TestZeroEnumeration:
 class TestPointAndBoxEvaluation:
     @given(small_polynomials(max_n=3), st.integers(2, 50))
     @settings(max_examples=40)
-    # a Taylor-shifted fiber polynomial: 14 terms sharing 9 power tables
+    # one example per lane of _block_values, by the worst unreduced value
+    # sum_terms c*(M-1)^v: uint32 (66 here)
+    @example(parse_polynomial("x1^3*x2 + 5*x2^2 - 7"), 7)
+    # int64 unreduced (about 2^38): a Taylor-shifted fiber polynomial, 14
+    # terms sharing 9 power tables
     @example(parse_polynomial("x1^3+x2^3+x3^3+x1*x2*x3").shift_scale((1, 2, 1), 3), 3**7)
-    # a modulus past the int64 kernel: exact Python ints
+    # int64 with every product reduced: 9*(2^31 - 2)^3 is past 2^63
+    @example(parse_polynomial("9*x1^5*x2^4*x3 - 4*x2^2 + 3"), 2**31 - 1)
+    # a modulus past the int64 kernel, from 2^31 on: exact Python ints
+    @example(parse_polynomial("x1^3*x2 + 5*x2^2 - 7"), 2**31)
     @example(parse_polynomial("x1^3*x2 + 5*x2^2 - 7"), 2**61 - 1)
     def test_points_match_eval_mod(self, f, modulus):
         pts = np.array(
@@ -492,6 +501,7 @@ class TestPointAndBoxEvaluation:
         got = eval_points_mod(f, pts, modulus)
         want = [f.eval_mod(tuple(int(v) for v in row), modulus) for row in pts]
         assert got.tolist() == want
+        assert got.dtype == (np.int64 if modulus < 2**31 else object)
 
     @pytest.mark.parametrize("modulus, dtype", [
         (7, np.int64), (390625, np.int64), (2**31 - 1, np.int64),

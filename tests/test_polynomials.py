@@ -1,6 +1,10 @@
 import copy
+import json
 import math
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -99,6 +103,51 @@ class TestParser:
         except PolyParseError as err:
             assert 1 <= err.offset <= len(text) + 1
             assert text[:err.offset - 1].isascii()
+
+    def test_products_and_literals_are_bounded(self):
+        # each used to run unbounded, or to raise a bare ValueError from
+        # int(), or to parse a coefficient too long to render; now each is a
+        # PolyParseError at its operator or literal within a second.  A child
+        # process runs them, so a parser that never returns fails the test
+        cases = [
+            ("(x1+x2+1)^200", 10, "term pairs"),
+            ("(x1+1)^2147483648", 7, "term pairs"),
+            ("(x1+x2+1)^40*(x1+x2+1)^40", 13, "term pairs"),
+            ("(x1+x2+1)^40(x1+x2+1)^40", 13, "term pairs"),
+            ("7^99999999", 2, "bits"),
+            ("7^6000*x1", 2, "bits"),
+            ("7^2000 7^2000", 8, "bits"),
+            ("1" * 5000 + "*x1", 1, "bits"),
+            ("x1^" + "9" * 5000, 4, "bits"),
+        ]
+        script = (
+            "import json, sys, time\n"
+            "from expsums import PolyParseError, parse_polynomial\n"
+            "for text in json.load(sys.stdin):\n"
+            "    start = time.perf_counter()\n"
+            "    try:\n"
+            "        parse_polynomial(text)\n"
+            "        out = None\n"
+            "    except PolyParseError as err:\n"
+            "        out = [err.offset, err.bare_message]\n"
+            "    print(json.dumps([out, time.perf_counter() - start]), flush=True)\n"
+        )
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        done = subprocess.run([sys.executable, "-c", script], input=json.dumps([c[0] for c in cases]),
+                              capture_output=True, text=True, timeout=60,
+                              env={"PYTHONPATH": src, "PATH": ""})
+        assert done.returncode == 0, done.stderr
+        results = [json.loads(line) for line in done.stdout.splitlines()]
+        for (text, offset, what), (out, seconds) in zip(cases, results, strict=True):
+            assert out is not None, text[:40]
+            assert out[0] == offset and what in out[1], (text[:40], out)
+            assert seconds < 1.0, (text[:40], seconds)
+
+    def test_large_products_within_the_bounds_parse(self):
+        assert len(parse_polynomial("(x1+x2+1)^80").terms) == 3321
+        assert len(parse_polynomial("(x1+x2+x3+x4+x5+1)^12").terms) == 6188
+        assert parse_polynomial("x1^2147483648").terms == {(2**31,): 1}
+        assert parse_polynomial("7^2900") == Polynomial.constant(1, 7**2900)
 
     def test_leading_sign(self):
         assert parse_polynomial("-x1 + 3") == parse_polynomial("3 - x1")

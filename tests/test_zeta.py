@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from expsums import (
+    BudgetExceededError,
     CountKind,
     Polynomial,
     count_order_ge,
@@ -16,7 +17,7 @@ from expsums import (
 )
 from expsums import enumeration
 from expsums.corpus import standard_corpus
-from conftest import brute_zero_count
+from conftest import brute_zero_count, ramanujan_crosscheck_rhs
 
 
 class TestCountZeros:
@@ -196,6 +197,30 @@ class TestCrosscheck:
                         continue
                     rep = fourier_crosscheck(f, p, m)
                     assert rep.abs_diff == 0
+
+    def test_right_side_telescopes_to_the_direct_count(self):
+        # the level-by-level Ramanujan sums equal the level-m zero density
+        for f in standard_corpus(0):
+            for p in (2, 3, 5):
+                for m in (1, 2, 3):
+                    want = ramanujan_crosscheck_rhs(f, p, m)
+                    total = p ** (m * f.n)
+                    assert Fraction(count_zeros_mod(f, p, m, method="direct"), total) == want
+                    assert fourier_crosscheck(f, p, m).rhs == float(want)
+
+    def test_only_level_m_is_enumerated(self, monkeypatch):
+        # the right side charges p^(mn) points for one zero count, no level
+        # below m, and a refusal names that count
+        f = parse_polynomial("x1^2+x2^3")
+        enumeration.reset_meter()
+        fourier_crosscheck(f, 5, 2)
+        both = enumeration.meter_consumed()
+        enumeration.reset_meter()
+        count_zeros_mod(f, 5, 2)
+        assert both - enumeration.meter_consumed() == 5**4
+        monkeypatch.setenv("IGUSA_BUDGET", str(5**4 - 1))
+        with pytest.raises(BudgetExceededError, match="^zero-count enumeration needs 625 points"):
+            fourier_crosscheck(f, 5, 2)
 
 
 @pytest.mark.parametrize("call", [
