@@ -37,8 +37,9 @@ def main() -> int:
     if args.crosscheck:
         print("\northogonality: N_m p^(-mn) vs the average of E over all characters mod p^m")
         print(f"{'m':>3} {'lhs':>16} {'rhs':>16} {'|diff|':>10}")
+        zeros = dict(table.entries) if gens is None else {}  # N_m, when the table counts zeros of f
         for m in range(1, args.max_m + 1):
-            rep = fourier_crosscheck(f, args.p, m)
+            rep = fourier_crosscheck(f, args.p, m, count=zeros.get(m))
             print(f"{m:>3} {rep.lhs:>16.12f} {rep.rhs:>16.12f} {rep.abs_diff:>10.2e}")
     return 0
 

@@ -32,13 +32,13 @@ Four evaluation routes:
                         into an exact integer distribution W on Z/p^m, a
                         set of atoms (r, W(r)) with r sorted, distinct and
                         reduced mod p^m; at m = 1, W is the histogram of f
-                        mod p.  W is memoised on the Polynomial per (p, m)
-                        and lives as long as it; a memo hit replays the
-                        build's budget charges, so nothing depends on call
-                        history.  While p^m is at most both the points W's
-                        build charged and _SPECTRUM_CAP, the memo keeps W's
-                        real FFT instead, one lookup per unit.  Valid for
-                        every prime, including p = 2 and 3.
+                        mod p.  W per (p, m) lives on the Polynomial, next
+                        to one split per (p, u), which zeta's counts read;
+                        a hit replays its build's budget charges, so nothing
+                        depends on call history.  While p^m is at most both
+                        the points W's build charged and _SPECTRUM_CAP, the
+                        memo keeps W's real FFT instead, one lookup per unit.
+                        Valid for every prime, including p = 2 and 3.
 * exp_sum_composite  -- the product over prime powers dividing N, with the
                         per-factor units fixed by 1/N = sum_i u_i / q_i
                         where u_i = (N/q_i)^(-1) mod q_i, so that the unit
@@ -268,26 +268,26 @@ def exp_sum_direct(f: Polynomial, N: int, a: int = 1) -> ExpSumValue:
 
 
 def _fiber_split(
-    f: Polynomial, p: int, m: int, point: tuple[int, ...]
-) -> tuple[int, int, Polynomial | None]:
-    """f(point + p y) = c0 + p^v h(y) on the fiber over a critical residue.
+    f: Polynomial, p: int, u: tuple[int, ...]
+) -> tuple[int, int | None, Polynomial | None]:
+    """f(u + p y) = c0 + p^v h(y) on the fiber over a critical residue u.
 
-    Returns (c0, v, h) with 2 <= v < m and h of unit content and no
-    constant term, or (c0, m, None) when f is constant mod p^m on the
-    fiber.  Since point is critical mod p, v >= 2; a smaller valuation
-    raises ValueError.
+    Returns (c0, v, h), v the full p-valuation of the non-constant part and
+    h of unit content and no constant term, or (c0, None, None) when f is
+    constant on the fiber; readers cap v at their level.  Memoised on f per
+    (p, u).  Since u is critical, v >= 2; a smaller one raises ValueError.
     """
-    g = f.shift_scale(point, p)
-    c0 = g.constant_term()
-    rest = {e: c for e, c in g.terms.items() if any(e)}
-    content, v = math.gcd(*rest.values()), 0
-    while v < m and content % p == 0:  # rest's least p-valuation, capped at m (m if rest is empty)
-        content, v = content // p, v + 1
-    if v < 2:
-        raise ValueError(f"fiber over {point} is not critical mod {p} (p-valuation {v} < 2)")
-    if v == m:
-        return c0, m, None
-    return c0, v, Polynomial(g.n, {e: c // p**v for e, c in rest.items()})
+    if (p, u) not in f._atoms:
+        g = f.shift_scale(u, p)
+        rest = {e: c for e, c in g.terms.items() if any(e)}
+        content, v = math.gcd(*rest.values()), 0
+        while rest and content % p == 0:  # rest's least p-valuation
+            content, v = content // p, v + 1
+        if rest and v < 2:
+            raise ValueError(f"fiber over {u} is not critical mod {p} (p-valuation {v} < 2)")
+        h = Polynomial(g.n, {e: c // p**v for e, c in rest.items()}) if rest else None
+        f._atoms[p, u] = g.constant_term(), v if rest else None, h
+    return f._atoms[p, u]
 
 
 def _critical_atoms(f: Polynomial, p: int, m: int):
@@ -298,22 +298,20 @@ def _critical_atoms(f: Polynomial, p: int, m: int):
     p, in the narrowest dtypes that hold p - 1 and p^n, and ``fibers`` is
     None.  At m >= 2, each of the ``fibers`` critical residues u, with
     f(u + p y) = c0 + p^v h(y), adds the atoms c0 + p^v r mod p^m of weight
-    p^((v-1)n) W_h(r) for h's W_h at level m - v (h None: one atom c0 of
+    p^((v-1)n) W_h(r) for h's W_h at level m - v (v >= m: one atom c0 of
     weight p^((m-1)n)), in int64 arrays unless a weight or a*r could
     overflow (then exact Python ints).  At every level the residues are
     sorted, distinct and reduced mod p^m.
-    Memoised on f; ``charges`` lists the build's (points, what) budget
-    charges, which a hit replays in order.  exp_sum_pruned may swap in W's
-    spectrum and bound for residues and weights.
+    Memoised on f at (p, m), beside the critical residues (at p) and each
+    split (at (p, u)); ``charges`` lists the build's (points, what) budget
+    charges, which a hit replays in order, as a residues hit does its n p^n.
+    exp_sum_pruned may swap in W's spectrum and bound for residues and weights.
     """
-    if getattr(f, "_atoms", None) is None:
-        object.__setattr__(f, "_atoms", {})
     memo = f._atoms
     if (p, m) in memo:  # stored only after p passed _require_prime
-        entry = memo[p, m]
         enumeration.default_workers()  # refuses a bad IGUSA_WORKERS, as a build does
-        enumeration._charge_each(entry[0])
-        return entry
+        enumeration._charge_each(memo[p, m][0])
+        return memo[p, m]
     _require_prime(p)
     n, q = f.n, p**m
     if m == 1:
@@ -324,13 +322,18 @@ def _critical_atoms(f: Polynomial, p: int, m: int):
                       hist[residues].astype(np.min_scalar_type(p**n)))
         return memo[p, m]
     charges = [(n * p**n, "zero-locus enumeration")]
-    criticals = enumeration.common_zero_points(list(f.gradient()), p, p)  # sorted
+    if p in memo:  # a hit charges like the enumeration
+        enumeration.default_workers()
+        enumeration._charge_each(charges)
+    else:  # sorted, as tuples of ints
+        memo[p] = list(map(tuple, enumeration.common_zero_points(list(f.gradient()), p, p).tolist()))
     dtype = np.int64 if p ** (m * n) < 2**63 and q < 2**31 else object
     residues, weights = [np.empty(0, dtype)], [np.empty(0, dtype)]
-    for row in criticals:
-        c0, v, h = _fiber_split(f, p, m, tuple(int(x) for x in row))
+    for u in memo[p]:
+        c0, v, h = _fiber_split(f, p, u)
+        v = m if v is None else min(v, m)
         sub_r, sub_w = np.zeros(1, np.int64), np.ones(1, np.int64)
-        if h is not None:
+        if v < m:
             sub_charges, _, sub_r, sub_w = _critical_atoms(h, p, m - v)
             charges += sub_charges
         residues.append((c0 % q + p**v * sub_r.astype(dtype)) % q)
@@ -338,7 +341,7 @@ def _critical_atoms(f: Polynomial, p: int, m: int):
     atoms, index = np.unique(np.concatenate(residues), return_inverse=True)
     merged = np.zeros(atoms.size, dtype)
     np.add.at(merged, index, np.concatenate(weights))
-    memo[p, m] = (charges, int(criticals.shape[0]), atoms, merged)
+    memo[p, m] = (charges, len(memo[p]), atoms, merged)
     return memo[p, m]
 
 

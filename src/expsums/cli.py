@@ -199,7 +199,8 @@ def _cmd_zeta(f: Polynomial, cfg: argparse.Namespace) -> tuple[dict, bool]:
     ]
     result = {"kind": table.kind, "ideal": cfg.ideal, "entries": entries}
     if cfg.crosscheck:
-        result["crosscheck"] = [zeta.fourier_crosscheck(f, cfg.p, m)
+        zeros = dict(table.entries) if gens is None else {}  # N_m, when the table counts zeros of f
+        result["crosscheck"] = [zeta.fourier_crosscheck(f, cfg.p, m, count=zeros.get(m))
                                 for m in range(1, cfg.max_m + 1)]
     return {"params": {"p": cfg.p, "max_m": cfg.max_m, "ideal": cfg.ideal},
             "result": result}, False

@@ -51,9 +51,9 @@ def _grlex_key(e: Exponent) -> tuple[int, Exponent]:
 class Polynomial:
     """Immutable sparse polynomial in ``n`` named variables x1..xn.
 
-    Term dicts are canonical: no zero coefficients, keys iterated in
-    descending graded-lex order.  Do not mutate ``terms``.  ``_atoms`` holds
-    charsums' lazily filled memo, which equality and hashing ignore.
+    Term dicts are canonical: no zero coefficients, keys iterated in descending
+    graded-lex order; do not mutate ``terms``.  ``_atoms`` is charsums' memo
+    (one split per fiber (p, u), W per (p, m)); equality and hashing ignore it.
     """
 
     __slots__ = ("n", "terms", "_atoms")
@@ -75,6 +75,7 @@ class Polynomial:
         ordered = dict(sorted(clean.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", ordered)
+        object.__setattr__(self, "_atoms", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")

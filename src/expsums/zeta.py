@@ -4,8 +4,8 @@ N_m counts x mod p^m with f(x) = 0 mod p^m; the companion order counts ask
 that every generator of an ideal (for the squared Jacobian: all pairwise
 products of gradient components) vanish to order >= m.  Densities
 N_m * p^(-mn) are kept as exact rationals so monotonicity checks stay
-exact.  N_m comes from Igusa's stationary phase formula, on the fiber step
-of charsums.exp_sum_pruned.
+exact.  N_m comes from Igusa's stationary phase formula, recursing on the
+fiber splits that charsums memoises once per (f, p, u) for the pruned sums.
 
 The cross-check ties counts to character sums through plain orthogonality:
 
@@ -87,40 +87,42 @@ def count_zeros_mod(f: Polynomial, p: int, m: int, method: str = "tree") -> int:
     return _zero_counts(f, p, m)[-1]
 
 
-def _zero_counts(f: Polynomial, p: int, m: int) -> list[int]:
-    """[N(p), ..., N(p^m)] by Igusa's stationary phase formula.
+def _zero_counts(f: Polynomial, p: int, m: int, t: int = 0) -> list[int]:
+    """[N(p), ..., N(p^m)] for f = t, by Igusa's stationary phase formula.
 
-    Smooth zeros mod p lift to p^((k-1)(n-1)) zeros mod p^k (Hensel).  Over
-    a singular zero u, f(u + p y) = c0 + p^v h(y) with v >= 2, and the fiber
-    holds p^((k-1)n) zeros mod p^k when k <= v and p^k | c0, and
-    p^((v-1)n) N_{h + c0/p^v}(p^(k-v)) when k > v and p^v | c0; else none.
-    Levels 1 and 2 need only c0 mod p^2, so fibers are split only for m > 2.
+    Smooth zeros of f - t mod p lift to p^((k-1)(n-1)) zeros mod p^k (Hensel).
+    Over a singular one u, f(u + p y) = c0 + p^v h(y) (charsums._fiber_split),
+    and the fiber holds p^((k-1)n) zeros mod p^k when k <= v and p^k | c0 - t,
+    and p^((v-1)n) times h's N(p^(k-v)) at target (t - c0)/p^v when k > v and
+    p^v | c0 - t; else none.  Levels 1 and 2 need only f - t mod p^2, so
+    fibers are split only for m > 2.
     """
-    n = f.n
+    n, g = f.n, (f - t % p if t % p else f)
     if m == 1:
-        return [enumeration.count_common_zeros([f], p, p)]
-    zeros = enumeration.common_zero_points([f], p, p)
+        return [enumeration.count_common_zeros([g], p, p)]
+    zeros = enumeration.common_zero_points([g], p, p)
     # f(u + p e_j) = f(u) + p df/dx_j(u) mod p^2, so f mod p^2 at u and at its
-    # n neighbours u + p e_j tells the singular zeros and which have p^2 | f(u)
+    # n neighbours tells the singular zeros and which have f(u) = t mod p^2
     steps = p * np.eye(n + 1, n, -1, dtype=np.int64)  # rows 0, p e_1, ..., p e_n
     points = (zeros[:, None, :] + steps).reshape(-1, n)
     enumeration._charge(points.shape[0], "singular-zero test")
     vals = enumeration.eval_points_mod(f, points, p * p).reshape(-1, n + 1)
     singular = (vals[:, 1:] == vals[:, :1]).all(axis=1)
-    deep = zeros[singular & (vals[:, 0] == 0)]
+    deep = zeros[singular & (vals[:, 0] == t % (p * p))]
     n_singular = int(singular.sum())
     counts = [(zeros.shape[0] - n_singular) * p ** ((k - 1) * (n - 1)) for k in range(1, m + 1)]
     counts[0] += n_singular
     counts[1] += deep.shape[0] * p**n
     if m == 2:
         return counts
-    for row in deep:
-        c0, v, h = _fiber_split(f, p, m, tuple(int(x) for x in row))
+    for u in map(tuple, deep.tolist()):
+        c0, v, h = _fiber_split(f, p, u)
+        v = m if v is None else min(v, m)
         for k in range(3, v + 1):
-            if c0 % p**k == 0:
+            if (c0 - t) % p**k == 0:
                 counts[k - 1] += p ** ((k - 1) * n)
-        if h is not None and c0 % p**v == 0:
-            sub = _zero_counts(h + c0 // p**v, p, m - v)
+        if v < m and (c0 - t) % p**v == 0:
+            sub = _zero_counts(h, p, m - v, (t - c0) // p**v)
             for k, count in enumerate(sub, start=v + 1):
                 counts[k - 1] += p ** ((v - 1) * n) * count
     return counts
@@ -165,8 +167,9 @@ def poincare_coeffs(
     return CountTable(p=p, entries=entries, kind=kind), densities
 
 
-def fourier_crosscheck(f: Polynomial, p: int, m: int) -> CrosscheckReport:
-    """Check N_m * p^(-mn) against the averaged character sums, exactly.
+def fourier_crosscheck(f: Polynomial, p: int, m: int, *, count: int | None = None) -> CrosscheckReport:
+    """Check N_m * p^(-mn), from ``count`` if given, against the averaged
+    character sums, exactly.
 
     The right side sums E over every a mod p^m: the a = 0 term is 1, and
     p^k * a' reduces to the conductor m-k character with unit a'.  Write
@@ -183,7 +186,7 @@ def fourier_crosscheck(f: Polynomial, p: int, m: int) -> CrosscheckReport:
     the a = 0 term and the factor p^(-m) the right side is H_m(0) p^(-mn):
     the direct count of zeros mod p^m over the full grid.
     """
-    count = count_zeros_mod(f, p, m)
+    count = count_zeros_mod(f, p, m) if count is None else count
     lhs = Fraction(count, p ** (m * f.n))
     rhs = Fraction(count_zeros_mod(f, p, m, method="direct"), p ** (m * f.n))
     return CrosscheckReport(m=m, lhs=float(lhs), rhs=float(rhs), abs_diff=float(abs(lhs - rhs)),

@@ -16,12 +16,14 @@ from expsums import (
     AdditiveCharacter,
     BudgetExceededError,
     Polynomial,
+    count_zeros_mod,
     exp_sum_composite,
     exp_sum_direct,
     exp_sum_naive,
     exp_sum_pruned,
     finite_field_sum,
     parse_polynomial,
+    poincare_coeffs,
 )
 from expsums import charsums, enumeration
 from expsums.arith import factorize
@@ -129,7 +131,7 @@ class TestPruned:
     def test_noncritical_fiber_rejected(self):
         # x1 has no critical point mod 3, so the fiber over 0 carries only p^1
         with pytest.raises(ValueError, match="not critical"):
-            _fiber_split(parse_polynomial("x1"), 3, 2, (0,))
+            _fiber_split(parse_polynomial("x1"), 3, (0,))
 
     def test_conductor_one_falls_through(self):
         f = parse_polynomial("x1^2")
@@ -323,6 +325,102 @@ class TestUnitSpectrum:
         with pytest.raises(BudgetExceededError, match="b needs 50 points, budget is 30"):
             enumeration._charge_each([(25, "a"), (50, "b"), (5, "c")])
         assert enumeration.meter_consumed() - before == 25
+
+
+class TestFiberMemo:
+    """One gradient locus per (f, p) and one split per fiber (p, u), which
+    the pruned sums and the zero counts both read."""
+
+    @staticmethod
+    def recorded(monkeypatch):
+        """The polynomial of each gradient call, the polys of each
+        common_zero_points call and (polynomial, base) of each shift_scale
+        call; the polynomials are kept, so their ids stay unique."""
+        grads, loci, splits = [], [], []
+        grad, points, shift = Polynomial.gradient, enumeration.common_zero_points, Polynomial.shift_scale
+        monkeypatch.setattr(Polynomial, "gradient", lambda g: grads.append(g) or grad(g))
+        monkeypatch.setattr(enumeration, "common_zero_points",
+                            lambda polys, *args: loci.append(polys) or points(polys, *args))
+        monkeypatch.setattr(Polynomial, "shift_scale",
+                            lambda g, base, scale: splits.append((g, tuple(base))) or shift(g, base, scale))
+        return grads, loci, splits
+
+    def test_one_locus_and_one_split_per_fiber(self, monkeypatch):
+        # f(3 y) = 27 f(y), so its fibers' h equal f in value but are other
+        # objects, each with its own locus
+        f = parse_polynomial("x1^3+x1^2*x2+x2^3")
+        grads, loci, splits = self.recorded(monkeypatch)
+        for m in range(2, 7):
+            exp_sum_pruned(f, AdditiveCharacter(3, m, 1))
+        assert len(loci) == len(grads) == len({id(g) for g in grads}) > 1
+        assert sum(g is f for g in grads) == 1
+        keys = [(id(g), u) for g, u in splits]
+        assert len(keys) == len(set(keys)) > f._atoms[3, 6][1] == 3
+
+    def test_counts_reuse_the_sums_splits(self, monkeypatch):
+        # the counts read the sums' splits, and the h objects they hold
+        f = parse_polynomial("x1^2+x2^3")
+        _, _, splits = self.recorded(monkeypatch)
+        for m in range(2, 6):
+            exp_sum_pruned(f, AdditiveCharacter(5, m, 1))
+        shared = len(splits)
+        assert count_zeros_mod(f, 5, 5) == count_zeros_mod(f, 5, 5, method="direct")
+        keys = [(id(g), u) for g, u in splits]
+        assert len(keys) == len(set(keys)) and shared > 1
+
+    def test_history_independence_across_sums_and_counts(self, monkeypatch):
+        text, p, m = "x1^3+x1^2*x2+x2^3", 3, 5
+
+        def sums(f):
+            return [exp_sum_pruned(f, AdditiveCharacter(p, k, 2)).value for k in range(2, m + 1)]
+
+        def counts(f):
+            return [count_zeros_mod(f, p, k) for k in range(1, m + 1)]
+
+        def metered(run, f):
+            before = enumeration.meter_consumed()
+            out = run(f)
+            return out, enumeration.meter_consumed() - before
+
+        def refused(run, f):
+            before = enumeration.meter_consumed()
+            with pytest.raises(BudgetExceededError) as info:
+                run(f)
+            return str(info.value), enumeration.meter_consumed() - before
+
+        for first, second in [(sums, counts), (counts, sums)]:
+            warm = parse_polynomial(text)
+            metered(first, warm)
+            cold = metered(second, parse_polynomial(text))
+            assert metered(second, warm) == cold and cold[1] > 0
+        # the sums charge 18 zero-locus points first, the counts 9 grid points
+        for budget, first, second in [(17, counts, sums), (8, sums, counts)]:
+            warm = parse_polynomial(text)
+            first(warm)
+            monkeypatch.setenv("IGUSA_BUDGET", str(budget))
+            assert refused(second, warm) == refused(second, parse_polynomial(text))
+            monkeypatch.delenv("IGUSA_BUDGET")
+
+    def test_workers_checked_on_a_level_built_from_memo(self, monkeypatch):
+        # x1^3 at p = 3: the one fiber has v = 3, so level 3 needs no sub-W;
+        # its locus and split come from the level 2 build
+        f = parse_polynomial("x1^3")
+        exp_sum_pruned(f, AdditiveCharacter(3, 2, 1))
+        assert (3, 3) not in f._atoms and 3 in f._atoms and (3, (0,)) in f._atoms
+        monkeypatch.setenv("IGUSA_WORKERS", "0")
+        with pytest.raises(ValueError, match="worker count must be positive"):
+            exp_sum_pruned(f, AdditiveCharacter(3, 3, 1))
+
+    def test_composite_p_leaves_no_memo_entry(self):
+        f = parse_polynomial("x1^2+x2^3")
+        exp_sum_pruned(f, AdditiveCharacter(5, 4, 1))
+        count_zeros_mod(f, 5, 4)
+        before = dict(f._atoms)
+        for call in [lambda: exp_sum_pruned(f, AdditiveCharacter(6, 3, 1)),
+                     lambda: count_zeros_mod(f, 6, 3), lambda: poincare_coeffs(f, 6, 3)]:
+            with pytest.raises(ValueError, match="6 is not prime"):
+                call()
+        assert f._atoms == before
 
 
 class TestComposite:

@@ -127,6 +127,18 @@ class TestOtherCommands:
         assert entries[1]["count"] == 1 and entries[2]["count"] == 3
         assert all(row.abs_diff == 0 for row in report["result"]["crosscheck"])
 
+    def test_zeta_crosscheck_reads_the_table(self):
+        # the README example: the table's tree (40 points), then one direct
+        # count per level (25 + 625), with the left sides read off the table
+        code, report = run_cli(
+            ["zeta", "--poly", "x1^2+x2^3", "--p", "5", "--max-m", "2", "--crosscheck"]
+        )
+        assert code == EXIT_OK
+        rows = report["result"]["crosscheck"]
+        assert [row.count for row in rows] == [c["count"] for c in report["result"]["entries"][1:]]
+        assert all(row.abs_diff == 0 for row in rows)
+        assert report["budget"]["points_consumed"] == 690
+
     def test_zeta_squared_jacobian_ideal(self):
         code, report = run_cli(
             ["zeta", "--poly", "x1^2", "--p", "3", "--max-m", "2", "--ideal", "jf2"]

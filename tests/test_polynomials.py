@@ -364,7 +364,7 @@ class TestArithmetic:
         assert f._atoms
         for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
             assert g == f and list(g.terms) == list(f.terms)
-            assert getattr(g, "_atoms", None) is None
+            assert g._atoms == {}
 
     def test_pow(self):
         f = parse_polynomial("x1 + 1")

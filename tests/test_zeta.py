@@ -17,6 +17,7 @@ from expsums import (
 )
 from expsums import enumeration
 from expsums.corpus import standard_corpus
+from expsums.zeta import _zero_counts
 from conftest import brute_zero_count, ramanujan_crosscheck_rhs
 
 
@@ -146,6 +147,16 @@ class TestPoincare:
         table, _ = poincare_coeffs(f, 3, 4)
         assert table.entries[1:] == want
         assert len(roots) == 1
+
+    def test_targets_match_the_direct_count(self):
+        # the recursion counts f = t on the sums' fiber polynomials; check
+        # every level against the full grid of f - t
+        for f in standard_corpus(0):
+            for p in (2, 3, 5):
+                levels = [m for m in range(1, 5) if p ** (m * f.n) <= 10**5]
+                for t in (1, -1, p, p * p + 3):
+                    want = [count_zeros_mod(f - t, p, m, method="direct") for m in levels]
+                    assert _zero_counts(f, p, len(levels), t) == want, (f, p, t)
 
     def test_order_kind_table(self):
         f = parse_polynomial("x1^2")
