@@ -37,9 +37,10 @@ def main() -> int:
     if args.crosscheck:
         print("\northogonality: N_m p^(-mn) vs the average of E over all characters mod p^m")
         print(f"{'m':>3} {'lhs':>16} {'rhs':>16} {'|diff|':>10}")
-        zeros = dict(table.entries) if gens is None else {}  # N_m, when the table counts zeros of f
-        for m in range(1, args.max_m + 1):
-            rep = fourier_crosscheck(f, args.p, m, count=zeros.get(m))
+        # every N_m from one zero-count table: this one, unless it counts an ideal
+        zeros = table if gens is None else poincare_coeffs(f, args.p, args.max_m)[0]
+        for m, count in zeros.entries[1:]:
+            rep = fourier_crosscheck(f, args.p, m, count=count)
             print(f"{m:>3} {rep.lhs:>16.12f} {rep.rhs:>16.12f} {rep.abs_diff:>10.2e}")
     return 0
 

@@ -28,7 +28,7 @@ from . import enumeration
 from .charsums import (
     AdditiveCharacter,
     _critical_atoms,
-    _require_prime,
+    _local,
     _unit_spectrum,
     exp_sum_pruned,
     finite_field_sum,
@@ -85,18 +85,18 @@ def _max_abs_over_units(f: Polynomial, p: int, m: int) -> float:
     """sup over the units a mod q = p^m of |E(q, a)|, from W's spectrum.
 
     |S[a]| = p^(mn) |E(q, a)| for S = charsums._unit_spectrum (the one that
-    exp_sum_pruned memoised, if it did), and a <= q/2 covers every unit up
-    to the mirror a -> q - a.  q points are charged to the budget before
-    anything is allocated.  The result is within 4 eps log2(q) times the
-    atoms' share of the p^(mn) points (measured: under 0.7 of that on the
-    corpus and at primes up to 2999).
+    exp_sum_pruned kept in the store's record of (f, p), if it did), and
+    a <= q/2 covers every unit up to the mirror a -> q - a.  q points are
+    charged to the budget before anything is allocated.  The result is
+    within 4 eps log2(q) times the atoms' share of the p^(mn) points
+    (measured: under 0.7 of that on the corpus and at primes up to 2999).
     """
-    _require_prime(p)
+    record = _local(f, p)  # refuses a composite p
     q = p**m
     if q >= enumeration._MAX_MODULUS:
         raise ValueError(f"modulus {q} too large for the unit spectrum")
     enumeration._charge(q, "unit spectrum")
-    mags = np.abs(_unit_spectrum(_critical_atoms(f, p, m), q))
+    mags = np.abs(_unit_spectrum(record, m, _critical_atoms(record, m)))
     mags[::p] = 0.0  # a = 0 and the other non-units
     return float(mags.max()) / p ** (m * f.n)
 

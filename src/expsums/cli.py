@@ -199,9 +199,10 @@ def _cmd_zeta(f: Polynomial, cfg: argparse.Namespace) -> tuple[dict, bool]:
     ]
     result = {"kind": table.kind, "ideal": cfg.ideal, "entries": entries}
     if cfg.crosscheck:
-        zeros = dict(table.entries) if gens is None else {}  # N_m, when the table counts zeros of f
-        result["crosscheck"] = [zeta.fourier_crosscheck(f, cfg.p, m, count=zeros.get(m))
-                                for m in range(1, cfg.max_m + 1)]
+        # every N_m from one zero-count table: this one, unless it counts an ideal
+        zeros = table if gens is None else zeta.poincare_coeffs(f, cfg.p, cfg.max_m)[0]
+        result["crosscheck"] = [zeta.fourier_crosscheck(f, cfg.p, m, count=count)
+                                for m, count in zeros.entries[1:]]
     return {"params": {"p": cfg.p, "max_m": cfg.max_m, "ideal": cfg.ideal},
             "result": result}, False
 

@@ -52,11 +52,11 @@ class Polynomial:
     """Immutable sparse polynomial in ``n`` named variables x1..xn.
 
     Term dicts are canonical: no zero coefficients, keys iterated in descending
-    graded-lex order; do not mutate ``terms``.  ``_atoms`` is charsums' memo
-    (one split per fiber (p, u), W per (p, m)); equality and hashing ignore it.
+    graded-lex order; do not mutate ``terms``.  Equality and hashing are by
+    value, which keys charsums' store of per-(f, p) results.
     """
 
-    __slots__ = ("n", "terms", "_atoms")
+    __slots__ = ("n", "terms")
 
     def __init__(self, n: int, terms: Mapping[Exponent, int] | None = None):
         if n < 1:
@@ -75,13 +75,12 @@ class Polynomial:
         ordered = dict(sorted(clean.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", ordered)
-        object.__setattr__(self, "_atoms", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
 
     def __reduce__(self):
-        # copy and pickle rebuild from the terms; the _atoms memo stays behind
+        # copy and pickle rebuild from the terms, past the immutable __setattr__
         return Polynomial, (self.n, self.terms)
 
     # -- constructors ------------------------------------------------------

@@ -5,7 +5,8 @@ that every generator of an ideal (for the squared Jacobian: all pairwise
 products of gradient components) vanish to order >= m.  Densities
 N_m * p^(-mn) are kept as exact rationals so monotonicity checks stay
 exact.  N_m comes from Igusa's stationary phase formula, recursing on the
-fiber splits that charsums memoises once per (f, p, u) for the pruned sums.
+fiber splits that charsums' store keeps once per (f, p, u), by value, for
+the pruned sums.
 
 The cross-check ties counts to character sums through plain orthogonality:
 
@@ -26,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import enumeration
-from .charsums import _fiber_split, _require_prime
+from .charsums import _fiber_split, _local, _require_prime
 from .polynomials import Polynomial
 
 
@@ -115,8 +116,9 @@ def _zero_counts(f: Polynomial, p: int, m: int, t: int = 0) -> list[int]:
     counts[1] += deep.shape[0] * p**n
     if m == 2:
         return counts
+    record = _local(f, p)
     for u in map(tuple, deep.tolist()):
-        c0, v, h = _fiber_split(f, p, u)
+        c0, v, h = _fiber_split(record, u)
         v = m if v is None else min(v, m)
         for k in range(3, v + 1):
             if (c0 - t) % p**k == 0:

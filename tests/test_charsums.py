@@ -32,6 +32,7 @@ from expsums.charsums import (
     _critical_atoms,
     _dense_phase_sum,
     _fiber_split,
+    _local,
     _phase_sum,
     crt_units,
 )
@@ -131,7 +132,7 @@ class TestPruned:
     def test_noncritical_fiber_rejected(self):
         # x1 has no critical point mod 3, so the fiber over 0 carries only p^1
         with pytest.raises(ValueError, match="not critical"):
-            _fiber_split(parse_polynomial("x1"), 3, (0,))
+            _fiber_split(_local(parse_polynomial("x1"), 3), (0,))
 
     def test_conductor_one_falls_through(self):
         f = parse_polynomial("x1^2")
@@ -177,7 +178,7 @@ class TestPruned:
         v = exp_sum_pruned(f, AdditiveCharacter(7, 6, 3))
         assert abs(v.value - 2.1063444842276643e-13) <= 1e-14 * 2.1063444842276643e-13
         # at m = 10 the one atom, at 0, weighs 7^25 > 2^63 itself
-        _, fibers, residues, weights = _critical_atoms(f, 7, 10)
+        _, fibers, residues, weights = _critical_atoms(_local(f, 7), 10)
         assert (fibers, list(residues), list(weights)) == (1, [0], [7**25])
         v = exp_sum_pruned(f, AdditiveCharacter(7, 10, 3))
         assert abs(v.value - 7.0**-25) <= 1e-14 * 7.0**-25
@@ -187,7 +188,7 @@ class TestPruned:
         # 15 atoms were congruent mod 7^5
         f = parse_polynomial("x1^3+x2^3+x1*x2")
         for (p, m), size in [((5, 3), None), ((7, 5), 14)]:
-            _, _, residues, _ = _critical_atoms(f, p, m)
+            _, _, residues, _ = _critical_atoms(_local(f, p), m)
             assert residues[0] >= 0 and residues[-1] < p**m
             assert all(int(b) > int(a) for a, b in zip(residues, residues[1:]))
             assert size is None or residues.size == size
@@ -198,7 +199,7 @@ class TestPruned:
 
     def test_level_one_atoms_are_narrow(self):
         f = parse_polynomial("x1^2+x2^3")
-        _, fibers, residues, weights = _critical_atoms(f, 7, 1)
+        _, fibers, residues, weights = _critical_atoms(_local(f, 7), 1)
         hist = enumeration.residue_histogram(f, 7, 7)
         assert fibers is None
         assert (residues.dtype, weights.dtype) == (np.uint8, np.uint8)
@@ -213,11 +214,12 @@ class TestPruned:
             v = exp_sum_pruned(f, chi)
             return v, enumeration.meter_consumed() - before
 
+        charsums._evict(-1)
         fresh, fresh_points = metered(parse_polynomial(text), chi)
         primed = parse_polynomial(text)
         for p, m, a in [(3, 1, 1), (3, 2, 1), (2, 3, 3), (3, 3, 1), (3, 3, 5)]:
             exp_sum_pruned(primed, AdditiveCharacter(p, m, a))
-        assert primed._atoms[3, 3][2].dtype == np.complex128  # the spectrum exists
+        assert 3 in _local(primed, 3).spectra  # the spectrum exists
         again, again_points = metered(primed, chi)
         assert (again.value, again.err_bound, again.fiber_count) == (
             fresh.value, fresh.err_bound, fresh.fiber_count)
@@ -231,7 +233,9 @@ class TestPruned:
             return info.value.needed, info.value.budget, str(info.value)
 
         monkeypatch.setenv("IGUSA_BUDGET", "17")
-        assert refused(primed) == refused(parse_polynomial(text)) == (
+        warm = refused(primed)
+        charsums._evict(-1)
+        assert warm == refused(parse_polynomial(text)) == (
             18, 17, "zero-locus enumeration needs 18 points, budget is 17")
 
 
@@ -241,17 +245,17 @@ class TestUnitSpectrum:
 
     def test_every_unit_matches_phase_pass(self):
         # on every cell whose sums read the spectrum; the oracle is the phase
-        # pass over atoms built on a fresh copy
+        # pass over W's atoms, which the record keeps beside the spectrum
         spectra = 0
         for f in standard_corpus(0):
             for p in (2, 3, 5, 7):
                 for m in range(1, 5):
                     exp_sum_pruned(f, AdditiveCharacter(p, m, 1))
-                    if f._atoms[p, m][2].dtype != np.complex128:
+                    if m not in _local(f, p).spectra:
                         continue
                     spectra += 1
                     q, total = p**m, p ** (m * f.n)
-                    _, _, residues, weights = _critical_atoms(copy.copy(f), p, m)
+                    _, _, residues, weights = _critical_atoms(_local(f, p), m)
                     for a in range(1, q):
                         if a % p:
                             got = exp_sum_pruned(f, AdditiveCharacter(p, m, a))
@@ -270,7 +274,7 @@ class TestUnitSpectrum:
 
         def route(f, p, m):
             exp_sum_pruned(f, AdditiveCharacter(p, m, 1))
-            return f._atoms[p, m][2].dtype == np.complex128, p**m in passes
+            return m in _local(f, p).spectra, p**m in passes
 
         # x1^2 at p = 5: level 1 charges its 5 histogram points, so q = 5 is
         # the largest q within the charges; level 2 charges 5 and has q = 25
@@ -307,7 +311,7 @@ class TestUnitSpectrum:
         text, chi = "x1^2+x2^3", AdditiveCharacter(5, 3, 2)
         primed = parse_polynomial(text)
         exp_sum_pruned(primed, chi)
-        assert [points for points, _ in primed._atoms[5, 3][0]] == [50, 25]
+        assert [points for points, _ in _local(primed, 5).atoms[3][0]] == [50, 25]
 
         def refused(f):
             before = enumeration.meter_consumed()
@@ -316,7 +320,9 @@ class TestUnitSpectrum:
             return str(info.value), enumeration.meter_consumed() - before
 
         monkeypatch.setenv("IGUSA_BUDGET", "30")
-        assert refused(primed) == refused(parse_polynomial(text)) == (
+        warm = refused(primed)
+        charsums._evict(-1)
+        assert warm == refused(parse_polynomial(text)) == (
             "zero-locus enumeration needs 50 points, budget is 30", 0)
 
     def test_replay_keeps_the_charges_before_a_refused_one(self, monkeypatch):
@@ -328,8 +334,9 @@ class TestUnitSpectrum:
 
 
 class TestFiberMemo:
-    """One gradient locus per (f, p) and one split per fiber (p, u), which
-    the pruned sums and the zero counts both read."""
+    """One gradient locus per (f, p) and one split per fiber (p, u), kept in
+    the store's record of (f, p) by value, which the pruned sums and the
+    zero counts both read."""
 
     @staticmethod
     def recorded(monkeypatch):
@@ -346,19 +353,75 @@ class TestFiberMemo:
         return grads, loci, splits
 
     def test_one_locus_and_one_split_per_fiber(self, monkeypatch):
-        # f(3 y) = 27 f(y), so its fibers' h equal f in value but are other
-        # objects, each with its own locus
-        f = parse_polynomial("x1^3+x1^2*x2+x2^3")
+        # a homogeneous f has f(p y) = p^d f(y), so the fiber over u = 0
+        # gives back h = f: in value, it reads f's own record, where an
+        # object key enumerated 4, 3 and 4 loci
         grads, loci, splits = self.recorded(monkeypatch)
-        for m in range(2, 7):
-            exp_sum_pruned(f, AdditiveCharacter(3, m, 1))
-        assert len(loci) == len(grads) == len({id(g) for g in grads}) > 1
-        assert sum(g is f for g in grads) == 1
-        keys = [(id(g), u) for g, u in splits]
-        assert len(keys) == len(set(keys)) > f._atoms[3, 6][1] == 3
+        for text, p, top, enumerations in [("x1^3+x2^3+x3^3", 7, 12, 1), ("x1^4+x2^4+x3^4", 5, 12, 1),
+                                           ("x1^3+x1^2*x2+x2^3", 3, 6, 3)]:
+            charsums._evict(-1)
+            f = parse_polynomial(text)
+            del grads[:], loci[:], splits[:]
+            for m in range(2, top + 1):
+                exp_sum_pruned(f, AdditiveCharacter(p, m, 1))
+            assert len(loci) == len(grads) == len(set(grads)) == enumerations, text
+            assert sum(g == f for g in grads) == 1
+            assert len(splits) == len(set(splits)) == enumerations
+        assert _local(f, 3).atoms[6][1] == 3
+
+    def test_equal_polynomials_share_one_record(self):
+        f = parse_polynomial("x1^3+x2^3+x1*x2")
+        exp_sum_pruned(f, AdditiveCharacter(5, 3, 1))
+        record = _local(f, 5)
+        assert _local(copy.copy(f), 5) is record is _local(parse_polynomial(str(f)), 5)
+        assert _local(f, 7) is not record
+
+    def test_a_spectrum_leaves_the_atoms_a_fiber_reads(self):
+        # level 1 keeps its spectrum; at level 4 the fiber over u = 0 is f
+        # itself (v = 3), whose level 1 atoms W must still read
+        for text in ["x1^3+x2^3+x3^3", "x1^3+x2^3"]:
+            charsums._evict(-1)
+            f = parse_polynomial(text)
+            exp_sum_pruned(f, AdditiveCharacter(7, 1, 1))
+            assert 1 in _local(f, 7).spectra
+            warm = exp_sum_pruned(f, AdditiveCharacter(7, 4, 3))
+            charsums._evict(-1)
+            cold = exp_sum_pruned(f, AdditiveCharacter(7, 4, 3))
+            assert sorted(_local(f, 7).atoms) == [1, 4]  # level 4 built on f's own level 1
+            assert (warm.value, warm.err_bound, warm.fiber_count) == (
+                cold.value, cold.err_bound, cold.fiber_count)
+        naive = exp_sum_naive(f, AdditiveCharacter(7, 4, 3))  # 7^8 points
+        assert abs(warm.value - naive.value) <= warm.err_bound + naive.err_bound
+
+    def test_eviction_drops_whole_records_that_rebuild_equal(self, monkeypatch):
+        f, g, chi = parse_polynomial("x1^3+x1*x2+x2^2"), parse_polynomial("x1^2+x2^3"), AdditiveCharacter(3, 3, 2)
+
+        def metered(f):
+            before = enumeration.meter_consumed()
+            v = exp_sum_pruned(f, chi)
+            return v.value, v.err_bound, v.fiber_count, enumeration.meter_consumed() - before
+
+        charsums._evict(-1)
+        cold = metered(f)
+        old = _local(f, 3)
+        assert 3 in old.atoms and 3 in old.spectra
+        monkeypatch.setattr(charsums, "_STORE_BYTES", charsums._stored + 1)
+        metered(g)  # past the bound: the oldest record, f's, goes first
+        assert _local(f, 3) is not old and charsums._stored <= charsums._STORE_BYTES
+        assert metered(f) == cold
+        new = _local(f, 3)
+        assert new.atoms[3][:2] == old.atoms[3][:2] and new.spectra[3][1] == old.spectra[3][1]
+        for a, b in [(new.atoms[3][2], old.atoms[3][2]), (new.atoms[3][3], old.atoms[3][3]),
+                     (new.spectra[3][0], old.spectra[3][0])]:
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        # a bound of 0 evicts every record while it is built
+        charsums._evict(-1)
+        monkeypatch.setattr(charsums, "_STORE_BYTES", 0)
+        assert metered(f) == cold and not charsums._store and charsums._stored == 0
 
     def test_counts_reuse_the_sums_splits(self, monkeypatch):
         # the counts read the sums' splits, and the h objects they hold
+        charsums._evict(-1)
         f = parse_polynomial("x1^2+x2^3")
         _, _, splits = self.recorded(monkeypatch)
         for m in range(2, 6):
@@ -389,24 +452,31 @@ class TestFiberMemo:
             return str(info.value), enumeration.meter_consumed() - before
 
         for first, second in [(sums, counts), (counts, sums)]:
+            charsums._evict(-1)
+            cold = metered(second, parse_polynomial(text))
+            charsums._evict(-1)
             warm = parse_polynomial(text)
             metered(first, warm)
-            cold = metered(second, parse_polynomial(text))
             assert metered(second, warm) == cold and cold[1] > 0
         # the sums charge 18 zero-locus points first, the counts 9 grid points
         for budget, first, second in [(17, counts, sums), (8, sums, counts)]:
+            charsums._evict(-1)
             warm = parse_polynomial(text)
             first(warm)
             monkeypatch.setenv("IGUSA_BUDGET", str(budget))
-            assert refused(second, warm) == refused(second, parse_polynomial(text))
+            primed = refused(second, warm)
+            charsums._evict(-1)
+            assert primed == refused(second, parse_polynomial(text))
             monkeypatch.delenv("IGUSA_BUDGET")
 
     def test_workers_checked_on_a_level_built_from_memo(self, monkeypatch):
         # x1^3 at p = 3: the one fiber has v = 3, so level 3 needs no sub-W;
         # its locus and split come from the level 2 build
+        charsums._evict(-1)
         f = parse_polynomial("x1^3")
         exp_sum_pruned(f, AdditiveCharacter(3, 2, 1))
-        assert (3, 3) not in f._atoms and 3 in f._atoms and (3, (0,)) in f._atoms
+        record = _local(f, 3)
+        assert 3 not in record.atoms and record.residues is not None and (0,) in record.splits
         monkeypatch.setenv("IGUSA_WORKERS", "0")
         with pytest.raises(ValueError, match="worker count must be positive"):
             exp_sum_pruned(f, AdditiveCharacter(3, 3, 1))
@@ -415,12 +485,15 @@ class TestFiberMemo:
         f = parse_polynomial("x1^2+x2^3")
         exp_sum_pruned(f, AdditiveCharacter(5, 4, 1))
         count_zeros_mod(f, 5, 4)
-        before = dict(f._atoms)
+        record = _local(f, 5)
+        before = (record.residues, dict(record.splits), dict(record.atoms), dict(record.spectra))
         for call in [lambda: exp_sum_pruned(f, AdditiveCharacter(6, 3, 1)),
-                     lambda: count_zeros_mod(f, 6, 3), lambda: poincare_coeffs(f, 6, 3)]:
+                     lambda: count_zeros_mod(f, 6, 3), lambda: poincare_coeffs(f, 6, 3),
+                     lambda: _local(f, 6)]:  # a record of (f, 6) would skip the test
             with pytest.raises(ValueError, match="6 is not prime"):
                 call()
-        assert f._atoms == before
+        assert _local(f, 5) is record
+        assert (record.residues, record.splits, record.atoms, record.spectra) == before
 
 
 class TestComposite:
@@ -587,7 +660,7 @@ class TestDirect:
         B = math.isqrt(N - 1) + 1
         assert len(enumeration._box_chunks((-(-N // B), B))) > 1
         assert p > charsums._SPECTRUM_CAP
-        assert len(enumeration._box_chunks(_critical_atoms(f, p, 1)[2].shape)) > 1
+        assert len(enumeration._box_chunks(_critical_atoms(_local(f, p), 1)[2].shape)) > 1
         root = Path(__file__).resolve().parent.parent
         code = ("from expsums import AdditiveCharacter, exp_sum_direct, exp_sum_pruned\n"
                 "from expsums import parse_polynomial as P\n"

@@ -23,7 +23,7 @@ from expsums.circle import CircleMethodReport
 from expsums.geometry import exponent_sheet
 from expsums.polynomials import parse_polynomial
 from expsums.reports import dumps_csv, dumps_json, serialize_report, to_jsonable
-from expsums.zeta import CountKind, CountTable
+from expsums.zeta import CountKind, CountTable, count_zeros_mod
 
 
 def run_cli(argv):
@@ -138,6 +138,18 @@ class TestOtherCommands:
         assert [row.count for row in rows] == [c["count"] for c in report["result"]["entries"][1:]]
         assert all(row.abs_diff == 0 for row in rows)
         assert report["budget"]["points_consumed"] == 690
+
+    def test_ideal_crosscheck_walks_the_tree_once(self):
+        # 2,457 (the ideal's table) + 27 (one zero-count tree to m = 3) +
+        # 9 + 81 + 729 (direct); a tree per level made it 3,330
+        code, report = run_cli(["zeta", "--poly", "x1^2+x2^3", "--p", "3", "--max-m", "3",
+                                "--ideal", "jf2", "--crosscheck"])
+        assert code == EXIT_OK
+        rows = report["result"]["crosscheck"]
+        assert [row.count for row in rows] == [count_zeros_mod(parse_polynomial("x1^2+x2^3"), 3, m)
+                                               for m in (1, 2, 3)]
+        assert all(row.abs_diff == 0 for row in rows)
+        assert report["budget"]["points_consumed"] == 3303
 
     def test_zeta_squared_jacobian_ideal(self):
         code, report = run_cli(
