@@ -6,6 +6,7 @@ Usage:
     python scripts/density_table.py --poly "x1^2+x2^3" --p 5 --max-m 3
     python scripts/density_table.py --poly "x1^2+x2^3" --p 5 --max-m 3 --crosscheck
     python scripts/density_table.py --poly "x1^2" --p 3 --max-m 4 --ideal jf2
+    python scripts/density_table.py --poly "x1^2+x2^3" --p 3 --max-m 3 --ideal f+jf2 --crosscheck
 """
 
 import argparse
@@ -22,12 +23,14 @@ def main() -> int:
     ap.add_argument("--poly", required=True)
     ap.add_argument("--p", type=int, default=3)
     ap.add_argument("--max-m", type=int, default=3)
-    ap.add_argument("--ideal", choices=["f", "jf2"], default="f")
+    ap.add_argument("--ideal", choices=["f", "jf2", "f+jf2"], default="f")
     ap.add_argument("--crosscheck", action="store_true")
     args = ap.parse_args()
 
     f = parse_polynomial(args.poly)
-    gens = jacobian_squared_generators(f) if args.ideal == "jf2" else None
+    gens = None if args.ideal == "f" else jacobian_squared_generators(f)
+    if args.ideal == "f+jf2":
+        gens = [f] + gens
     table, dens = poincare_coeffs(f, args.p, args.max_m, generators=gens)
     print(f"f = {f.render()},  p = {args.p},  kind = {table.kind.value}")
     print(f"{'m':>3} {'count':>12} {'density':>16} {'density (float)':>16}")

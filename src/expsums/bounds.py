@@ -28,7 +28,7 @@ from . import enumeration
 from .charsums import (
     AdditiveCharacter,
     _critical_atoms,
-    _local,
+    _require_prime,
     _unit_spectrum,
     exp_sum_pruned,
     finite_field_sum,
@@ -91,12 +91,12 @@ def _max_abs_over_units(f: Polynomial, p: int, m: int) -> float:
     within 4 eps log2(q) times the atoms' share of the p^(mn) points
     (measured: under 0.7 of that on the corpus and at primes up to 2999).
     """
-    record = _local(f, p)  # refuses a composite p
+    _require_prime(p)
     q = p**m
     if q >= enumeration._MAX_MODULUS:
         raise ValueError(f"modulus {q} too large for the unit spectrum")
     enumeration._charge(q, "unit spectrum")
-    mags = np.abs(_unit_spectrum(record, m, _critical_atoms(record, m)))
+    mags = np.abs(_unit_spectrum(f, p, m, _critical_atoms(f, p, m)))
     mags[::p] = 0.0  # a = 0 and the other non-units
     return float(mags.max()) / p ** (m * f.n)
 

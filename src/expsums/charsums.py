@@ -32,9 +32,10 @@ Four evaluation routes:
                         into an exact integer distribution W on Z/p^m, a
                         set of atoms (r, W(r)) with r sorted, distinct and
                         reduced mod p^m; at m = 1, W is the histogram of f
-                        mod p.  W per m lives in the store's record of (f, p)
+                        mod p.  W per m is memoised per (f, p) by value
                         (_local), next to one split per u, which zeta's
-                        counts read; a hit replays its build's budget
+                        counts read, in one store that empties past
+                        _STORE_BYTES; a hit replays its build's budget
                         charges, so nothing depends on call history.  While
                         p^m is at most both the points W's build charged and
                         _SPECTRUM_CAP, the record also keeps W's real FFT,
@@ -58,7 +59,6 @@ of the total, plus one eps per exp_sum_composite step.
 
 from __future__ import annotations
 
-import collections
 import functools
 import math
 import operator
@@ -272,73 +272,53 @@ def exp_sum_direct(f: Polynomial, N: int, a: int = 1) -> ExpSumValue:
 @dataclass(eq=False, slots=True)
 class _Local:
     """The store's record of (f, p): the critical residues mod p, a split per
-    fiber u, W's atoms per level m, W's spectrum and bound per m, and the
-    bytes it counts against _STORE_BYTES (None once evicted)."""
+    fiber u, W's atoms per level m, and W's spectrum and bound per m."""
 
-    f: Polynomial
-    p: int
     residues: list[tuple[int, ...]] | None = None
     splits: dict = field(default_factory=dict)
     atoms: dict = field(default_factory=dict)
     spectra: dict = field(default_factory=dict)
-    nbytes: int | None = 0
 
 
-# The store: f -> p -> record by value, and the records oldest first.  An
-# array counts its nbytes (pointers, for exact ints), a critical residue or
-# a split _ENTRY_BYTES; past _STORE_BYTES whole records go, oldest first.
+# The store: (f, p) -> record, by value, and the bytes it holds.  An array
+# counts its nbytes (pointers, for exact ints), a critical residue or a split
+# _ENTRY_BYTES; past _STORE_BYTES the whole store empties.
 _STORE_BYTES = 1 << 26
 _ENTRY_BYTES = 512
-_store: dict[Polynomial, dict[int, _Local]] = {}
-_ages: collections.deque[_Local] = collections.deque()
+_store: dict[tuple[Polynomial, int], _Local] = {}
 _stored = 0
 
 
-def _local(f: Polynomial, p: int, records: dict[int, _Local] | None = None) -> _Local:
-    """The record of (f, p), new on a miss, which alone tests p for
-    primality; ``records``, f's records by p, spares hashing f again."""
-    record = (_store.get(f, {}) if records is None else records).get(p)
+def _local(f: Polynomial, p: int) -> _Local:
+    """The record of (f, p), new on a miss, which alone tests p for primality."""
+    record = _store.get((f, p))
     if record is None:
         _require_prime(p)
-        record = _store.setdefault(f, {})[p] = _Local(f, p)
-        _ages.append(record)
+        record = _store[f, p] = _Local()
     return record
 
 
-def _grow(record: _Local, nbytes: int) -> None:
-    """Count nbytes more in a stored record, then evict down to _STORE_BYTES.
-    A record evicted while it is built is no longer counted."""
+def _grow(nbytes: int) -> None:
+    """Count nbytes more in the store, and empty it past _STORE_BYTES.  A
+    record being built when the store empties finishes outside it; the next
+    call rebuilds it to equal values and charges."""
     global _stored
-    if record.nbytes is not None:
-        record.nbytes += nbytes
-        _stored += nbytes
-        _evict(_STORE_BYTES)
+    _stored += nbytes
+    if _stored > _STORE_BYTES:
+        _store.clear()
+        _stored = 0
 
 
-def _evict(bound: int) -> None:
-    """Evict whole records, oldest first, while the store holds more than
-    bound bytes (all of them for a bound below 0).  An evicted record
-    rebuilds to equal values and charges."""
-    global _stored
-    while _ages and _stored > bound:
-        old = _ages.popleft()
-        del _store[old.f][old.p]
-        if not _store[old.f]:
-            del _store[old.f]
-        _stored -= old.nbytes
-        old.nbytes = None
-
-
-def _fiber_split(record: _Local, u: tuple[int, ...]) -> tuple[int, int | None, Polynomial | None]:
+def _fiber_split(f: Polynomial, p: int, u: tuple[int, ...]) -> tuple[int, int | None, Polynomial | None]:
     """f(u + p y) = c0 + p^v h(y) on the fiber over a critical residue u.
 
     Returns (c0, v, h), v the full p-valuation of the non-constant part and
     h of unit content and no constant term, or (c0, None, None) when f is
-    constant on the fiber; readers cap v at their level.  Kept in f's record
-    per u.  Since u is critical, v >= 2; a smaller one raises ValueError.
+    constant on the fiber; readers cap v at their level; stored per (f, p, u).
+    Since u is critical, v >= 2; a smaller one raises ValueError.
     """
-    if u not in record.splits:
-        f, p = record.f, record.p
+    splits = _local(f, p).splits
+    if u not in splits:
         g = f.shift_scale(u, p)
         rest = {e: c for e, c in g.terms.items() if any(e)}
         content, v = math.gcd(*rest.values()), 0
@@ -347,14 +327,14 @@ def _fiber_split(record: _Local, u: tuple[int, ...]) -> tuple[int, int | None, P
         if rest and v < 2:
             raise ValueError(f"fiber over {u} is not critical mod {p} (p-valuation {v} < 2)")
         h = Polynomial(g.n, {e: c // p**v for e, c in rest.items()}) if rest else None
-        record.splits[u] = g.constant_term(), v if rest else None, h
-        _grow(record, _ENTRY_BYTES)
-    return record.splits[u]
+        splits[u] = g.constant_term(), v if rest else None, h
+        _grow(_ENTRY_BYTES)
+    return splits[u]
 
 
-def _critical_atoms(record: _Local, m: int):
+def _critical_atoms(f: Polynomial, p: int, m: int):
     """(charges, fibers, residues, weights) of W, the critical-atom
-    distribution of the record's f on Z/p^m (see the module docstring).
+    distribution of f on Z/p^m (see the module docstring).
 
     At m = 1, the atoms are the nonzero entries of the histogram of f mod
     p, in the narrowest dtypes that hold p - 1 and p^n, and ``fibers`` is
@@ -364,15 +344,14 @@ def _critical_atoms(record: _Local, m: int):
     weight p^((m-1)n)), in int64 arrays unless a weight or a*r could
     overflow (then exact Python ints).  At every level the residues are
     sorted, distinct and reduced mod p^m.
-    Kept in f's record per m, beside the critical residues and each split;
-    ``charges`` lists the build's (points, what) budget charges, which a hit
-    replays in order, as a residues hit does its n p^n.
+    Kept in the record of (f, p) per m, beside the critical residues and
+    each split; ``charges`` lists the build's (points, what) budget charges,
+    which a hit replays in order, as a residues hit does its n p^n.
     """
+    record = _local(f, p)
     if m in record.atoms:
-        enumeration.default_workers()  # refuses a bad IGUSA_WORKERS, as a build does
         enumeration._charge_each(record.atoms[m][0])
         return record.atoms[m]
-    f, p = record.f, record.p
     n, q = f.n, p**m
     if m == 1:
         hist = enumeration.residue_histogram(f, p, p)
@@ -383,19 +362,18 @@ def _critical_atoms(record: _Local, m: int):
     else:
         charges = [(n * p**n, "zero-locus enumeration")]
         if record.residues is not None:  # a hit charges like the enumeration
-            enumeration.default_workers()
             enumeration._charge_each(charges)
         else:  # sorted, as tuples of ints
             record.residues = list(map(tuple, enumeration.common_zero_points(list(f.gradient()), p, p).tolist()))
-            _grow(record, _ENTRY_BYTES * len(record.residues))
+            _grow(_ENTRY_BYTES * len(record.residues))
         dtype = np.int64 if p ** (m * n) < 2**63 and q < 2**31 else object
         residues, weights = [np.empty(0, dtype)], [np.empty(0, dtype)]
         for u in record.residues:
-            c0, v, h = _fiber_split(record, u)
+            c0, v, h = _fiber_split(f, p, u)
             v = m if v is None else min(v, m)
             sub_r, sub_w = np.zeros(1, np.int64), np.ones(1, np.int64)
             if v < m:
-                sub_charges, _, sub_r, sub_w = _critical_atoms(_local(h, p), m - v)
+                sub_charges, _, sub_r, sub_w = _critical_atoms(h, p, m - v)
                 charges += sub_charges
             residues.append((c0 % q + p**v * sub_r.astype(dtype)) % q)
             weights.append(p ** ((v - 1) * n) * sub_w.astype(dtype))
@@ -404,35 +382,37 @@ def _critical_atoms(record: _Local, m: int):
         np.add.at(merged, index, np.concatenate(weights))
         entry = (charges, len(record.residues), atoms, merged)
     record.atoms[m] = entry
-    _grow(record, entry[2].nbytes + entry[3].nbytes)
+    _grow(entry[2].nbytes + entry[3].nbytes)
     return entry
 
 
-def _unit_spectrum(record: _Local, m: int, entry) -> np.ndarray:
-    """S for W's atoms ``entry`` on Z/q, q = p^m: the record's, if
-    exp_sum_pruned kept it, else the rfft of W scattered into a dense float64
-    array of length q, raw.  p^(mn) E(q, a) is conj(S[a]) for a <= q/2 and
-    S[q - a] above."""
-    if m in record.spectra:
-        return record.spectra[m][0]
+def _unit_spectrum(f: Polynomial, p: int, m: int, entry) -> np.ndarray:
+    """S for W's atoms ``entry`` on Z/q, q = p^m: the one kept in the record
+    of (f, p), if exp_sum_pruned kept it, else the rfft of W scattered into a
+    dense float64 array of length q, raw.  p^(mn) E(q, a) is conj(S[a]) for
+    a <= q/2 and S[q - a] above."""
+    spectra = _local(f, p).spectra
+    if m in spectra:
+        return spectra[m][0]
     _, _, residues, weights = entry
-    dense = np.zeros(record.p**m)
+    dense = np.zeros(p**m)
     dense[residues.astype(np.int64)] = weights.astype(np.float64)
     return np.fft.rfft(dense)
 
 
-def _pruned(record: _Local, m: int, a: int) -> ExpSumValue:
-    """exp_sum_pruned at the record's (f, p), level m and unit a."""
-    q, total = record.p**m, record.p ** (m * record.f.n)
-    entry = charges, fibers, residues, weights = _critical_atoms(record, m)
-    if m not in record.spectra:
+def _pruned(f: Polynomial, p: int, m: int, a: int) -> ExpSumValue:
+    """exp_sum_pruned at (f, p), level m and unit a."""
+    q, total = p**m, p ** (m * f.n)
+    spectra = _local(f, p).spectra
+    entry = charges, fibers, residues, weights = _critical_atoms(f, p, m)
+    if m not in spectra:
         if q > min(sum(points for points, _ in charges), _SPECTRUM_CAP):
             value, err = _phase_sum(residues, weights, q, a, total)
             return ExpSumValue(value, abs(value), err, fiber_count=fibers)
         err = 4.0 * _EPS * (residues.size + 1 + math.log2(q)) * float(weights.sum() / total)
-        record.spectra[m] = _unit_spectrum(record, m, entry), err
-        _grow(record, record.spectra[m][0].nbytes)
-    spectrum, err = record.spectra[m]
+        spectra[m] = _unit_spectrum(f, p, m, entry), err
+        _grow(spectra[m][0].nbytes)
+    spectrum, err = spectra[m]
     value = complex(spectrum[a].conjugate() if 2 * a <= q else spectrum[q - a]) / total
     return ExpSumValue(value, abs(value), err, fiber_count=fibers)
 
@@ -442,7 +422,7 @@ def exp_sum_pruned(f: Polynomial, chi: AdditiveCharacter) -> ExpSumValue:
     critical residue exists: read off W's spectrum, kept beside the atoms,
     while q = p^m is at most both the points W's build charged and
     _SPECTRUM_CAP; beyond that, one phase pass over the atoms."""
-    return _pruned(_local(f, chi.p), chi.m, chi.unit)
+    return _pruned(f, chi.p, chi.m, chi.unit)
 
 
 def crt_units(N: int, a: int) -> list[tuple[int, int, int]]:
@@ -461,9 +441,8 @@ def exp_sum_composite(f: Polynomial, N: int, a: int = 1) -> ExpSumValue:
         return one
     value = 1 + 0j
     err = 0.0
-    records = _store.get(f, {})  # f is hashed once
     for p, m, unit in crt_units(N, a):
-        part = _pruned(_local(f, p, records), m, unit)
+        part = _pruned(f, p, m, unit)
         err = err * part.abs + abs(value) * part.err_bound + err * part.err_bound + _EPS
         value *= part.value
     return ExpSumValue(value, abs(value), err)

@@ -83,8 +83,10 @@ def _charge(points: int, what: str) -> None:
 
 
 def _charge_each(charges) -> None:
-    """Charge each (points, what) in order, against one read of the budget."""
+    """Check IGUSA_WORKERS, then charge each (points, what) in order against one
+    read of the budget, so that a replayed charge refuses what its build would."""
     global _consumed
+    default_workers()
     budget = enumeration_budget()
     for points, what in charges:
         if points > budget:

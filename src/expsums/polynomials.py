@@ -53,10 +53,11 @@ class Polynomial:
 
     Term dicts are canonical: no zero coefficients, keys iterated in descending
     graded-lex order; do not mutate ``terms``.  Equality and hashing are by
-    value, which keys charsums' store of per-(f, p) results.
+    value, which keys charsums' store of per-(f, p) results; the hash is
+    computed on first use and cached.
     """
 
-    __slots__ = ("n", "terms")
+    __slots__ = ("n", "terms", "_hash")
 
     def __init__(self, n: int, terms: Mapping[Exponent, int] | None = None):
         if n < 1:
@@ -75,6 +76,7 @@ class Polynomial:
         ordered = dict(sorted(clean.items(), key=lambda kv: _grlex_key(kv[0]), reverse=True))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "terms", ordered)
+        object.__setattr__(self, "_hash", None)  # set on first use
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -129,7 +131,9 @@ class Polynomial:
         )
 
     def __hash__(self) -> int:
-        return hash((self.n, frozenset(self.terms.items())))
+        if self._hash is None:
+            object.__setattr__(self, "_hash", hash((self.n, frozenset(self.terms.items()))))
+        return self._hash
 
     # -- arithmetic --------------------------------------------------------
 

@@ -25,7 +25,8 @@ from .polynomials import Polynomial
 def _fmt_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
         raise ValueError(f"non-finite float {x} cannot be serialized")
-    return format(x, ".17g")
+    text = format(x, ".17g")
+    return "-0.0" if text == "-0" else text  # "-0" would read back as the int 0
 
 
 def to_jsonable(obj: Any) -> Any:

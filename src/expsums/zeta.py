@@ -27,7 +27,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import enumeration
-from .charsums import _fiber_split, _local, _require_prime
+from .charsums import _fiber_split, _require_prime
 from .polynomials import Polynomial
 
 
@@ -116,9 +116,8 @@ def _zero_counts(f: Polynomial, p: int, m: int, t: int = 0) -> list[int]:
     counts[1] += deep.shape[0] * p**n
     if m == 2:
         return counts
-    record = _local(f, p)
     for u in map(tuple, deep.tolist()):
-        c0, v, h = _fiber_split(record, u)
+        c0, v, h = _fiber_split(f, p, u)
         v = m if v is None else min(v, m)
         for k in range(3, v + 1):
             if (c0 - t) % p**k == 0:

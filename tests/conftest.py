@@ -12,12 +12,25 @@ import math
 from fractions import Fraction
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import settings
 
-from expsums import Polynomial, enumeration
+from expsums import Polynomial, charsums, enumeration
 
 settings.register_profile("suite", max_examples=30, deadline=None, derandomize=True)
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def empty_store():
+    """Empties charsums' store of per-(f, p) results, and again at each call
+    of the returned function, so that a cold run starts cold."""
+    def empty():
+        charsums._store.clear()
+        charsums._stored = 0
+
+    empty()
+    return empty
 
 
 def brute_exp_sum(f: Polynomial, modulus: int, a: int = 1) -> complex:

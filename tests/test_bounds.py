@@ -13,7 +13,7 @@ from expsums import (
     parse_polynomial,
 )
 from expsums.bounds import _max_abs_over_units
-from expsums.charsums import _critical_atoms, _local, _phase_sum
+from expsums.charsums import _critical_atoms, _phase_sum
 from expsums.corpus import standard_corpus
 
 
@@ -97,7 +97,7 @@ class TestUnitSupremum:
             for p in (2, 3, 5, 7):
                 for m in range(1, 5):
                     q, total = p**m, p ** (m * f.n)
-                    _, _, residues, weights = _critical_atoms(_local(f, p), m)
+                    _, _, residues, weights = _critical_atoms(f, p, m)
                     best = max(abs(_phase_sum(residues, weights, q, a, total)[0])
                                for a in range(1, q) if a % p)
                     share = float(weights.sum() / total)

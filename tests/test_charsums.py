@@ -2,6 +2,7 @@ import copy
 import itertools
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -132,7 +133,7 @@ class TestPruned:
     def test_noncritical_fiber_rejected(self):
         # x1 has no critical point mod 3, so the fiber over 0 carries only p^1
         with pytest.raises(ValueError, match="not critical"):
-            _fiber_split(_local(parse_polynomial("x1"), 3), (0,))
+            _fiber_split(parse_polynomial("x1"), 3, (0,))
 
     def test_conductor_one_falls_through(self):
         f = parse_polynomial("x1^2")
@@ -178,7 +179,7 @@ class TestPruned:
         v = exp_sum_pruned(f, AdditiveCharacter(7, 6, 3))
         assert abs(v.value - 2.1063444842276643e-13) <= 1e-14 * 2.1063444842276643e-13
         # at m = 10 the one atom, at 0, weighs 7^25 > 2^63 itself
-        _, fibers, residues, weights = _critical_atoms(_local(f, 7), 10)
+        _, fibers, residues, weights = _critical_atoms(f, 7, 10)
         assert (fibers, list(residues), list(weights)) == (1, [0], [7**25])
         v = exp_sum_pruned(f, AdditiveCharacter(7, 10, 3))
         assert abs(v.value - 7.0**-25) <= 1e-14 * 7.0**-25
@@ -188,7 +189,7 @@ class TestPruned:
         # 15 atoms were congruent mod 7^5
         f = parse_polynomial("x1^3+x2^3+x1*x2")
         for (p, m), size in [((5, 3), None), ((7, 5), 14)]:
-            _, _, residues, _ = _critical_atoms(_local(f, p), m)
+            _, _, residues, _ = _critical_atoms(f, p, m)
             assert residues[0] >= 0 and residues[-1] < p**m
             assert all(int(b) > int(a) for a, b in zip(residues, residues[1:]))
             assert size is None or residues.size == size
@@ -199,14 +200,14 @@ class TestPruned:
 
     def test_level_one_atoms_are_narrow(self):
         f = parse_polynomial("x1^2+x2^3")
-        _, fibers, residues, weights = _critical_atoms(_local(f, 7), 1)
+        _, fibers, residues, weights = _critical_atoms(f, 7, 1)
         hist = enumeration.residue_histogram(f, 7, 7)
         assert fibers is None
         assert (residues.dtype, weights.dtype) == (np.uint8, np.uint8)
         assert residues.tolist() == np.flatnonzero(hist).tolist()
         assert weights.tolist() == hist[hist > 0].tolist()
 
-    def test_history_independence(self, monkeypatch):
+    def test_history_independence(self, monkeypatch, empty_store):
         text, chi = "x1^3+x1*x2+x2^2", AdditiveCharacter(3, 3, 2)
 
         def metered(f, chi):
@@ -214,7 +215,6 @@ class TestPruned:
             v = exp_sum_pruned(f, chi)
             return v, enumeration.meter_consumed() - before
 
-        charsums._evict(-1)
         fresh, fresh_points = metered(parse_polynomial(text), chi)
         primed = parse_polynomial(text)
         for p, m, a in [(3, 1, 1), (3, 2, 1), (2, 3, 3), (3, 3, 1), (3, 3, 5)]:
@@ -234,7 +234,7 @@ class TestPruned:
 
         monkeypatch.setenv("IGUSA_BUDGET", "17")
         warm = refused(primed)
-        charsums._evict(-1)
+        empty_store()
         assert warm == refused(parse_polynomial(text)) == (
             18, 17, "zero-locus enumeration needs 18 points, budget is 17")
 
@@ -255,7 +255,7 @@ class TestUnitSpectrum:
                         continue
                     spectra += 1
                     q, total = p**m, p ** (m * f.n)
-                    _, _, residues, weights = _critical_atoms(_local(f, p), m)
+                    _, _, residues, weights = _critical_atoms(f, p, m)
                     for a in range(1, q):
                         if a % p:
                             got = exp_sum_pruned(f, AdditiveCharacter(p, m, a))
@@ -305,7 +305,7 @@ class TestUnitSpectrum:
             exp_sum_pruned(f, AdditiveCharacter(p, m, a))
         assert calls == []
 
-    def test_hit_replays_charges_like_a_miss(self, monkeypatch):
+    def test_hit_replays_charges_like_a_miss(self, monkeypatch, empty_store):
         # x1^2+x2^3 at (5, 3) charges 50 zero-locus points, then 25 for the
         # fiber's level-1 histogram; the budget 30 lies between the two
         text, chi = "x1^2+x2^3", AdditiveCharacter(5, 3, 2)
@@ -321,7 +321,7 @@ class TestUnitSpectrum:
 
         monkeypatch.setenv("IGUSA_BUDGET", "30")
         warm = refused(primed)
-        charsums._evict(-1)
+        empty_store()
         assert warm == refused(parse_polynomial(text)) == (
             "zero-locus enumeration needs 50 points, budget is 30", 0)
 
@@ -352,14 +352,14 @@ class TestFiberMemo:
                             lambda g, base, scale: splits.append((g, tuple(base))) or shift(g, base, scale))
         return grads, loci, splits
 
-    def test_one_locus_and_one_split_per_fiber(self, monkeypatch):
+    def test_one_locus_and_one_split_per_fiber(self, monkeypatch, empty_store):
         # a homogeneous f has f(p y) = p^d f(y), so the fiber over u = 0
         # gives back h = f: in value, it reads f's own record, where an
         # object key enumerated 4, 3 and 4 loci
         grads, loci, splits = self.recorded(monkeypatch)
         for text, p, top, enumerations in [("x1^3+x2^3+x3^3", 7, 12, 1), ("x1^4+x2^4+x3^4", 5, 12, 1),
                                            ("x1^3+x1^2*x2+x2^3", 3, 6, 3)]:
-            charsums._evict(-1)
+            empty_store()
             f = parse_polynomial(text)
             del grads[:], loci[:], splits[:]
             for m in range(2, top + 1):
@@ -373,19 +373,20 @@ class TestFiberMemo:
         f = parse_polynomial("x1^3+x2^3+x1*x2")
         exp_sum_pruned(f, AdditiveCharacter(5, 3, 1))
         record = _local(f, 5)
-        assert _local(copy.copy(f), 5) is record is _local(parse_polynomial(str(f)), 5)
+        for g in (copy.copy(f), pickle.loads(pickle.dumps(f)), parse_polynomial(str(f))):
+            assert hash(g) == hash(f) and _local(g, 5) is record
         assert _local(f, 7) is not record
 
-    def test_a_spectrum_leaves_the_atoms_a_fiber_reads(self):
+    def test_a_spectrum_leaves_the_atoms_a_fiber_reads(self, empty_store):
         # level 1 keeps its spectrum; at level 4 the fiber over u = 0 is f
         # itself (v = 3), whose level 1 atoms W must still read
         for text in ["x1^3+x2^3+x3^3", "x1^3+x2^3"]:
-            charsums._evict(-1)
+            empty_store()
             f = parse_polynomial(text)
             exp_sum_pruned(f, AdditiveCharacter(7, 1, 1))
             assert 1 in _local(f, 7).spectra
             warm = exp_sum_pruned(f, AdditiveCharacter(7, 4, 3))
-            charsums._evict(-1)
+            empty_store()
             cold = exp_sum_pruned(f, AdditiveCharacter(7, 4, 3))
             assert sorted(_local(f, 7).atoms) == [1, 4]  # level 4 built on f's own level 1
             assert (warm.value, warm.err_bound, warm.fiber_count) == (
@@ -393,35 +394,38 @@ class TestFiberMemo:
         naive = exp_sum_naive(f, AdditiveCharacter(7, 4, 3))  # 7^8 points
         assert abs(warm.value - naive.value) <= warm.err_bound + naive.err_bound
 
-    def test_eviction_drops_whole_records_that_rebuild_equal(self, monkeypatch):
+    def test_the_store_empties_past_its_bound(self, monkeypatch, empty_store):
         f, g, chi = parse_polynomial("x1^3+x1*x2+x2^2"), parse_polynomial("x1^2+x2^3"), AdditiveCharacter(3, 3, 2)
 
         def metered(f):
             before = enumeration.meter_consumed()
             v = exp_sum_pruned(f, chi)
+            assert charsums._stored <= charsums._STORE_BYTES
             return v.value, v.err_bound, v.fiber_count, enumeration.meter_consumed() - before
 
-        charsums._evict(-1)
         cold = metered(f)
         old = _local(f, 3)
         assert 3 in old.atoms and 3 in old.spectra
+        bound = charsums._STORE_BYTES
         monkeypatch.setattr(charsums, "_STORE_BYTES", charsums._stored + 1)
-        metered(g)  # past the bound: the oldest record, f's, goes first
-        assert _local(f, 3) is not old and charsums._stored <= charsums._STORE_BYTES
+        metered(g)  # past the bound: the whole store empties, f's record too
+        assert (f, 3) not in charsums._store and (g, 3) in charsums._store
+        monkeypatch.setattr(charsums, "_STORE_BYTES", bound)
         assert metered(f) == cold
         new = _local(f, 3)
+        assert new is not old
         assert new.atoms[3][:2] == old.atoms[3][:2] and new.spectra[3][1] == old.spectra[3][1]
         for a, b in [(new.atoms[3][2], old.atoms[3][2]), (new.atoms[3][3], old.atoms[3][3]),
                      (new.spectra[3][0], old.spectra[3][0])]:
             assert a.dtype == b.dtype and np.array_equal(a, b)
-        # a bound of 0 evicts every record while it is built
-        charsums._evict(-1)
+        # at a bound of 0 the store empties at every entry, records being
+        # built finish outside it, and the run still equals the cold one
+        empty_store()
         monkeypatch.setattr(charsums, "_STORE_BYTES", 0)
         assert metered(f) == cold and not charsums._store and charsums._stored == 0
 
-    def test_counts_reuse_the_sums_splits(self, monkeypatch):
+    def test_counts_reuse_the_sums_splits(self, monkeypatch, empty_store):
         # the counts read the sums' splits, and the h objects they hold
-        charsums._evict(-1)
         f = parse_polynomial("x1^2+x2^3")
         _, _, splits = self.recorded(monkeypatch)
         for m in range(2, 6):
@@ -431,7 +435,7 @@ class TestFiberMemo:
         keys = [(id(g), u) for g, u in splits]
         assert len(keys) == len(set(keys)) and shared > 1
 
-    def test_history_independence_across_sums_and_counts(self, monkeypatch):
+    def test_history_independence_across_sums_and_counts(self, monkeypatch, empty_store):
         text, p, m = "x1^3+x1^2*x2+x2^3", 3, 5
 
         def sums(f):
@@ -452,27 +456,26 @@ class TestFiberMemo:
             return str(info.value), enumeration.meter_consumed() - before
 
         for first, second in [(sums, counts), (counts, sums)]:
-            charsums._evict(-1)
+            empty_store()
             cold = metered(second, parse_polynomial(text))
-            charsums._evict(-1)
+            empty_store()
             warm = parse_polynomial(text)
             metered(first, warm)
             assert metered(second, warm) == cold and cold[1] > 0
         # the sums charge 18 zero-locus points first, the counts 9 grid points
         for budget, first, second in [(17, counts, sums), (8, sums, counts)]:
-            charsums._evict(-1)
+            empty_store()
             warm = parse_polynomial(text)
             first(warm)
             monkeypatch.setenv("IGUSA_BUDGET", str(budget))
             primed = refused(second, warm)
-            charsums._evict(-1)
+            empty_store()
             assert primed == refused(second, parse_polynomial(text))
             monkeypatch.delenv("IGUSA_BUDGET")
 
-    def test_workers_checked_on_a_level_built_from_memo(self, monkeypatch):
+    def test_workers_checked_on_a_level_built_from_memo(self, monkeypatch, empty_store):
         # x1^3 at p = 3: the one fiber has v = 3, so level 3 needs no sub-W;
         # its locus and split come from the level 2 build
-        charsums._evict(-1)
         f = parse_polynomial("x1^3")
         exp_sum_pruned(f, AdditiveCharacter(3, 2, 1))
         record = _local(f, 3)
@@ -480,6 +483,17 @@ class TestFiberMemo:
         monkeypatch.setenv("IGUSA_WORKERS", "0")
         with pytest.raises(ValueError, match="worker count must be positive"):
             exp_sum_pruned(f, AdditiveCharacter(3, 3, 1))
+
+    def test_workers_checked_on_a_spectrum_hit(self, monkeypatch):
+        # a hit read off a kept spectrum runs no block; only its replayed
+        # charges see IGUSA_WORKERS
+        f = parse_polynomial("x1^2")
+        exp_sum_pruned(f, AdditiveCharacter(5, 1, 1))
+        assert 1 in _local(f, 5).spectra
+        monkeypatch.setenv("IGUSA_WORKERS", "0")
+        for call in [lambda: exp_sum_pruned(f, AdditiveCharacter(5, 1, 2)), lambda: exp_sum_composite(f, 5, 3)]:
+            with pytest.raises(ValueError, match="worker count must be positive"):
+                call()
 
     def test_composite_p_leaves_no_memo_entry(self):
         f = parse_polynomial("x1^2+x2^3")
@@ -660,7 +674,7 @@ class TestDirect:
         B = math.isqrt(N - 1) + 1
         assert len(enumeration._box_chunks((-(-N // B), B))) > 1
         assert p > charsums._SPECTRUM_CAP
-        assert len(enumeration._box_chunks(_critical_atoms(_local(f, p), 1)[2].shape)) > 1
+        assert len(enumeration._box_chunks(_critical_atoms(f, p, 1)[2].shape)) > 1
         root = Path(__file__).resolve().parent.parent
         code = ("from expsums import AdditiveCharacter, exp_sum_direct, exp_sum_pruned\n"
                 "from expsums import parse_polynomial as P\n"

@@ -1,5 +1,6 @@
 import argparse
 import json
+import math
 import os
 import re
 import time
@@ -578,6 +579,13 @@ class TestSerialization:
     def test_float_17_digits(self):
         text = dumps_json({"x": 1 / 3})
         assert "0.33333333333333331" in text
+
+    def test_negative_zero_round_trips(self):
+        # "-0" would read back as the int 0 and lose the sign
+        x = json.loads(dumps_json({"x": -0.0}))["x"]
+        assert isinstance(x, float) and math.copysign(1.0, x) == -1.0
+        assert "x,-0.0" in dumps_csv({"x": -0.0}).splitlines()
+        assert dumps_json({"x": 0.0}) == '{\n  "x": 0\n}\n'  # positive zero keeps its bytes
 
     def test_csv_header_and_paths(self):
         text = dumps_csv({"a": {"b": [1, 2]}, "c": None})

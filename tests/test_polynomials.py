@@ -355,14 +355,18 @@ class TestArcExpansion:
 class TestArithmetic:
     def test_immutability(self):
         f = parse_polynomial("x1")
-        with pytest.raises(AttributeError):
-            f.n = 3
+        for _ in range(2):  # before and after hash(f) caches the hash
+            for name in ("n", "terms", "_hash", "other"):
+                with pytest.raises(AttributeError, match="immutable"):
+                    setattr(f, name, 3)
+            hash(f)
+        assert f.n == 1 and hash(f) == hash(parse_polynomial("x1"))
 
     def test_copy_and_pickle_keep_the_value(self):
         f = parse_polynomial("x1^3+x2^3+x1*x2")
         exp_sum_pruned(f, AdditiveCharacter(5, 3))
-        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f))):
-            assert g == f and list(g.terms) == list(f.terms)
+        for g in (copy.copy(f), copy.deepcopy(f), pickle.loads(pickle.dumps(f)), parse_polynomial(str(f))):
+            assert g == f and list(g.terms) == list(f.terms) and hash(g) == hash(f)
 
     def test_pow(self):
         f = parse_polynomial("x1 + 1")
