@@ -1,19 +1,21 @@
 #!/usr/bin/env python3
 """Print |E| across conductors and primes for a polynomial, next to the
-proven and conjectural decay rates.
+proven and conjectural decay rates: a table of the `expsums verify` report,
+whose flags (here defaulting to --primes 5,7,11 --max-m 4), budget and exit
+codes it takes.
 
 Usage:
     python scripts/decay_grid.py --poly "x1^3+x2^3" --primes 5,7,11 --max-m 5
     python scripts/decay_grid.py --family-demo   # the x1^3 + p^m x2^3 family
 """
 
-import argparse
+import math
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from expsums import AdditiveCharacter, decay_fit, estimate_s, exp_sum_pruned, parse_polynomial
+from expsums import AdditiveCharacter, cli, exp_sum_pruned, parse_polynomial
 
 
 def family_demo() -> None:
@@ -28,40 +30,35 @@ def family_demo() -> None:
         print(f"{m:>3} {val.abs:>14.10f} {closed:>14.10f}")
 
 
-def main() -> int:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("--poly")
-    ap.add_argument("--primes", default="5,7,11")
-    ap.add_argument("--max-m", type=int, default=4)
-    ap.add_argument("--s", type=int, default=None)
-    ap.add_argument("--family-demo", action="store_true")
-    args = ap.parse_args()
-    if args.family_demo:
+def main(argv: list[str]) -> int:
+    if "--family-demo" in argv:
         family_demo()
         return 0
-    if not args.poly:
-        ap.error("--poly required unless --family-demo")
-    f = parse_polynomial(args.poly)
-    primes = [int(p) for p in args.primes.split(",")]
-    s_val = args.s
-    if s_val is None:
-        fit_primes = primes if len(primes) >= 3 else [5, 7, 11, 13]
-        s_val = estimate_s(f, fit_primes).effective_s
-        print(f"fitted s = {s_val}")
-    for p in primes:
-        fit = decay_fit(f, p, range(1, args.max_m + 1), s_val)
-        print(f"\np = {p}: sigma_proven = {fit.sigma_theorem}, "
+    try:
+        cfg = cli.build_config(["verify", "--primes", "5,7,11", "--max-m", "4", *argv])
+    except ValueError as exc:  # a bad --primes list
+        sys.stderr.write(f"error: {exc}\n")
+        return cli.EXIT_PRECONDITION
+    if cfg.out or cfg.self_test:  # a report file, or a report with no fits
+        sys.stderr.write("error: --out and --self-test are not table flags; run expsums verify\n")
+        return cli.EXIT_PRECONDITION
+    code, report = cli.run(cfg)
+    if "error" in report:
+        sys.stderr.write(f"error: {report['error']['message']}\n")
+        return code
+    if report["params"]["s_provenance"] == "fitted":
+        print(f"fitted s = {report['params']['s']}")
+    for fit in report["result"]["fits"]:
+        print(f"\np = {fit.p}: sigma_proven = {fit.sigma_theorem}, "
               f"sigma_target = {fit.sigma_conjecture}, verdict = {fit.verdict.value}")
         print(f"{'m':>3} {'|E|':>14} {'-log_p|E|/m':>12}")
-        import math
-
         for m, v in fit.samples:
-            rate = "-" if v <= 1e-12 else f"{-math.log(v) / math.log(p) / m:.4f}"
+            rate = "-" if m in fit.zeros else f"{-math.log(v) / math.log(fit.p) / m:.4f}"
             print(f"{m:>3} {v:>14.10f} {rate:>12}")
         if fit.fitted_beta is not None:
             print(f"fitted decay slope: {fit.fitted_beta:.4f}")
-    return 0
+    return code
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))

@@ -9,9 +9,10 @@ configurable slack factor (default 16).  Finitely many bad-reduction
 primes are expected and surfaced, never silently asserted.
 
 Both exponents bound sup_a |E(p^m, a)| over the units a.  decay_fit
-measures the unit a = 1, or that supremum over every unit, not a sample:
-W, the critical-atom distribution of f on Z/p^m, is real, so one real FFT
-of the dense W gives |E(p^m, a)| = |E(p^m, p^m - a)| for every a at once.
+measures the unit a = 1, or that supremum over every unit, not a sample
+(charsums._max_abs_over_units): W, the critical-atom distribution of f on
+Z/p^m, is real, so one real FFT of the dense W gives
+|E(p^m, a)| = |E(p^m, p^m - a)| for every a at once.
 """
 
 from __future__ import annotations
@@ -22,17 +23,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
-from . import enumeration
-from .charsums import (
-    AdditiveCharacter,
-    _critical_atoms,
-    _require_prime,
-    _unit_spectrum,
-    exp_sum_pruned,
-    finite_field_sum,
-)
+from .charsums import AdditiveCharacter, _max_abs_over_units, exp_sum_pruned, finite_field_sum
 from .geometry import _ls_slope, critical_count, estimate_s, exponent_sheet
 from .polynomials import Polynomial
 
@@ -81,26 +72,6 @@ class GapReport:
     flagged: list[int] = field(default_factory=list)  # primes with negative gap
 
 
-def _max_abs_over_units(f: Polynomial, p: int, m: int) -> float:
-    """sup over the units a mod q = p^m of |E(q, a)|, from W's spectrum.
-
-    |S[a]| = p^(mn) |E(q, a)| for S = charsums._unit_spectrum (the one that
-    exp_sum_pruned kept in the store's record of (f, p), if it did), and
-    a <= q/2 covers every unit up to the mirror a -> q - a.  q points are
-    charged to the budget before anything is allocated.  The result is
-    within 4 eps log2(q) times the atoms' share of the p^(mn) points
-    (measured: under 0.7 of that on the corpus and at primes up to 2999).
-    """
-    _require_prime(p)
-    q = p**m
-    if q >= enumeration._MAX_MODULUS:
-        raise ValueError(f"modulus {q} too large for the unit spectrum")
-    enumeration._charge(q, "unit spectrum")
-    mags = np.abs(_unit_spectrum(f, p, m, _critical_atoms(f, p, m)))
-    mags[::p] = 0.0  # a = 0 and the other non-units
-    return float(mags.max()) / p ** (m * f.n)
-
-
 def decay_fit(
     f: Polynomial,
     p: int,
@@ -112,7 +83,7 @@ def decay_fit(
     """Measure |E| across conductors and fit the decay slope.
 
     |E| is |E(p^m, 1)|, or with max_units the supremum over every unit mod
-    p^m (_max_abs_over_units).  slack must be positive and finite.
+    p^m (charsums._max_abs_over_units).  slack must be positive and finite.
 
     fitted_beta is the least-squares slope of -log_p|E| against m over the
     nonzero samples, reported only when at least three exist.  Values at

@@ -39,7 +39,8 @@ Four evaluation routes:
                         charges, so nothing depends on call history.  While
                         p^m is at most both the points W's build charged and
                         _SPECTRUM_CAP, the record also keeps W's real FFT,
-                        one lookup per unit.
+                        one lookup per unit, or all at once for the
+                        supremum over units (_max_abs_over_units).
                         Valid for every prime, including p = 2 and 3.
 * exp_sum_composite  -- the product over prime powers dividing N, with the
                         per-factor units fixed by 1/N = sum_i u_i / q_i
@@ -74,6 +75,7 @@ from .polynomials import Polynomial
 _EPS = sys.float_info.epsilon
 
 _SPECTRUM_CAP = 1 << 20  # the longest spectrum of W the store keeps
+_FLOAT_OVERFLOW = 2**1024 - 2**970  # the least int float() rounds past the float range
 
 
 @dataclass(frozen=True)
@@ -386,42 +388,69 @@ def _critical_atoms(f: Polynomial, p: int, m: int):
     return entry
 
 
-def _unit_spectrum(f: Polynomial, p: int, m: int, entry) -> np.ndarray:
-    """S for W's atoms ``entry`` on Z/q, q = p^m: the one kept in the record
-    of (f, p), if exp_sum_pruned kept it, else the rfft of W scattered into a
-    dense float64 array of length q, raw.  p^(mn) E(q, a) is conj(S[a]) for
-    a <= q/2 and S[q - a] above."""
+def _total(f: Polynomial, p: int, m: int) -> int:
+    """p^(mn), which a sum at level m divides by; a ValueError past floats."""
+    total = p ** (m * f.n)
+    if total >= _FLOAT_OVERFLOW:
+        raise ValueError(f"p^(mn) = {p}^{m * f.n} is past the float range")
+    return total
+
+
+def _unit_spectrum(f: Polynomial, p: int, m: int, entry, always: bool = False):
+    """(S, err) for W's atoms ``entry`` on Z/q, q = p^m: S, the raw rfft of
+    W made dense, gives p^(mn) E(q, a) as conj(S[a]) for a <= q/2 and S[q - a]
+    above, within err.  Kept in the record of (f, p) while q is at most both
+    the points W's build charged and _SPECTRUM_CAP; past that None, or with
+    ``always`` built and not kept."""
     spectra = _local(f, p).spectra
     if m in spectra:
-        return spectra[m][0]
-    _, _, residues, weights = entry
-    dense = np.zeros(p**m)
+        return spectra[m]
+    charges, _, residues, weights = entry
+    q = p**m
+    keep = q <= min(sum(points for points, _ in charges), _SPECTRUM_CAP)
+    if not (keep or always):
+        return None
+    dense = np.zeros(q)
     dense[residues.astype(np.int64)] = weights.astype(np.float64)
-    return np.fft.rfft(dense)
+    share = float(weights.sum() / p ** (m * f.n))
+    pair = np.fft.rfft(dense), 4.0 * _EPS * (residues.size + 1 + math.log2(q)) * share
+    if keep:
+        spectra[m] = pair
+        _grow(pair[0].nbytes)
+    return pair
 
 
 def _pruned(f: Polynomial, p: int, m: int, a: int) -> ExpSumValue:
     """exp_sum_pruned at (f, p), level m and unit a."""
-    q, total = p**m, p ** (m * f.n)
-    spectra = _local(f, p).spectra
-    entry = charges, fibers, residues, weights = _critical_atoms(f, p, m)
-    if m not in spectra:
-        if q > min(sum(points for points, _ in charges), _SPECTRUM_CAP):
-            value, err = _phase_sum(residues, weights, q, a, total)
-            return ExpSumValue(value, abs(value), err, fiber_count=fibers)
-        err = 4.0 * _EPS * (residues.size + 1 + math.log2(q)) * float(weights.sum() / total)
-        spectra[m] = _unit_spectrum(f, p, m, entry), err
-        _grow(spectra[m][0].nbytes)
-    spectrum, err = spectra[m]
-    value = complex(spectrum[a].conjugate() if 2 * a <= q else spectrum[q - a]) / total
+    q, total = p**m, _total(f, p, m)
+    entry = _, fibers, residues, weights = _critical_atoms(f, p, m)
+    if (kept := _unit_spectrum(f, p, m, entry)) is None:
+        value, err = _phase_sum(residues, weights, q, a, total)
+    else:
+        spectrum, err = kept
+        value = complex(spectrum[a].conjugate() if 2 * a <= q else spectrum[q - a]) / total
     return ExpSumValue(value, abs(value), err, fiber_count=fibers)
+
+
+def _max_abs_over_units(f: Polynomial, p: int, m: int) -> float:
+    """sup over the units a mod q = p^m of |E(q, a)|: the largest |S[a]|,
+    a <= q/2, of W's spectrum S (_unit_spectrum), charged q points first.
+    Within 4 eps log2(q) times the atoms' share of the p^(mn) points
+    (measured: under 0.7 of that on the corpus and at primes up to 2999)."""
+    _require_prime(p)
+    q = p**m
+    if q >= enumeration._MAX_MODULUS:
+        raise ValueError(f"modulus {q} too large for the unit spectrum")
+    enumeration._charge(q, "unit spectrum")
+    mags = np.abs(_unit_spectrum(f, p, m, _critical_atoms(f, p, m), always=True)[0])
+    mags[::p] = 0.0  # a = 0 and the other non-units
+    return float(mags.max()) / _total(f, p, m)
 
 
 def exp_sum_pruned(f: Polynomial, chi: AdditiveCharacter) -> ExpSumValue:
     """E from the critical-atom distribution W of f at (p, m), exact 0 when no
-    critical residue exists: read off W's spectrum, kept beside the atoms,
-    while q = p^m is at most both the points W's build charged and
-    _SPECTRUM_CAP; beyond that, one phase pass over the atoms."""
+    critical residue exists: read off W's spectrum while the store keeps one
+    (_unit_spectrum), else one phase pass over the atoms."""
     return _pruned(f, chi.p, chi.m, chi.unit)
 
 

@@ -12,8 +12,7 @@ from expsums import (
     exponent_sheet,
     parse_polynomial,
 )
-from expsums.bounds import _max_abs_over_units
-from expsums.charsums import _critical_atoms, _phase_sum
+from expsums.charsums import _critical_atoms, _max_abs_over_units, _phase_sum
 from expsums.corpus import standard_corpus
 
 

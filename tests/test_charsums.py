@@ -184,6 +184,24 @@ class TestPruned:
         v = exp_sum_pruned(f, AdditiveCharacter(7, 10, 3))
         assert abs(v.value - 7.0**-25) <= 1e-14 * 7.0**-25
 
+    @pytest.mark.parametrize("text, p, m", [("x1^2+x2^2", 2, 511), ("x1^3+x2^3+x3^3", 7, 121)])
+    def test_sums_past_the_float_range_refused(self, text, p, m, empty_store):
+        # one level up p^(mn) is past 2^1024: dividing by it raised OverflowError
+        f = parse_polynomial(text)
+        v = exp_sum_pruned(f, AdditiveCharacter(p, m, 1))
+        assert 0 < v.abs < 1 and 0 < v.err_bound < v.abs
+        empty_store()
+        before = enumeration.meter_consumed()
+        with pytest.raises(ValueError, match=rf"p\^\(mn\) = {p}\^{(m + 1) * f.n} is past the float range"):
+            exp_sum_pruned(f, AdditiveCharacter(p, m + 1, 1))
+        assert charsums._store == {} and enumeration.meter_consumed() == before
+
+    def test_float_range_threshold(self):
+        # the least int that float() rounds past the largest float
+        assert float(charsums._FLOAT_OVERFLOW - 1) == sys.float_info.max
+        with pytest.raises(OverflowError):
+            float(charsums._FLOAT_OVERFLOW)
+
     def test_atoms_are_canonical_residues(self, monkeypatch):
         # c0 % q + p^v r reached 163 >= 125 at (5, 3); at (7, 5) two of the
         # 15 atoms were congruent mod 7^5

@@ -116,6 +116,17 @@ class TestSumCommand:
         assert code == EXIT_PRECONDITION
         assert report["error"]["code"] == "PRECONDITION"
 
+    @pytest.mark.parametrize("argv", [
+        ["sum", "--poly", "x1^2+x2^2", "--p", "2", "--m", "512", "--a", "1"],
+        ["verify", "--poly", "x1^3+x2^3+x3^3", "--primes", "7", "--max-m", "130", "--s", "0"],
+    ], ids=["sum", "verify"])
+    def test_sum_past_the_float_range_is_a_precondition(self, argv):
+        # p^(mn) >= 2^1024 raised an uncaught OverflowError: no report at all
+        code, report = run_cli(argv)
+        assert code == EXIT_PRECONDITION
+        assert report["error"]["code"] == "PRECONDITION"
+        assert "past the float range" in report["error"]["message"]
+
 
 class TestOtherCommands:
     def test_zeta_with_crosscheck(self):
