@@ -14,8 +14,9 @@ Four evaluation routes:
                         exp_sum_composite.  Its histogram mod N is counted
                         through the CRT: #{x mod N : f(x) = r} is the
                         product over q || N of #{x mod q : f(x) = r mod q},
-                        exactly in integers, so it costs sum_q q^n points
-                        plus N multiplies instead of N^n points.  The CRT
+                        exactly in integers, so it is charged sum_q q^n
+                        points, not N^n (each q^n grid sums out a variable
+                        f reads linearly), and N multiplies.  The CRT
                         only counts points: one unit mod N is applied in
                         one phase pass over the whole dense histogram, with
                         no per-factor units, no pruning and no product of

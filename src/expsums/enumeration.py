@@ -15,7 +15,8 @@ circle walk, charsums' phase passes) into blocks of about 2^17 points, so
 a block's accumulator and temporaries stay near the L2 cache.
 Histograms and zero counts enumerate only the variables the polynomials
 read and scale by grid^(free variables); the budget is charged for the
-nominal grid.
+nominal grid.  At grid == modulus, a histogram or one polynomial's zero
+count sums out a variable f reads linearly, exactly (_sum_out_linear).
 
 Budgets: every enumeration is limited to the budget of the CLI run in
 progress (its --budget), else IGUSA_BUDGET, else 10^8 points; there is no
@@ -26,6 +27,7 @@ setting: the thread count is IGUSA_WORKERS capped at os.cpu_count()
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import threading
@@ -44,6 +46,7 @@ DEFAULT_BUDGET = 10**8
 _BLOCK_ELEMS = 1 << 17
 
 _MAX_MODULUS = 2**31  # int64 products of two reduced residues stay exact
+_SPLIT_POINTS = 1 << 13  # on smaller grids the split's numpy calls cost more than it saves
 
 # Points touched since the last reset; CLI reports this per run.
 _consumed = 0
@@ -192,23 +195,25 @@ def _read_axes(polys) -> tuple[int, ...]:
     return read or (0,)
 
 
-def _grid_blocks(polys, grid, modulus, what, step, axes=None) -> list:
+def _grid_blocks(polys, grid, modulus, what, step, axes=None, terms=None, int64=False) -> list:
     """step(values, lo) for each _run_blocks block [lo, hi) x [0, grid)^(k-1)
-    of the grid [0, grid)^k over the variables ``axes`` (default all n; k
-    their number), in block order.
-    values(i) is polys[i] mod modulus on the block, flattened row-major
-    (_block_values); ``axes`` must hold every variable a polynomial reads.
-    Checks the modulus and charges grid^n points per polynomial, for the
-    nominal n, before anything runs; each block builds its own power tables,
-    so the default_workers() threads share no mutable state."""
+    of [0, grid)^k over the variables ``axes`` (default all n; k = 0 is one
+    point), in block order; values(i) is polys[i] (or the term list terms[i],
+    over axes) mod modulus on the block, flattened row-major (_block_values).
+    Checks the modulus, charges grid^n points per polynomial, for the
+    nominal n, and with int64 refuses grid^n from 2^63 on, before anything
+    runs; each block builds its own power tables, so threads share no mutable state."""
     if modulus >= _MAX_MODULUS:
         raise ValueError(f"modulus {modulus} too large for the int64 kernel")
     n = polys[0].n
     _charge(grid**n * len(polys), what)
+    if int64 and grid**n >= 2**63:  # free variables let a budget past 2^63 get here
+        raise ValueError(f"{grid}^{n} points overflow the int64 histogram")
     axes = range(n) if axes is None else axes
-    terms = [_prepare_terms(p, modulus) for p in polys]
-    if len(axes) < n:  # drop the free variables' exponents, all 0
-        terms = [[(tuple([e[j] for j in axes]), c) for e, c in t] for t in terms]
+    if terms is None:
+        terms = [_prepare_terms(p, modulus) for p in polys]
+        if len(axes) < n:  # drop the free variables' exponents, all 0
+            terms = [[(tuple([e[j] for j in axes]), c) for e, c in t] for t in terms]
     inner = (grid,) * (len(axes) - 1)  # a block's shape past its rows
     rest = [np.arange(grid, dtype=np.int64)] * len(inner) if inner else []  # one shared arange
 
@@ -216,46 +221,92 @@ def _grid_blocks(polys, grid, modulus, what, step, axes=None) -> list:
         block = np.ix_(np.arange(lo, hi, dtype=np.int64), *rest)
         return step(lambda i: _block_values(terms[i], block, (hi - lo,) + inner, modulus), lo)
 
-    return _run_blocks(work, [grid] * len(axes))
+    return _run_blocks(work, [grid] * len(axes) or [1])
+
+
+def _tally(length: int):
+    """(add, total): add(keys) counts keys in [0, length) into one int64
+    total under a lock, made by the first block (so a refused call
+    allocates nothing): a block of at least ``length`` keys adds its
+    bincount (the first becomes the total), a smaller one np.add.at's."""
+    total, lock = None, threading.Lock()
+
+    def add(keys):
+        nonlocal total
+        part = np.bincount(keys, minlength=length) if keys.size >= length else None
+        with lock:  # integer addition: the block order does not matter
+            if part is None:
+                if total is None:
+                    total = np.zeros(length, dtype=np.int64)
+                np.add.at(total, keys, 1)
+            elif total is None:
+                total = part
+            else:
+                np.add(total, part, out=total)
+
+    return add, lambda: np.zeros(length, dtype=np.int64) if total is None else total
+
+
+@functools.lru_cache(maxsize=256)
+def _divisors(modulus: int) -> tuple[np.ndarray, np.ndarray]:
+    """(divisors, offsets), read-only: the divisors d of modulus ascending,
+    and where each d's length-d count starts in one tally of them all."""
+    small = [d for d in range(1, math.isqrt(modulus) + 1) if modulus % d == 0]
+    divisors = np.array(sorted({*small, *(modulus // d for d in small)}))
+    offsets = np.cumsum(divisors) - divisors
+    divisors.flags.writeable = offsets.flags.writeable = False
+    return divisors, offsets
+
+
+def _sum_out_linear(f: Polynomial, grid: int, modulus: int, what: str, int64: bool = False):
+    """Sums out x_j, a variable every term of f mod M reads at degree <= 1, at
+    grid == modulus == M if f's variables span _SPLIT_POINTS points; else
+    None, charging nothing.  As x_j runs over Z/M, f = A x_j + B hits each
+    r = B mod g exactly g = gcd(A, M) times, so this returns (parts, scale):
+    (d, C_d) per divisor d of M, C_d[s] = #{x' : g = d, B = s mod d} over the
+    variables A and B read; a count over [0, M)^n is scale = M^(free
+    variables) times one over x'.  Charges like _grid_blocks for f."""
+    if grid != modulus or modulus >= _MAX_MODULUS or grid**f.n < _SPLIT_POINTS:
+        return None
+    terms = _prepare_terms(f, modulus)
+    top = [max(column) for column in zip(*[e for e, _ in terms])]  # each variable's degree
+    if 1 not in top or modulus ** sum(map(bool, top)) < _SPLIT_POINTS:
+        return None
+    j = top.index(1)
+    axes = [i for i, k in enumerate(top) if k and i != j]
+    a_b = [[(tuple([e[i] for i in axes]), c) for e, c in terms if e[j] == k] for k in (1, 0)]
+    divisors, offsets = _divisors(modulus)
+    add, total = _tally(int(divisors.sum()))
+
+    def count(values, lo):
+        g = np.gcd(values(0), modulus)
+        add(offsets[np.searchsorted(divisors, g)] + values(1) % g)
+
+    _grid_blocks([f], grid, modulus, what, count, axes, a_b, int64)
+    parts = [(d, total()[o:o + d]) for d, o in zip(divisors.tolist(), offsets.tolist())]
+    return parts, grid ** (f.n - 1 - len(axes))
 
 
 def residue_histogram(f: Polynomial, grid: int, modulus: int) -> np.ndarray:
     """Exact histogram of f(x) mod modulus over x in [0, grid)^n.
 
     Returns an int64 array of length ``modulus`` whose entries sum to
-    grid^n.  Only the variables f reads are enumerated, and the counts are
-    scaled by grid^(free variables).  Every block counts into one total,
-    made by the first block counted (so a refused call allocates nothing):
-    a block of at least ``modulus`` values adds its bincount (the first
-    such becomes the total), a smaller one counts straight in with
-    np.add.at, so no block's bincount is longer than the block.
+    grid^n.  A linear variable is summed out (_sum_out_linear; C_d tiled over
+    Z/M, weight d), else f's variables are counted into one _tally and
+    scaled by grid^(free variables).
     """
+    if (split := _sum_out_linear(f, grid, modulus, "histogram enumeration", int64=True)) is not None:
+        hist = np.zeros(modulus, dtype=np.int64)
+        for d, counts in split[0]:
+            hist.reshape(-1, d)[...] += counts * (d * split[1])
+        return hist
     axes = _read_axes([f])
-    total = None
-    lock = threading.Lock()
-
-    def add(values, lo):
-        nonlocal total
-        block = values(0)
-        part = np.bincount(block, minlength=modulus) if block.size >= modulus else None
-        with lock:  # integer addition: the block order does not matter
-            if part is None:
-                if total is None:
-                    total = np.zeros(modulus, dtype=np.int64)
-                np.add.at(total, block, 1)
-            elif total is None:
-                total = part
-            else:
-                np.add(total, part, out=total)
-
-    _grid_blocks([f], grid, modulus, "histogram enumeration", add, axes)
-    if grid**f.n >= 2**63:  # free variables let a budget past 2^63 get here
-        raise ValueError(f"{grid}^{f.n} points overflow the int64 histogram")
-    if total is None:
-        total = np.zeros(modulus, dtype=np.int64)
-    elif len(axes) < f.n:
-        total *= grid ** (f.n - len(axes))
-    return total
+    add, total = _tally(modulus)
+    _grid_blocks([f], grid, modulus, "histogram enumeration", lambda values, lo: add(values(0)), axes, int64=True)
+    hist = total()
+    if len(axes) < f.n:
+        hist *= grid ** (f.n - len(axes))
+    return hist
 
 
 def _zero_masks(polys, grid, modulus, what, reduce, skip_free=False) -> tuple[list, int]:
@@ -296,7 +347,9 @@ def common_zero_points(polys: Sequence[Polynomial], grid: int, modulus: int) -> 
 
 
 def count_common_zeros(polys: Sequence[Polynomial], grid: int, modulus: int) -> int:
-    """|{x in [0,grid)^n : every polynomial is 0 mod modulus}|."""
+    """|{x in [0,grid)^n : every polynomial is 0 mod modulus}|; _sum_out_linear may serve one."""
+    if len(polys) == 1 and (split := _sum_out_linear(polys[0], grid, modulus, "zero-count enumeration")):
+        return sum(d * int(counts[0]) for d, counts in split[0]) * split[1]
     counts, scale = _zero_masks(polys, grid, modulus, "zero-count enumeration",
                                 lambda mask, offset: int(mask.sum()), skip_free=True)
     return sum(counts) * scale

@@ -77,8 +77,8 @@ def count_zeros_mod(f: Polynomial, p: int, m: int, method: str = "tree") -> int:
     """|{x mod p^m : f(x) = 0 mod p^m}|.
 
     The default ("tree") recurses on the fibers over the singular zeros
-    mod p (see _zero_counts); method="direct" enumerates the full grid and
-    is the oracle.
+    mod p (see _zero_counts); method="direct" counts the full grid, charged
+    as such, summing out a variable f reads linearly, and is the oracle.
     """
     _require_prime_level(p, m)
     if method == "direct":
@@ -96,36 +96,42 @@ def _zero_counts(f: Polynomial, p: int, m: int, t: int = 0) -> list[int]:
     and the fiber holds p^((k-1)n) zeros mod p^k when k <= v and p^k | c0 - t,
     and p^((v-1)n) times h's N(p^(k-v)) at target (t - c0)/p^v when k > v and
     p^v | c0 - t; else none.  Levels 1 and 2 need only f - t mod p^2, so
-    fibers are split only for m > 2.
+    fibers are split only for m > 2.  The fibers that recurse are walked,
+    in a recursion's order, on an explicit stack of (f, m, t, weight, level
+    offset), since the walk is about m/2 deep.
     """
-    n, g = f.n, (f - t % p if t % p else f)
-    if m == 1:
-        return [enumeration.count_common_zeros([g], p, p)]
-    zeros = enumeration.common_zero_points([g], p, p)
-    # f(u + p e_j) = f(u) + p df/dx_j(u) mod p^2, so f mod p^2 at u and at its
-    # n neighbours tells the singular zeros and which have f(u) = t mod p^2
-    steps = p * np.eye(n + 1, n, -1, dtype=np.int64)  # rows 0, p e_1, ..., p e_n
-    points = (zeros[:, None, :] + steps).reshape(-1, n)
-    enumeration._charge(points.shape[0], "singular-zero test")
-    vals = enumeration.eval_points_mod(f, points, p * p).reshape(-1, n + 1)
-    singular = (vals[:, 1:] == vals[:, :1]).all(axis=1)
-    deep = zeros[singular & (vals[:, 0] == t % (p * p))]
-    n_singular = int(singular.sum())
-    counts = [(zeros.shape[0] - n_singular) * p ** ((k - 1) * (n - 1)) for k in range(1, m + 1)]
-    counts[0] += n_singular
-    counts[1] += deep.shape[0] * p**n
-    if m == 2:
-        return counts
-    for u in map(tuple, deep.tolist()):
-        c0, v, h = _fiber_split(f, p, u)
-        v = m if v is None else min(v, m)
-        for k in range(3, v + 1):
-            if (c0 - t) % p**k == 0:
-                counts[k - 1] += p ** ((k - 1) * n)
-        if v < m and (c0 - t) % p**v == 0:
-            sub = _zero_counts(h, p, m - v, (t - c0) // p**v)
-            for k, count in enumerate(sub, start=v + 1):
-                counts[k - 1] += p ** ((v - 1) * n) * count
+    counts = [0] * m
+    stack = [(f, m, t, 1, 0)]
+    while stack:
+        f, m, t, weight, shift = stack.pop()
+        n, g = f.n, (f - t % p if t % p else f)
+        if m == 1:
+            counts[shift] += weight * enumeration.count_common_zeros([g], p, p)
+            continue
+        zeros = enumeration.common_zero_points([g], p, p)
+        # f(u + p e_j) = f(u) + p df/dx_j(u) mod p^2, so f mod p^2 at u and at its
+        # n neighbours tells the singular zeros and which have f(u) = t mod p^2
+        steps = p * np.eye(n + 1, n, -1, dtype=np.int64)  # rows 0, p e_1, ..., p e_n
+        points = (zeros[:, None, :] + steps).reshape(-1, n)
+        enumeration._charge(points.shape[0], "singular-zero test")
+        vals = enumeration.eval_points_mod(f, points, p * p).reshape(-1, n + 1)
+        singular = (vals[:, 1:] == vals[:, :1]).all(axis=1)
+        deep = zeros[singular & (vals[:, 0] == t % (p * p))]
+        n_singular = int(singular.sum())
+        for k in range(1, m + 1):
+            counts[shift + k - 1] += weight * (zeros.shape[0] - n_singular) * p ** ((k - 1) * (n - 1))
+        counts[shift] += weight * n_singular
+        counts[shift + 1] += weight * deep.shape[0] * p**n
+        if m == 2:
+            continue
+        for u in map(tuple, deep[::-1].tolist()):  # pushed in reverse, popped in order
+            c0, v, h = _fiber_split(f, p, u)
+            v = m if v is None else min(v, m)
+            for k in range(3, v + 1):
+                if (c0 - t) % p**k == 0:
+                    counts[shift + k - 1] += weight * p ** ((k - 1) * n)
+            if v < m and (c0 - t) % p**v == 0:
+                stack.append((h, m - v, (t - c0) // p**v, weight * p ** ((v - 1) * n), shift + v))
     return counts
 
 
@@ -185,7 +191,7 @@ def fourier_crosscheck(f: Polynomial, p: int, m: int, *, count: int | None = Non
     p^k H_k(0) p^(-kn) - p^(k-1) H_{k-1}(0) p^(-(k-1)n), the terms
     telescope (Igusa's sum_{j<=k} A(p^j) = p^k N(p^k) p^(-kn)), and with
     the a = 0 term and the factor p^(-m) the right side is H_m(0) p^(-mn):
-    the direct count of zeros mod p^m over the full grid.
+    the direct count of zeros mod p^m (count_zeros_mod's method="direct").
     """
     count = count_zeros_mod(f, p, m) if count is None else count
     lhs = Fraction(count, p ** (m * f.n))

@@ -3,6 +3,7 @@ import json
 import math
 import os
 import re
+import shlex
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -138,6 +139,26 @@ class TestOtherCommands:
         assert entries[0]["count"] == 1  # level 0 convention
         assert entries[1]["count"] == 1 and entries[2]["count"] == 3
         assert all(row.abs_diff == 0 for row in report["result"]["crosscheck"])
+
+    def test_zeta_walks_deep_fibers_without_recursion(self):
+        # the fiber walk is about m/2 deep; a recursive one died near m = 1950
+        code, report = run_cli(["zeta", "--poly", "x1^2+x2^2", "--p", "2", "--max-m", "2000"])
+        assert code == EXIT_OK
+        # x^2 + y^2 = 0 mod 2^m forces x, y even from m = 2 on, so
+        # N(2^m) = 4 N(2^(m-2)) with N(2) = 2 and N(4) = 4: N(2^m) = 2^m
+        assert [e["count"] for e in report["result"]["entries"]] == [2**m for m in range(2001)]
+
+    def test_readme_examples_run(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("Examples:", 1)[1].split("```")[1]
+        stated = re.search(r"The `zeta` example reports\s+`points_consumed`\s+(\d+)", readme)
+        commands = [shlex.split(line) for line in block.strip().splitlines()]
+        assert commands and all(argv[0] == "expsums" for argv in commands)
+        for argv in commands:
+            code, report = run_cli(argv[1:])
+            assert code == EXIT_OK and report["result"], argv
+            if argv[1] == "zeta":
+                assert report["budget"]["points_consumed"] == int(stated.group(1)) == 690
 
     def test_zeta_crosscheck_reads_the_table(self):
         # the README example: the table's tree (40 points), then one direct

@@ -28,7 +28,7 @@ from expsums.enumeration import (
     eval_points_mod,
     residue_histogram,
 )
-from conftest import small_polynomials
+from conftest import brute_zero_count, small_polynomials
 
 
 def brute_histogram(f: Polynomial, grid: int, modulus: int) -> list[int]:
@@ -303,6 +303,14 @@ class TestResidueHistogram:
         assert residue_histogram(Polynomial.constant(3, 1), grid - 1, 7)[1] == (grid - 1) ** 3
         with pytest.raises(ValueError, match="overflow the int64 histogram"):
             residue_histogram(Polynomial.constant(3, 1), grid, 7)
+        # summing out a linear variable refuses alike, charged and before
+        # anything is evaluated; its zero count stays exact
+        assert count_common_zeros([Polynomial(3, {(1, 0, 0): 1})], grid, grid) == 2**42
+        monkeypatch.setattr(enumeration, "_block_values", None)
+        before = enumeration.meter_consumed()
+        with pytest.raises(ValueError, match="overflow the int64 histogram"):
+            residue_histogram(Polynomial(3, {(1, 0, 0): 1}), grid, grid)
+        assert enumeration.meter_consumed() - before == 2**63
 
     @given(small_polynomials(max_n=3), st.integers(2, 20), st.integers(2, 400))
     @settings(max_examples=40)
@@ -437,6 +445,74 @@ def _public_functions_taking(param: str) -> list[str]:
         if not name.startswith("_") and callable(obj) and param in _params(obj)
         and not (isinstance(obj, type) and issubclass(obj, BaseException))
     ]
+
+
+@st.composite
+def linear_forms(draw):
+    """(f, M) with f = A x_j + B + M c x_j^2: A and B over the other
+    variables, A with a term that is nonzero mod M, so f mod M reads x_j
+    linearly; coefficients within 2M either side; M prime, a prime power
+    or composite, with M^n <= 1000."""
+    n = draw(st.integers(1, 3))
+    M = draw(st.sampled_from([m for m in (2, 3, 4, 5, 6, 7, 8, 9, 12, 25, 27, 30) if m**n <= 1000]))
+    j = draw(st.integers(0, n - 1))
+    terms = {}
+    for degree, count in ((0, draw(st.integers(0, 3))), (1, draw(st.integers(0, 2))), (2, 1)):
+        for _ in range(count):
+            e = [draw(st.integers(0, 3)) for _ in range(n)]
+            e[j] = degree
+            c = M * draw(st.integers(-2, 2)) if degree == 2 else draw(st.integers(-2 * M, 2 * M))
+            terms[tuple(e)] = terms.get(tuple(e), 0) + c
+    e = [draw(st.integers(0, 2)) for _ in range(n)]
+    e[j] = 1
+    terms[tuple(e)] = terms.get(tuple(e), 0) + draw(st.integers(1, M - 1))
+    return Polynomial(n, {e: c for e, c in terms.items() if c}), M
+
+
+class TestLinearSplit:
+    @given(linear_forms())
+    @settings(max_examples=60)
+    # n = 1: A = 0 mod M (f mod M is constant), and A a non-unit mod p^k or M
+    @example((Polynomial(1, {(1,): 27, (0,): 4}), 27))
+    @example((Polynomial(1, {(1,): 3, (0,): 2}), 9))
+    @example((Polynomial(1, {(1,): -6, (0,): 5}), 12))
+    @example((Polynomial(1, {(1,): 10, (0,): -7}), 25))
+    # x2 free; 25 x1^2 drops mod 25 and leaves x1 linear
+    @example((Polynomial(3, {(1, 0, 1): 2, (0, 0, 2): -1}), 9))
+    @example((Polynomial(2, {(2, 0): 25, (1, 1): 7, (0, 3): -3}), 25))
+    def test_sum_out_matches_brute(self, case):
+        f, M = case
+        runs = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(os, "cpu_count", lambda: 2)
+            mp.setattr(enumeration, "_SPLIT_POINTS", 1)  # these grids are below the default
+            for workers, elems in (("1", enumeration._BLOCK_ELEMS), ("2", 1 << 3)):
+                mp.setenv("IGUSA_WORKERS", workers)
+                mp.setattr(enumeration, "_BLOCK_ELEMS", elems)
+                before = enumeration.meter_consumed()
+                runs.append((residue_histogram(f, M, M), count_common_zeros([f], M, M)))
+                assert enumeration.meter_consumed() - before == 2 * M**f.n
+        (hist, zeros), (hist2, zeros2) = runs
+        assert hist.dtype == hist2.dtype == np.int64 and np.array_equal(hist, hist2)
+        assert hist.tolist() == brute_histogram(f, M, M)
+        assert zeros == zeros2 == brute_zero_count(f, M)
+
+    def test_linear_variable_evaluates_one_axis(self, monkeypatch):
+        # f reads x1 linearly, so A = 3 x2 and B = x2^3 + 1 are evaluated on
+        # the M values of x2 rather than f on M^2 points
+        M = 1009
+        f = parse_polynomial("3*x1*x2 + x2^3 + 1")
+        sizes = []
+        real = enumeration._block_values
+        monkeypatch.setattr(enumeration, "_block_values", lambda *a: sizes.append((out := real(*a)).size) or out)
+        hist = residue_histogram(f, M, M)
+        assert sum(sizes) <= 2 * M
+        del sizes[:]
+        zeros = count_common_zeros([f], M, M)
+        assert sum(sizes) <= 2 * M
+        x1, x2 = np.meshgrid(np.arange(M), np.arange(M), indexing="ij")
+        want = np.bincount(((3 * x1 * x2 + x2**3 + 1) % M).ravel(), minlength=M)
+        assert hist.tolist() == want.tolist() and zeros == want[0]
 
 
 class TestZeroEnumeration:
