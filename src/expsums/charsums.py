@@ -264,6 +264,7 @@ def _sum_mod_one(N: int, a: int) -> ExpSumValue | None:
     return ExpSumValue(1 + 0j, 1.0, 0.0) if N == 1 else None
 
 
+@enumeration.scoped
 def exp_sum_direct(f: Polynomial, N: int, a: int = 1) -> ExpSumValue:
     """E over (Z/N)^n from the exact histogram of f mod N (oracle route)."""
     if (one := _sum_mod_one(N, a)) is not None:
@@ -398,15 +399,15 @@ def _total(f: Polynomial, p: int, m: int) -> int:
 
 
 def _unit_spectrum(f: Polynomial, p: int, m: int, entry, always: bool = False):
-    """(S, err) for W's atoms ``entry`` on Z/q, q = p^m: S, the raw rfft of
-    W made dense, gives p^(mn) E(q, a) as conj(S[a]) for a <= q/2 and S[q - a]
-    above, within err.  Kept in the record of (f, p) while q is at most both
-    the points W's build charged and _SPECTRUM_CAP; past that None, or with
-    ``always`` built and not kept."""
+    """(S, err, charges, fibers) for W's ``entry`` on Z/q, q = p^m: S, the raw
+    rfft of W made dense, gives p^(mn) E(q, a) as conj(S[a]) for a <= q/2 and
+    S[q - a] above, within err, and W's charges and fibers ride along.  Kept in
+    the record of (f, p) while q is at most both the points W's build charged
+    and _SPECTRUM_CAP; past that None, or with ``always`` built and not kept."""
     spectra = _local(f, p).spectra
     if m in spectra:
         return spectra[m]
-    charges, _, residues, weights = entry
+    charges, fibers, residues, weights = entry
     q = p**m
     keep = q <= min(sum(points for points, _ in charges), _SPECTRUM_CAP)
     if not (keep or always):
@@ -414,23 +415,27 @@ def _unit_spectrum(f: Polynomial, p: int, m: int, entry, always: bool = False):
     dense = np.zeros(q)
     dense[residues.astype(np.int64)] = weights.astype(np.float64)
     share = float(weights.sum() / p ** (m * f.n))
-    pair = np.fft.rfft(dense), 4.0 * _EPS * (residues.size + 1 + math.log2(q)) * share
+    kept = np.fft.rfft(dense), 4.0 * _EPS * (residues.size + 1 + math.log2(q)) * share, charges, fibers
     if keep:
-        spectra[m] = pair
-        _grow(pair[0].nbytes)
-    return pair
+        spectra[m] = kept
+        _grow(kept[0].nbytes)
+    return kept
 
 
-def _pruned(f: Polynomial, p: int, m: int, a: int) -> ExpSumValue:
-    """exp_sum_pruned at (f, p), level m and unit a."""
+def _pruned(f: Polynomial, p: int, m: int, a: int) -> tuple[complex, float, int | None]:
+    """(value, err, fibers) of exp_sum_pruned at (f, p), level m and unit a; a
+    spectrum the store keeps serves it from one store lookup and W's charges."""
     q, total = p**m, _total(f, p, m)
-    entry = _, fibers, residues, weights = _critical_atoms(f, p, m)
-    if (kept := _unit_spectrum(f, p, m, entry)) is None:
-        value, err = _phase_sum(residues, weights, q, a, total)
+    record = _store.get((f, p))
+    if record is not None and m in record.spectra:
+        spectrum, err, charges, fibers = record.spectra[m]
+        enumeration._charge_each(charges)
     else:
-        spectrum, err = kept
-        value = complex(spectrum[a].conjugate() if 2 * a <= q else spectrum[q - a]) / total
-    return ExpSumValue(value, abs(value), err, fiber_count=fibers)
+        entry = _, fibers, residues, weights = _critical_atoms(f, p, m)
+        if (kept := _unit_spectrum(f, p, m, entry)) is None:
+            return *_phase_sum(residues, weights, q, a, total), fibers
+        spectrum, err = kept[:2]
+    return (spectrum.item(a).conjugate() if 2 * a <= q else spectrum.item(q - a)) / total, err, fibers
 
 
 def _max_abs_over_units(f: Polynomial, p: int, m: int) -> float:
@@ -448,11 +453,13 @@ def _max_abs_over_units(f: Polynomial, p: int, m: int) -> float:
     return float(mags.max()) / _total(f, p, m)
 
 
+@enumeration.scoped
 def exp_sum_pruned(f: Polynomial, chi: AdditiveCharacter) -> ExpSumValue:
     """E from the critical-atom distribution W of f at (p, m), exact 0 when no
     critical residue exists: read off W's spectrum while the store keeps one
     (_unit_spectrum), else one phase pass over the atoms."""
-    return _pruned(f, chi.p, chi.m, chi.unit)
+    value, err, fibers = _pruned(f, chi.p, chi.m, chi.unit)
+    return ExpSumValue(value, abs(value), err, fiber_count=fibers)
 
 
 def crt_units(N: int, a: int) -> list[tuple[int, int, int]]:
@@ -465,6 +472,7 @@ def crt_units(N: int, a: int) -> list[tuple[int, int, int]]:
     return [(p, m, (a * u) % q) for p, m, q, u in _crt_factors(N)]
 
 
+@enumeration.scoped
 def exp_sum_composite(f: Polynomial, N: int, a: int = 1) -> ExpSumValue:
     """E over (Z/N)^n as the product of its prime-power factors."""
     if (one := _sum_mod_one(N, a)) is not None:
@@ -472,7 +480,7 @@ def exp_sum_composite(f: Polynomial, N: int, a: int = 1) -> ExpSumValue:
     value = 1 + 0j
     err = 0.0
     for p, m, unit in crt_units(N, a):
-        part = _pruned(f, p, m, unit)
-        err = err * part.abs + abs(value) * part.err_bound + err * part.err_bound + _EPS
-        value *= part.value
+        part, part_err, _ = _pruned(f, p, m, unit)
+        err = err * abs(part) + abs(value) * part_err + err * part_err + _EPS
+        value *= part
     return ExpSumValue(value, abs(value), err)

@@ -320,9 +320,9 @@ def run(cfg: argparse.Namespace) -> tuple[int, dict]:
     parsed once, before any work; COMMANDS[command](f, cfg) returns (body,
     failed), and report["poly"] renders f (None only for a bare self-test)."""
     enumeration.reset_meter()
-    outer, enumeration._run_budget = enumeration._run_budget, cfg.budget
+    scope = enumeration._scope.set([cfg.budget, None])  # the run's settings scope
     try:
-        limit = enumeration._run_budget = enumeration.enumeration_budget()
+        limit = enumeration.enumeration_budget()
         enumeration.default_workers()
         if cfg.command not in COMMANDS:
             raise ValueError(f"unknown command {cfg.command!r}")
@@ -342,7 +342,7 @@ def run(cfg: argparse.Namespace) -> tuple[int, dict]:
     except (ValueError, ZeroDivisionError) as exc:
         return EXIT_PRECONDITION, {"error": {"code": "PRECONDITION", "message": str(exc)}}
     finally:
-        enumeration._run_budget = outer
+        enumeration._scope.reset(scope)
 
     report = {"command": cfg.command}
     if f is not None:

@@ -20,13 +20,14 @@ count sums out a variable f reads linearly, exactly (_sum_out_linear).
 
 Budgets: every enumeration is limited to the budget of the CLI run in
 progress (its --budget), else IGUSA_BUDGET, else 10^8 points; there is no
-per-call budget, and below 1 is refused.  IGUSA_WORKERS is the only worker
-setting: the thread count is IGUSA_WORKERS capped at os.cpu_count()
-(default 1), never overridden per call; below 1 is refused.
+per-call budget, and below 1 is refused.  IGUSA_WORKERS (default 1, capped
+at os.cpu_count()) is the only worker setting; below 1 is refused.  Each is
+read once per settings scope: a CLI run, else one @scoped public call.
 """
 
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 import os
@@ -50,25 +51,46 @@ _SPLIT_POINTS = 1 << 13  # on smaller grids the split's numpy calls cost more th
 
 # Points touched since the last reset; CLI reports this per run.
 _consumed = 0
-# The budget of the CLI run in progress; None outside one (cli.run sets it).
-_run_budget: int | None = None
+# The settings scope in progress: [budget, workers], None until read (scoped).
+_scope: contextvars.ContextVar[list | None] = contextvars.ContextVar("settings", default=None)
+
+
+def scoped(fn):
+    """fn in a settings scope of its own unless one is open, ending with the call."""
+    @functools.wraps(fn)
+    def call(*args, **kwargs):
+        if _scope.get():
+            return fn(*args, **kwargs)
+        token = _scope.set([None, None])
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            _scope.reset(token)
+    return call
+
+
+def _setting(i: int, name: str, default: int, what: str) -> int:
+    """Setting i (0 budget, 1 workers) of the scope, read from env var ``name``
+    (else default) at its first use; outside a scope, at every use."""
+    scope = _scope.get() or [None, None]
+    if scope[i] is None:
+        text = os.environ.get(name)
+        try:
+            scope[i] = int(text) if text else default
+        except ValueError:
+            raise ValueError(f"{name} must be an integer, got {text!r}") from None
+    if scope[i] < 1:
+        raise ValueError(f"{what} must be positive, got {scope[i]}")
+    return scope[i]
 
 
 def enumeration_budget() -> int:
-    """The run's budget, else IGUSA_BUDGET (read on every call), else 10^8."""
-    budget = _run_budget
-    if budget is None:
-        env = os.environ.get("IGUSA_BUDGET")
-        budget = int(env) if env else DEFAULT_BUDGET
-    if budget < 1:
-        raise ValueError(f"budget must be positive, got {budget}")
-    return budget
+    """The CLI run's --budget, else IGUSA_BUDGET, else 10^8 (_setting)."""
+    return _setting(0, "IGUSA_BUDGET", DEFAULT_BUDGET, "budget")
 
 
 def default_workers() -> int:
-    workers = int(os.environ.get("IGUSA_WORKERS") or 1)
-    if workers < 1:
-        raise ValueError(f"worker count must be positive, got {workers}")
+    workers = _setting(1, "IGUSA_WORKERS", 1, "worker count")
     return 1 if workers == 1 else min(workers, os.cpu_count() or 1)
 
 
@@ -86,8 +108,8 @@ def _charge(points: int, what: str) -> None:
 
 
 def _charge_each(charges) -> None:
-    """Check IGUSA_WORKERS, then charge each (points, what) in order against one
-    read of the budget, so that a replayed charge refuses what its build would."""
+    """Check IGUSA_WORKERS, then charge each (points, what) in order against the
+    scope's budget, so that a replayed charge refuses what its build would."""
     global _consumed
     default_workers()
     budget = enumeration_budget()
@@ -215,10 +237,10 @@ def _grid_blocks(polys, grid, modulus, what, step, axes=None, terms=None, int64=
         if len(axes) < n:  # drop the free variables' exponents, all 0
             terms = [[(tuple([e[j] for j in axes]), c) for e, c in t] for t in terms]
     inner = (grid,) * (len(axes) - 1)  # a block's shape past its rows
-    rest = [np.arange(grid, dtype=np.int64)] * len(inner) if inner else []  # one shared arange
+    rest = [np.arange(grid, dtype=np.int64).reshape((-1,) + (1,) * k) for k in reversed(range(len(inner)))]
 
-    def work(lo, hi):
-        block = np.ix_(np.arange(lo, hi, dtype=np.int64), *rest)
+    def work(lo, hi):  # the axes np.ix_ would make, as broadcast views
+        block = [np.arange(lo, hi, dtype=np.int64).reshape((-1,) + (1,) * len(inner)), *rest]
         return step(lambda i: _block_values(terms[i], block, (hi - lo,) + inner, modulus), lo)
 
     return _run_blocks(work, [grid] * len(axes) or [1])

@@ -73,6 +73,7 @@ def _require_prime_level(p: int, m: int) -> None:
         raise ValueError(f"level must be >= 1, got {m}")
 
 
+@enumeration.scoped
 def count_zeros_mod(f: Polynomial, p: int, m: int, method: str = "tree") -> int:
     """|{x mod p^m : f(x) = 0 mod p^m}|.
 
@@ -148,6 +149,7 @@ def count_order_ge(generators: list[Polynomial], p: int, m: int) -> int:
     return enumeration.count_common_zeros(generators, p**m, p**m)
 
 
+@enumeration.scoped
 def poincare_coeffs(
     f: Polynomial,
     p: int,
@@ -174,6 +176,7 @@ def poincare_coeffs(
     return CountTable(p=p, entries=entries, kind=kind), densities
 
 
+@enumeration.scoped
 def fourier_crosscheck(f: Polynomial, p: int, m: int, *, count: int | None = None) -> CrosscheckReport:
     """Check N_m * p^(-mn), from ``count`` if given, against the averaged
     character sums, exactly.

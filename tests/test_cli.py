@@ -701,6 +701,15 @@ class TestMainEntry:
         for argv in self.SUMS:
             assert self._refused(argv + extra, capsys) == (EXIT_PRECONDITION, "PRECONDITION"), argv
 
+    @pytest.mark.parametrize("name, value", [("IGUSA_WORKERS", "abc"), ("IGUSA_WORKERS", "1.5"),
+                                             ("IGUSA_BUDGET", "1e6")])
+    def test_non_integer_setting_is_named(self, monkeypatch, capsys, name, value):
+        monkeypatch.setenv(name, value)
+        for argv in self.SUMS:
+            assert main(argv) == EXIT_PRECONDITION, argv
+            error = json.loads(capsys.readouterr().out)["error"]
+            assert error["message"] == f"{name} must be an integer, got '{value}'"
+
     @pytest.mark.parametrize("argv, want", [
         (["sum", "--poly", "x1", "--p", "5", "--m", "1", "--a", "1"], EXIT_OK),
         (["sum", "--poly", "x1+x2", "--p", "5", "--m", "2", "--a", "1", "--method", "naive"],

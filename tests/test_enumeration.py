@@ -3,11 +3,14 @@ oracles.  The kernel underlies both routes of several cross-checks, so a
 shared bug could cancel out there; these tests pin it independently.
 """
 
+import ast
 import inspect
 import itertools
 import os
 import sys
+import threading
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -16,7 +19,7 @@ from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 import expsums
-from expsums import BudgetExceededError, Polynomial, circle, enumeration, parse_polynomial
+from expsums import BudgetExceededError, Polynomial, charsums, circle, enumeration, parse_polynomial
 from expsums.enumeration import (
     _pow_vector,
     common_zero_points,
@@ -344,14 +347,16 @@ class TestResidueHistogram:
         assert all(np.array_equal(hist, want) for hist in runs)
         assert int(want.sum()) == 200**2
 
-    @pytest.mark.parametrize("value", ["0", "-5"])
+    @pytest.mark.parametrize("value", ["0", "-5", "abc", "1e6"])
     def test_env_budget_must_be_positive(self, monkeypatch, value):
         monkeypatch.setenv("IGUSA_BUDGET", value)
-        with pytest.raises(ValueError, match="budget must be positive"):
+        match = ("budget must be positive" if value.lstrip("-").isdigit()
+                 else f"IGUSA_BUDGET must be an integer, got '{value}'")
+        with pytest.raises(ValueError, match=match):
             residue_histogram(Polynomial(1, {(1,): 1}), 3, 3)
 
 
-    @pytest.mark.parametrize("value", ["0", "-3", "abc"])
+    @pytest.mark.parametrize("value", ["0", "-3", "abc", "1.5"])
     def test_env_workers_below_one_refused(self, monkeypatch, value):
         # refused before any pool exists: the stand-in pool fails if built
         def no_pool(*args, **kwargs):
@@ -359,7 +364,8 @@ class TestResidueHistogram:
 
         monkeypatch.setenv("IGUSA_WORKERS", value)
         monkeypatch.setattr(enumeration, "ThreadPoolExecutor", no_pool)
-        match = "worker count must be positive" if value != "abc" else "invalid literal"
+        match = ("worker count must be positive" if value.lstrip("-").isdigit()
+                 else f"IGUSA_WORKERS must be an integer, got '{value}'")
         with pytest.raises(ValueError, match=match):
             default_workers()
         with pytest.raises(ValueError, match=match):
@@ -633,3 +639,115 @@ class TestPointAndBoxEvaluation:
         assert eval_columns_exact(f, [np.array([2, 3]), small]).tolist() == [-(2**61), 3 * 2**60]
         with pytest.raises(ValueError):
             eval_columns_exact(f, [small, small])
+
+
+def _count_env_reads(monkeypatch) -> dict:
+    """Replace os.environ by a copy that counts the reads of each name."""
+    reads = {}
+
+    class Environ(dict):
+        def get(self, key, default=None):
+            reads[key] = reads.get(key, 0) + 1
+            return super().get(key, default)
+
+        def __getitem__(self, key):
+            reads[key] = reads.get(key, 0) + 1
+            return super().__getitem__(key)
+
+    monkeypatch.setattr(os, "environ", Environ(os.environ))
+    return reads
+
+
+class TestSettingsScope:
+    """IGUSA_BUDGET and IGUSA_WORKERS are read once per settings scope: a CLI
+    run, else the outermost call of a scoped public function."""
+
+    F = "x1^2+x2^3"  # at 294 = 2 * 3 * 7^2, every factor's spectrum is kept
+
+    def test_warm_composite_reads_each_setting_once(self, monkeypatch):
+        f = parse_polynomial(self.F)
+        want = expsums.exp_sum_composite(f, 294, 5)
+        monkeypatch.setenv("IGUSA_BUDGET", "1000")
+        reads = _count_env_reads(monkeypatch)
+        got = expsums.exp_sum_composite(f, 294, 5)
+        assert reads == {"IGUSA_WORKERS": 1, "IGUSA_BUDGET": 1}
+        assert (got.value, got.err_bound) == (want.value, want.err_bound)
+
+    def test_nested_public_call_reads_each_setting_once(self, monkeypatch, empty_store):
+        # fourier_crosscheck calls count_zeros_mod twice, each a scoped call
+        reads = _count_env_reads(monkeypatch)
+        report = expsums.fourier_crosscheck(parse_polynomial(self.F), 3, 3)
+        assert report.abs_diff == 0
+        assert reads == {"IGUSA_WORKERS": 1, "IGUSA_BUDGET": 1}
+
+    def test_spectrum_hit_reads_only_the_record(self, monkeypatch):
+        f = parse_polynomial(self.F)
+        cold = [expsums.exp_sum_pruned(f, expsums.AdditiveCharacter(7, 2, a)) for a in (3, 46)]
+        composite = expsums.exp_sum_composite(f, 294, 5)
+        before = enumeration.meter_consumed()
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("a kept spectrum was rebuilt")
+
+        monkeypatch.setattr(charsums, "_critical_atoms", rebuilt)
+        monkeypatch.setattr(charsums, "_unit_spectrum", rebuilt)
+        warm = [expsums.exp_sum_pruned(f, expsums.AdditiveCharacter(7, 2, a)) for a in (3, 46)]
+        assert [(v.value, v.err_bound, v.fiber_count) for v in warm] == \
+            [(v.value, v.err_bound, v.fiber_count) for v in cold]
+        assert type(warm[0].value) is complex
+        assert enumeration.meter_consumed() - before == 2 * 98  # the zero-locus charge, replayed
+        again = expsums.exp_sum_composite(f, 294, 5)
+        assert (again.value, again.err_bound) == (composite.value, composite.err_bound)
+        # a budget lowered between two calls, below the replayed charge, refuses the hit
+        monkeypatch.setenv("IGUSA_BUDGET", "97")
+        with pytest.raises(BudgetExceededError, match="zero-locus enumeration needs 98 points, budget is 97"):
+            expsums.exp_sum_pruned(f, expsums.AdditiveCharacter(7, 2, 3))
+        with pytest.raises(BudgetExceededError):
+            expsums.exp_sum_composite(f, 294, 5)
+
+    def test_a_scope_ends_with_its_call_and_stays_in_its_thread(self, monkeypatch):
+        seen = []
+        charge_each = enumeration._charge_each
+
+        def recording(charges):
+            charge_each(charges)
+            other = []
+            thread = threading.Thread(target=lambda: other.append(enumeration._scope.get()))
+            thread.start()
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+            seen.append((enumeration._scope.get(), other[0]))
+
+        monkeypatch.setattr(enumeration, "_charge_each", recording)
+        f = parse_polynomial(self.F)
+        expsums.exp_sum_composite(f, 294, 5)
+        assert len(seen) == 3 and len({id(mine) for mine, _ in seen}) == 1  # one scope per call
+        assert seen[0][0] is not None and {theirs for _, theirs in seen} == {None}
+        assert enumeration._scope.get() is None
+        monkeypatch.setenv("IGUSA_BUDGET", "1")
+        with pytest.raises(BudgetExceededError):
+            expsums.exp_sum_composite(f, 294, 5)
+        assert enumeration._scope.get() is None
+        monkeypatch.setenv("IGUSA_BUDGET", "x")
+        with pytest.raises(ValueError, match="IGUSA_BUDGET must be an integer"):
+            expsums.count_zeros_mod(f, 3, 2)
+        assert enumeration._scope.get() is None
+
+
+def test_one_reader_of_the_environment():
+    # every setting goes through the scope: os.environ (or getenv) is read
+    # nowhere in the package but in enumeration._setting
+    found = []
+    for path in sorted(Path(enumeration.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        owner = {}  # node -> its innermost enclosing function (walks visit outer ones first)
+        for func in ast.walk(tree):
+            if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for node in ast.walk(func):
+                    owner[node] = func.name
+        for node in ast.walk(tree):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            names = [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else [name]
+            if {"environ", "environb", "getenv", "getenvb", "putenv"} & set(names):
+                found.append((path.name, owner.get(node)))
+    assert found == [("enumeration.py", "_setting")]
