@@ -39,9 +39,9 @@ Four evaluation routes:
                         _STORE_BYTES; a hit replays its build's budget
                         charges, so nothing depends on call history.  While
                         p^m is at most both the points W's build charged and
-                        _SPECTRUM_CAP, the record also keeps W's real FFT,
-                        one lookup per unit, or all at once for the
-                        supremum over units (_max_abs_over_units).
+                        _SPECTRUM_CAP, the record keeps W's real FFT in
+                        place of W, one lookup per unit, or all at once for
+                        the supremum over units (_max_abs_over_units).
                         Valid for every prime, including p = 2 and 3.
 * exp_sum_composite  -- the product over prime powers dividing N, with the
                         per-factor units fixed by 1/N = sum_i u_i / q_i
@@ -276,7 +276,7 @@ def exp_sum_direct(f: Polynomial, N: int, a: int = 1) -> ExpSumValue:
 @dataclass(eq=False, slots=True)
 class _Local:
     """The store's record of (f, p): the critical residues mod p, a split per
-    fiber u, W's atoms per level m, and W's spectrum and bound per m."""
+    fiber u, and per level m W's atoms, or the spectrum kept in their place."""
 
     residues: list[tuple[int, ...]] | None = None
     splits: dict = field(default_factory=dict)
@@ -348,8 +348,8 @@ def _critical_atoms(f: Polynomial, p: int, m: int):
     weight p^((m-1)n)), in int64 arrays unless a weight or a*r could
     overflow (then exact Python ints).  At every level the residues are
     sorted, distinct and reduced mod p^m.
-    Kept in the record of (f, p) per m, beside the critical residues and
-    each split; ``charges`` lists the build's (points, what) budget charges,
+    Kept per m in the record of (f, p) until _spectrum keeps W's spectrum in
+    their place; ``charges`` lists the build's (points, what) budget charges,
     which a hit replays in order, as a residues hit does its n p^n.
     """
     record = _local(f, p)
@@ -398,49 +398,49 @@ def _total(f: Polynomial, p: int, m: int) -> int:
     return total
 
 
-def _unit_spectrum(f: Polynomial, p: int, m: int, entry, always: bool = False):
-    """(S, err, charges, fibers) for W's ``entry`` on Z/q, q = p^m: S, the raw
-    rfft of W made dense, gives p^(mn) E(q, a) as conj(S[a]) for a <= q/2 and
-    S[q - a] above, within err, and W's charges and fibers ride along.  Kept in
-    the record of (f, p) while q is at most both the points W's build charged
-    and _SPECTRUM_CAP; past that None, or with ``always`` built and not kept."""
-    spectra = _local(f, p).spectra
-    if m in spectra:
-        return spectra[m]
-    charges, fibers, residues, weights = entry
+def _spectrum(f: Polynomial, p: int, m: int, always: bool = False):
+    """(kept, atoms) of W on Z/q, q = p^m; kept = (S, err, charges, fibers):
+    S, the raw rfft of W made dense, gives p^(mn) E(q, a) as conj(S[a]) for
+    a <= q/2 and S[q - a] above, within err.  A kept S is one store lookup
+    that replays W's charges (atoms None); else atoms are _critical_atoms',
+    and S is kept in their place while q is at most both the points W's
+    build charged and _SPECTRUM_CAP; past that kept is None, or with
+    ``always`` built and not kept."""
+    record = _store.get((f, p))
+    if record is not None and (kept := record.spectra.get(m)):
+        enumeration._charge_each(kept[2])
+        return kept, None
+    atoms = charges, fibers, residues, weights = _critical_atoms(f, p, m)
     q = p**m
     keep = q <= min(sum(points for points, _ in charges), _SPECTRUM_CAP)
     if not (keep or always):
-        return None
+        return None, atoms
     dense = np.zeros(q)
     dense[residues.astype(np.int64)] = weights.astype(np.float64)
     share = float(weights.sum() / p ** (m * f.n))
     kept = np.fft.rfft(dense), 4.0 * _EPS * (residues.size + 1 + math.log2(q)) * share, charges, fibers
     if keep:
-        spectra[m] = kept
-        _grow(kept[0].nbytes)
-    return kept
+        record = _local(f, p)
+        record.spectra[m] = kept
+        _grow(kept[0].nbytes - sum(array.nbytes for array in record.atoms.pop(m, ())[2:]))
+    return kept, atoms
 
 
 def _pruned(f: Polynomial, p: int, m: int, a: int) -> tuple[complex, float, int | None]:
-    """(value, err, fibers) of exp_sum_pruned at (f, p), level m and unit a; a
-    spectrum the store keeps serves it from one store lookup and W's charges."""
+    """(value, err, fibers) of exp_sum_pruned at (f, p), level m and unit a:
+    one entry of W's spectrum (_spectrum), else one phase pass over W's atoms."""
     q, total = p**m, _total(f, p, m)
-    record = _store.get((f, p))
-    if record is not None and m in record.spectra:
-        spectrum, err, charges, fibers = record.spectra[m]
-        enumeration._charge_each(charges)
-    else:
-        entry = _, fibers, residues, weights = _critical_atoms(f, p, m)
-        if (kept := _unit_spectrum(f, p, m, entry)) is None:
-            return *_phase_sum(residues, weights, q, a, total), fibers
-        spectrum, err = kept[:2]
+    kept, atoms = _spectrum(f, p, m)
+    if kept is None:
+        _, fibers, residues, weights = atoms
+        return *_phase_sum(residues, weights, q, a, total), fibers
+    spectrum, err, _, fibers = kept
     return (spectrum.item(a).conjugate() if 2 * a <= q else spectrum.item(q - a)) / total, err, fibers
 
 
 def _max_abs_over_units(f: Polynomial, p: int, m: int) -> float:
     """sup over the units a mod q = p^m of |E(q, a)|: the largest |S[a]|,
-    a <= q/2, of W's spectrum S (_unit_spectrum), charged q points first.
+    a <= q/2, of W's spectrum S (_spectrum), charged q points first.
     Within 4 eps log2(q) times the atoms' share of the p^(mn) points
     (measured: under 0.7 of that on the corpus and at primes up to 2999)."""
     _require_prime(p)
@@ -448,7 +448,7 @@ def _max_abs_over_units(f: Polynomial, p: int, m: int) -> float:
     if q >= enumeration._MAX_MODULUS:
         raise ValueError(f"modulus {q} too large for the unit spectrum")
     enumeration._charge(q, "unit spectrum")
-    mags = np.abs(_unit_spectrum(f, p, m, _critical_atoms(f, p, m), always=True)[0])
+    mags = np.abs(_spectrum(f, p, m, always=True)[0][0])
     mags[::p] = 0.0  # a = 0 and the other non-units
     return float(mags.max()) / _total(f, p, m)
 
@@ -457,7 +457,7 @@ def _max_abs_over_units(f: Polynomial, p: int, m: int) -> float:
 def exp_sum_pruned(f: Polynomial, chi: AdditiveCharacter) -> ExpSumValue:
     """E from the critical-atom distribution W of f at (p, m), exact 0 when no
     critical residue exists: read off W's spectrum while the store keeps one
-    (_unit_spectrum), else one phase pass over the atoms."""
+    (_spectrum), else one phase pass over the atoms."""
     value, err, fibers = _pruned(f, chi.p, chi.m, chi.unit)
     return ExpSumValue(value, abs(value), err, fiber_count=fibers)
 

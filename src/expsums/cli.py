@@ -265,7 +265,7 @@ def _cmd_verify(f: Polynomial | None, cfg: argparse.Namespace) -> tuple[dict, bo
     if cfg.s_override is not None:
         s_val, provenance = cfg.s_override, "override"
     else:
-        primes = cfg.primes if len(cfg.primes) >= 3 else DEFAULT_VERIFY_PRIMES
+        primes = cfg.primes if len(set(cfg.primes)) >= 3 else DEFAULT_VERIFY_PRIMES
         s_val = estimate_s(f, primes).effective_s
         provenance = "fitted"
     fits = [

@@ -22,7 +22,7 @@ Budgets: every enumeration is limited to the budget of the CLI run in
 progress (its --budget), else IGUSA_BUDGET, else 10^8 points; there is no
 per-call budget, and below 1 is refused.  IGUSA_WORKERS (default 1, capped
 at os.cpu_count()) is the only worker setting; below 1 is refused.  Each is
-read once per settings scope: a CLI run, else one @scoped public call.
+read, and capped, once per settings scope: a CLI run, else one @scoped call.
 """
 
 from __future__ import annotations
@@ -69,14 +69,14 @@ def scoped(fn):
     return call
 
 
-def _setting(i: int, name: str, default: int, what: str) -> int:
-    """Setting i (0 budget, 1 workers) of the scope, read from env var ``name``
-    (else default) at its first use; outside a scope, at every use."""
+def _setting(i: int, name: str, default: int, what: str, cap=int) -> int:
+    """Setting i (0 budget, 1 workers) of the scope: cap(env var ``name``, else
+    default), read at its first use; outside a scope, at every use."""
     scope = _scope.get() or [None, None]
     if scope[i] is None:
         text = os.environ.get(name)
         try:
-            scope[i] = int(text) if text else default
+            scope[i] = cap(int(text) if text else default)
         except ValueError:
             raise ValueError(f"{name} must be an integer, got {text!r}") from None
     if scope[i] < 1:
@@ -90,8 +90,8 @@ def enumeration_budget() -> int:
 
 
 def default_workers() -> int:
-    workers = _setting(1, "IGUSA_WORKERS", 1, "worker count")
-    return 1 if workers == 1 else min(workers, os.cpu_count() or 1)
+    return _setting(1, "IGUSA_WORKERS", 1, "worker count",
+                    lambda workers: 1 if workers == 1 else min(workers, os.cpu_count() or 1))
 
 
 def reset_meter() -> None:

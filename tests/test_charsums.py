@@ -263,7 +263,8 @@ class TestUnitSpectrum:
 
     def test_every_unit_matches_phase_pass(self):
         # on every cell whose sums read the spectrum; the oracle is the phase
-        # pass over W's atoms, which the record keeps beside the spectrum
+        # pass over W's atoms, which _critical_atoms rebuilds, since the
+        # record keeps the spectrum in their place
         spectra = 0
         for f in standard_corpus(0):
             for p in (2, 3, 5, 7):
@@ -395,22 +396,33 @@ class TestFiberMemo:
             assert hash(g) == hash(f) and _local(g, 5) is record
         assert _local(f, 7) is not record
 
-    def test_a_spectrum_leaves_the_atoms_a_fiber_reads(self, empty_store):
-        # level 1 keeps its spectrum; at level 4 the fiber over u = 0 is f
-        # itself (v = 3), whose level 1 atoms W must still read
+    def test_a_kept_spectrum_replaces_the_atoms_a_fiber_rebuilds(self, empty_store):
+        # level 1 keeps its spectrum in place of its atoms; at level 4 the
+        # fiber over u = 0 is f itself (v = 3), whose level 1 atoms W reads,
+        # so it rebuilds them, charging what a hit would replay
+        def metered(f):
+            before = enumeration.meter_consumed()
+            v = exp_sum_pruned(f, AdditiveCharacter(7, 4, 3))
+            return v.value, v.err_bound, v.fiber_count, enumeration.meter_consumed() - before
+
         for text in ["x1^3+x2^3+x3^3", "x1^3+x2^3"]:
             empty_store()
             f = parse_polynomial(text)
             exp_sum_pruned(f, AdditiveCharacter(7, 1, 1))
-            assert 1 in _local(f, 7).spectra
-            warm = exp_sum_pruned(f, AdditiveCharacter(7, 4, 3))
+            assert 1 in _local(f, 7).spectra and 1 not in _local(f, 7).atoms
+            warm = metered(f)
+            rebuilt = _local(f, 7).atoms[1]
             empty_store()
-            cold = exp_sum_pruned(f, AdditiveCharacter(7, 4, 3))
+            cold = metered(f)
             assert sorted(_local(f, 7).atoms) == [1, 4]  # level 4 built on f's own level 1
-            assert (warm.value, warm.err_bound, warm.fiber_count) == (
-                cold.value, cold.err_bound, cold.fiber_count)
+            assert warm == cold and cold[3] > 0
+            empty_store()
+            fresh = _critical_atoms(f, 7, 1)
+            assert rebuilt[:2] == fresh[:2]
+            for a, b in zip(rebuilt[2:], fresh[2:]):
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
         naive = exp_sum_naive(f, AdditiveCharacter(7, 4, 3))  # 7^8 points
-        assert abs(warm.value - naive.value) <= warm.err_bound + naive.err_bound
+        assert abs(cold[0] - naive.value) <= cold[1] + naive.err_bound
 
     def test_the_store_empties_past_its_bound(self, monkeypatch, empty_store):
         f, g, chi = parse_polynomial("x1^3+x1*x2+x2^2"), parse_polynomial("x1^2+x2^3"), AdditiveCharacter(3, 3, 2)
@@ -423,7 +435,7 @@ class TestFiberMemo:
 
         cold = metered(f)
         old = _local(f, 3)
-        assert 3 in old.atoms and 3 in old.spectra
+        assert 3 in old.spectra and 3 not in old.atoms  # held as a spectrum only
         bound = charsums._STORE_BYTES
         monkeypatch.setattr(charsums, "_STORE_BYTES", charsums._stored + 1)
         metered(g)  # past the bound: the whole store empties, f's record too
@@ -431,11 +443,10 @@ class TestFiberMemo:
         monkeypatch.setattr(charsums, "_STORE_BYTES", bound)
         assert metered(f) == cold
         new = _local(f, 3)
-        assert new is not old
-        assert new.atoms[3][:2] == old.atoms[3][:2] and new.spectra[3][1] == old.spectra[3][1]
-        for a, b in [(new.atoms[3][2], old.atoms[3][2]), (new.atoms[3][3], old.atoms[3][3]),
-                     (new.spectra[3][0], old.spectra[3][0])]:
-            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert new is not old and 3 not in new.atoms
+        (spectrum, *rest), (was, *had) = new.spectra[3], old.spectra[3]
+        assert rest == had  # err, charges and fibers
+        assert spectrum.dtype == was.dtype and spectrum.tobytes() == was.tobytes()
         # at a bound of 0 the store empties at every entry, records being
         # built finish outside it, and the run still equals the cold one
         empty_store()

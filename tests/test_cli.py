@@ -232,6 +232,17 @@ class TestOtherCommands:
         assert code == EXIT_OK
         assert len(report["result"]["fits"]) == 2
 
+    @pytest.mark.parametrize("primes", ["5,5,7", "5,7,7,5"])
+    def test_verify_fits_s_on_distinct_primes(self, primes):
+        # repeated primes used to count towards the three that s is fitted
+        # on, so these exited 1 with "need at least 3 primes, got 2"
+        argv = ["verify", "--poly", "x1^3+x2^3", "--max-m", "3", "--primes"]
+        code, report = run_cli(argv + [primes])
+        want = run_cli(argv + ["5,7"])[1]
+        assert code == EXIT_OK
+        assert report["params"]["s"] == want["params"]["s"]
+        assert report["result"]["fits"] == want["result"]["fits"]
+
     def test_verify_violation_exit_code(self):
         from expsums.cli import EXIT_VERIFY_FAILED
 

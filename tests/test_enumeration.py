@@ -690,7 +690,7 @@ class TestSettingsScope:
             raise AssertionError("a kept spectrum was rebuilt")
 
         monkeypatch.setattr(charsums, "_critical_atoms", rebuilt)
-        monkeypatch.setattr(charsums, "_unit_spectrum", rebuilt)
+        monkeypatch.setattr(np.fft, "rfft", rebuilt)
         warm = [expsums.exp_sum_pruned(f, expsums.AdditiveCharacter(7, 2, a)) for a in (3, 46)]
         assert [(v.value, v.err_bound, v.fiber_count) for v in warm] == \
             [(v.value, v.err_bound, v.fiber_count) for v in cold]
@@ -704,6 +704,18 @@ class TestSettingsScope:
             expsums.exp_sum_pruned(f, expsums.AdditiveCharacter(7, 2, 3))
         with pytest.raises(BudgetExceededError):
             expsums.exp_sum_composite(f, 294, 5)
+
+    def test_warm_composite_caps_the_workers_once(self, monkeypatch):
+        # the scope keeps the capped worker count: at two workers a warm
+        # composite used to call os.cpu_count() at each of its 3 charges
+        f = parse_polynomial(self.F)
+        monkeypatch.setenv("IGUSA_WORKERS", "2")
+        want = expsums.exp_sum_composite(f, 294, 5)
+        calls, cpu_count = [], os.cpu_count
+        monkeypatch.setattr(os, "cpu_count", lambda: calls.append(1) or cpu_count())
+        got = expsums.exp_sum_composite(f, 294, 5)
+        assert len(calls) <= 1
+        assert (got.value, got.err_bound) == (want.value, want.err_bound)
 
     def test_a_scope_ends_with_its_call_and_stays_in_its_thread(self, monkeypatch):
         seen = []
@@ -734,10 +746,9 @@ class TestSettingsScope:
         assert enumeration._scope.get() is None
 
 
-def test_one_reader_of_the_environment():
-    # every setting goes through the scope: os.environ (or getenv) is read
-    # nowhere in the package but in enumeration._setting
-    found = []
+def _package_nodes():
+    """(module file name, innermost enclosing function or None, node) for
+    every AST node of the package's modules."""
     for path in sorted(Path(enumeration.__file__).parent.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         owner = {}  # node -> its innermost enclosing function (walks visit outer ones first)
@@ -746,8 +757,24 @@ def test_one_reader_of_the_environment():
                 for node in ast.walk(func):
                     owner[node] = func.name
         for node in ast.walk(tree):
-            name = getattr(node, "attr", None) or getattr(node, "id", None)
-            names = [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else [name]
-            if {"environ", "environb", "getenv", "getenvb", "putenv"} & set(names):
-                found.append((path.name, owner.get(node)))
+            yield path.name, owner.get(node), node
+
+
+def test_one_reader_of_the_environment():
+    # every setting goes through the scope: os.environ (or getenv) is read
+    # nowhere in the package but in enumeration._setting
+    found = []
+    for module, func, node in _package_nodes():
+        name = getattr(node, "attr", None) or getattr(node, "id", None)
+        names = [alias.name for alias in node.names] if isinstance(node, ast.ImportFrom) else [name]
+        if {"environ", "environb", "getenv", "getenvb", "putenv"} & set(names):
+            found.append((module, func))
     assert found == [("enumeration.py", "_setting")]
+
+
+def test_one_reader_of_the_kept_spectra():
+    # the store's spectra are read only through charsums._spectrum, which
+    # alone knows that a kept spectrum stands in place of W's atoms
+    found = {(module, func) for module, func, node in _package_nodes()
+             if isinstance(node, ast.Attribute) and node.attr == "spectra"}
+    assert found == {("charsums.py", "_spectrum")}
