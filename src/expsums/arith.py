@@ -34,6 +34,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _require_prime(p: int) -> None:
+    """The prime check of every public entry point: ValueError unless p is prime."""
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+
+
 def factorize(n: int) -> dict[int, int]:
     """Prime factorization as {p: multiplicity}, for n >= 1.
 

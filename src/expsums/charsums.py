@@ -34,15 +34,15 @@ Four evaluation routes:
                         set of atoms (r, W(r)) with r sorted, distinct and
                         reduced mod p^m; at m = 1, W is the histogram of f
                         mod p.  W per m is memoised per (f, p) by value
-                        (_local), next to one split per u, which zeta's
-                        counts read, in one store that empties past
-                        _STORE_BYTES; a hit replays its build's budget
-                        charges, so nothing depends on call history.  While
-                        p^m is at most both the points W's build charged and
-                        _SPECTRUM_CAP, the record keeps W's real FFT in
-                        place of W, one lookup per unit, or all at once for
-                        the supremum over units (_max_abs_over_units).
-                        Valid for every prime, including p = 2 and 3.
+                        (_local), next to one split per u, in one store that
+                        empties past _STORE_BYTES; a hit replays its build's
+                        budget charges, so nothing depends on call history.
+                        While p^m is at most both the points W's build
+                        charged and _SPECTRUM_CAP, the record keeps W's real
+                        FFT in place of W (a homogeneous f keeps both), one
+                        lookup per unit, or all at once for the supremum
+                        over units (_max_abs_over_units).  Valid for every
+                        prime, including p = 2 and 3.
 * exp_sum_composite  -- the product over prime powers dividing N, with the
                         per-factor units fixed by 1/N = sum_i u_i / q_i
                         where u_i = (N/q_i)^(-1) mod q_i, so that the unit
@@ -57,6 +57,9 @@ enumeration._run_blocks blocks, added in block order.  Values carry a
 coarse but sound error bound: 4 eps (A + B + 2) for a dense pass, else
 4 eps (atoms + 1, plus log2 q for a spectrum read) times the atoms' share
 of the total, plus one eps per exp_sum_composite step.
+
+zeta's zero counts walk the same fiber splits (_zero_counts), so this module
+alone reads the store, its records and the split format.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import enumeration
-from .arith import factorize, is_prime
+from .arith import _require_prime, factorize
 from .polynomials import Polynomial
 
 _EPS = sys.float_info.epsilon
@@ -202,11 +205,6 @@ def _dense_phase_sum(hist: np.ndarray, a: int, total: int) -> tuple[complex, flo
     return functools.reduce(operator.add, parts, 0j) / total, 4.0 * _EPS * (A + B + 2)
 
 
-def _require_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-
-
 def exp_sum_naive(f: Polynomial, chi: AdditiveCharacter) -> ExpSumValue:
     """Full enumeration of E over (Z/p^m)^n via the exact residue histogram."""
     _require_prime(chi.p)
@@ -276,7 +274,8 @@ def exp_sum_direct(f: Polynomial, N: int, a: int = 1) -> ExpSumValue:
 @dataclass(eq=False, slots=True)
 class _Local:
     """The store's record of (f, p): the critical residues mod p, a split per
-    fiber u, and per level m W's atoms, or the spectrum kept in their place."""
+    fiber u, and per level m W's atoms, or the spectrum kept in their place
+    (both for a homogeneous f, whose fiber over 0 reads its lower levels)."""
 
     residues: list[tuple[int, ...]] | None = None
     splits: dict = field(default_factory=dict)
@@ -313,12 +312,12 @@ def _grow(nbytes: int) -> None:
         _stored = 0
 
 
-def _fiber_split(f: Polynomial, p: int, u: tuple[int, ...]) -> tuple[int, int | None, Polynomial | None]:
-    """f(u + p y) = c0 + p^v h(y) on the fiber over a critical residue u.
-
-    Returns (c0, v, h), v the full p-valuation of the non-constant part and
-    h of unit content and no constant term, or (c0, None, None) when f is
-    constant on the fiber; readers cap v at their level; stored per (f, p, u).
+def _fiber_split(f: Polynomial, p: int, u: tuple[int, ...], m: int) -> tuple[int, int, Polynomial | None]:
+    """f(u + p y) = c0 + p^v h(y) on the fiber over a critical residue u, read
+    at level m: (c0, v, h) with h of unit content and no constant term, and v
+    the p-valuation of the non-constant part capped at m (m, h None, when f
+    is constant on the fiber).  Stored per (f, p, u) with v uncapped (None on
+    a constant fiber), so every level reads the same h.
     Since u is critical, v >= 2; a smaller one raises ValueError.
     """
     splits = _local(f, p).splits
@@ -333,7 +332,8 @@ def _fiber_split(f: Polynomial, p: int, u: tuple[int, ...]) -> tuple[int, int | 
         h = Polynomial(g.n, {e: c // p**v for e, c in rest.items()}) if rest else None
         splits[u] = g.constant_term(), v if rest else None, h
         _grow(_ENTRY_BYTES)
-    return splits[u]
+    c0, v, h = splits[u]
+    return c0, m if v is None else min(v, m), h
 
 
 def _critical_atoms(f: Polynomial, p: int, m: int):
@@ -373,8 +373,7 @@ def _critical_atoms(f: Polynomial, p: int, m: int):
         dtype = np.int64 if p ** (m * n) < 2**63 and q < 2**31 else object
         residues, weights = [np.empty(0, dtype)], [np.empty(0, dtype)]
         for u in record.residues:
-            c0, v, h = _fiber_split(f, p, u)
-            v = m if v is None else min(v, m)
+            c0, v, h = _fiber_split(f, p, u, m)
             sub_r, sub_w = np.zeros(1, np.int64), np.ones(1, np.int64)
             if v < m:
                 sub_charges, _, sub_r, sub_w = _critical_atoms(h, p, m - v)
@@ -388,6 +387,52 @@ def _critical_atoms(f: Polynomial, p: int, m: int):
     record.atoms[m] = entry
     _grow(entry[2].nbytes + entry[3].nbytes)
     return entry
+
+
+def _zero_counts(f: Polynomial, p: int, m: int, t: int = 0) -> list[int]:
+    """[N(p), ..., N(p^m)] for f = t, by Igusa's stationary phase formula.
+
+    Smooth zeros of f - t mod p lift to p^((k-1)(n-1)) zeros mod p^k (Hensel).
+    Over a singular one u, f(u + p y) = c0 + p^v h(y) (_fiber_split),
+    and the fiber holds p^((k-1)n) zeros mod p^k when k <= v and p^k | c0 - t,
+    and p^((v-1)n) times h's N(p^(k-v)) at target (t - c0)/p^v when k > v and
+    p^v | c0 - t; else none.  Levels 1 and 2 need only f - t mod p^2, so
+    fibers are split only for m > 2.  The fibers that recurse are walked,
+    in a recursion's order, on an explicit stack of (f, m, t, weight, level
+    offset), since the walk is about m/2 deep.
+    """
+    counts = [0] * m
+    stack = [(f, m, t, 1, 0)]
+    while stack:
+        f, m, t, weight, shift = stack.pop()
+        n, g = f.n, (f - t % p if t % p else f)
+        if m == 1:
+            counts[shift] += weight * enumeration.count_common_zeros([g], p, p)
+            continue
+        zeros = enumeration.common_zero_points([g], p, p)
+        # f(u + p e_j) = f(u) + p df/dx_j(u) mod p^2, so f mod p^2 at u and at its
+        # n neighbours tells the singular zeros and which have f(u) = t mod p^2
+        steps = p * np.eye(n + 1, n, -1, dtype=np.int64)  # rows 0, p e_1, ..., p e_n
+        points = (zeros[:, None, :] + steps).reshape(-1, n)
+        enumeration._charge(points.shape[0], "singular-zero test")
+        vals = enumeration.eval_points_mod(f, points, p * p).reshape(-1, n + 1)
+        singular = (vals[:, 1:] == vals[:, :1]).all(axis=1)
+        deep = zeros[singular & (vals[:, 0] == t % (p * p))]
+        n_singular = int(singular.sum())
+        for k in range(1, m + 1):
+            counts[shift + k - 1] += weight * (zeros.shape[0] - n_singular) * p ** ((k - 1) * (n - 1))
+        counts[shift] += weight * n_singular
+        counts[shift + 1] += weight * deep.shape[0] * p**n
+        if m == 2:
+            continue
+        for u in map(tuple, deep[::-1].tolist()):  # pushed in reverse, popped in order
+            c0, v, h = _fiber_split(f, p, u, m)
+            for k in range(3, v + 1):
+                if (c0 - t) % p**k == 0:
+                    counts[shift + k - 1] += weight * p ** ((k - 1) * n)
+            if v < m and (c0 - t) % p**v == 0:
+                stack.append((h, m - v, (t - c0) // p**v, weight * p ** ((v - 1) * n), shift + v))
+    return counts
 
 
 def _total(f: Polynomial, p: int, m: int) -> int:
@@ -419,10 +464,11 @@ def _spectrum(f: Polynomial, p: int, m: int, always: bool = False):
     dense[residues.astype(np.int64)] = weights.astype(np.float64)
     share = float(weights.sum() / p ** (m * f.n))
     kept = np.fft.rfft(dense), 4.0 * _EPS * (residues.size + 1 + math.log2(q)) * share, charges, fibers
-    if keep:
+    if keep:  # a homogeneous f keeps its atoms too: its fiber over 0 reads them
         record = _local(f, p)
         record.spectra[m] = kept
-        _grow(kept[0].nbytes - sum(array.nbytes for array in record.atoms.pop(m, ())[2:]))
+        dropped = () if f.is_homogeneous() else record.atoms.pop(m, ())[2:]
+        _grow(kept[0].nbytes - sum(array.nbytes for array in dropped))
     return kept, atoms
 
 

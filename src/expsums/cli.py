@@ -24,14 +24,9 @@ import sys
 import time
 
 from . import enumeration, zeta
+from .arith import _require_prime
 from .bounds import DEFAULT_SLACK, Verdict, decay_fit
-from .charsums import (
-    AdditiveCharacter,
-    _require_prime,
-    exp_sum_composite,
-    exp_sum_naive,
-    exp_sum_pruned,
-)
+from .charsums import AdditiveCharacter, exp_sum_composite, exp_sum_naive, exp_sum_pruned
 from .circle import QUAD_TOL, WeightFunction, major_arc_report
 from .corpus import standard_corpus
 from .errors import BudgetExceededError, PolyParseError, QuadratureConvergenceError

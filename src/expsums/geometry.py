@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import enumeration
-from .charsums import _require_prime
+from .arith import _require_prime
 from .polynomials import Polynomial
 
 

@@ -4,9 +4,9 @@ N_m counts x mod p^m with f(x) = 0 mod p^m; the companion order counts ask
 that every generator of an ideal (for the squared Jacobian: all pairwise
 products of gradient components) vanish to order >= m.  Densities
 N_m * p^(-mn) are kept as exact rationals so monotonicity checks stay
-exact.  N_m comes from Igusa's stationary phase formula, recursing on the
-fiber splits that charsums' store keeps once per (f, p, u), by value, for
-the pruned sums.
+exact.  N_m comes from Igusa's stationary phase formula, walked by
+charsums._zero_counts on the fiber splits the pruned sums read; charsums
+alone reads the store that keeps them.
 
 The cross-check ties counts to character sums through plain orthogonality:
 
@@ -24,10 +24,9 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import enumeration
-from .charsums import _fiber_split, _require_prime
+from .arith import _require_prime
+from .charsums import _zero_counts
 from .polynomials import Polynomial
 
 
@@ -78,7 +77,7 @@ def count_zeros_mod(f: Polynomial, p: int, m: int, method: str = "tree") -> int:
     """|{x mod p^m : f(x) = 0 mod p^m}|.
 
     The default ("tree") recurses on the fibers over the singular zeros
-    mod p (see _zero_counts); method="direct" counts the full grid, charged
+    mod p (charsums._zero_counts); method="direct" counts the full grid, charged
     as such, summing out a variable f reads linearly, and is the oracle.
     """
     _require_prime_level(p, m)
@@ -87,53 +86,6 @@ def count_zeros_mod(f: Polynomial, p: int, m: int, method: str = "tree") -> int:
     if method != "tree":
         raise ValueError(f"unknown method {method!r}")
     return _zero_counts(f, p, m)[-1]
-
-
-def _zero_counts(f: Polynomial, p: int, m: int, t: int = 0) -> list[int]:
-    """[N(p), ..., N(p^m)] for f = t, by Igusa's stationary phase formula.
-
-    Smooth zeros of f - t mod p lift to p^((k-1)(n-1)) zeros mod p^k (Hensel).
-    Over a singular one u, f(u + p y) = c0 + p^v h(y) (charsums._fiber_split),
-    and the fiber holds p^((k-1)n) zeros mod p^k when k <= v and p^k | c0 - t,
-    and p^((v-1)n) times h's N(p^(k-v)) at target (t - c0)/p^v when k > v and
-    p^v | c0 - t; else none.  Levels 1 and 2 need only f - t mod p^2, so
-    fibers are split only for m > 2.  The fibers that recurse are walked,
-    in a recursion's order, on an explicit stack of (f, m, t, weight, level
-    offset), since the walk is about m/2 deep.
-    """
-    counts = [0] * m
-    stack = [(f, m, t, 1, 0)]
-    while stack:
-        f, m, t, weight, shift = stack.pop()
-        n, g = f.n, (f - t % p if t % p else f)
-        if m == 1:
-            counts[shift] += weight * enumeration.count_common_zeros([g], p, p)
-            continue
-        zeros = enumeration.common_zero_points([g], p, p)
-        # f(u + p e_j) = f(u) + p df/dx_j(u) mod p^2, so f mod p^2 at u and at its
-        # n neighbours tells the singular zeros and which have f(u) = t mod p^2
-        steps = p * np.eye(n + 1, n, -1, dtype=np.int64)  # rows 0, p e_1, ..., p e_n
-        points = (zeros[:, None, :] + steps).reshape(-1, n)
-        enumeration._charge(points.shape[0], "singular-zero test")
-        vals = enumeration.eval_points_mod(f, points, p * p).reshape(-1, n + 1)
-        singular = (vals[:, 1:] == vals[:, :1]).all(axis=1)
-        deep = zeros[singular & (vals[:, 0] == t % (p * p))]
-        n_singular = int(singular.sum())
-        for k in range(1, m + 1):
-            counts[shift + k - 1] += weight * (zeros.shape[0] - n_singular) * p ** ((k - 1) * (n - 1))
-        counts[shift] += weight * n_singular
-        counts[shift + 1] += weight * deep.shape[0] * p**n
-        if m == 2:
-            continue
-        for u in map(tuple, deep[::-1].tolist()):  # pushed in reverse, popped in order
-            c0, v, h = _fiber_split(f, p, u)
-            v = m if v is None else min(v, m)
-            for k in range(3, v + 1):
-                if (c0 - t) % p**k == 0:
-                    counts[shift + k - 1] += weight * p ** ((k - 1) * n)
-            if v < m and (c0 - t) % p**v == 0:
-                stack.append((h, m - v, (t - c0) // p**v, weight * p ** ((v - 1) * n), shift + v))
-    return counts
 
 
 def count_order_ge(generators: list[Polynomial], p: int, m: int) -> int:

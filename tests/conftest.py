@@ -78,17 +78,24 @@ def brute_zero_count(f: Polynomial, modulus: int) -> int:
     )
 
 
-def ramanujan_crosscheck_rhs(f: Polynomial, p: int, m: int) -> Fraction:
+def ramanujan_crosscheck_rhs(f: Polynomial, p: int, m: int, atoms: bool = False) -> Fraction:
     """p^(-m) sum_{a mod p^m} E(p^m, a), level by level: the units mod
     q = p^k sum to Ramanujan sums c_q(r) (q - q/p at r = 0, -q/p at the
     other multiples of q/p, 0 elsewhere) over the residue histogram H of f
     mod q.  Reads the histogram kernel, which test_enumeration pins against
-    plain loops."""
+    plain loops, or with ``atoms`` the pruned sums' critical-atom
+    distribution W (charsums._critical_atoms), whose unit sums are H's."""
     rhs = Fraction(1)  # a = 0
     for k in range(1, m + 1):
         q, step = p**k, p ** (k - 1)
-        hist = enumeration.residue_histogram(f, q, q)
-        rhs += Fraction(q * int(hist[0]) - step * int(hist[::step].sum()), q**f.n)
+        if atoms:
+            _, _, residues, weights = charsums._critical_atoms(f, p, k)
+        else:
+            weights = enumeration.residue_histogram(f, q, q)
+            residues = range(q)
+        at = dict(zip(map(int, residues), map(int, weights)))  # exact ints
+        multiples = sum(w for r, w in at.items() if r % step == 0)
+        rhs += Fraction(q * at.get(0, 0) - step * multiples, q**f.n)
     return rhs / p**m
 
 

@@ -133,7 +133,7 @@ class TestPruned:
     def test_noncritical_fiber_rejected(self):
         # x1 has no critical point mod 3, so the fiber over 0 carries only p^1
         with pytest.raises(ValueError, match="not critical"):
-            _fiber_split(parse_polynomial("x1"), 3, (0,))
+            _fiber_split(parse_polynomial("x1"), 3, (0,), 2)
 
     def test_conductor_one_falls_through(self):
         f = parse_polynomial("x1^2")
@@ -263,8 +263,8 @@ class TestUnitSpectrum:
 
     def test_every_unit_matches_phase_pass(self):
         # on every cell whose sums read the spectrum; the oracle is the phase
-        # pass over W's atoms, which _critical_atoms rebuilds, since the
-        # record keeps the spectrum in their place
+        # pass over W's atoms, which _critical_atoms rebuilds where the record
+        # keeps the spectrum in their place
         spectra = 0
         for f in standard_corpus(0):
             for p in (2, 3, 5, 7):
@@ -317,7 +317,7 @@ class TestUnitSpectrum:
         for p, m in [(3, 3), (7, 2), (397, 1)]:
             exp_sum_pruned(f, AdditiveCharacter(p, m, 1))
         calls = []
-        monkeypatch.setattr(charsums, "is_prime", lambda n: calls.append(n) or True)
+        monkeypatch.setattr(charsums, "_require_prime", calls.append)
         monkeypatch.setattr(charsums, "_phase_sum", lambda *args: calls.append(args))
         exp_sum_composite(f, 27 * 49 * 397, 5)
         for p, m, a in [(3, 3, 2), (7, 2, 48), (397, 1, 200)]:
@@ -396,31 +396,29 @@ class TestFiberMemo:
             assert hash(g) == hash(f) and _local(g, 5) is record
         assert _local(f, 7) is not record
 
-    def test_a_kept_spectrum_replaces_the_atoms_a_fiber_rebuilds(self, empty_store):
-        # level 1 keeps its spectrum in place of its atoms; at level 4 the
-        # fiber over u = 0 is f itself (v = 3), whose level 1 atoms W reads,
-        # so it rebuilds them, charging what a hit would replay
+    def test_a_homogeneous_f_keeps_the_atoms_its_fiber_reads(self, monkeypatch, empty_store):
+        # level 1 keeps its spectrum next to its atoms; at level 4 the fiber
+        # over u = 0 is f itself (v = 3), which reads f's level 1 atoms as a
+        # hit, replaying their charges, so no histogram runs again
         def metered(f):
             before = enumeration.meter_consumed()
             v = exp_sum_pruned(f, AdditiveCharacter(7, 4, 3))
             return v.value, v.err_bound, v.fiber_count, enumeration.meter_consumed() - before
 
+        grids, histogram = [], enumeration.residue_histogram
+        monkeypatch.setattr(enumeration, "residue_histogram", lambda *a: grids.append(a[1:]) or histogram(*a))
         for text in ["x1^3+x2^3+x3^3", "x1^3+x2^3"]:
             empty_store()
             f = parse_polynomial(text)
             exp_sum_pruned(f, AdditiveCharacter(7, 1, 1))
-            assert 1 in _local(f, 7).spectra and 1 not in _local(f, 7).atoms
+            assert 1 in _local(f, 7).spectra and 1 in _local(f, 7).atoms
+            del grids[:]
             warm = metered(f)
-            rebuilt = _local(f, 7).atoms[1]
+            assert grids == []
             empty_store()
             cold = metered(f)
             assert sorted(_local(f, 7).atoms) == [1, 4]  # level 4 built on f's own level 1
-            assert warm == cold and cold[3] > 0
-            empty_store()
-            fresh = _critical_atoms(f, 7, 1)
-            assert rebuilt[:2] == fresh[:2]
-            for a, b in zip(rebuilt[2:], fresh[2:]):
-                assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+            assert grids == [(7, 7)] and warm == cold and cold[3] > 0
         naive = exp_sum_naive(f, AdditiveCharacter(7, 4, 3))  # 7^8 points
         assert abs(cold[0] - naive.value) <= cold[1] + naive.err_bound
 

@@ -232,6 +232,16 @@ class TestOtherCommands:
         assert code == EXIT_OK
         assert len(report["result"]["fits"]) == 2
 
+    def test_verify_enumerates_each_level_one_once(self, monkeypatch, empty_store):
+        # level 1's spectrum is kept for the sums, and levels 4 and 7 read
+        # its atoms through the fiber over 0, which is the Fermat cubic itself
+        grids, histogram = [], enumeration.residue_histogram
+        monkeypatch.setattr(enumeration, "residue_histogram", lambda *a: grids.append(a[1:]) or histogram(*a))
+        argv = ["verify", "--poly", "x1^3+x2^3+x3^3", "--primes", "5,7,11", "--max-m", "7", "--s", "0"]
+        code, report = run_cli(argv)
+        assert code == EXIT_OK and report["budget"]["points_consumed"] == 53970
+        assert grids == [(5, 5), (7, 7), (11, 11)]
+
     @pytest.mark.parametrize("primes", ["5,5,7", "5,7,7,5"])
     def test_verify_fits_s_on_distinct_primes(self, primes):
         # repeated primes used to count towards the three that s is fitted

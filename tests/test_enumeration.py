@@ -778,3 +778,19 @@ def test_one_reader_of_the_kept_spectra():
     found = {(module, func) for module, func, node in _package_nodes()
              if isinstance(node, ast.Attribute) and node.attr == "spectra"}
     assert found == {("charsums.py", "_spectrum")}
+
+
+def test_one_owner_of_the_store():
+    # the (f, p) store, its records' fields and the fiber split are named
+    # only in charsums, which walks the fibers for both the sums and the counts
+    private = {"_store", "_stored", "_local", "_fiber_split", "_critical_atoms", "_spectrum"}
+    fields = {"residues", "splits", "atoms", "spectra"}
+    found = set()
+    for module, _, node in _package_nodes():
+        if isinstance(node, ast.Attribute):
+            names = {node.attr} & (private | fields)
+        else:  # a name read, an imported name or a definition
+            names = {getattr(node, "id", None), getattr(node, "name", None)} & private
+        if names:
+            found.add(module)
+    assert found == {"charsums.py"}

@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from fractions import Fraction
 
@@ -17,7 +18,7 @@ from expsums import (
 )
 from expsums import enumeration
 from expsums.corpus import standard_corpus
-from expsums.zeta import _zero_counts
+from expsums.charsums import _critical_atoms, _zero_counts
 from conftest import brute_zero_count, ramanujan_crosscheck_rhs
 
 
@@ -218,6 +219,22 @@ class TestCrosscheck:
                     total = p ** (m * f.n)
                     assert Fraction(count_zeros_mod(f, p, m, method="direct"), total) == want
                     assert fourier_crosscheck(f, p, m).rhs == float(want)
+
+    def test_the_sums_atoms_give_the_walks_counts(self):
+        # W_k, the pruned sums' atoms, has the unit sums of the histogram H_k,
+        # so its Ramanujan sums give the zero-count walk's N(p^k) exactly, and
+        # H_k - W_k is p^(k-1)-periodic, 0 at k = 1
+        for f, p in itertools.product([f for seed in (0, 1, 2) for f in standard_corpus(seed)], (2, 3, 5, 7)):
+            top = max(m for m in range(1, 7) if p ** (m * f.n) <= 10**5)
+            counts = _zero_counts(f, p, top)
+            for k in range(1, top + 1):
+                q = p**k
+                assert ramanujan_crosscheck_rhs(f, p, k, atoms=True) == Fraction(counts[k - 1], q**f.n), (f, p, k)
+                diff = enumeration.residue_histogram(f, q, q).tolist()
+                _, _, residues, weights = _critical_atoms(f, p, k)
+                for r, w in zip(residues.tolist(), weights.tolist()):
+                    diff[r] -= w
+                assert diff == diff[: q // p] * p and (k > 1 or not any(diff)), (f, p, k)
 
     def test_only_level_m_is_enumerated(self, monkeypatch):
         # the right side charges p^(mn) points for one zero count, no level
