@@ -16,15 +16,17 @@ Four evaluation routes:
                         product over q || N of #{x mod q : f(x) = r mod q},
                         exactly in integers, so it is charged sum_q q^n
                         points, not N^n (each q^n grid sums out a variable
-                        f reads linearly), and N multiplies.  The CRT
-                        only counts points: one unit mod N is applied in
-                        one phase pass over the whole dense histogram, with
-                        no per-factor units, no pruning and no product of
-                        complex factors, so the route stays independent of
-                        exp_sum_composite.  The pass splits r = i B + j
-                        with B = isqrt(N - 1) + 1, so it computes about
-                        2 sqrt(N) phases, not one per residue
-                        (_dense_phase_sum).
+                        f reads linearly), plus N for multiplying them out,
+                        which happens one pass block at a time: sum_q q
+                        counts and about one block per worker are held,
+                        never all N.  The CRT only counts points: one unit
+                        mod N is applied in one phase pass over the whole
+                        histogram, with no per-factor units, no pruning and
+                        no product of complex factors, so the route stays
+                        independent of exp_sum_composite.  The pass splits
+                        r = i B + j with B = isqrt(N - 1) + 1, so it
+                        computes about 2 sqrt(N) phases, not one per
+                        residue (_dense_phase_sum).
 * exp_sum_pruned     -- stationary-phase pruning.  For m >= 2, writing
                         x = u + p^(m-1) t gives
                         f(x) = f(u) + p^(m-1) t . grad f(u)  (mod p^m),
@@ -153,10 +155,10 @@ def _phase_sum(residues: np.ndarray, weights: np.ndarray, q: int, a: int,
     return acc / total, 4.0 * _EPS * (residues.size + 1) * float(weights.sum() / total)
 
 
-def _dense_phase_sum(hist: np.ndarray, a: int, total: int) -> tuple[complex, float]:
+def _dense_phase_sum(counts, q: int, a: int, total: int) -> tuple[complex, float]:
     """sum_r H(r) e^(2 pi i a r / q) / total over a dense histogram H of
-    length q >= 2 (int64 or exact ints) that sums to total, and its bound
-    4 eps (A + B + 2).
+    length q >= 2 that sums to total, read as counts(lo, hi) = H[lo:hi]
+    (int64 or exact ints), and its bound 4 eps (A + B + 2).
 
     The index split of Bailey's four-step FFT, at one frequency: with
     B = isqrt(q - 1) + 1, A = q // B and r = i B + j (j < B),
@@ -165,8 +167,11 @@ def _dense_phase_sum(hist: np.ndarray, a: int, total: int) -> tuple[complex, flo
     and one tail row i = A of q - A B entries.  Only the A + B + 1 phases are
     computed.  H is read once, in enumeration._run_blocks row blocks, each
     copied into its own float64 buffer (threads share none; the tail row is
-    padded with zeros); each block's real and imaginary row sums are einsum
-    reductions, not BLAS, whose threads would change the bits.
+    padded with zeros); each block's real and imaginary row sums are one
+    einsum reduction against c's contiguous parts, not BLAS, whose threads
+    would change the bits, and their product with rho is written by parts in
+    real multiplies and adds, since numpy's complex multiply fuses them (FMA)
+    on some CPUs and not on others.
 
     Error, with u = eps / 2, every |phase| = 1 and the weights >= 0: a
     count's conversion to float64 costs u; each phase, from a centred angle
@@ -178,27 +183,30 @@ def _dense_phase_sum(hist: np.ndarray, a: int, total: int) -> tuple[complex, flo
     the division by total costs 2 u.  Relative to the total weight that is
     (A + B + 32) u to first order, within 8 u (A + B + 2) since A + B >= 3.
     """
-    q = hist.size
     B = math.isqrt(q - 1) + 1
     A = q // B
     # c_j for j < B, then rho_i for i <= A, in one table, from int64 angles
-    # centred to |k| <= q/2; c's parts are copied because einsum reads
-    # contiguous vectors twice as fast
-    angles = np.concatenate([np.arange(B, dtype=np.int64) * a,
-                             np.arange(A + 1, dtype=np.int64) * (a * B % q)]) % q
-    angles[angles > q // 2] -= q
+    # centred to -q/2 < k <= q/2
+    half = (q - 1) // 2
+    angles = (np.concatenate([np.arange(0, B * a, a, dtype=np.int64),
+                              np.arange(A + 1, dtype=np.int64) * (a * B % q)]) + half) % q - half
     phases = _phases(angles, q)
-    c_re, c_im, rho = phases.real[:B].copy(), phases.imag[:B].copy(), phases[B:]
+    c = phases[:B].view(np.float64).reshape(-1, 2).T.copy()  # rows Re c, Im c, contiguous
+    rho_re, rho_im = phases.real[B:], phases.imag[B:]
 
     def block(lo, hi):  # rows [lo, hi)
-        part = hist[lo * B:hi * B]
+        part = counts(lo * B, min(hi * B, q))
         buf = np.zeros((hi - lo) * B)
-        np.copyto(buf[:part.size], part, casting="unsafe")
-        s = np.empty(hi - lo, np.complex128)
-        np.einsum("ij,j->i", buf.reshape(-1, B), c_re, out=s.real)
-        np.einsum("ij,j->i", buf.reshape(-1, B), c_im, out=s.imag)
-        s *= rho[lo:hi]
-        return complex(np.sum(s))
+        buf[:part.size] = part
+        s = np.empty(hi - lo, np.complex128)  # the row sums, as (Re, Im) pairs
+        np.einsum("ij,kj->ik", buf.reshape(-1, B), c, out=s.view(np.float64).reshape(-1, 2))
+        x, y, re, im = s.real, s.imag, rho_re[lo:hi], rho_im[lo:hi]
+        x_im = x * im  # s *= rho by parts: x re - y im + i (y re + x im),
+        x *= re        # each product rounded alone, as on every CPU
+        x -= y * im
+        y *= re
+        y += x_im
+        return complex(s.sum())
 
     # the rows H fills: A full rows and the tail row, if it is not empty
     parts = enumeration._run_blocks(block, (-(-q // B), B))
@@ -227,29 +235,45 @@ def _crt_factors(N: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(out)
 
 
-def _crt_histogram(f: Polynomial, N: int) -> np.ndarray:
-    """Exact histogram of f mod N over (Z/N)^n, from one histogram per
-    prime power q || N: the count at r is the product over q of the counts
-    at r mod q, which is the column of r in the row-major (N/q, q) view.
-
-    Charges N points for the assembled array before it is built; int64
-    unless N^n reaches 2^63 (then exact Python ints).
+def _crt_histogram(f: Polynomial, N: int):
+    """The exact histogram H of f mod N over (Z/N)^n as a block reader
+    counts(lo, hi) = H[lo:hi]: H(r) is the product over q || N of h_q(r mod q),
+    h_q the histogram mod q.  A block tiles each h_q as a head h_q[lo mod q:],
+    whole periods through a (k, q) view and a tail; the first factor fills it
+    and the rest multiply in.  So only the sum_q q counts of the h_q and the
+    blocks being read are held, never all N; a prime power N slices its one
+    histogram.  Charges N points for the assembly before any factor's grid
+    runs; int64 unless N^n reaches 2^63 (then exact Python ints).
     """
     if N >= enumeration._MAX_MODULUS:
         raise ValueError(f"modulus {N} too large for the int64 kernel")
     factors = _crt_factors(N)
     if len(factors) == 1:
-        return enumeration.residue_histogram(f, N, N)
+        hist = enumeration.residue_histogram(f, N, N)
+        return lambda lo, hi: hist[lo:hi]
     enumeration._charge(N, "histogram assembly")
     dtype = np.int64 if N**f.n < 2**63 else object
-    counts = None
-    for _, _, q, _ in factors:
-        hist = enumeration.residue_histogram(f, q, q).astype(dtype, copy=False)
-        if counts is None:  # the first factor fills the counts, the rest multiply in
-            counts = np.empty(N, dtype)
-            counts.reshape(-1, q)[...] = hist
-        else:
-            counts.reshape(-1, q)[...] *= hist
+    hists = [enumeration.residue_histogram(f, q, q).astype(dtype, copy=False) for _, _, q, _ in factors]
+
+    def counts(lo, hi):
+        n = hi - lo
+        out = np.empty(n, dtype)
+        for i, h in enumerate(hists):
+            q, r = h.size, lo % h.size
+            head = min(-r % q, n)
+            body = head + (n - head) // q * q
+            # an empty piece is skipped: a numpy call costs about 1 us on nothing
+            pieces = [(out[:head], h[r:r + head])] if head else []
+            if body > head:
+                pieces.append((out[head:body].reshape(-1, q), h))
+            if body < n:
+                pieces.append((out[body:], h[:n - body]))
+            for dst, src in pieces:
+                if i:
+                    dst *= src
+                else:
+                    dst[...] = src
+        return out
     return counts
 
 
@@ -267,7 +291,7 @@ def exp_sum_direct(f: Polynomial, N: int, a: int = 1) -> ExpSumValue:
     """E over (Z/N)^n from the exact histogram of f mod N (oracle route)."""
     if (one := _sum_mod_one(N, a)) is not None:
         return one
-    value, err = _dense_phase_sum(_crt_histogram(f, N), a % N, N**f.n)
+    value, err = _dense_phase_sum(_crt_histogram(f, N), N, a % N, N**f.n)
     return ExpSumValue(value, abs(value), err)
 
 

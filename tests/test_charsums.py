@@ -642,17 +642,18 @@ def _long_double_sum(hist, a, total):
 
 
 class TestDirect:
-    """The direct route's histogram mod N is assembled from one histogram
-    per prime power q || N (CRT point count) and must equal the full grid;
-    its phase pass is _dense_phase_sum over that histogram."""
+    """The direct route reads its histogram mod N block by block from one
+    histogram per prime power q || N (CRT point count), and must read the
+    full grid's; its phase pass is _dense_phase_sum over those blocks."""
 
     @staticmethod
     def _check(f, N):
         full = enumeration.residue_histogram(f, N, N)
-        got = _crt_histogram(f, N)
+        got = _crt_histogram(f, N)(0, N)
         assert got.dtype == np.int64 and np.array_equal(got, full), (str(f), N)
         v = exp_sum_direct(f, N, N - 1)
-        assert (v.value, v.err_bound) == _dense_phase_sum(full, N - 1, N**f.n), (str(f), N)
+        assert (v.value, v.err_bound) == _dense_phase_sum(lambda lo, hi: full[lo:hi], N, N - 1, N**f.n), \
+            (str(f), N)
         residues = np.flatnonzero(full)
         want, err = _phase_sum(residues, full[residues], N, N - 1, N**f.n)
         assert abs(v.value - want) <= min(v.err_bound, err), (str(f), N)
@@ -668,7 +669,7 @@ class TestDirect:
     ])
     def test_split_shapes_within_bound(self, text, N):
         f = parse_polynomial(text)
-        hist = _crt_histogram(f, N)
+        hist = _crt_histogram(f, N)(0, N)
         assert hist.dtype == (object if N**f.n >= 2**63 else np.int64)
         B = math.isqrt(N - 1) + 1
         for a in [a for a in sorted({1, 5, N - 1}) if math.gcd(a, N) == 1]:
@@ -678,19 +679,43 @@ class TestDirect:
             if N < 10**4:
                 assert abs(v.value - exp_sum_composite(f, N, a).value) <= 1e-12, (N, a)
 
-    def test_large_sum_keeps_only_the_histogram(self):
-        # the 5*10^6 sum holds its int64 histogram (N * 8 bytes) and one
-        # block buffer, with no atom arrays and no per-atom phases
-        f, N = parse_polynomial("x1^3+2*x1"), 5 * 10**6
+    @pytest.mark.parametrize("N, workers", [(5 * 10**6, "1"), (5 * 10**6, "2"), (4 * 10**7, "1")])
+    def test_large_sum_holds_no_length_N_array(self, monkeypatch, N, workers):
+        # the factor histograms (2^6 + 5^7 or 2^9 + 5^7 counts) and about one
+        # 2^17-entry block per worker, never the N counts (40 MiB at 5*10^6)
+        f = parse_polynomial("x1^3+2*x1")
+        monkeypatch.setenv("IGUSA_WORKERS", workers)
+        monkeypatch.delenv("IGUSA_BUDGET", raising=False)
         tracemalloc.start()
         try:
             v = exp_sum_direct(f, N, 7)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < N * 8 + (16 << 20)
+        assert peak < 8 << 20, peak
         want = exp_sum_composite(f, N, 7)
         assert abs(v.value - want.value) <= v.err_bound + want.err_bound
+
+    @pytest.mark.parametrize("text, N", [
+        ("x1^3+2*x1", 131080),  # 8 * 5 * 29 * 113: 2 blocks, the last starting at no
+                                # multiple of any q and shorter than the period 113
+        ("x1^3+2*x1", 262146),  # 2 * 3 * 43691: 3 blocks, starting inside periods of 43691
+        ("x1^3+x1*x2+2*x2^2", 600),
+        ("x1^2+3*x2^3", 1001),
+        ("x1^3+2*x1", 9240),  # 8 * 3 * 5 * 7 * 11
+    ])
+    def test_every_block_reads_the_full_grid(self, text, N):
+        # the pass's own blocks, then ranges that hold a head alone, periods
+        # without a tail, part of one period, or nothing
+        f = parse_polynomial(text)
+        full, counts = enumeration.residue_histogram(f, N, N), _crt_histogram(f, N)
+        B = math.isqrt(N - 1) + 1
+        blocks = [(lo * B, min(hi * B, N)) for lo, hi in enumeration._box_chunks((-(-N // B), B))]
+        assert len(blocks) >= 2 or N < 1 << 17
+        rng = np.random.default_rng(N)
+        for lo, hi in blocks + [(0, 0), (1, 2), (7, 8), (N - 3, N)] + \
+                [tuple(sorted(rng.integers(0, N + 1, 2).tolist())) for _ in range(100)]:
+            assert np.array_equal(counts(lo, hi), full[lo:hi]), (text, N, lo, hi)
 
     def test_bits_do_not_depend_on_thread_settings(self):
         # the passes use no BLAS, so OpenBLAS threads cannot reorder their
@@ -718,6 +743,40 @@ class TestDirect:
                                       text=True, timeout=120)
                 assert done.returncode == 0, done.stderr
                 outs.add(done.stdout)
+        assert len(outs) == 1, outs
+
+    def test_bits_do_not_depend_on_simd_dispatch(self):
+        # numpy's complex multiply fuses its products (FMA) from X86_V3 on;
+        # the dense pass writes that product by parts, so its reports and
+        # values repeat bit for bit with every dispatched feature of this CPU
+        # disabled (the baseline level); a CPU with none of them passes as is
+        try:
+            from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        except ImportError:  # numpy < 2
+            from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        root = Path(__file__).resolve().parent.parent
+        code = ("from expsums import exp_sum_direct, parse_polynomial as P\n"
+                "from expsums.cli import main\n"
+                "main(['verify', '--self-test', '--seed', '0'])\n"
+                "main(['sum', '--poly', 'x1^3+x2^3+x3^3', '--p', '5', '--m', '1', '--a', '1',"
+                " '--method', 'naive'])\n"
+                "for f, N, a in [('x1^3+x1*x2+2*x2^2', 600, 7), ('x1^2+3*x2^3', 1001, 2),"
+                " ('x1*x2*x3*x4*x5*x6', 2310, 13), ('x1^3+2*x1', 262146, 5),"
+                " ('x1^4+x1*x2^2+x2', 999, 1)]:\n"
+                "    v = exp_sum_direct(P(f), N, a)\n"
+                "    print(v.value.real.hex(), v.value.imag.hex(), v.err_bound.hex())")
+        outs = set()
+        for disabled in (None, " ".join(name for name in __cpu_dispatch__ if __cpu_features__.get(name))):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+            for name in ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES"):
+                env.pop(name, None)
+            if disabled:
+                env["NPY_DISABLE_CPU_FEATURES"] = disabled
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outs.add(done.stdout)
         assert len(outs) == 1, outs
 
     def test_assembled_histogram_is_the_full_grid(self):
@@ -773,7 +832,7 @@ class TestDirect:
     def test_counts_past_int64_stay_exact(self):
         # N^n = 2310^6 > 2^63: the assembled counts are exact Python ints
         f = parse_polynomial("x1*x2*x3*x4*x5*x6")
-        hist = _crt_histogram(f, 2310)
+        hist = _crt_histogram(f, 2310)(0, 2310)
         assert hist.dtype == object and sum(hist.tolist()) == 2310**6
         got, want = exp_sum_direct(f, 2310, 13), exp_sum_composite(f, 2310, 13)
         assert got.abs > 0.1
