@@ -40,11 +40,10 @@ Four evaluation routes:
                         empties past _STORE_BYTES; a hit replays its build's
                         budget charges, so nothing depends on call history.
                         While p^m is at most both the points W's build
-                        charged and _SPECTRUM_CAP, the record keeps W's real
-                        FFT in place of W (a homogeneous f keeps both), one
-                        lookup per unit, or all at once for the supremum
-                        over units (_max_abs_over_units).  Valid for every
-                        prime, including p = 2 and 3.
+                        charged and _SPECTRUM_CAP, the record caches W's real
+                        FFT beside W: one lookup per unit, or all at once for
+                        the supremum over units (_max_abs_over_units).
+                        Valid for every prime, including p = 2 and 3.
 * exp_sum_composite  -- the product over prime powers dividing N, with the
                         per-factor units fixed by 1/N = sum_i u_i / q_i
                         where u_i = (N/q_i)^(-1) mod q_i, so that the unit
@@ -298,8 +297,8 @@ def exp_sum_direct(f: Polynomial, N: int, a: int = 1) -> ExpSumValue:
 @dataclass(eq=False, slots=True)
 class _Local:
     """The store's record of (f, p): the critical residues mod p, a split per
-    fiber u, and per level m W's atoms, or the spectrum kept in their place
-    (both for a homogeneous f, whose fiber over 0 reads its lower levels)."""
+    fiber u, and per level m W's atoms, with the spectrum _spectrum caches
+    beside them while its rule holds."""
 
     residues: list[tuple[int, ...]] | None = None
     splits: dict = field(default_factory=dict)
@@ -360,7 +359,7 @@ def _fiber_split(f: Polynomial, p: int, u: tuple[int, ...], m: int) -> tuple[int
     return c0, m if v is None else min(v, m), h
 
 
-def _critical_atoms(f: Polynomial, p: int, m: int):
+def _critical_atoms(f: Polynomial, p: int, m: int, record: _Local | None = None):
     """(charges, fibers, residues, weights) of W, the critical-atom
     distribution of f on Z/p^m (see the module docstring).
 
@@ -372,14 +371,15 @@ def _critical_atoms(f: Polynomial, p: int, m: int):
     weight p^((m-1)n)), in int64 arrays unless a weight or a*r could
     overflow (then exact Python ints).  At every level the residues are
     sorted, distinct and reduced mod p^m.
-    Kept per m in the record of (f, p) until _spectrum keeps W's spectrum in
-    their place; ``charges`` lists the build's (points, what) budget charges,
-    which a hit replays in order, as a residues hit does its n p^n.
+    Kept per m in the record of (f, p), ``record`` if the caller holds it;
+    only this function reads them.  ``charges`` lists the build's (points,
+    what) budget charges, which a hit replays in order, as a residues hit
+    does its n p^n.
     """
-    record = _local(f, p)
-    if m in record.atoms:
-        enumeration._charge_each(record.atoms[m][0])
-        return record.atoms[m]
+    record = record or _local(f, p)
+    if (entry := record.atoms.get(m)) is not None:
+        enumeration._charge_each(entry[0])
+        return entry
     n, q = f.n, p**m
     if m == 1:
         hist = enumeration.residue_histogram(f, p, p)
@@ -467,58 +467,55 @@ def _total(f: Polynomial, p: int, m: int) -> int:
     return total
 
 
-def _spectrum(f: Polynomial, p: int, m: int, always: bool = False):
-    """(kept, atoms) of W on Z/q, q = p^m; kept = (S, err, charges, fibers):
-    S, the raw rfft of W made dense, gives p^(mn) E(q, a) as conj(S[a]) for
-    a <= q/2 and S[q - a] above, within err.  A kept S is one store lookup
-    that replays W's charges (atoms None); else atoms are _critical_atoms',
-    and S is kept in their place while q is at most both the points W's
-    build charged and _SPECTRUM_CAP; past that kept is None, or with
-    ``always`` built and not kept."""
-    record = _store.get((f, p))
-    if record is not None and (kept := record.spectra.get(m)):
-        enumeration._charge_each(kept[2])
-        return kept, None
-    atoms = charges, fibers, residues, weights = _critical_atoms(f, p, m)
+def _rfft(f: Polynomial, p: int, m: int, atoms) -> tuple[np.ndarray, float]:
+    """(S, err) of W's atoms on Z/q, q = p^m: S, the raw rfft of W made dense,
+    gives p^(mn) E(q, a) as conj(S[a]) for a <= q/2 and S[q - a] above,
+    within err."""
+    _, _, residues, weights = atoms
     q = p**m
-    keep = q <= min(sum(points for points, _ in charges), _SPECTRUM_CAP)
-    if not (keep or always):
-        return None, atoms
     dense = np.zeros(q)
     dense[residues.astype(np.int64)] = weights.astype(np.float64)
     share = float(weights.sum() / p ** (m * f.n))
-    kept = np.fft.rfft(dense), 4.0 * _EPS * (residues.size + 1 + math.log2(q)) * share, charges, fibers
-    if keep:  # a homogeneous f keeps its atoms too: its fiber over 0 reads them
-        record = _local(f, p)
-        record.spectra[m] = kept
-        dropped = () if f.is_homogeneous() else record.atoms.pop(m, ())[2:]
-        _grow(kept[0].nbytes - sum(array.nbytes for array in dropped))
-    return kept, atoms
+    return np.fft.rfft(dense), 4.0 * _EPS * (residues.size + 1 + math.log2(q)) * share
+
+
+def _spectrum(f: Polynomial, p: int, m: int):
+    """(atoms, kept): atoms = _critical_atoms(f, p, m), which a hit reads with
+    its charges replayed, and kept = (S, err) of _rfft, cached in the record
+    beside the atoms while q = p^m is at most both the points W's build
+    charged and _SPECTRUM_CAP, else None."""
+    record = _local(f, p)
+    atoms = _critical_atoms(f, p, m, record)
+    kept = record.spectra.get(m)
+    if kept is None and p**m <= min(sum(points for points, _ in atoms[0]), _SPECTRUM_CAP):
+        kept = record.spectra[m] = _rfft(f, p, m, atoms)
+        _grow(kept[0].nbytes)
+    return atoms, kept
 
 
 def _pruned(f: Polynomial, p: int, m: int, a: int) -> tuple[complex, float, int | None]:
     """(value, err, fibers) of exp_sum_pruned at (f, p), level m and unit a:
     one entry of W's spectrum (_spectrum), else one phase pass over W's atoms."""
     q, total = p**m, _total(f, p, m)
-    kept, atoms = _spectrum(f, p, m)
+    (_, fibers, residues, weights), kept = _spectrum(f, p, m)
     if kept is None:
-        _, fibers, residues, weights = atoms
         return *_phase_sum(residues, weights, q, a, total), fibers
-    spectrum, err, _, fibers = kept
+    spectrum, err = kept
     return (spectrum.item(a).conjugate() if 2 * a <= q else spectrum.item(q - a)) / total, err, fibers
 
 
 def _max_abs_over_units(f: Polynomial, p: int, m: int) -> float:
     """sup over the units a mod q = p^m of |E(q, a)|: the largest |S[a]|,
-    a <= q/2, of W's spectrum S (_spectrum), charged q points first.
-    Within 4 eps log2(q) times the atoms' share of the p^(mn) points
-    (measured: under 0.7 of that on the corpus and at primes up to 2999)."""
+    a <= q/2, of W's spectrum S (_spectrum's, else an unkept _rfft), charged
+    q points first; within 4 eps log2(q) times the atoms' share of the
+    p^(mn) points (measured: under 0.7 of that on the corpus and at p < 3000)."""
     _require_prime(p)
     q = p**m
     if q >= enumeration._MAX_MODULUS:
         raise ValueError(f"modulus {q} too large for the unit spectrum")
     enumeration._charge(q, "unit spectrum")
-    mags = np.abs(_spectrum(f, p, m, always=True)[0][0])
+    atoms, kept = _spectrum(f, p, m)
+    mags = np.abs((kept or _rfft(f, p, m, atoms))[0])
     mags[::p] = 0.0  # a = 0 and the other non-units
     return float(mags.max()) / _total(f, p, m)
 

@@ -263,8 +263,7 @@ class TestUnitSpectrum:
 
     def test_every_unit_matches_phase_pass(self):
         # on every cell whose sums read the spectrum; the oracle is the phase
-        # pass over W's atoms, which _critical_atoms rebuilds where the record
-        # keeps the spectrum in their place
+        # pass over W's atoms, which the record keeps beside the spectrum
         spectra = 0
         for f in standard_corpus(0):
             for p in (2, 3, 5, 7):
@@ -433,23 +432,57 @@ class TestFiberMemo:
 
         cold = metered(f)
         old = _local(f, 3)
-        assert 3 in old.spectra and 3 not in old.atoms  # held as a spectrum only
+        assert 3 in old.atoms and len(old.spectra[3]) == 2  # the atoms, and (S, err) beside them
         bound = charsums._STORE_BYTES
         monkeypatch.setattr(charsums, "_STORE_BYTES", charsums._stored + 1)
         metered(g)  # past the bound: the whole store empties, f's record too
-        assert (f, 3) not in charsums._store and (g, 3) in charsums._store
+        # g's record, being built when it emptied, finishes outside the store,
+        # and the fiber records g's build makes after that refill it
+        assert (f, 3) not in charsums._store and (g, 3) not in charsums._store and charsums._store
         monkeypatch.setattr(charsums, "_STORE_BYTES", bound)
         assert metered(f) == cold
         new = _local(f, 3)
-        assert new is not old and 3 not in new.atoms
-        (spectrum, *rest), (was, *had) = new.spectra[3], old.spectra[3]
-        assert rest == had  # err, charges and fibers
-        assert spectrum.dtype == was.dtype and spectrum.tobytes() == was.tobytes()
+        assert new is not old
+        (charges, fibers, *arrays), (had_charges, had_fibers, *had) = new.atoms[3], old.atoms[3]
+        assert (charges, fibers) == (had_charges, had_fibers)
+        (spectrum, err), (was, had_err) = new.spectra[3], old.spectra[3]
+        assert err == had_err
+        for array, had_array in zip([*arrays, spectrum], [*had, was]):
+            assert array.dtype == had_array.dtype and array.tobytes() == had_array.tobytes()
         # at a bound of 0 the store empties at every entry, records being
         # built finish outside it, and the run still equals the cold one
         empty_store()
         monkeypatch.setattr(charsums, "_STORE_BYTES", 0)
         assert metered(f) == cold and not charsums._store and charsums._stored == 0
+
+    def test_a_kept_spectrum_keeps_its_atoms(self, monkeypatch, empty_store):
+        # a non-homogeneous f keeps W's atoms beside the spectrum, so reading
+        # the level again builds nothing and replays the cold charges
+        f = parse_polynomial("x1^3+x1*x2+x2^2")
+        before = enumeration.meter_consumed()
+        exp_sum_pruned(f, AdditiveCharacter(3, 3, 2))
+        cold = enumeration.meter_consumed() - before
+        record = _local(f, 3)
+        assert 3 in record.atoms and 3 in record.spectra and cold > 0
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("a kept level was rebuilt")
+
+        for owner, name in [(enumeration, "residue_histogram"), (enumeration, "common_zero_points"),
+                            (Polynomial, "shift_scale"), (np.fft, "rfft")]:
+            monkeypatch.setattr(owner, name, rebuilt)
+        before = enumeration.meter_consumed()
+        assert _critical_atoms(f, 3, 3) is record.atoms[3]
+        assert enumeration.meter_consumed() - before == cold
+
+    def test_crt_traffic_keeps_spectra_beside_atoms_within_8_mib(self, empty_store):
+        # c03's traffic: every kept spectrum sits next to its level's atoms,
+        # and the store holds about 5 MB by its own count
+        for f in crt_subcorpus(0, 20):
+            for N in range(1, 401):
+                exp_sum_composite(f, N, 1)
+        assert charsums._store and charsums._stored < 8 << 20
+        assert all(record.spectra.keys() <= record.atoms.keys() for record in charsums._store.values())
 
     def test_counts_reuse_the_sums_splits(self, monkeypatch, empty_store):
         # the counts read the sums' splits, and the h objects they hold

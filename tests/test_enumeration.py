@@ -687,10 +687,12 @@ class TestSettingsScope:
         before = enumeration.meter_consumed()
 
         def rebuilt(*args, **kwargs):
-            raise AssertionError("a kept spectrum was rebuilt")
+            raise AssertionError("a kept level was rebuilt")
 
-        monkeypatch.setattr(charsums, "_critical_atoms", rebuilt)
-        monkeypatch.setattr(np.fft, "rfft", rebuilt)
+        # every builder of W's atoms, of S and the phase pass past the rule
+        for owner, name in [(enumeration, "residue_histogram"), (enumeration, "common_zero_points"),
+                            (Polynomial, "shift_scale"), (np.fft, "rfft"), (charsums, "_phase_sum")]:
+            monkeypatch.setattr(owner, name, rebuilt)
         warm = [expsums.exp_sum_pruned(f, expsums.AdditiveCharacter(7, 2, a)) for a in (3, 46)]
         assert [(v.value, v.err_bound, v.fiber_count) for v in warm] == \
             [(v.value, v.err_bound, v.fiber_count) for v in cold]
@@ -774,10 +776,19 @@ def test_one_reader_of_the_environment():
 
 def test_one_reader_of_the_kept_spectra():
     # the store's spectra are read only through charsums._spectrum, which
-    # alone knows that a kept spectrum stands in place of W's atoms
+    # alone knows the rule that caches a spectrum beside W's atoms
     found = {(module, func) for module, func, node in _package_nodes()
              if isinstance(node, ast.Attribute) and node.attr == "spectra"}
     assert found == {("charsums.py", "_spectrum")}
+
+
+def test_one_reader_of_the_kept_atoms():
+    # W's atoms are read, and their charges replayed, only in
+    # charsums._critical_atoms, so every level's hit takes one path
+    found = {(func, node.attr) for module, func, node in _package_nodes()
+             if module == "charsums.py" and isinstance(node, ast.Attribute)
+             and node.attr in ("atoms", "_charge_each")}
+    assert found == {("_critical_atoms", "atoms"), ("_critical_atoms", "_charge_each")}
 
 
 def test_one_owner_of_the_store():
