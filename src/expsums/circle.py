@@ -306,17 +306,18 @@ def _grid(f: Polynomial, w: WeightFunction, order: int) -> tuple[np.ndarray, np.
     nodes, gl_w = np.polynomial.legendre.leggauss(order)
     coords = [c + w.rho * nodes for c in w.center]
     axes, offsets, weights = _axes(f, w, coords, [w.rho * gl_w] * f.n, 1.0)
-    # scalar powers on axis 0: numpy's array power can differ by an ulp, and
-    # J(R)'s bits are part of the report
-    pow0 = {k: np.array([x**k for x in axes[0]]) for k in {e[0] for e in f.terms}}
+    # scalar powers, one table per (axis, exponent): numpy's array power can
+    # differ by an ulp with the SIMD dispatch, and J(R)'s bits are in the report
+    pows = [{k: np.array([x**k for x in axis]) for k in {e[j] for e in f.terms} if k}
+            for j, axis in enumerate(axes)]
 
     def work(idx, wq, t2):
         fv = np.zeros(t2.size)
         for e, c in f.terms.items():
-            t = float(c) * pow0[e[0]][idx[0]] if e[0] else float(c)
-            for x, k, ix in zip(axes[1:], e[1:], idx[1:]):
+            t = float(c)
+            for table, k, ix in zip(pows, e, idx):
                 if k:
-                    t = t * (x**k)[ix]
+                    t = t * table[k][ix]
             fv = fv + t
         return fv, wq * _bump(t2, w.rho)
 

@@ -172,7 +172,7 @@ def _cmd_sum(f: Polynomial, cfg: argparse.Namespace) -> tuple[dict, bool]:
         if N is None and None not in (cfg.p, cfg.m):  # the prime-power route's checks
             N = AdditiveCharacter(cfg.p, cfg.m).modulus
             _require_prime(cfg.p)
-        if N is None or N < 1:
+        if N is None:
             raise ValueError("crt method requires --N or --p/--m")
         val = exp_sum_composite(f, N, cfg.a)
         params = {"N": N, "a": cfg.a, "method": "crt"}
@@ -311,14 +311,14 @@ def run(cfg: argparse.Namespace) -> tuple[int, dict]:
     """Dispatch a validated config; returns (exit_code, report dict).
 
     The run's budget (cfg.budget, else IGUSA_BUDGET) and IGUSA_WORKERS are
-    checked first, and the budget holds until the run returns.  --poly is
+    checked first, and both hold until the run returns.  --poly is
     parsed once, before any work; COMMANDS[command](f, cfg) returns (body,
     failed), and report["poly"] renders f (None only for a bare self-test)."""
     enumeration.reset_meter()
-    scope = enumeration._scope.set([cfg.budget, None])  # the run's settings scope
+    scope = enumeration._scope.set(None)  # the run reads its own settings; reset below
     try:
-        limit = enumeration.enumeration_budget()
-        enumeration.default_workers()
+        settings = enumeration._setting(cfg.budget)
+        enumeration._scope.set(settings)
         if cfg.command not in COMMANDS:
             raise ValueError(f"unknown command {cfg.command!r}")
         f = None if cfg.poly_text is None else parse_polynomial(cfg.poly_text)
@@ -343,7 +343,7 @@ def run(cfg: argparse.Namespace) -> tuple[int, dict]:
     if f is not None:
         report["poly"] = f.render()
     report.update(body)
-    report["budget"] = {"limit": limit, "points_consumed": enumeration.meter_consumed()}
+    report["budget"] = {"limit": settings[0], "points_consumed": enumeration.meter_consumed()}
     return (EXIT_VERIFY_FAILED if failed else EXIT_OK), report
 
 

@@ -17,23 +17,17 @@ MAX_VARS = 3
 MAX_DEGREE = 4
 
 
-def random_polynomial(
-    rng: random.Random,
-    n_max: int = MAX_VARS,
-    d_max: int = MAX_DEGREE,
-    coeff_bound: int = COEFF_BOUND,
-    max_terms: int = 5,
-) -> Polynomial:
-    """One random nonzero polynomial with small support."""
+def random_polynomial(rng: random.Random, n_max: int = MAX_VARS) -> Polynomial:
+    """One random nonzero polynomial with small support: at most 5 terms."""
     while True:
         n = rng.randint(1, n_max)
         terms: dict[tuple[int, ...], int] = {}
-        for _ in range(rng.randint(1, max_terms)):
-            total = rng.randint(0, d_max)
+        for _ in range(rng.randint(1, 5)):
+            total = rng.randint(0, MAX_DEGREE)
             exps = [0] * n
             for _ in range(total):
                 exps[rng.randrange(n)] += 1
-            c = rng.randint(-coeff_bound, coeff_bound)
+            c = rng.randint(-COEFF_BOUND, COEFF_BOUND)
             if c == 0:
                 continue
             key = tuple(exps)
@@ -57,8 +51,4 @@ def crt_subcorpus(seed: int = 0, size: int = 20) -> list[Polynomial]:
     variables would cost ~10^11 points, far past any budget.
     """
     rng = random.Random(seed)
-    out: list[Polynomial] = []
-    while len(out) < size:
-        poly = random_polynomial(rng, n_max=2)
-        out.append(poly)
-    return out
+    return [random_polynomial(rng, n_max=2) for _ in range(size)]

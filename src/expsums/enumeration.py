@@ -21,8 +21,10 @@ count sums out a variable f reads linearly, exactly (_sum_out_linear).
 Budgets: every enumeration is limited to the budget of the CLI run in
 progress (its --budget), else IGUSA_BUDGET, else 10^8 points; there is no
 per-call budget, and below 1 is refused.  IGUSA_WORKERS (default 1, capped
-at os.cpu_count()) is the only worker setting; below 1 is refused.  Each is
-read, and capped, once per settings scope: a CLI run, else one @scoped call.
+at os.cpu_count()) is the only worker setting; below 1 is refused.  Both are
+read and checked once, as a settings scope opens (a CLI run, else the
+outermost @scoped call), which holds them as one (budget, workers) pair;
+outside a scope every read checks both afresh.
 """
 
 from __future__ import annotations
@@ -51,17 +53,15 @@ _SPLIT_POINTS = 1 << 13  # on smaller grids the split's numpy calls cost more th
 
 # Points touched since the last reset; CLI reports this per run.
 _consumed = 0
-# The settings scope in progress: [budget, workers], None until read (scoped).
-_scope: contextvars.ContextVar[list | None] = contextvars.ContextVar("settings", default=None)
+# The settings scope in progress: its checked (budget, workers) (scoped).
+_scope: contextvars.ContextVar[tuple[int, int] | None] = contextvars.ContextVar("settings", default=None)
 
 
 def scoped(fn):
-    """fn in a settings scope of its own unless one is open, ending with the call."""
+    """fn in a settings scope: the open one, else its own, ending with the call."""
     @functools.wraps(fn)
     def call(*args, **kwargs):
-        if _scope.get():
-            return fn(*args, **kwargs)
-        token = _scope.set([None, None])
+        token = _scope.set(_setting())
         try:
             return fn(*args, **kwargs)
         finally:
@@ -69,29 +69,35 @@ def scoped(fn):
     return call
 
 
-def _setting(i: int, name: str, default: int, what: str, cap=int) -> int:
-    """Setting i (0 budget, 1 workers) of the scope: cap(env var ``name``, else
-    default), read at its first use; outside a scope, at every use."""
-    scope = _scope.get() or [None, None]
-    if scope[i] is None:
-        text = os.environ.get(name)
-        try:
-            scope[i] = cap(int(text) if text else default)
-        except ValueError:
-            raise ValueError(f"{name} must be an integer, got {text!r}") from None
-    if scope[i] < 1:
-        raise ValueError(f"{what} must be positive, got {scope[i]}")
-    return scope[i]
+def _setting(budget: int | None = None) -> tuple[int, int]:
+    """The open scope's (budget, workers), else both read and checked afresh:
+    budget (given, else IGUSA_BUDGET, else 10^8), then IGUSA_WORKERS (else 1,
+    capped at os.cpu_count())."""
+    if scope := _scope.get():
+        return scope
+    pair = []
+    for value, name, default, what in ((budget, "IGUSA_BUDGET", DEFAULT_BUDGET, "budget"),
+                                       (None, "IGUSA_WORKERS", 1, "worker count")):
+        if value is None:
+            text = os.environ.get(name)
+            try:
+                value = int(text) if text else default
+            except ValueError:
+                raise ValueError(f"{name} must be an integer, got {text!r}") from None
+        if value < 1:
+            raise ValueError(f"{what} must be positive, got {value}")
+        pair.append(value)
+    budget, workers = pair
+    return budget, 1 if workers == 1 else min(workers, os.cpu_count() or 1)
 
 
 def enumeration_budget() -> int:
     """The CLI run's --budget, else IGUSA_BUDGET, else 10^8 (_setting)."""
-    return _setting(0, "IGUSA_BUDGET", DEFAULT_BUDGET, "budget")
+    return _setting()[0]
 
 
 def default_workers() -> int:
-    return _setting(1, "IGUSA_WORKERS", 1, "worker count",
-                    lambda workers: 1 if workers == 1 else min(workers, os.cpu_count() or 1))
+    return _setting()[1]
 
 
 def reset_meter() -> None:
@@ -108,10 +114,9 @@ def _charge(points: int, what: str) -> None:
 
 
 def _charge_each(charges) -> None:
-    """Check IGUSA_WORKERS, then charge each (points, what) in order against the
-    scope's budget, so that a replayed charge refuses what its build would."""
+    """Charge each (points, what) in order against the scope's budget, read
+    once, so that a replayed charge refuses what its build would."""
     global _consumed
-    default_workers()
     budget = enumeration_budget()
     for points, what in charges:
         if points > budget:

@@ -2,8 +2,11 @@ import cmath
 import itertools
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +297,37 @@ class TestSingularIntegral:
         )
         got = singular_integral(f, w, R)
         assert (got.J_of_R, got.order) == (want, order)
+
+    def test_bits_do_not_depend_on_simd_dispatch(self):
+        # numpy's array power x**k (k >= 3) can differ by an ulp from the
+        # scalar power with the dispatched SIMD features; the grid takes every
+        # power from scalar tables, so J(R) repeats bit for bit with all of
+        # them disabled (a CPU with none of them passes as is)
+        try:
+            from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        except ImportError:  # numpy < 2
+            from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+        root = Path(__file__).resolve().parent.parent
+        code = ("from expsums import WeightFunction, parse_polynomial, singular_integral\n"
+                "from expsums.cli import build_config, run\n"
+                "code, report = run(build_config(['circle', '--poly', 'x1^3+x2^3-x3^3+x1*x2*x3',"
+                " '--B', '8', '--delta', '0.25', '--rho', '0.5', '--center=0.5,0.25,0.6']))\n"
+                "print(code, report['result']['report'].J_truncated.hex())\n"
+                "f = parse_polynomial('x1^2*x2^3-x2^4*x3+x3^5+x1*x2')\n"
+                "print(singular_integral(f, WeightFunction((0.1, 0.4, 0.3), 0.6), 2.5).J_of_R.hex())")
+        outs = set()
+        for disabled in (None, " ".join(name for name in __cpu_dispatch__ if __cpu_features__.get(name))):
+            env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+                filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+            for name in ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES"):
+                env.pop(name, None)
+            if disabled:
+                env["NPY_DISABLE_CPU_FEATURES"] = disabled
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, timeout=120)
+            assert done.returncode == 0, done.stderr
+            outs.add(done.stdout)
+        assert len(outs) == 1, outs
 
 
 class TestWeightedCount:

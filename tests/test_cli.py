@@ -100,6 +100,15 @@ class TestSumCommand:
         assert code == EXIT_OK
         assert report["params"]["N"] == 25
 
+    @pytest.mark.parametrize("N", ["0", "-5"])
+    def test_crt_modulus_below_one_named(self, N):
+        # a given --N below 1 used to be refused as if no modulus were given
+        argv = ["sum", "--poly", "x1", "--N", N, "--a", "1"]
+        for extra in ([], ["--method", "crt"]):
+            code, report = run_cli(argv + extra)
+            assert code == EXIT_PRECONDITION
+            assert report["error"]["message"] == f"modulus must be >= 1, got {N}"
+
     @pytest.mark.parametrize("p, m, message", [
         ("5", "0", "conductor must be >= 1, got 0"),
         ("6", "2", "6 is not prime"),

@@ -747,6 +747,31 @@ class TestSettingsScope:
             expsums.count_zeros_mod(f, 3, 2)
         assert enumeration._scope.get() is None
 
+    @pytest.mark.parametrize("name, value, match", [
+        ("IGUSA_WORKERS", "0", "worker count must be positive, got 0"),
+        ("IGUSA_BUDGET", "x", "IGUSA_BUDGET must be an integer, got 'x'"),
+    ])
+    def test_a_bad_setting_is_refused_as_the_scope_opens(self, monkeypatch, name, value, match):
+        # N = 1 charges nothing and returns 1: only the scope reads the setting
+        monkeypatch.setenv(name, value)
+        with pytest.raises(ValueError, match=match):
+            expsums.exp_sum_composite(parse_polynomial(self.F), 1, 1)
+        assert enumeration._scope.get() is None
+
+    def test_the_scope_is_one_checked_pair(self, monkeypatch, empty_store):
+        # fourier_crosscheck calls count_zeros_mod twice, each a scoped call
+        # that sees the outer call's (budget, workers) object itself
+        seen = []
+        charge_each = enumeration._charge_each
+        monkeypatch.setattr(enumeration, "_charge_each",
+                            lambda charges: seen.append(enumeration._scope.get()) or charge_each(charges))
+        monkeypatch.setenv("IGUSA_BUDGET", "123456")
+        monkeypatch.setenv("IGUSA_WORKERS", "1")
+        expsums.fourier_crosscheck(parse_polynomial(self.F), 3, 3)
+        assert len(seen) >= 2 and all(scope is seen[0] for scope in seen)
+        assert type(seen[0]) is tuple and seen[0] == (123456, 1)
+        assert [type(v) for v in seen[0]] == [int, int]
+
 
 def _package_nodes():
     """(module file name, innermost enclosing function or None, node) for

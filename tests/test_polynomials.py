@@ -1,4 +1,5 @@
 import copy
+import hashlib
 import json
 import math
 import pickle
@@ -19,7 +20,7 @@ from expsums import (
     exp_sum_pruned,
     parse_polynomial,
 )
-from expsums.corpus import standard_corpus
+from expsums.corpus import crt_subcorpus, standard_corpus
 from conftest import compose, small_polynomials
 
 
@@ -176,6 +177,13 @@ class TestParser:
         for _ in range(1000):
             f = random_polynomial(rng)
             assert parse_polynomial(f.render(), n_hint=f.n) == f
+
+    def test_corpora_are_frozen(self):
+        # c03 and the bench replay these corpora: their renderings never move
+        text = "\n".join([f.render() for seed in (0, 1, 2) for f in standard_corpus(seed)]
+                         + [f.render() for f in crt_subcorpus(0, 20)])
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "175bf50e2d5f2af453387fb668436f8d342aa645d075284a4f00fca10cc96994"
 
 
 class TestEvalMod:
