@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Zero-count densities N_m * p^(-mn) by level, with the orthogonality
+"""Densities N_m * p^(-mn) by level, of the zeros of f or (with --ideal) of
+the order counts of J_f^2 or (f) + J_f^2, with the orthogonality
 cross-check against averaged character sums: a table of the `expsums zeta`
 report, whose flags (here defaulting to --p 3 --max-m 3), budget and exit
 codes it takes.
@@ -9,6 +10,7 @@ Usage:
     python scripts/density_table.py --poly "x1^2+x2^3" --p 5 --max-m 3 --crosscheck
     python scripts/density_table.py --poly "x1^2" --p 3 --max-m 4 --ideal jf2
     python scripts/density_table.py --poly "x1^2+x2^3" --p 3 --max-m 3 --ideal f+jf2 --crosscheck
+    python scripts/density_table.py --poly "x1^3+x2^3+x3^3" --p 5 --max-m 6 --ideal f+jf2
 """
 
 import sys

@@ -66,7 +66,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = command("zeta", "solution counts and densities")
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--max-m", dest="max_m", type=int, required=True)
-    sp.add_argument("--ideal", choices=["f", "jf2", "f+jf2"], default="f")
+    sp.add_argument("--ideal", choices=zeta.IDEALS, default="f")
     sp.add_argument("--crosscheck", action="store_true")
 
     sp = command("geometry", "critical-locus dimension and exponents")
@@ -182,12 +182,7 @@ def _cmd_sum(f: Polynomial, cfg: argparse.Namespace) -> tuple[dict, bool]:
 def _cmd_zeta(f: Polynomial, cfg: argparse.Namespace) -> tuple[dict, bool]:
     if cfg.max_m < 1:
         raise ValueError("zeta requires --max-m >= 1")
-    gens = None
-    if cfg.ideal != "f":
-        gens = zeta.jacobian_squared_generators(f)
-        if cfg.ideal == "f+jf2":
-            gens = [f] + gens
-    table, dens = zeta.poincare_coeffs(f, cfg.p, cfg.max_m, generators=gens)
+    table, dens = zeta.poincare_coeffs(f, cfg.p, cfg.max_m, ideal=cfg.ideal)
     entries = [
         {"m": m, "count": c, "density": frac}
         for (m, c), (_, frac) in zip(table.entries, dens)
@@ -195,7 +190,7 @@ def _cmd_zeta(f: Polynomial, cfg: argparse.Namespace) -> tuple[dict, bool]:
     result = {"kind": table.kind, "ideal": cfg.ideal, "entries": entries}
     if cfg.crosscheck:
         # every N_m from one zero-count table: this one, unless it counts an ideal
-        zeros = table if gens is None else zeta.poincare_coeffs(f, cfg.p, cfg.max_m)[0]
+        zeros = table if cfg.ideal == "f" else zeta.poincare_coeffs(f, cfg.p, cfg.max_m)[0]
         result["crosscheck"] = [zeta.fourier_crosscheck(f, cfg.p, m, count=count)
                                 for m, count in zeros.entries[1:]]
     return {"params": {"p": cfg.p, "max_m": cfg.max_m, "ideal": cfg.ideal},

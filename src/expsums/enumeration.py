@@ -206,10 +206,11 @@ def _box_chunks(sizes: Sequence[int]) -> list[tuple[int, int]]:
 
 def _run_blocks(fn, sizes: Sequence[int]) -> list:
     """[fn(a, b) for each _box_chunks chunk [a, b) of the grid of these axis
-    lengths], in chunk order, on the default_workers() threads."""
+    lengths], in chunk order, on the default_workers() threads; one block
+    runs inline, without reading the worker setting."""
     blocks = _box_chunks(sizes)
-    workers = default_workers()
-    if workers <= 1 or len(blocks) <= 1:
+    workers = default_workers() if len(blocks) > 1 else 1
+    if workers <= 1:
         return [fn(a, b) for a, b in blocks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(lambda block: fn(*block), blocks))

@@ -212,16 +212,6 @@ class Polynomial:
     def scale_coefficients(self, c: int) -> "Polynomial":
         return Polynomial(self.n, {e: c * v for e, v in self.terms.items()})
 
-    def divide_coefficients(self, d: int) -> "Polynomial":
-        """Exact coefficient division; raises when d does not divide a term."""
-        out = {}
-        for e, c in self.terms.items():
-            q, r = divmod(c, d)
-            if r:
-                raise ValueError(f"coefficient {c} not divisible by {d}")
-            out[e] = q
-        return Polynomial(self.n, out)
-
     # -- evaluation and substitution ----------------------------------------
 
     def eval_int(self, point: Sequence[int]) -> int:

@@ -1,8 +1,8 @@
 """Solution counts mod p^m, ideal-order counts, and the orthogonality check.
 
 N_m counts x mod p^m with f(x) = 0 mod p^m; the companion order counts ask
-that every generator of an ideal (for the squared Jacobian: all pairwise
-products of gradient components) vanish to order >= m.  Densities
+that every generator of J_f^2, or of (f) + J_f^2, vanish to order >= m,
+which reads the gradient at half the level (_order_ge_ideal).  Densities
 N_m * p^(-mn) are kept as exact rationals so monotonicity checks stay
 exact.  N_m comes from Igusa's stationary phase formula, walked by
 charsums._zero_counts on the fiber splits the pruned sums read; charsums
@@ -29,6 +29,9 @@ from .arith import _require_prime
 from .charsums import _zero_counts
 from .polynomials import Polynomial
 
+# What poincare_coeffs counts, by the CLI's --ideal name: f's zeros, J_f^2, (f) + J_f^2.
+IDEALS = ("f", "jf2", "f+jf2")
+
 
 class CountKind(str, enum.Enum):
     zeros_of_f = "zeros_of_f"
@@ -51,19 +54,6 @@ class CrosscheckReport:
     rhs: float
     abs_diff: float
     count: int
-
-
-def pair_products(polys: list[Polynomial]) -> list[Polynomial]:
-    """All pairwise products g_i * g_j (i <= j); realizes a squared ideal."""
-    out = []
-    for i in range(len(polys)):
-        for j in range(i, len(polys)):
-            out.append(polys[i] * polys[j])
-    return out
-
-
-def jacobian_squared_generators(f: Polynomial) -> list[Polynomial]:
-    return pair_products(list(f.gradient()))
 
 
 def _require_prime_level(p: int, m: int) -> None:
@@ -92,8 +82,8 @@ def count_order_ge(generators: list[Polynomial], p: int, m: int) -> int:
     """|{x mod p^m : v_p(g(x)) >= m for every generator g}|.
 
     Membership depends only on x mod p^m, so the full-grid enumeration at
-    precision p^m is sound; it is also the default (the lifting logic for
-    several generators is subtler, and correctness comes first).
+    precision p^m is sound: the generic count for any generators, and the
+    oracle of the ideal counts poincare_coeffs takes at half the level.
     """
     _require_prime_level(p, m)
     if not generators:
@@ -101,28 +91,47 @@ def count_order_ge(generators: list[Polynomial], p: int, m: int) -> int:
     return enumeration.count_common_zeros(generators, p**m, p**m)
 
 
+def _order_ge_ideal(f: Polynomial, p: int, m: int, ideal: str) -> int:
+    """count_order_ge of J_f^2 ("jf2") or of (f) + J_f^2 ("f+jf2") at level m,
+    from the gradient at level k = ceil(m/2).
+
+    v_p(g h) = v_p(g) + v_p(h), so every d_i f * d_j f has order >= m
+    exactly when grad f(x) = 0 mod p^k, a condition on x mod p^k.  There
+    Taylor's formula gives f(x + p^k t) = f(x) mod p^(2k), and 2k >= m, so
+    f's condition reads x mod p^k too: the count is p^(n(m-k)) times the
+    y in [0, p^k)^n with p^(m-k) * grad f(y) = 0 (and f(y) = 0) mod p^m.
+    """
+    k = (m + 1) // 2
+    gens = [g.scale_coefficients(p ** (m - k)) for g in f.gradient()]
+    if ideal == "f+jf2":
+        gens = [f] + gens
+    return p ** (f.n * (m - k)) * enumeration.count_common_zeros(gens, p**k, p**m)
+
+
 @enumeration.scoped
 def poincare_coeffs(
     f: Polynomial,
     p: int,
     max_m: int,
-    generators: list[Polynomial] | None = None,
+    ideal: str = "f",
 ) -> tuple[CountTable, list[tuple[int, Fraction]]]:
     """Counts N_m for m = 0..max_m plus the exact densities N_m * p^(-mn).
 
-    Without generators the counts are the zeros of f (kind zeros_of_f);
-    with them, the points where every generator has order >= m (kind
-    order_ge_ideal; the caller pre-multiplies them when a squared ideal is
-    wanted).  An empty generator list is refused.
+    ideal names what is counted (IDEALS): "f", the zeros of f (kind
+    zeros_of_f); "jf2" or "f+jf2", the points where every generator of J_f^2
+    or of (f) + J_f^2 has order >= m (kind order_ge_ideal; _order_ge_ideal).
+    Any other name is refused.
     """
     if max_m < 1:
         raise ValueError(f"max level must be >= 1, got {max_m}")
     _require_prime(p)
-    if generators is None:
+    if ideal not in IDEALS:
+        raise ValueError(f"unknown ideal {ideal!r}: expected one of {', '.join(IDEALS)}")
+    if ideal == "f":
         kind, counts = CountKind.zeros_of_f, _zero_counts(f, p, max_m)
     else:
         kind = CountKind.order_ge_ideal
-        counts = [count_order_ge(generators, p, m) for m in range(1, max_m + 1)]
+        counts = [_order_ge_ideal(f, p, m, ideal) for m in range(1, max_m + 1)]
     entries = [(0, 1)] + list(enumerate(counts, start=1))
     densities = [(m, Fraction(c, p ** (m * f.n))) for m, c in entries]
     return CountTable(p=p, entries=entries, kind=kind), densities

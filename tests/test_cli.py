@@ -182,8 +182,9 @@ class TestOtherCommands:
         assert report["budget"]["points_consumed"] == 690
 
     def test_ideal_crosscheck_walks_the_tree_once(self):
-        # 2,457 (the ideal's table) + 27 (one zero-count tree to m = 3) +
-        # 9 + 81 + 729 (direct); a tree per level made it 3,330
+        # 198 (the ideal's table: the 2 gradient components on the 3^k grids,
+        # k = 1, 1, 2) + 27 (one zero-count tree to m = 3) + 9 + 81 + 729
+        # (direct); the pair-product grid made it 3,303, a tree per level 3,330
         code, report = run_cli(["zeta", "--poly", "x1^2+x2^3", "--p", "3", "--max-m", "3",
                                 "--ideal", "jf2", "--crosscheck"])
         assert code == EXIT_OK
@@ -191,7 +192,20 @@ class TestOtherCommands:
         assert [row.count for row in rows] == [count_zeros_mod(parse_polynomial("x1^2+x2^3"), 3, m)
                                                for m in (1, 2, 3)]
         assert all(row.abs_diff == 0 for row in rows)
-        assert report["budget"]["points_consumed"] == 3303
+        assert report["budget"]["points_consumed"] == 1044
+
+    def test_fermat_ideal_reaches_level_six(self, monkeypatch):
+        # (f) + J_f^2 reads grad f at level ceil(m/2): m = 6 charges 4 * 5^9
+        # points, where the pair-product grid refused m = 4 (7 * 5^12)
+        monkeypatch.delenv("IGUSA_BUDGET", raising=False)
+        argv = ["zeta", "--poly", "x1^3+x2^3+x3^3", "--p", "5", "--ideal", "f+jf2", "--max-m"]
+        code, report = run_cli(argv + ["6"])
+        assert code == EXIT_OK
+        assert [e["count"] for e in report["result"]["entries"]] == [
+            1, 1, 125, 15625, 390625, 1953125, 244140625]
+        code, report = run_cli(argv + ["7"])
+        assert code == EXIT_BUDGET
+        assert report["error"]["message"].startswith("zero-count enumeration needs 976562500 points")
 
     def test_zeta_squared_jacobian_ideal(self):
         code, report = run_cli(

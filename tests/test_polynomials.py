@@ -394,9 +394,3 @@ class TestArithmetic:
         subs = [Polynomial.constant(f.n, b) + Polynomial.variable(f.n, j).scale_coefficients(scale)
                 for j, b in enumerate(base[: f.n])]
         assert f.shift_scale(base[: f.n], scale) == compose(f, subs)
-
-    def test_divide_coefficients_exact(self):
-        f = parse_polynomial("4*x1 + 8")
-        assert f.divide_coefficients(4) == parse_polynomial("x1 + 2")
-        with pytest.raises(ValueError):
-            f.divide_coefficients(3)

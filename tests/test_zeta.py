@@ -11,8 +11,6 @@ from expsums import (
     count_order_ge,
     count_zeros_mod,
     fourier_crosscheck,
-    jacobian_squared_generators,
-    pair_products,
     parse_polynomial,
     poincare_coeffs,
 )
@@ -20,6 +18,12 @@ from expsums import enumeration
 from expsums.corpus import standard_corpus
 from expsums.charsums import _critical_atoms, _zero_counts
 from conftest import brute_zero_count, ramanujan_crosscheck_rhs
+
+
+def jf2_generators(f: Polynomial) -> list[Polynomial]:
+    """J_f^2's generators, every d_i f * d_j f (i <= j): the oracle's ideal."""
+    grad = f.gradient()
+    return [grad[i] * grad[j] for i in range(f.n) for j in range(i, f.n)]
 
 
 class TestCountZeros:
@@ -88,23 +92,16 @@ class TestCountOrderGe:
 
     def test_jacobian_squared_vs_brute(self):
         f = parse_polynomial("x1^2 + x2^3")
-        gens = jacobian_squared_generators(f)
-        got = count_order_ge(gens, 5, 2)
+        gens = jf2_generators(f)
         want = sum(
             1
             for x in range(25)
             for y in range(25)
             if all(g.eval_mod((x, y), 25) == 0 for g in gens)
         )
-        assert got == want
-
-    def test_pair_products_count(self):
-        polys = [
-            parse_polynomial("x1", n_hint=2),
-            parse_polynomial("x2"),
-            parse_polynomial("x1+x2"),
-        ]
-        assert len(pair_products(polys)) == 6
+        assert count_order_ge(gens, 5, 2) == want
+        table, _ = poincare_coeffs(f, 5, 2, ideal="jf2")
+        assert table.entries[2] == (2, want)
 
     def test_empty_generators_rejected(self):
         with pytest.raises(ValueError):
@@ -161,20 +158,37 @@ class TestPoincare:
 
     def test_order_kind_table(self):
         f = parse_polynomial("x1^2")
-        gens = jacobian_squared_generators(f)
-        table, dens = poincare_coeffs(f, 3, 2, generators=gens)
+        table, dens = poincare_coeffs(f, 3, 2, ideal="jf2")
         assert table.kind is CountKind.order_ge_ideal
         # v(4 x^2) >= 1 forces x = 0 mod 3; >= 2 likewise within mod 9: 3 lifts
         assert table.entries == [(0, 1), (1, 1), (2, 3)]
 
     def test_generators_set_the_kind(self):
-        # passing generators alone used to count the zeros of f: [1, 3, 15, 45]
+        # the ideal name sets the kind; f's zeros would read [1, 3, 15, 45]
         f = parse_polynomial("x1^2+x2^3")
-        table, _ = poincare_coeffs(f, 3, 3, generators=jacobian_squared_generators(f))
+        table, _ = poincare_coeffs(f, 3, 3, ideal="jf2")
         assert table.kind is CountKind.order_ge_ideal
         assert [c for _, c in table.entries] == [1, 3, 27, 27]
-        with pytest.raises(ValueError):
-            poincare_coeffs(f, 3, 2, generators=[])
+        table, _ = poincare_coeffs(f, 3, 3, ideal="f")
+        assert table.kind is CountKind.zeros_of_f
+
+    def test_ideals_at_half_the_level_match_the_grid(self):
+        # J_f^2 and (f) + J_f^2 read grad f mod p^ceil(m/2); the grid over
+        # the explicit products at level m is the oracle
+        edge = [Polynomial.constant(2, 12), parse_polynomial("6*x1^2*x2+30*x2^3"),
+                parse_polynomial("x1^3+x3^2", n_hint=3), parse_polynomial("x1*x2^2+2*x2^4")]
+        corpus = [f for seed in (0, 1) for f in standard_corpus(seed)]
+        levels = 0
+        for f, p in itertools.product(corpus + edge, (2, 3, 5, 7)):
+            top = len([m for m in range(1, 6) if p ** (m * f.n) <= 10**5])
+            if not top:
+                continue
+            for ideal, gens in (("jf2", jf2_generators(f)), ("f+jf2", [f] + jf2_generators(f))):
+                table, _ = poincare_coeffs(f, p, top, ideal=ideal)
+                want = [count_order_ge(gens, p, m) for m in range(1, top + 1)]
+                assert [c for _, c in table.entries[1:]] == want, (f, p, ideal)
+                levels += top if f in corpus else 0
+        assert levels == 3082
 
     def test_hensel_stabilization_smooth_locus(self):
         # gradient nonvanishing on the F_p-points of {f = 0}
@@ -270,3 +284,5 @@ def test_poincare_refusals():
         poincare_coeffs(f, 6, 0)
     with pytest.raises(ValueError, match="^6 is not prime$"):
         poincare_coeffs(f, 6, 1)
+    with pytest.raises(ValueError, match=r"^unknown ideal 'jf': expected one of f, jf2, f\+jf2$"):
+        poincare_coeffs(f, 5, 1, ideal="jf")
