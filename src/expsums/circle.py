@@ -21,8 +21,10 @@ Truncations default to R = ceil(B^delta) for the series and B^delta for
 the integral.
 
 Every walk is cut by enumeration's block runner, from the grid's shape
-alone, and chunk results are combined in chunk order (by math.fsum), so
-results are bitwise independent of the worker count.
+alone, and chunk results are combined in chunk order, so results are
+bitwise independent of the worker count: the lattice walks add their chunk
+sums by math.fsum, and the quadrature keeps one value per node of the
+order being evaluated and sums their concatenation once.
 """
 
 from __future__ import annotations
@@ -297,12 +299,14 @@ def _check_quadrature(f: Polynomial, w: WeightFunction, tol: float, R: float | N
         raise ValueError(f"2 pi R |f| may overflow a float on the support ball at R={R}")
 
 
-def _grid(f: Polynomial, w: WeightFunction, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """(f values, omega times quadrature weight) at the order's tensor
-    Gauss-Legendre nodes inside the support ball, in row-major order: one
-    _walk, whose axes carry the weights rho * w_GL, folded on mirror axes
-    (_axes; leggauss's nodes are antisymmetric and its weights symmetric,
-    bitwise)."""
+def _grid(f: Polynomial, w: WeightFunction, order: int, each) -> list:
+    """[each(f values, omega times quadrature weight) for each _walk chunk]
+    at the order's tensor Gauss-Legendre nodes inside the support ball, in
+    chunk order, so the chunks' nodes run row-major: one _walk, whose axes
+    carry the weights rho * w_GL, folded on mirror axes (_axes; leggauss's
+    nodes are antisymmetric and its weights symmetric, bitwise).  A chunk's
+    f values and weights live only until its each() returns, which may
+    overwrite the f values."""
     nodes, gl_w = np.polynomial.legendre.leggauss(order)
     coords = [c + w.rho * nodes for c in w.center]
     axes, offsets, weights = _axes(f, w, coords, [w.rho * gl_w] * f.n, 1.0)
@@ -319,27 +323,31 @@ def _grid(f: Polynomial, w: WeightFunction, order: int) -> tuple[np.ndarray, np.
                 if k:
                     t = t * table[k][ix]
             fv = fv + t
-        return fv, wq * _bump(t2, w.rho)
+        return each(fv, wq * _bump(t2, w.rho))
 
-    fs, wqs = zip(*_walk(offsets, weights, w.rho, work))
-    return np.concatenate(fs), np.concatenate(wqs)
+    return _walk(offsets, weights, w.rho, work)
 
 
-def _ladder(f: Polynomial, w: WeightFunction, tol: float, integrand, what: str):
-    """(value, order): integrand(f values, weights) of omega(x) g(f(x)) on
-    the order's _grid, climbing the dimension's ladder from its first order
-    until two successive orders differ by at most tol * max(current
-    magnitude, the plain weight integral on the current grid), so tiny
-    oscillatory values do not stall it.  The bump weight is smooth but not
-    analytic, so low dimensions climb to high orders cheaply while n = 5
-    stops where the tensor grid is still affordable.  Each grid is built
-    when its order is reached and not kept."""
+def _ladder(f: Polynomial, w: WeightFunction, tol: float, each, total, what: str):
+    """(value, order): total(values) of omega(x) g(f(x)) on the order's
+    _grid, where values concatenates each chunk's per-node values
+    each(f values, weights), climbing the dimension's ladder from its first
+    order until two successive orders differ by at most tol * max(current
+    magnitude, the plain weight integral on the current grid: fsum of the
+    chunks' sums), so tiny oscillatory values do not stall it.  The bump
+    weight is smooth but not analytic, so low dimensions climb to high
+    orders cheaply while n = 5 stops where the tensor grid is still
+    affordable.  An order holds one value per node until its total is
+    taken; its f values and weights are never kept.  total reads the whole
+    order's values at once, so numpy's pairwise sum has the bits it has on
+    the whole grid, where sums per chunk would not."""
     prev: complex | None = None
     orders = _ORDER_LADDERS[f.n]
     for order in orders:
-        fs, wqs = _grid(f, w, order)
-        cur = integrand(fs, wqs)
-        if prev is not None and abs(cur - prev) <= tol * max(abs(cur), float(np.sum(wqs))):
+        values, masses = zip(*_grid(f, w, order, lambda fv, wq: (each(fv, wq), np.sum(wq))))
+        cur = total(np.concatenate(values))
+        del values  # the next order's walk runs without them
+        if prev is not None and abs(cur - prev) <= tol * max(abs(cur), math.fsum(masses)):
             return cur, order
         prev = cur
     raise QuadratureConvergenceError(f"{what} did not stabilize within orders {orders}")
@@ -358,9 +366,8 @@ class OscillatoryIntegrator:
     def value(self, gamma: float) -> complex:
         """I(gamma) = int omega(x) e^(2 pi i gamma f(x)) dx."""
         phase = 2j * np.pi * gamma
-        return _ladder(self.f, self.w, self.tol,
-                       lambda fs, wqs: complex(np.sum(wqs * np.exp(phase * fs))),
-                       f"I(gamma) at gamma={gamma}")[0]
+        return _ladder(self.f, self.w, self.tol, lambda fs, wqs: wqs * np.exp(phase * fs),
+                       lambda values: complex(np.sum(values)), f"I(gamma) at gamma={gamma}")[0]
 
 
 def oscillatory_integral(
@@ -392,22 +399,25 @@ def singular_integral(
         J(R) = int omega(x) 2R sinc(2R f(x)) dx,   sinc(u) = sin(pi u) / (pi u),
 
     which refines along the same order ladder as I(gamma) (_ladder), after
-    _check_quadrature at R.
+    _check_quadrature at R.  Each chunk's nodes become their terms
+    wq * sinc(2R f) at once, and an order holds only those, one per node.
     """
     _check_quadrature(f, w, tol, R)
 
-    def integrand(fs, wqs):
-        # np.sinc's steps (y = pi x, eps where y == 0, sin(y) / y) in place: the
-        # same bits with two grid-sized temporaries instead of five
-        y = fs * (2.0 * R)
+    def sinc(fs, wqs):
+        # np.sinc's steps (y = pi x, eps where y == 0, sin(y) / y) in place, on
+        # the chunk's own f values: the same bits with one new chunk-sized
+        # array instead of five
+        y = fs
+        y *= 2.0 * R
         y *= np.pi
         y[y == 0] = np.finfo(np.float64).eps
         s = np.sin(y)
         s /= y
         s *= wqs
-        return 2.0 * R * float(np.sum(s))
+        return s
 
-    J, order = _ladder(f, w, tol, integrand, f"J(R) at R={R}")
+    J, order = _ladder(f, w, tol, sinc, lambda values: 2.0 * R * float(np.sum(values)), f"J(R) at R={R}")
     return SingularIntegralResult(J_of_R=J, order=order)
 
 
@@ -470,11 +480,13 @@ def _count_quadratic_fiber(f, split, B, w, box) -> float:
     def work(idx, wq, t2):
         cols = _columns(coords, idx)
         a, b, c = (enumeration.eval_columns_exact(g, cols) for g in (A, Bc, C))
+        del cols  # the solver reads only a, b, c, t2 and wq from here on
         acc = 0.0
 
         def add_points(i: np.ndarray, z: np.ndarray) -> float:
-            """Weighted count of the points (cols[i], z) with z in the box: omega
-            from the walk's t2 plus the last axis's term, times wq[i]."""
+            """Weighted count of the chunk's points i with last coordinate z
+            in the box: omega from the walk's t2 plus the last axis's term,
+            times wq[i]."""
             ok = (z >= zlo) & (z <= zhi)
             i, z = i[ok], z[ok]
             return float(np.sum(_bump(t2[i] + (z / B - w.center[-1]) ** 2, w.rho) * wq[i]))

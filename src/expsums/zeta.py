@@ -100,11 +100,13 @@ def _order_ge_ideal(f: Polynomial, p: int, m: int, ideal: str) -> int:
     Taylor's formula gives f(x + p^k t) = f(x) mod p^(2k), and 2k >= m, so
     f's condition reads x mod p^k too: the count is p^(n(m-k)) times the
     y in [0, p^k)^n with p^(m-k) * grad f(y) = 0 (and f(y) = 0) mod p^m.
+    For J_f^2 alone that is grad f(y) = 0 mod p^k, counted mod p^k, so the
+    int64 kernel's modulus limit applies to p^k, not to p^m.
     """
     k = (m + 1) // 2
-    gens = [g.scale_coefficients(p ** (m - k)) for g in f.gradient()]
-    if ideal == "f+jf2":
-        gens = [f] + gens
+    if ideal == "jf2":
+        return p ** (f.n * (m - k)) * enumeration.count_common_zeros(f.gradient(), p**k, p**k)
+    gens = [f] + [g.scale_coefficients(p ** (m - k)) for g in f.gradient()]
     return p ** (f.n * (m - k)) * enumeration.count_common_zeros(gens, p**k, p**m)
 
 

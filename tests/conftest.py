@@ -9,6 +9,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import hypothesis.strategies as st
@@ -68,6 +69,18 @@ def brute_weight(w, x) -> float:
     if t2 >= 1.0:
         return 0.0
     return math.exp(-1.0 / (1.0 - t2))
+
+
+def traced_peak(fn):
+    """(fn(), the tracemalloc peak in bytes while fn ran, above what was
+    traced when it started)."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
 
 
 def brute_zero_count(f: Polynomial, modulus: int) -> int:

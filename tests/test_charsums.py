@@ -38,7 +38,7 @@ from expsums.charsums import (
     crt_units,
 )
 from expsums.corpus import crt_subcorpus, standard_corpus
-from conftest import brute_exp_sum, compose, small_polynomials
+from conftest import brute_exp_sum, compose, small_polynomials, traced_peak
 
 
 class TestCharacter:
@@ -719,12 +719,7 @@ class TestDirect:
         f = parse_polynomial("x1^3+2*x1")
         monkeypatch.setenv("IGUSA_WORKERS", workers)
         monkeypatch.delenv("IGUSA_BUDGET", raising=False)
-        tracemalloc.start()
-        try:
-            v = exp_sum_direct(f, N, 7)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        v, peak = traced_peak(lambda: exp_sum_direct(f, N, 7))
         assert peak < 8 << 20, peak
         want = exp_sum_composite(f, N, 7)
         assert abs(v.value - want.value) <= v.err_bound + want.err_bound

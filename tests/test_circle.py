@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -26,9 +25,30 @@ from expsums import (
     weighted_exponential_sum,
     weighted_solution_count,
 )
-from conftest import brute_weight
+from conftest import brute_weight, traced_peak
 
 C10_CENTRE = (3 / math.sqrt(18), 0.0, 0.0, 0.0, 3 / math.sqrt(18))
+C10_QUADRIC = "x1^2+x2^2+x3^2-x4^2-x5^2"
+
+
+def whole_grid(f, w, order):
+    """(f values, weights) of _grid's chunks at this order, each concatenated."""
+    fs, wqs = zip(*circle._grid(f, w, order, lambda fv, wq: (fv, wq)))
+    return np.concatenate(fs), np.concatenate(wqs)
+
+
+def whole_order_ladder(f, w, tol, integrand):
+    """(value, order) by the ladder as it read whole orders: integrand(f
+    values, weights) of each order's whole_grid, stopping on the mass
+    np.sum(weights) of that grid."""
+    prev = None
+    for order in circle._ORDER_LADDERS[f.n]:
+        fs, wqs = whole_grid(f, w, order)
+        cur = integrand(fs, wqs)
+        if prev is not None and abs(cur - prev) <= tol * max(abs(cur), float(np.sum(wqs))):
+            return cur, order
+        prev = cur
+    raise AssertionError("the whole-order ladder did not stabilize")
 
 
 def brute_weighted_count(f, B, w):
@@ -253,7 +273,7 @@ class TestSingularIntegral:
             wt * R / 2 * integ.value(R / 2 * (1 + t)).real for t, wt in zip(nodes, weights)
         )
         got = singular_integral(f, w, R, tol=tol)
-        assert abs(got.J_of_R - oracle) <= 10 * tol * float(np.sum(circle._grid(f, w, got.order)[1]))
+        assert abs(got.J_of_R - oracle) <= 10 * tol * float(np.sum(whole_grid(f, w, got.order)[1]))
         assert got.order in circle._ORDER_LADDERS[f.n]
 
     @pytest.mark.parametrize("poly, centre, rho, R", [
@@ -264,7 +284,8 @@ class TestSingularIntegral:
         # the tolerance scale came from an extra mid-ladder grid built first
         built = []
         grid = circle._grid
-        monkeypatch.setattr(circle, "_grid", lambda f, w, order: built.append(order) or grid(f, w, order))
+        monkeypatch.setattr(circle, "_grid",
+                            lambda f, w, order, each: built.append(order) or grid(f, w, order, each))
         got = singular_integral(parse_polynomial(poly), WeightFunction(centre, rho), R)
         orders = list(circle._ORDER_LADDERS[len(centre)])
         assert built == orders[: orders.index(got.order) + 1]
@@ -292,11 +313,54 @@ class TestSingularIntegral:
         f = parse_polynomial(poly)
         w = WeightFunction((0.2, 0.2), 0.7)
         R = 1.7
-        want, order = circle._ladder(
-            f, w, circle.QUAD_TOL, lambda fs, wqs: 2.0 * R * float(np.sum(wqs * np.sinc(2.0 * R * fs))), "J"
-        )
+        want, order = circle._ladder(f, w, circle.QUAD_TOL, lambda fs, wqs: wqs * np.sinc(2.0 * R * fs),
+                                     lambda values: 2.0 * R * float(np.sum(values)), "J")
         got = singular_integral(f, w, R)
         assert (got.J_of_R, got.order) == (want, order)
+
+    @pytest.mark.parametrize("poly, centre, rho, R, block, gammas", [
+        ("x1^2 - x2^2 + x1*x2", (0.3, 0.2), 0.6, 2.0, 64, (0.0, 0.7, 3.0)),
+        ("x1 - x2", (0.2, 0.2), 0.7, 1.7, 200, (0.0, 0.7, 3.0)),  # f = 0 exactly: the sinc's removable point
+        ("x1^3+x2^3-x3^3+x1*x2*x3", (0.5, 0.25, 0.6), 0.5, 8**0.25, 1000, (0.0, 0.7, 3.0)),
+        (C10_QUADRIC, C10_CENTRE, 0.9, 30**0.25, None, (0.0,)),
+    ], ids=["quadric-2", "diagonal", "cubic-3", "c10-B30"])
+    def test_chunked_values_equal_the_whole_order_formula_bitwise(self, poly, centre, rho, R, block, gammas,
+                                                                   monkeypatch):
+        # J(R) and I(gamma) sum per-node values kept per chunk; the formulas
+        # below read each order's whole grid, and the bits must not differ
+        if block:  # many chunks per order
+            monkeypatch.setattr(enumeration, "_BLOCK_ELEMS", block)
+        f, w, tol = parse_polynomial(poly), WeightFunction(centre, rho), circle.QUAD_TOL
+
+        def whole_J(fs, wqs):
+            y = fs * (2.0 * R)
+            y *= np.pi
+            y[y == 0] = np.finfo(np.float64).eps
+            s = np.sin(y)
+            s /= y
+            s *= wqs
+            return 2.0 * R * float(np.sum(s))
+
+        got, (J, order) = singular_integral(f, w, R), whole_order_ladder(f, w, tol, whole_J)
+        assert (got.J_of_R.hex(), got.order) == (J.hex(), order)
+        integ = OscillatoryIntegrator(f, w, tol)
+        for gamma in gammas:
+            phase = 2j * np.pi * gamma
+            want = whole_order_ladder(f, w, tol, lambda fs, wqs: complex(np.sum(wqs * np.exp(phase * fs))))
+            assert integ.value(gamma) == want[0]
+
+    @pytest.mark.parametrize("centre, bound", [
+        (C10_CENTRE, 8),
+        ((0.1, 0.2, 0.15, 0.1, 0.2), 24),  # no mirror axis: the grid is unfolded
+    ], ids=["c10-B30", "unfolded"])
+    def test_quadrature_holds_one_value_per_node(self, centre, bound):
+        # each order's f values and weights were kept per chunk, concatenated
+        # and fed to the sinc's temporaries: traced peaks of 13.3 MiB (c10)
+        # and 34.0 MiB (unfolded); one value per node reads 5.7 and 15.2
+        f, w = parse_polynomial(C10_QUADRIC), WeightFunction(centre, 0.9)
+        got, peak = traced_peak(lambda: singular_integral(f, w, 30**0.25))
+        assert got.J_of_R > 0
+        assert peak < bound * 2**20, peak / 2**20
 
     def test_bits_do_not_depend_on_simd_dispatch(self):
         # numpy's array power x**k (k >= 3) can differ by an ulp from the
@@ -334,15 +398,18 @@ class TestWeightedCount:
     def test_c10_walk_peak_stays_small(self):
         # the walk was cut at its own chunks of 2^20 points, a tracemalloc peak
         # of 45.9 MiB at B = 40; enumeration's 2^17-point blocks keep it near 5
-        f, w = parse_polynomial("x1^2+x2^2+x3^2-x4^2-x5^2"), WeightFunction(C10_CENTRE, 0.9)
-        tracemalloc.start()
-        try:
-            count = weighted_solution_count(f, 40.0, w)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        f, w = parse_polynomial(C10_QUADRIC), WeightFunction(C10_CENTRE, 0.9)
+        count, peak = traced_peak(lambda: weighted_solution_count(f, 40.0, w))
         assert count > 0
         assert peak < 16 << 20
+
+    def test_c10_fiber_solver_drops_its_columns(self):
+        # the chunk's coordinate columns stayed alive through the solve after
+        # A, B and C were evaluated: 5.37 MiB traced at B = 30, 4.03 without
+        f, w = parse_polynomial(C10_QUADRIC), WeightFunction(C10_CENTRE, 0.9)
+        count, peak = traced_peak(lambda: weighted_solution_count(f, 30.0, w))
+        assert count > 0
+        assert peak < 4.7 * 2**20
 
     def test_no_solutions(self):
         f = parse_polynomial("x1^2 + 1")
@@ -476,7 +543,7 @@ class TestBallColumns:
                 fv = fv + (j + 1.0) * x
             t2 = t2 / w.rho**2
             inside = t2 < 1.0
-            fs, wqs = circle._grid(f, w, order)
+            fs, wqs = whole_grid(f, w, order)
             assert fs.tolist() == fv[inside].tolist()
             assert wqs.tolist() == (wq * np.exp(-1.0 / (1.0 - t2)))[inside].tolist()
 
@@ -516,7 +583,7 @@ def _even_form(n):
 class TestMirrorFold:
     @staticmethod
     def _sums(f, w, order):
-        fs, wqs = circle._grid(f, w, order)
+        fs, wqs = whole_grid(f, w, order)
         return fs.size, float(np.sum(wqs)), float(np.sum(wqs * np.cos(5.0 * fs)))
 
     def _assert_fold_exact(self, f, w, orders, monkeypatch):
@@ -555,7 +622,7 @@ class TestMirrorFold:
         f, w = _even_form(n), WeightFunction((0.0,) * n, 0.7)
         assert np.polynomial.legendre.leggauss(7)[0][3] == 0.0
         if n == 1:
-            assert circle._grid(f, w, 7)[0].size == 4
+            assert whole_grid(f, w, 7)[0].size == 4
         self._assert_fold_exact(f, w, [7, 9], monkeypatch)
 
     @pytest.mark.parametrize(
@@ -566,10 +633,10 @@ class TestMirrorFold:
         f, w = parse_polynomial(text), WeightFunction(centre, 0.7)
         assert circle._mirror_axes(f, w, range(2)) == []
         orders = circle._ORDER_LADDERS[2][:2]
-        got = [circle._grid(f, w, order) for order in orders]
+        got = [whole_grid(f, w, order) for order in orders]
         _unfolded(monkeypatch)
         for order, (fs, wqs) in zip(orders, got):
-            want_fs, want_wqs = circle._grid(f, w, order)
+            want_fs, want_wqs = whole_grid(f, w, order)
             assert fs.tobytes() == want_fs.tobytes() and wqs.tobytes() == want_wqs.tobytes()
 
 

@@ -214,6 +214,18 @@ class TestOtherCommands:
         assert code == EXIT_OK
         assert report["result"]["kind"] is CountKind.order_ge_ideal
 
+    def test_squared_jacobian_counts_past_the_int64_modulus(self):
+        # J_f^2 reads grad f mod p^k alone, k = ceil(m/2), so the modulus is
+        # 2^16 at m = 31: it was counted mod p^m and refused from 2^31 on
+        argv = ["zeta", "--poly", "x1^2", "--p", "2", "--max-m", "31", "--ideal"]
+        code, report = run_cli(argv + ["jf2"])
+        assert code == EXIT_OK
+        assert [e["count"] for e in report["result"]["entries"][1:]] == [
+            2 ** (m - (m + 1) // 2 + 1) for m in range(1, 32)]
+        code, report = run_cli(argv + ["f+jf2"])  # f is still read mod p^m
+        assert code == EXIT_PRECONDITION
+        assert report["error"]["message"] == "modulus 2147483648 too large for the int64 kernel"
+
     def test_zeta_combined_ideal(self):
         code, report = run_cli(
             ["zeta", "--poly", "x1^2+x2^3", "--p", "2", "--max-m", "2", "--ideal", "f+jf2"]

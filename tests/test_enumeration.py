@@ -9,7 +9,6 @@ import itertools
 import os
 import sys
 import threading
-import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -31,7 +30,7 @@ from expsums.enumeration import (
     eval_points_mod,
     residue_histogram,
 )
-from conftest import brute_zero_count, small_polynomials
+from conftest import brute_zero_count, small_polynomials, traced_peak
 
 
 def brute_histogram(f: Polynomial, grid: int, modulus: int) -> list[int]:
@@ -166,12 +165,7 @@ class TestResidueHistogram:
         # than the modulus count into the 8 MiB total with np.add.at
         monkeypatch.setattr(enumeration, "_BLOCK_ELEMS", 1 << 16)
         f = Polynomial(1, {(3,): 1, (1,): 2})
-        tracemalloc.start()
-        try:
-            hist = residue_histogram(f, 1 << 20, 1 << 20)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        hist, peak = traced_peak(lambda: residue_histogram(f, 1 << 20, 1 << 20))
         assert int(hist.sum()) == 1 << 20
         assert peak < 12 * 2**20
 
@@ -179,12 +173,7 @@ class TestResidueHistogram:
         # 125^3 points in cache-sized blocks: one 2^21-point block with its
         # bincount copy peaked at ~22 MiB
         f = parse_polynomial("x1^3+x2^3+x3^3+x1*x2*x3")
-        tracemalloc.start()
-        try:
-            hist = residue_histogram(f, 125, 125)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        hist, peak = traced_peak(lambda: residue_histogram(f, 125, 125))
         assert int(hist.sum()) == 125**3
         assert peak < 4 * 2**20
 
@@ -622,13 +611,7 @@ class TestPointAndBoxEvaluation:
         f = Polynomial(4, {(2, 0, 0, 0): 1, (0, 2, 0, 0): 1, (0, 0, 2, 0): 1, (0, 0, 0, 2): -1})
         size = 1 << 17
         cols = [np.arange(size, dtype=np.int64) - j for j in range(4)]
-        tracemalloc.start()
-        try:
-            start = tracemalloc.get_traced_memory()[0]
-            vals = eval_columns_exact(f, cols)
-            peak = tracemalloc.get_traced_memory()[1] - start
-        finally:
-            tracemalloc.stop()
+        vals, peak = traced_peak(lambda: eval_columns_exact(f, cols))
         x = np.arange(size, dtype=np.int64)
         assert vals.tolist() == (x**2 + (x - 1) ** 2 + (x - 2) ** 2 - (x - 3) ** 2).tolist()
         assert peak < 3 * cols[0].nbytes

@@ -1,5 +1,4 @@
 import itertools
-import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -17,7 +16,7 @@ from expsums import (
 from expsums import enumeration
 from expsums.corpus import standard_corpus
 from expsums.charsums import _critical_atoms, _zero_counts
-from conftest import brute_zero_count, ramanujan_crosscheck_rhs
+from conftest import brute_zero_count, ramanujan_crosscheck_rhs, traced_peak
 
 
 def jf2_generators(f: Polynomial) -> list[Polynomial]:
@@ -73,12 +72,7 @@ class TestCountZeros:
         # lifting whole levels of the zeros mod p at once peaked at ~350 MiB
         monkeypatch.setattr(enumeration, "_BLOCK_ELEMS", 1 << 12)
         f = parse_polynomial("x1^3+x2^3+x3^3")
-        tracemalloc.start()
-        try:
-            count = count_zeros_mod(f, 5, 4)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        count, peak = traced_peak(lambda: count_zeros_mod(f, 5, 4))
         assert count == 765625
         assert peak < 16 * 2**20
 
